@@ -10,7 +10,7 @@ are statistically sound.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import product
 from typing import Callable, Optional, Sequence
 
@@ -18,7 +18,6 @@ import numpy as np
 from scipy import integrate
 
 from .geom import (
-    CoefficientGauge,
     GeometryError,
     LqBall,
     MatrixImageBody,
@@ -56,12 +55,11 @@ class ProfileReport:
     even: Optional[bool] = None
     midpoint_convex: Optional[bool] = None
     worst_violation: float = 0.0
-    extra: dict = field(default_factory=dict)
 
     def to_csv(self) -> str:
         lines = ["t,value,stderr"]
         for t, v, s in zip(self.grid, self.values, self.stderrs):
-            lines.append(f"{t!r},{v!r},{s!r}")
+            lines.append(f"{float(t)!r},{float(v)!r},{float(s)!r}")
         return "\n".join(lines) + "\n"
 
     def verdict(self) -> dict:
@@ -125,7 +123,7 @@ class ShadowConfig:
 
     theta: np.ndarray  # unit vector in R^n
     base_positions: np.ndarray  # (N, n), rows y_i in theta-perp
-    gauge: CoefficientGauge
+    gauge: LqBall
     rball: float
     m: RadialMeasure
 
@@ -158,7 +156,6 @@ def _exact_oracle_eligible(cfg: ShadowConfig) -> bool:
     return (
         cfg.n in (2, 3)
         and cfg.rball == 0.0
-        and isinstance(cfg.gauge, LqBall)
         and cfg.gauge.q == 1.0
         and isinstance(cfg.m, LebesgueRestricted)
         and math.isinf(cfg.m.R)

@@ -12,17 +12,17 @@ import json
 import math
 import sys
 import time
+from functools import partial
+from itertools import product
 from pathlib import Path
 
 import click
 import numpy as np
 
 from . import analysis, experiments, geom, measure
-from .experiments import ConfigError, ExperimentConfig, ExperimentReport
-from .geom import GeometryError
-from .measure import MeasureError
+from .experiments import ConfigError, ExperimentConfig
 from .rng import RngStream
-from .volume import default_level_grid, mc_polar_measure
+from .volume import mc_polar_measure
 
 EXIT_PASS, EXIT_FAIL, EXIT_CONFIG, EXIT_IO = 0, 1, 2, 3
 
@@ -41,7 +41,7 @@ def parse_gauge(obj: dict, N: int, path: str = "gauge"):
     kind = _require(obj, "type", path)
     if kind == "lq":
         q = float(_require(obj, "q", path))
-        if q < 1:
+        if not q >= 1:
             raise ConfigError(f"{path}.q: gauge.q must be >= 1")
         return geom.LqBall(q, N)
     raise ConfigError(f"{path}.type: unknown gauge type {kind!r}")
@@ -49,69 +49,51 @@ def parse_gauge(obj: dict, N: int, path: str = "gauge"):
 
 def parse_measure(obj: dict, n: int, path: str = "measure"):
     kind = _require(obj, "kind", path)
-    try:
-        if kind == "lebesgue_ball":
-            R = _require(obj, "R", path)
-            R = math.inf if R in ("inf", None) else float(R)
-            return measure.LebesgueRestricted(R, n)
-        if kind == "gaussian":
-            return measure.GaussianLike(float(_require(obj, "sigma", path)), n)
-        if kind == "power_kernel":
-            return measure.PowerKernel(np.asarray(_require(obj, "k_table", path), dtype=float), n)
-    except MeasureError as e:
-        raise ConfigError(f"{path}: {e}") from e
+    if kind == "lebesgue_ball":
+        R = _require(obj, "R", path)
+        return measure.LebesgueRestricted(math.inf if R in ("inf", None) else float(R), n)
+    if kind == "gaussian":
+        return measure.GaussianLike(float(_require(obj, "sigma", path)), n)
+    if kind == "power_kernel":
+        return measure.PowerKernel(np.asarray(_require(obj, "k_table", path), dtype=float), n)
     raise ConfigError(f"{path}.kind: unknown measure kind {kind!r}")
 
 
 def parse_density(obj: dict, n: int, path: str = "law"):
     kind = _require(obj, "kind", path)
-    try:
-        if kind == "uniform_cube":
-            return measure.UniformBodyDensity("cube", n)
-        if kind == "uniform_Dn":
-            return measure.UniformBodyDensity("Dn", n)
-        if kind == "uniform_simplex":
-            return measure.UniformBodyDensity("simplex", n)
-        if kind == "radial_step":
-            return measure.RadialStepDensity(
-                np.asarray(_require(obj, "breaks", path), dtype=float),
-                np.asarray(_require(obj, "values", path), dtype=float),
-                n,
-            )
-    except MeasureError as e:
-        raise ConfigError(f"{path}: {e}") from e
+    shapes = {"uniform_cube": "cube", "uniform_Dn": "Dn", "uniform_simplex": "simplex"}
+    if kind in shapes:
+        return measure.UniformBodyDensity(shapes[kind], n)
+    if kind == "radial_step":
+        return measure.RadialStepDensity(
+            np.asarray(_require(obj, "breaks", path), dtype=float),
+            np.asarray(_require(obj, "values", path), dtype=float),
+            n,
+        )
     raise ConfigError(f"{path}.kind: unknown density kind {kind!r}")
 
 
 def parse_body(obj: dict, path: str = "body"):
     kind = _require(obj, "kind", path)
-    try:
-        if kind == "matrix_image":
-            cols = np.asarray(_require(obj, "columns", path), dtype=float)
-            if cols.ndim != 2:
-                raise ConfigError(f"{path}.columns: must be a list of equal-length vectors")
-            A = cols.T  # config stores columns as rows of vectors
-            gauge = parse_gauge(_require(obj, "gauge", path), A.shape[1], f"{path}.gauge")
-            r = float(obj.get("r", 0.0))
-            return geom.MatrixImageBody(A, gauge, r)
-        if kind == "ball":
-            return geom.BallBody(float(_require(obj, "R", path)), int(_require(obj, "n", path)))
-        if kind == "hpolytope":
-            return geom.HPolytopeBody(
-                np.asarray(_require(obj, "normals", path), dtype=float),
-                np.asarray(_require(obj, "offsets", path), dtype=float),
-            )
-    except GeometryError as e:
-        raise ConfigError(f"{path}: {e}") from e
+    if kind == "matrix_image":
+        cols = np.asarray(_require(obj, "columns", path), dtype=float)
+        if cols.ndim != 2:
+            raise ConfigError(f"{path}.columns: must be a list of equal-length vectors")
+        A = cols.T  # config stores columns as rows of vectors
+        gauge = parse_gauge(_require(obj, "gauge", path), A.shape[1], f"{path}.gauge")
+        return geom.MatrixImageBody(A, gauge, float(obj.get("r", 0.0)))
+    if kind == "ball":
+        return geom.BallBody(float(_require(obj, "R", path)), int(_require(obj, "n", path)))
+    if kind == "hpolytope":
+        return geom.HPolytopeBody(
+            np.asarray(_require(obj, "normals", path), dtype=float),
+            np.asarray(_require(obj, "offsets", path), dtype=float),
+        )
     raise ConfigError(f"{path}.kind: unknown body kind {kind!r}")
 
 
-def parse_experiment_config(text: str) -> ExperimentConfig:
-    """Parse and fully validate an expectation/dominance config."""
-    try:
-        obj = json.loads(text)
-    except json.JSONDecodeError as e:
-        raise ConfigError(f"config: malformed JSON ({e})") from e
+def parse_experiment_config(obj: dict) -> ExperimentConfig:
+    """Parse and fully validate a loaded expectation/dominance config."""
     mode = _require(obj, "mode", "config")
     n = int(_require(obj, "n", "config"))
     N = int(_require(obj, "N", "config"))
@@ -133,7 +115,7 @@ def parse_experiment_config(text: str) -> ExperimentConfig:
 
 
 def serialize_config(cfg: ExperimentConfig) -> dict:
-    gauge = {"type": "lq", "q": cfg.gauge.q} if isinstance(cfg.gauge, geom.LqBall) else {"type": "oracle"}
+    gauge = {"type": "lq", "q": cfg.gauge.q}
     if isinstance(cfg.m, measure.LebesgueRestricted):
         m = {"kind": "lebesgue_ball", "R": "inf" if math.isinf(cfg.m.R) else cfg.m.R}
     elif isinstance(cfg.m, measure.GaussianLike):
@@ -141,7 +123,7 @@ def serialize_config(cfg: ExperimentConfig) -> dict:
     else:
         m = {"kind": "power_kernel", "k_table": cfg.m.k_table.tolist()}
     if isinstance(cfg.law_x, measure.UniformBodyDensity):
-        law = {"kind": {"cube": "uniform_cube", "Dn": "uniform_Dn", "simplex": "uniform_simplex"}[cfg.law_x.shape]}
+        law = {"kind": f"uniform_{cfg.law_x.shape}"}
     else:
         law = {
             "kind": "radial_step",
@@ -187,22 +169,206 @@ def named_brunn_phi(name: str):
 
 
 # ---------------------------------------------------------------------------
-# output plumbing
+# commands: each runs on the loaded config (overrides applied) and
+# returns (config echo, verdict, summary, trials.csv text, summary line)
 
 
-def _load_config(config_path: str) -> dict:
+def _experiment(obj: dict, threads: int, mode: str, experiment):
+    obj.setdefault("mode", mode)
+    report = experiment(parse_experiment_config(obj), threads)
+    line = json.dumps(report.summary, sort_keys=True, default=str)[:200]
+    return report.config, report.verdict, report.summary, report.to_csv(), line
+
+
+def run_santalo(obj: dict, threads: int):
+    """Expectation comparison against the uniform-ball extremizer."""
+    return _experiment(obj, threads, "expectation", experiments.santalo_expectation_experiment)
+
+
+def run_dominance(obj: dict, threads: int):
+    """Survival-curve (stochastic dominance) comparison."""
+    return _experiment(obj, threads, "dominance", experiments.stochastic_dominance_experiment)
+
+
+def run_polar_volume(obj: dict, threads: int):
+    """Monte Carlo estimate of nu(K°) for a configured body."""
+    body = parse_body(_require(obj, "body", "config"))
+    m = parse_measure(_require(obj, "measure", "config"), body.dim)
+    rng = RngStream(int(obj.get("seed", 0)), 0)
+    est = mc_polar_measure(body, m, int(obj.get("budget", 10 ** 6)), rng, threads)
+    return obj, True, est.to_dict(), "", f"value={est.value:.6g} stderr={est.stderr:.3g}"
+
+
+def run_converge(obj: dict, threads: int):
+    """Exact polar volumes along a growing random path."""
+    report = experiments.convergence_experiment(
+        n=int(_require(obj, "n", "config")),
+        seed=int(obj.get("seed", 0)),
+        schedule=obj.get("schedule", (4, 8, 16, 32, 64, 128, 256, 512)),
+        band=float(obj.get("band", 0.05)),
+    )
+    line = f"rel_err={report.summary['relative_error']:.4f}"
+    return report.config, report.verdict, report.summary, report.to_csv(), line
+
+
+def run_shadow(obj: dict, threads: int):
+    """Shadow-system profile with evenness/convexity verdicts."""
+    n = int(_require(obj, "n", "config"))
+    base = np.asarray(_require(obj, "base_positions", "config"), dtype=float)
+    theta = np.asarray(_require(obj, "theta", "config"), dtype=float)
+    gauge = parse_gauge(_require(obj, "gauge", "config"), base.shape[0])
+    m = parse_measure(_require(obj, "measure", "config"), n)
+    cfg = analysis.ShadowConfig(theta, base, gauge, float(obj.get("r", 0.0)), m)
+    direction = np.asarray(_require(obj, "direction", "config"), dtype=float)
+    t_grid = np.asarray(_require(obj, "t_grid", "config"), dtype=float)
+    rng = RngStream(int(obj.get("seed", 0)), 0)
+    report = analysis.shadow_profile(cfg, direction, t_grid, int(obj.get("budget", 10 ** 5)), rng, threads)
+    verdict = bool(report.even) and bool(report.midpoint_convex)
+    return obj, verdict, report.verdict(), report.to_csv(), f"worst_violation={report.worst_violation:.3g}"
+
+
+def run_busemann(obj: dict, threads: int):
+    """Triangle-inequality battery for the hyperplane-mass gauge."""
+    psi, radius = named_density(_require(obj, "density", "config"), float(obj.get("sigma", 1.0)))
+    pairs = int(obj.get("pairs", 200))
+    seed = int(obj.get("seed", 0))
+    gen = RngStream(seed, 0).generator()
+    worst = -math.inf
+    hypothesis_ok = analysis.spot_check_neg_recip_concavity(psi, 2, RngStream(seed, 1))
+    for _ in range(pairs):
+        z1 = gen.uniform(-1.0, 1.0, size=2)
+        z2 = gen.uniform(-1.0, 1.0, size=2)
+        if np.linalg.norm(z1) < 1e-6 or np.linalg.norm(z2) < 1e-6 or np.linalg.norm(z1 + z2) < 1e-6:
+            continue
+        f1 = analysis.busemann_gauge(psi, z1, radius)
+        f2 = analysis.busemann_gauge(psi, z2, radius)
+        f12 = analysis.busemann_gauge(psi, z1 + z2, radius)
+        worst = max(worst, f12 - f1 - f2)
+    summary = {"worst_violation": worst, "pairs": pairs, "hypothesis_verified": hypothesis_ok}
+    return obj, worst <= 1e-6, summary, "", f"worst={worst:.3g}"
+
+
+def run_gauge(obj: dict, threads: int):
+    """Homogeneity battery for the radial-integral gauges."""
+    f, radius = named_density(_require(obj, "density", "config"), float(obj.get("sigma", 1.0)))
+    p = float(obj.get("p", 1.0))
+    gen = RngStream(int(obj.get("seed", 0)), 0).generator()
+    worst = 0.0
+    for _ in range(int(obj.get("checks", 100))):
+        x = gen.uniform(-1.0, 1.0, size=2)
+        if np.linalg.norm(x) < 1e-3:
+            continue
+        lam = float(gen.uniform(0.5, 3.0))
+        fx = analysis.ball_bobkov_gauge(f, p, x, upper=radius * 10)
+        flx = analysis.ball_bobkov_gauge(f, p, lam * x, upper=radius * 10)
+        worst = max(worst, abs(flx - lam * fx) / max(1e-12, lam * fx))
+    return obj, worst <= 1e-9, {"worst_relative_error": worst, "p": p}, "", f"worst={worst:.3g}"
+
+
+def run_brunn(obj: dict, threads: int):
+    """Convexity of the integral profile of a positive convex function."""
+    report = analysis.brunn_profile(
+        named_brunn_phi(_require(obj, "phi", "config")),
+        alpha=float(obj.get("alpha", 1.0)),
+        n=int(obj.get("n", 1)),
+        t_grid=np.asarray(obj.get("t_grid", np.linspace(-2, 2, 9)), dtype=float),
+        domain_radius=float(obj.get("domain_radius", 30.0)),
+    )
+    line = f"worst_violation={report.worst_violation:.3g}"
+    return obj, bool(report.midpoint_convex), report.verdict(), report.to_csv(), line
+
+
+def run_rbll(obj: dict, threads: int):
+    """Exhaustive small-family check of the 1-D rearrangement inequality."""
+    shifts = obj.get("shifts", [-2, -1, 0, 1, 2])
+    box = float(obj.get("box", 6.0))
+    worst = -math.inf
+    cases = 0
+    for k in (1, 2, 3):
+        for placement in product(shifts, repeat=k):
+            gs = [analysis.Step1D(np.array([float(a), float(a) + 1.0]), np.array([1.0])) for a in placement]
+            for flat in product([-1.0, 0.0, 1.0], repeat=k * 2):
+                res = analysis.rbll_check_1d(gs, np.array(flat, dtype=float).reshape(k, 2), box_halfwidth=box)
+                worst = max(worst, res["lhs"] - res["rhs"])
+                cases += 1
+    return obj, worst <= 1e-9, {"cases": cases, "worst_gap": worst}, "", f"cases={cases} worst={worst:.3g}"
+
+
+def _comparison(obj: dict, report):
+    line = f"lhs={report.summary['lhs']:.6g} rhs={report.summary['rhs']:.6g}"
+    return obj, report.verdict, report.summary, report.to_csv(), line
+
+
+def run_centroid(obj: dict, threads: int):
+    """Moment-body polar comparison against the uniform-ball law."""
+    n = int(_require(obj, "n", "config"))
+    report = experiments.centroid_polar_experiment(
+        parse_density(_require(obj, "law", "config"), n),
+        p=float(_require(obj, "p", "config")),
+        m=parse_measure(_require(obj, "measure", "config"), n),
+        budget=int(obj.get("budget", 200_000)),
+        seed=int(obj.get("seed", 0)),
+        threads=threads,
+    )
+    return _comparison(obj, report)
+
+
+def run_newsan(obj: dict, threads: int):
+    """Polar-measure comparison of a body against its volume-matched ball."""
+    body = parse_body(_require(obj, "body", "config"))
+    report = experiments.newsan_experiment(
+        body,
+        parse_measure(_require(obj, "measure", "config"), body.dim),
+        budget=int(obj.get("budget", 200_000)),
+        seed=int(obj.get("seed", 0)),
+        threads=threads,
+    )
+    return _comparison(obj, report)
+
+
+COMMANDS = {
+    "santalo": run_santalo,
+    "dominance": run_dominance,
+    "polar-volume": run_polar_volume,
+    "converge": run_converge,
+    "shadow": run_shadow,
+    "busemann": run_busemann,
+    "gauge": run_gauge,
+    "brunn": run_brunn,
+    "rbll": run_rbll,
+    "centroid": run_centroid,
+    "newsan": run_newsan,
+}
+
+
+# ---------------------------------------------------------------------------
+# the one runner: load, override, run, write, exit code
+
+
+def run_command(command: str, config_path, out_dir, seed, budget, threads) -> None:
+    """Run one COMMANDS entry; exit 0 PASS, 1 FAIL, 2 config error, 3 I/O error.
+
+    --seed/--budget go into the config before the command runs, so the
+    echoed config shows the values that ran.  Malformed values raise
+    ValueError (bad JSON, ConfigError, GeometryError, MeasureError),
+    TypeError (a wrong JSON type) or OverflowError ("budget": 1e400).
+    """
+    t0 = time.perf_counter()
     try:
-        text = Path(config_path).read_text()
+        obj = json.loads(Path(config_path).read_text())
+        if not isinstance(obj, dict):
+            raise ConfigError("config: must be a JSON object")
+        if seed is not None:
+            obj["seed"] = seed
+        if budget is not None:
+            obj["budget"] = budget
+        config, verdict, summary, csv_text, line = COMMANDS[command](obj, threads)
     except OSError as e:
-        click.echo(f"error: cannot read config: {e}", err=True)
+        click.echo(f"error: {e}", err=True)
         sys.exit(EXIT_IO)
-    try:
-        return json.loads(text)
-    except json.JSONDecodeError as e:
-        raise ConfigError(f"config: malformed JSON ({e})") from e
-
-
-def _write_outputs(out_dir: str, command: str, config: dict, verdict: bool, summary: dict, csv_text: str = ""):
+    except (ValueError, TypeError, OverflowError) as e:
+        click.echo(f"error: {type(e).__name__}: {e}", err=True)
+        sys.exit(EXIT_CONFIG)
     payload = {
         "command": command,
         "config": config,
@@ -219,21 +385,16 @@ def _write_outputs(out_dir: str, command: str, config: dict, verdict: bool, summ
     except OSError as e:
         click.echo(f"error: cannot write outputs: {e}", err=True)
         sys.exit(EXIT_IO)
-
-
-def _finish(command: str, verdict: bool, summary_line: str, elapsed: float) -> None:
-    status = "PASS" if verdict else "FAIL"
-    click.echo(f"{command}: {status} {summary_line} ({elapsed:.2f}s)")
+    click.echo(f"{command}: {payload['verdict']} {line} ({time.perf_counter() - t0:.2f}s)")
     sys.exit(EXIT_PASS if verdict else EXIT_FAIL)
 
 
 def common_options(f):
-    f = click.option("--config", "config_path", required=True, type=click.Path())(f)
-    f = click.option("--out", "out_dir", default="out", type=click.Path())(f)
-    f = click.option("--seed", default=None, type=int, help="override config seed")(f)
-    f = click.option("--budget", default=None, type=int, help="override config budget")(f)
     f = click.option("--threads", default=1, type=int, help="speed only; never affects results")(f)
-    return f
+    f = click.option("--budget", default=None, type=int, help="override config budget")(f)
+    f = click.option("--seed", default=None, type=int, help="override config seed")(f)
+    f = click.option("--out", "out_dir", default="out", type=click.Path())(f)
+    return click.option("--config", "config_path", required=True, type=click.Path())(f)
 
 
 @click.group()
@@ -241,279 +402,8 @@ def main():
     """Estimators and experiments for measures of polar bodies."""
 
 
-def _run_experiment_command(command: str, config_path, out_dir, seed, budget, threads, runner):
-    t0 = time.perf_counter()
-    try:
-        obj = _load_config(config_path)
-        if seed is not None:
-            obj["seed"] = seed
-        if budget is not None:
-            obj["budget"] = budget
-        report = runner(obj, threads)
-    except (ConfigError, GeometryError, MeasureError) as e:
-        click.echo(f"error: {e}", err=True)
-        sys.exit(EXIT_CONFIG)
-    _write_outputs(out_dir, command, report.config, report.verdict, report.summary, report.to_csv())
-    _finish(command, report.verdict, json.dumps(report.summary, sort_keys=True, default=str)[:200], time.perf_counter() - t0)
-
-
-@main.command("santalo")
-@common_options
-def santalo_cmd(config_path, out_dir, seed, budget, threads):
-    """Expectation comparison against the uniform-ball extremizer."""
-
-    def runner(obj, threads):
-        obj.setdefault("mode", "expectation")
-        cfg = parse_experiment_config(json.dumps(obj))
-        return experiments.santalo_expectation_experiment(cfg, threads)
-
-    _run_experiment_command("santalo", config_path, out_dir, seed, budget, threads, runner)
-
-
-@main.command("dominance")
-@common_options
-def dominance_cmd(config_path, out_dir, seed, budget, threads):
-    """Survival-curve (stochastic dominance) comparison."""
-
-    def runner(obj, threads):
-        obj.setdefault("mode", "dominance")
-        cfg = parse_experiment_config(json.dumps(obj))
-        return experiments.stochastic_dominance_experiment(cfg, threads)
-
-    _run_experiment_command("dominance", config_path, out_dir, seed, budget, threads, runner)
-
-
-@main.command("polar-volume")
-@common_options
-def polar_volume_cmd(config_path, out_dir, seed, budget, threads):
-    """Monte Carlo estimate of nu(K°) for a configured body."""
-    t0 = time.perf_counter()
-    try:
-        obj = _load_config(config_path)
-        body = parse_body(_require(obj, "body", "config"))
-        m = parse_measure(_require(obj, "measure", "config"), body.dim)
-        use_seed = seed if seed is not None else int(obj.get("seed", 0))
-        use_budget = budget if budget is not None else int(obj.get("budget", 10 ** 6))
-        est = mc_polar_measure(body, m, use_budget, RngStream(use_seed, 0), threads)
-    except (ConfigError, GeometryError, MeasureError) as e:
-        click.echo(f"error: {e}", err=True)
-        sys.exit(EXIT_CONFIG)
-    summary = est.to_dict()
-    _write_outputs(out_dir, "polar-volume", obj, True, summary)
-    _finish("polar-volume", True, f"value={est.value:.6g} stderr={est.stderr:.3g}", time.perf_counter() - t0)
-
-
-@main.command("converge")
-@common_options
-def converge_cmd(config_path, out_dir, seed, budget, threads):
-    """Exact polar volumes along a growing random path."""
-    t0 = time.perf_counter()
-    try:
-        obj = _load_config(config_path)
-        use_seed = seed if seed is not None else int(obj.get("seed", 0))
-        report = experiments.convergence_experiment(
-            n=int(_require(obj, "n", "config")),
-            seed=use_seed,
-            schedule=obj.get("schedule", (4, 8, 16, 32, 64, 128, 256, 512)),
-            band=float(obj.get("band", 0.05)),
-        )
-    except (ConfigError, GeometryError, MeasureError) as e:
-        click.echo(f"error: {e}", err=True)
-        sys.exit(EXIT_CONFIG)
-    _write_outputs(out_dir, "converge", report.config, report.verdict, report.summary, report.to_csv())
-    _finish("converge", report.verdict, f"rel_err={report.summary['relative_error']:.4f}", time.perf_counter() - t0)
-
-
-@main.command("shadow")
-@common_options
-def shadow_cmd(config_path, out_dir, seed, budget, threads):
-    """Shadow-system profile with evenness/convexity verdicts."""
-    t0 = time.perf_counter()
-    try:
-        obj = _load_config(config_path)
-        n = int(_require(obj, "n", "config"))
-        base = np.asarray(_require(obj, "base_positions", "config"), dtype=float)
-        theta = np.asarray(_require(obj, "theta", "config"), dtype=float)
-        gauge = parse_gauge(_require(obj, "gauge", "config"), base.shape[0])
-        m = parse_measure(_require(obj, "measure", "config"), n)
-        cfg = analysis.ShadowConfig(theta, base, gauge, float(obj.get("r", 0.0)), m)
-        direction = np.asarray(_require(obj, "direction", "config"), dtype=float)
-        t_grid = np.asarray(_require(obj, "t_grid", "config"), dtype=float)
-        use_seed = seed if seed is not None else int(obj.get("seed", 0))
-        use_budget = budget if budget is not None else int(obj.get("budget", 10 ** 5))
-        report = analysis.shadow_profile(cfg, direction, t_grid, use_budget, RngStream(use_seed, 0), threads)
-    except (ConfigError, GeometryError, MeasureError, ValueError) as e:
-        click.echo(f"error: {e}", err=True)
-        sys.exit(EXIT_CONFIG)
-    verdict = bool(report.even) and bool(report.midpoint_convex)
-    _write_outputs(out_dir, "shadow", obj, verdict, report.verdict(), report.to_csv())
-    _finish("shadow", verdict, f"worst_violation={report.worst_violation:.3g}", time.perf_counter() - t0)
-
-
-@main.command("busemann")
-@common_options
-def busemann_cmd(config_path, out_dir, seed, budget, threads):
-    """Triangle-inequality battery for the hyperplane-mass gauge."""
-    t0 = time.perf_counter()
-    try:
-        obj = _load_config(config_path)
-        psi, radius = named_density(
-            _require(obj, "density", "config"), float(obj.get("sigma", 1.0))
-        )
-        pairs = int(obj.get("pairs", 200))
-        use_seed = seed if seed is not None else int(obj.get("seed", 0))
-        gen = RngStream(use_seed, 0).generator()
-        worst = -math.inf
-        hypothesis_ok = analysis.spot_check_neg_recip_concavity(psi, 2, RngStream(use_seed, 1))
-        for _ in range(pairs):
-            z1 = gen.uniform(-1.0, 1.0, size=2)
-            z2 = gen.uniform(-1.0, 1.0, size=2)
-            if np.linalg.norm(z1) < 1e-6 or np.linalg.norm(z2) < 1e-6 or np.linalg.norm(z1 + z2) < 1e-6:
-                continue
-            f1 = analysis.busemann_gauge(psi, z1, radius)
-            f2 = analysis.busemann_gauge(psi, z2, radius)
-            f12 = analysis.busemann_gauge(psi, z1 + z2, radius)
-            worst = max(worst, f12 - f1 - f2)
-        verdict = worst <= 1e-6
-    except (ConfigError, GeometryError, MeasureError) as e:
-        click.echo(f"error: {e}", err=True)
-        sys.exit(EXIT_CONFIG)
-    summary = {"worst_violation": worst, "pairs": pairs, "hypothesis_verified": hypothesis_ok}
-    _write_outputs(out_dir, "busemann", obj, verdict, summary)
-    _finish("busemann", verdict, f"worst={worst:.3g}", time.perf_counter() - t0)
-
-
-@main.command("gauge")
-@common_options
-def gauge_cmd(config_path, out_dir, seed, budget, threads):
-    """Homogeneity battery for the radial-integral gauges."""
-    t0 = time.perf_counter()
-    try:
-        obj = _load_config(config_path)
-        f, radius = named_density(_require(obj, "density", "config"), float(obj.get("sigma", 1.0)))
-        p = float(obj.get("p", 1.0))
-        use_seed = seed if seed is not None else int(obj.get("seed", 0))
-        gen = RngStream(use_seed, 0).generator()
-        worst = 0.0
-        for _ in range(int(obj.get("checks", 100))):
-            x = gen.uniform(-1.0, 1.0, size=2)
-            if np.linalg.norm(x) < 1e-3:
-                continue
-            lam = float(gen.uniform(0.5, 3.0))
-            fx = analysis.ball_bobkov_gauge(f, p, x, upper=radius * 10)
-            flx = analysis.ball_bobkov_gauge(f, p, lam * x, upper=radius * 10)
-            worst = max(worst, abs(flx - lam * fx) / max(1e-12, lam * fx))
-        verdict = worst <= 1e-9
-    except (ConfigError, GeometryError, MeasureError) as e:
-        click.echo(f"error: {e}", err=True)
-        sys.exit(EXIT_CONFIG)
-    summary = {"worst_relative_error": worst, "p": p}
-    _write_outputs(out_dir, "gauge", obj, verdict, summary)
-    _finish("gauge", verdict, f"worst={worst:.3g}", time.perf_counter() - t0)
-
-
-@main.command("brunn")
-@common_options
-def brunn_cmd(config_path, out_dir, seed, budget, threads):
-    """Convexity of the integral profile of a positive convex function."""
-    t0 = time.perf_counter()
-    try:
-        obj = _load_config(config_path)
-        phi = named_brunn_phi(_require(obj, "phi", "config"))
-        report = analysis.brunn_profile(
-            phi,
-            alpha=float(obj.get("alpha", 1.0)),
-            n=int(obj.get("n", 1)),
-            t_grid=np.asarray(obj.get("t_grid", np.linspace(-2, 2, 9)), dtype=float),
-            domain_radius=float(obj.get("domain_radius", 30.0)),
-        )
-        verdict = bool(report.midpoint_convex)
-    except (ConfigError, GeometryError, MeasureError, ValueError) as e:
-        click.echo(f"error: {e}", err=True)
-        sys.exit(EXIT_CONFIG)
-    _write_outputs(out_dir, "brunn", obj, verdict, report.verdict(), report.to_csv())
-    _finish("brunn", verdict, f"worst_violation={report.worst_violation:.3g}", time.perf_counter() - t0)
-
-
-@main.command("rbll")
-@common_options
-def rbll_cmd(config_path, out_dir, seed, budget, threads):
-    """Exhaustive small-family check of the 1-D rearrangement inequality."""
-    t0 = time.perf_counter()
-    try:
-        obj = _load_config(config_path)
-        shifts = obj.get("shifts", [-2, -1, 0, 1, 2])
-        worst = -math.inf
-        cases = 0
-        from itertools import product as iproduct
-
-        coeff_choices = [-1.0, 0.0, 1.0]
-        for k in (1, 2, 3):
-            for placement in iproduct(shifts, repeat=k):
-                gs = [
-                    analysis.Step1D(np.array([float(a), float(a) + 1.0]), np.array([1.0]))
-                    for a in placement
-                ]
-                for flat in iproduct(coeff_choices, repeat=k * 2):
-                    coeffs = np.array(flat, dtype=float).reshape(k, 2)
-                    res = analysis.rbll_check_1d(gs, coeffs, box_halfwidth=float(obj.get("box", 6.0)))
-                    worst = max(worst, res["lhs"] - res["rhs"])
-                    cases += 1
-        verdict = worst <= 1e-9
-    except (ConfigError, GeometryError, MeasureError, ValueError) as e:
-        click.echo(f"error: {e}", err=True)
-        sys.exit(EXIT_CONFIG)
-    summary = {"cases": cases, "worst_gap": worst}
-    _write_outputs(out_dir, "rbll", obj, verdict, summary)
-    _finish("rbll", verdict, f"cases={cases} worst={worst:.3g}", time.perf_counter() - t0)
-
-
-@main.command("centroid")
-@common_options
-def centroid_cmd(config_path, out_dir, seed, budget, threads):
-    """Moment-body polar comparison against the uniform-ball law."""
-    t0 = time.perf_counter()
-    try:
-        obj = _load_config(config_path)
-        n = int(_require(obj, "n", "config"))
-        mu = parse_density(_require(obj, "law", "config"), n)
-        m = parse_measure(_require(obj, "measure", "config"), n)
-        report = experiments.centroid_polar_experiment(
-            mu,
-            p=float(_require(obj, "p", "config")),
-            m=m,
-            budget=budget if budget is not None else int(obj.get("budget", 200_000)),
-            seed=seed if seed is not None else int(obj.get("seed", 0)),
-            threads=threads,
-        )
-    except (ConfigError, GeometryError, MeasureError) as e:
-        click.echo(f"error: {e}", err=True)
-        sys.exit(EXIT_CONFIG)
-    _write_outputs(out_dir, "centroid", obj, report.verdict, report.summary, report.to_csv())
-    _finish("centroid", report.verdict, f"lhs={report.summary['lhs']:.6g} rhs={report.summary['rhs']:.6g}", time.perf_counter() - t0)
-
-
-@main.command("newsan")
-@common_options
-def newsan_cmd(config_path, out_dir, seed, budget, threads):
-    """Polar-measure comparison of a body against its volume-matched ball."""
-    t0 = time.perf_counter()
-    try:
-        obj = _load_config(config_path)
-        body = parse_body(_require(obj, "body", "config"))
-        m = parse_measure(_require(obj, "measure", "config"), body.dim)
-        report = experiments.newsan_experiment(
-            body,
-            m,
-            budget=budget if budget is not None else int(obj.get("budget", 200_000)),
-            seed=seed if seed is not None else int(obj.get("seed", 0)),
-            threads=threads,
-        )
-    except (ConfigError, GeometryError, MeasureError) as e:
-        click.echo(f"error: {e}", err=True)
-        sys.exit(EXIT_CONFIG)
-    _write_outputs(out_dir, "newsan", obj, report.verdict, report.summary, report.to_csv())
-    _finish("newsan", report.verdict, f"lhs={report.summary['lhs']:.6g} rhs={report.summary['rhs']:.6g}", time.perf_counter() - t0)
+for _command, _run in COMMANDS.items():
+    main.command(_command, help=_run.__doc__)(common_options(partial(run_command, _command)))
 
 
 if __name__ == "__main__":

@@ -9,7 +9,6 @@ noise.
 
 from __future__ import annotations
 
-import json
 import math
 import time
 from dataclasses import dataclass, field
@@ -21,7 +20,6 @@ from . import measure as measure_mod
 from .geom import (
     Body,
     BallBody,
-    CoefficientGauge,
     DirectionGrid,
     GeometryError,
     HPolytopeBody,
@@ -57,7 +55,7 @@ __all__ = [
     "body_volume_exact",
 ]
 
-MODES = ("expectation", "dominance", "convergence", "centroid", "newsan")
+MODES = ("expectation", "dominance")
 
 
 class ConfigError(ValueError):
@@ -68,7 +66,7 @@ class ConfigError(ValueError):
 class ExperimentConfig:
     n: int
     N: int
-    gauge: CoefficientGauge
+    gauge: LqBall
     rball: float
     law_x: PnDensity
     m: RadialMeasure
@@ -76,7 +74,6 @@ class ExperimentConfig:
     budget_per_trial: int
     seed: int
     mode: str
-    extras: dict = field(default_factory=dict)
 
     def __post_init__(self):
         if self.mode not in MODES:
@@ -89,11 +86,6 @@ class ExperimentConfig:
             raise ConfigError("law/measure: dimension must equal n")
         if self.gauge.dim != self.N:
             raise ConfigError("gauge: dimension must equal N")
-        if self.mode in ("expectation", "dominance"):
-            if isinstance(self.gauge, LqBall):
-                pass  # LqBall is always unconditional
-            elif not self.gauge.unconditional:
-                raise ConfigError("gauge: must be unconditional in expectation/dominance mode")
         if self.mode == "dominance":
             grid = np.linspace(1e-6, 10.0, 64)
             flags = check_condnu2(self.m, grid)
@@ -114,16 +106,6 @@ class ExperimentReport:
     trials_z: list = field(default_factory=list)
     survival: Optional[dict] = None
     wall_clock: float = 0.0  # informational only, never serialized
-
-    def to_json(self) -> str:
-        payload = {
-            "mode": self.mode,
-            "config": self.config,
-            "seed": self.seed,
-            "verdict": "PASS" if self.verdict else "FAIL",
-            "summary": self.summary,
-        }
-        return json.dumps(payload, sort_keys=True, indent=2) + "\n"
 
     def to_csv(self) -> str:
         lines = ["trial_index,side,value,stderr"]
@@ -356,7 +338,7 @@ def _density_nodes(mu: PnDensity):
 
 def centroid_body_oracle(mu: PnDensity, p: float) -> SupportOracleBody:
     """Support oracle of the moment body h(y) = (∫ |<x,y>|^p dμ)^{1/p}."""
-    if p < 1:
+    if not p >= 1:
         raise ConfigError("p: must be >= 1")
     nodes, weights = _density_nodes(mu)
     wsum = float(weights.sum())
@@ -422,7 +404,7 @@ def body_volume_exact(body: Body) -> float:
     if isinstance(body, HPolytopeBody):
         return halfspace_volume(body.normals, body.offsets)
     if isinstance(body, MatrixImageBody):
-        if not (isinstance(body.gauge, LqBall) and body.gauge.q == 1.0 and body.rball == 0.0):
+        if not (body.gauge.q == 1.0 and body.rball == 0.0):
             raise GeometryError("exact |K| available for cross-polytope images only")
         if body.dim > 3:
             raise GeometryError("exact |K| implemented for n <= 3")

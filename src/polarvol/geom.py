@@ -11,9 +11,9 @@ via vertex enumeration).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import combinations
-from typing import Callable, Optional, Union
+from typing import Callable, Union
 
 import numpy as np
 
@@ -22,8 +22,6 @@ __all__ = [
     "DimensionMismatch",
     "UnboundedBody",
     "LqBall",
-    "GaugeOracle",
-    "CoefficientGauge",
     "MatrixImageBody",
     "BallBody",
     "HPolytopeBody",
@@ -83,84 +81,26 @@ class LqBall:
     dim: int
 
     def __post_init__(self):
-        if self.q < 1:
+        if not self.q >= 1:
             raise GeometryError(f"LqBall requires q >= 1, got {self.q}")
         if self.dim < 1:
             raise GeometryError("gauge dimension must be >= 1")
 
 
-@dataclass(frozen=True)
-class GaugeOracle:
-    """Gauge given as a callable u -> ||u||_C on R^N.
-
-    `support_evaluator`, when given, evaluates the support function of
-    the unit ball of the gauge; otherwise h_C is approximated by
-    maximizing <c, u> over a fixed seeded sample of gauge-normalized
-    directions.
-    """
-
-    evaluator: Callable[[np.ndarray], float]
-    dim: int
-    unconditional: bool = False
-    symmetric: bool = True
-    support_evaluator: Optional[Callable[[np.ndarray], float]] = None
-    support_samples: int = 4096
-    _sample_cache: dict = field(default_factory=dict, compare=False, repr=False)
-
-    def _samples(self) -> np.ndarray:
-        cached = self._sample_cache.get("dirs")
-        if cached is None:
-            rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(7, spawn_key=(self.dim,))))
-            raw = rng.standard_normal((self.support_samples, self.dim))
-            norms = np.array([self.evaluator(u) for u in raw])
-            good = norms > DEGENERATE_TOL
-            cached = raw[good] / norms[good, None]
-            self._sample_cache["dirs"] = cached
-        return cached
-
-
-CoefficientGauge = Union[LqBall, GaugeOracle]
-
-
-def check_gauge_samples(gauge: CoefficientGauge, rng: np.random.Generator, count: int = 64) -> None:
-    """Sample checks of the declared gauge invariants.
-
-    Positive homogeneity always; sign-flip invariance when the gauge is
-    declared unconditional.  Raises GeometryError on violation.
-    """
-    if isinstance(gauge, LqBall):
-        return
-    for _ in range(count):
-        u = rng.standard_normal(gauge.dim)
-        lam = float(rng.uniform(0.1, 5.0))
-        base = gauge.evaluator(u)
-        if not math.isclose(gauge.evaluator(lam * u), lam * base, rel_tol=1e-9, abs_tol=1e-12):
-            raise GeometryError("gauge is not positively homogeneous on samples")
-        if gauge.unconditional:
-            signs = rng.choice([-1.0, 1.0], size=gauge.dim)
-            if not math.isclose(gauge.evaluator(signs * u), base, rel_tol=1e-9, abs_tol=1e-12):
-                raise GeometryError("gauge declared unconditional fails sign-flip invariance")
-
-
-def gauge_support(gauge: CoefficientGauge, U: np.ndarray) -> np.ndarray:
+def gauge_support(gauge: LqBall, U: np.ndarray) -> np.ndarray:
     """Support function h_C of the gauge's unit ball, batched.
 
-    U has shape (m, N); returns shape (m,).  For LqBall this is the
-    dual-exponent norm; +inf never occurs since LqBall is bounded.
+    U has shape (m, N); returns shape (m,).  This is the dual-exponent
+    norm; +inf never occurs since LqBall is bounded.
     """
     U = np.atleast_2d(np.asarray(U, dtype=float))
-    if isinstance(gauge, LqBall):
-        qp = dual_exponent(gauge.q)
-        absU = np.abs(U)
-        if qp == math.inf:
-            return absU.max(axis=1)
-        if qp == 1.0:
-            return absU.sum(axis=1)
-        return (absU ** qp).sum(axis=1) ** (1.0 / qp)
-    if gauge.support_evaluator is not None:
-        return np.array([gauge.support_evaluator(u) for u in U])
-    dirs = gauge._samples()  # (M, N), gauge-normalized
-    return (U @ dirs.T).max(axis=1)
+    qp = dual_exponent(gauge.q)
+    absU = np.abs(U)
+    if qp == math.inf:
+        return absU.max(axis=1)
+    if qp == 1.0:
+        return absU.sum(axis=1)
+    return (absU ** qp).sum(axis=1) ** (1.0 / qp)
 
 
 # ---------------------------------------------------------------------------
@@ -172,7 +112,7 @@ class MatrixImageBody:
     """K = [x_1 ... x_N] C + r B_2^n; columns of `matrix` are the x_i."""
 
     matrix: np.ndarray  # (n, N)
-    gauge: CoefficientGauge
+    gauge: LqBall
     rball: float = 0.0
 
     def __post_init__(self):
@@ -184,7 +124,7 @@ class MatrixImageBody:
             raise DimensionMismatch(
                 f"matrix has {A.shape[1]} columns but gauge lives in R^{self.gauge.dim}"
             )
-        if self.rball < 0:
+        if not self.rball >= 0:
             raise GeometryError("rball must be >= 0")
         if not np.all(np.isfinite(A)):
             raise GeometryError("matrix entries must be finite")
@@ -200,8 +140,10 @@ class BallBody:
     dim: int
 
     def __post_init__(self):
-        if self.R < 0:
+        if not self.R >= 0:
             raise GeometryError("ball radius must be >= 0")
+        if self.dim < 1:
+            raise GeometryError("ball dimension must be >= 1")
 
 
 @dataclass(frozen=True)
@@ -235,32 +177,33 @@ class SupportOracleBody:
 Body = Union[MatrixImageBody, BallBody, HPolytopeBody, SupportOracleBody]
 
 
-def body_dim(body: Body) -> int:
-    return body.dim
+def facet_vertices(A: np.ndarray, b: np.ndarray) -> list:
+    """Vertices of {y : Ay <= b} by exhaustive facet-tuple intersection.
 
-
-def hpolytope_vertices(body: HPolytopeBody) -> np.ndarray:
-    """Vertex enumeration by exhaustive facet-tuple intersection, n <= 3."""
-    n = body.dim
-    if n > 3:
-        raise GeometryError("HPolytope support values are only solved for n <= 3")
-    A, b = body.normals, body.offsets
-    m = A.shape[0]
-    verts = []
-    for idx in combinations(range(m), n):
+    Every n-subset of facets with a nonsingular normal matrix gives a
+    candidate point; feasible candidates are kept once each (1e-9
+    apart), in facet-tuple order.  May return an empty list.
+    """
+    n = A.shape[1]
+    out = []
+    for idx in combinations(range(A.shape[0]), n):
         sub = A[list(idx)]
         if abs(np.linalg.det(sub)) < 1e-12:
             continue
         v = np.linalg.solve(sub, b[list(idx)])
-        if np.all(A @ v <= b + 1e-9):
-            verts.append(v)
+        if np.all(A @ v <= b + 1e-9) and not any(np.linalg.norm(v - w) < 1e-9 for w in out):
+            out.append(v)
+    return out
+
+
+def hpolytope_vertices(body: HPolytopeBody) -> np.ndarray:
+    """Vertex enumeration of an H-polytope, n <= 3."""
+    if body.dim > 3:
+        raise GeometryError("HPolytope support values are only solved for n <= 3")
+    verts = facet_vertices(body.normals, body.offsets)
     if not verts:
         raise GeometryError("H-polytope is empty or degenerate")
-    out = []
-    for v in verts:
-        if not any(np.linalg.norm(v - w) < 1e-9 for w in out):
-            out.append(v)
-    return np.array(out)
+    return np.array(verts)
 
 
 def support_values(body: Body, Y: np.ndarray) -> np.ndarray:
@@ -377,7 +320,7 @@ def polar_sampling_radius(body: Body) -> float:
     """Rigorous (conservative) radius of a ball containing K°.
 
     Unlike :func:`polar_bounding_radius` this never undershoots: for
-    matrix-image bodies with an LqBall gauge it uses
+    matrix-image bodies it uses
     h_K(θ) >= σ_min(A)·min(1, N^{1/q'-1/2}) + r; for H-polytopes the
     inradius bound; elsewhere a grid minimum with a safety factor.
     Raises UnboundedBody when no finite radius can be certified.
@@ -386,15 +329,14 @@ def polar_sampling_radius(body: Body) -> float:
         if body.R < DEGENERATE_TOL:
             raise UnboundedBody("polar of a degenerate ball is unbounded")
         return 1.0 / body.R
-    if isinstance(body, MatrixImageBody) and isinstance(body.gauge, LqBall):
+    if isinstance(body, MatrixImageBody):
         s = np.linalg.svd(body.matrix, compute_uv=False)
         # fewer columns than rows means A^T has a kernel: h_C(A^T y) can vanish
         sigma_min = float(s.min()) if body.matrix.shape[1] >= body.dim else 0.0
         qp = dual_exponent(body.gauge.q)
         N = body.gauge.dim
-        factor = 1.0 if qp == math.inf else min(1.0, N ** (1.0 / qp - 0.5))
-        if qp == math.inf:
-            factor = N ** (-0.5)  # ||u||_inf >= ||u||_2 / sqrt(N)
+        # q' = inf gives N^{-1/2}: ||u||_inf >= ||u||_2 / sqrt(N)
+        factor = min(1.0, N ** (1.0 / qp - 0.5))
         lower = sigma_min * factor + body.rball
         if lower < DEGENERATE_TOL:
             raise UnboundedBody("rank-deficient matrix image with r = 0 has unbounded polar")

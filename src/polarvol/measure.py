@@ -69,7 +69,7 @@ class LebesgueRestricted:
     dim: int
 
     def __post_init__(self):
-        if self.R <= 0:
+        if not self.R > 0:
             raise MeasureError("LebesgueRestricted needs R > 0")
 
 
@@ -81,8 +81,8 @@ class GaussianLike:
     dim: int
 
     def __post_init__(self):
-        if self.sigma <= 0:
-            raise MeasureError("GaussianLike needs sigma > 0")
+        if not (math.isfinite(self.sigma) and self.sigma > 0):
+            raise MeasureError("GaussianLike needs a finite sigma > 0")
 
 
 @dataclass(frozen=True)

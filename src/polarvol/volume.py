@@ -13,7 +13,6 @@ import json
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from itertools import combinations
 
 import numpy as np
 from scipy import integrate
@@ -23,6 +22,7 @@ from .geom import (
     Body,
     GeometryError,
     UnboundedBody,
+    facet_vertices,
     polar_contains,
     polar_sampling_radius,
     unit_ball_volume,
@@ -54,7 +54,6 @@ class Estimate:
     stderr: float
     samples: int
     seed: int
-    streams: int
 
     def to_dict(self) -> dict:
         return {
@@ -104,7 +103,7 @@ def _run_chunks(budget: int, worker, threads: int = 1):
     count, mean, m2 = _merge_chunks(results)
     var = m2 / (count - 1) if count > 1 else 0.0
     stderr = math.sqrt(var / count) if count > 0 else math.inf
-    return mean, stderr, count, len(sizes)
+    return mean, stderr, count
 
 
 def mc_polar_measure(
@@ -123,6 +122,8 @@ def mc_polar_measure(
     """
     if body.dim != m.dim:
         raise EstimationError("body and measure dimensions differ")
+    if budget < 1:
+        raise EstimationError("budget must be >= 1")
     n = body.dim
     try:
         rstar = polar_sampling_radius(body)
@@ -140,8 +141,7 @@ def mc_polar_measure(
             v = vol_box * w * polar_contains(body, Y)
             return _chunk_stats(v)
 
-        mean, stderr, count, nstreams = _run_chunks(budget, worker, threads)
-        return Estimate(mean, stderr, count, rng.seed, nstreams)
+        return Estimate(*_run_chunks(budget, worker, threads), rng.seed)
 
     mass = total_mass(m)
     if math.isinf(mass):
@@ -156,8 +156,7 @@ def mc_polar_measure(
         v = mass * polar_contains(body, pts).astype(float)
         return _chunk_stats(v)
 
-    mean, stderr, count, nstreams = _run_chunks(budget, worker, threads)
-    return Estimate(mean, stderr, count, rng.seed, nstreams)
+    return Estimate(*_run_chunks(budget, worker, threads), rng.seed)
 
 
 def _radial_measure_chunk(m: RadialMeasure, gen: np.random.Generator, size: int) -> np.ndarray:
@@ -242,8 +241,7 @@ def layer_cake_measure(
         v = vol_box * inside * tau
         return _chunk_stats(v)
 
-    mean, stderr, count, nstreams = _run_chunks(budget, worker, threads)
-    return Estimate(mean, stderr, count, rng.seed, nstreams)
+    return Estimate(*_run_chunks(budget, worker, threads), rng.seed)
 
 
 # ---------------------------------------------------------------------------
@@ -318,29 +316,15 @@ def halfspace_volume(normals: np.ndarray, offsets: np.ndarray) -> float:
             L *= 4.0
         raise GeometryError("2-D halfspace intersection appears unbounded")
     if n == 3:
-        verts = []
-        for idx in combinations(range(A.shape[0]), 3):
-            sub = A[list(idx)]
-            if abs(np.linalg.det(sub)) < 1e-12:
-                continue
-            v = np.linalg.solve(sub, b[list(idx)])
-            if np.all(A @ v <= b + 1e-9):
-                verts.append(v)
+        verts = facet_vertices(A, b)
         if len(verts) < 4:
-            return 0.0
-        pts = np.array(verts)
-        dedup = []
-        for v in pts:
-            if not any(np.linalg.norm(v - w) < 1e-9 for w in dedup):
-                dedup.append(v)
-        if len(dedup) < 4:
             return 0.0
         from scipy.spatial import ConvexHull, QhullError
 
         try:
-            return float(ConvexHull(np.array(dedup)).volume)
+            return float(ConvexHull(np.array(verts)).volume)
         except QhullError:
-            return float(ConvexHull(np.array(dedup), qhull_options="QJ Pp").volume)
+            return float(ConvexHull(np.array(verts), qhull_options="QJ Pp").volume)
     raise GeometryError("exact halfspace volume implemented for n <= 3 only")
 
 

@@ -36,20 +36,18 @@ def write_cfg(tmp_path, obj, name="c.json"):
 
 
 def test_parse_minimal_expectation_config():
-    cfg = parse_experiment_config(json.dumps(BASE))
+    cfg = parse_experiment_config(BASE)
     assert cfg.n == 2 and cfg.N == 4 and cfg.mode == "expectation"
 
 
 def test_parse_rejects_small_q_with_field_path():
     bad = dict(BASE, gauge={"type": "lq", "q": 0.5})
     with pytest.raises(ConfigError, match="gauge.q"):
-        parse_experiment_config(json.dumps(bad))
+        parse_experiment_config(bad)
 
 
 def test_parse_accepts_gaussian_dominance():
-    cfg = parse_experiment_config(
-        json.dumps(dict(BASE, mode="dominance", measure={"kind": "gaussian", "sigma": 1.0}))
-    )
+    cfg = parse_experiment_config(dict(BASE, mode="dominance", measure={"kind": "gaussian", "sigma": 1.0}))
     assert cfg.mode == "dominance"
 
 
@@ -102,15 +100,112 @@ def test_santalo_reports_identical_across_runs_and_threads(tmp_path):
     assert outs[0] == outs[1] == outs[2]
 
 
+PV_BALL = {
+    "body": {"kind": "ball", "R": 1.0, "n": 2},
+    "measure": {"kind": "gaussian", "sigma": 1.0},
+    "budget": 5000,
+    "seed": 11,
+}
+
+
 def test_seed_override_changes_report(tmp_path):
-    path = write_cfg(tmp_path, BASE)
-    out1, out2 = tmp_path / "s1", tmp_path / "s2"
-    invoke(["santalo", "--config", path, "--out", str(out1)])
-    invoke(["santalo", "--config", path, "--out", str(out2), "--seed", "99"])
-    r1 = json.loads((out1 / "report.json").read_text())
-    r2 = json.loads((out2 / "report.json").read_text())
-    assert r1["config"]["seed"] == 11 and r2["config"]["seed"] == 99
-    assert r1["summary"] != r2["summary"]
+    # the echoed config shows the seed that ran, for every command kind
+    busemann = {"density": "gaussian", "pairs": 3, "seed": 11}
+    for command, cfg in (("santalo", BASE), ("polar-volume", PV_BALL), ("busemann", busemann)):
+        path = write_cfg(tmp_path, cfg, f"{command}.json")
+        out1, out2 = tmp_path / command / "s1", tmp_path / command / "s2"
+        assert invoke([command, "--config", path, "--out", str(out1)]).exit_code in (0, 1)
+        assert invoke([command, "--config", path, "--out", str(out2), "--seed", "99"]).exit_code in (0, 1)
+        r1 = json.loads((out1 / "report.json").read_text())
+        r2 = json.loads((out2 / "report.json").read_text())
+        assert r1["config"]["seed"] == 11 and r2["config"]["seed"] == 99, command
+        assert r1["summary"] != r2["summary"], command
+
+
+def test_budget_override_is_echoed(tmp_path):
+    out = tmp_path / "o"
+    res = invoke(["polar-volume", "--config", write_cfg(tmp_path, PV_BALL), "--out", str(out), "--budget", "300"])
+    assert res.exit_code == 0
+    report = json.loads((out / "report.json").read_text())
+    assert report["config"]["budget"] == 300 and report["summary"]["samples"] == 300
+
+
+SHADOW = {
+    "n": 2,
+    "theta": [0.0, 1.0],
+    "base_positions": [[1.0, 0.0], [-1.0, 0.0]],
+    "direction": [1.0, 1.0],
+    "gauge": {"type": "lq", "q": 1.0},
+    "r": 0.0,
+    "measure": {"kind": "lebesgue_ball", "R": "inf"},
+    "t_grid": [-2.0, -1.0, 0.0, 1.0, 2.0],
+    "budget": 0,
+    "seed": 0,
+}
+
+# malformed values that must end in exit 2 (config error), never a traceback
+BAD_VALUES = [
+    ("santalo", dict(BASE, budget="lots")),
+    ("dominance", dict(BASE, mode="dominance", trials="many")),
+    ("polar-volume", dict(PV_BALL, budget="lots")),
+    ("polar-volume", dict(PV_BALL, body={"kind": "ball", "R": 1.0, "n": 0})),
+    ("polar-volume", dict(PV_BALL, measure={"kind": "gaussian", "sigma": float("nan")})),
+    ("polar-volume", dict(PV_BALL, budget=0)),
+    ("polar-volume", dict(PV_BALL, budget=None)),
+    ("polar-volume", dict(PV_BALL, budget=1e400)),
+    ("polar-volume", dict(PV_BALL, body={"kind": "matrix_image", "columns": [[1.0, 0.0], [0.0, 1.0]],
+                                         "gauge": {"type": "lq", "q": float("nan")}})),
+    ("polar-volume", dict(PV_BALL, body={"kind": "matrix_image", "columns": [[1.0, 0.0], [0.0, 1.0]],
+                                         "gauge": {"type": "lq", "q": 1.0}, "r": float("nan")})),
+    ("centroid", {"n": 2, "p": 2.0, "law": {"kind": "uniform_cube"},
+                  "measure": {"kind": "lebesgue_ball", "R": "inf"}, "budget": 0, "seed": 1}),
+    ("centroid", {"n": 2, "p": float("nan"), "law": {"kind": "uniform_cube"},
+                  "measure": {"kind": "gaussian", "sigma": 1.0}, "budget": 100, "seed": 1}),
+    ("newsan", dict(PV_BALL, budget=0)),
+    ("converge", {"n": "two", "seed": 2}),
+    ("shadow", dict(SHADOW, budget="lots")),
+    ("busemann", {"density": "gaussian", "pairs": "many"}),
+    ("gauge", {"density": "gaussian", "sigma": "wide"}),
+    ("brunn", {"phi": "sqrt_quadratic", "alpha": "x"}),
+    ("rbll", {"box": "wide"}),
+    ("rbll", [1, 2, 3]),
+]
+
+
+@pytest.mark.parametrize("command,cfg", BAD_VALUES)
+def test_bad_values_exit_2_without_traceback(tmp_path, command, cfg):
+    res = invoke([command, "--config", write_cfg(tmp_path, cfg), "--out", str(tmp_path / "o")])
+    assert res.exit_code == 2, res.output
+    assert isinstance(res.exception, SystemExit)
+    assert "Traceback" not in res.output and "error:" in res.output
+    assert not (tmp_path / "o" / "report.json").exists()
+
+
+def test_malformed_json_exits_2(tmp_path):
+    path = tmp_path / "c.json"
+    path.write_text("{not json")
+    res = invoke(["polar-volume", "--config", str(path), "--out", str(tmp_path / "o")])
+    assert res.exit_code == 2
+
+
+def test_unwritable_out_exits_3(tmp_path):
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    res = invoke(["polar-volume", "--config", write_cfg(tmp_path, PV_BALL), "--out", str(blocker / "o")])
+    assert res.exit_code == 3
+
+
+def test_profile_csv_cells_are_plain_floats(tmp_path):
+    brunn = {"phi": "sqrt_quadratic", "alpha": 3.0, "n": 1, "t_grid": [-1.0, -0.5, 0.0, 0.5, 1.0]}
+    for command, cfg in (("shadow", SHADOW), ("brunn", brunn)):
+        out = tmp_path / command
+        res = invoke([command, "--config", write_cfg(tmp_path, cfg, f"{command}.json"), "--out", str(out)])
+        assert res.exit_code == 0
+        header, *rows = (out / "trials.csv").read_text().strip().split("\n")
+        assert header == "t,value,stderr" and len(rows) == len(cfg["t_grid"])
+        for row in rows:
+            for cell in row.split(","):
+                float(cell)
 
 
 def test_csv_columns_contract(tmp_path):

@@ -1,4 +1,3 @@
-import json
 import math
 
 import numpy as np
@@ -51,7 +50,7 @@ def test_santalo_report_shape_and_determinism():
     cfg = small_config()
     a = experiments.santalo_expectation_experiment(cfg)
     b = experiments.santalo_expectation_experiment(cfg, threads=4)
-    assert a.to_json() == b.to_json()
+    assert (a.mode, a.config, a.seed, a.verdict, a.summary) == (b.mode, b.config, b.seed, b.verdict, b.summary)
     assert a.to_csv() == b.to_csv()
     lines = a.to_csv().strip().split("\n")
     assert lines[0] == "trial_index,side,value,stderr"
@@ -69,7 +68,7 @@ def test_dominance_small_run_passes():
 def test_config_echo_round_trips():
     cfg = small_config()
     echoed = serialize_config(cfg)
-    reparsed = parse_experiment_config(json.dumps(echoed))
+    reparsed = parse_experiment_config(echoed)
     assert serialize_config(reparsed) == echoed
 
 
@@ -77,9 +76,10 @@ def test_report_self_containment():
     # re-running the echoed config reproduces every number bit-exactly
     cfg = small_config(trials=10, budget=5_000)
     rep = experiments.santalo_expectation_experiment(cfg)
-    cfg2 = parse_experiment_config(json.dumps(serialize_config(cfg)))
+    cfg2 = parse_experiment_config(serialize_config(cfg))
     rep2 = experiments.santalo_expectation_experiment(cfg2)
-    assert rep.to_json() == rep2.to_json()
+    fields = lambda r: (r.mode, r.config, r.seed, r.verdict, r.summary)
+    assert fields(rep) == fields(rep2)
     assert np.array_equal(rep.trials_x, rep2.trials_x)
     assert np.array_equal(rep.trials_z, rep2.trials_z)
 

@@ -118,3 +118,18 @@ def test_matrix_image_support_subadditive(seed):
     lhs = geom.support_value(body, y1 + y2)
     rhs = geom.support_value(body, y1) + geom.support_value(body, y2)
     assert lhs <= rhs + 1e-9
+
+
+def test_ball_body_rejects_bad_dim_and_radius():
+    with pytest.raises(geom.GeometryError):
+        geom.BallBody(1.0, 0)
+    with pytest.raises(geom.GeometryError):
+        geom.BallBody(math.nan, 2)
+
+
+def test_facet_vertices_dedups_in_facet_order():
+    # the square |y_i| <= 1 with its top facet listed twice
+    A = np.array([[1.0, 0.0], [0.0, 1.0], [-1.0, 0.0], [0.0, -1.0], [0.0, 1.0]])
+    V = np.array(geom.facet_vertices(A, np.ones(5)))
+    assert V.tolist() == [[1.0, 1.0], [1.0, -1.0], [-1.0, 1.0], [-1.0, -1.0]]
+    assert geom.facet_vertices(A, -np.ones(5)) == []

@@ -140,3 +140,14 @@ def test_rearrangement_preserves_mass(h1, h2):
     f = measure.RadialStepFn(np.array([0.5, 1.25]), np.array([h1, h2]), 2)
     star = measure.rearrange_density(f)
     assert star.integral() == pytest.approx(f.integral(), rel=1e-12)
+
+
+@pytest.mark.parametrize("sigma", [0.0, -1.0, math.nan, math.inf])
+def test_gaussian_rejects_bad_sigma(sigma):
+    with pytest.raises(measure.MeasureError):
+        measure.GaussianLike(sigma, 2)
+
+
+def test_lebesgue_rejects_nan_radius():
+    with pytest.raises(measure.MeasureError):
+        measure.LebesgueRestricted(math.nan, 2)

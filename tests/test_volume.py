@@ -12,10 +12,10 @@ LEB2 = measure.LebesgueRestricted(math.inf, 2)
 
 
 def test_estimate_serialization_roundtrip():
-    est = volume.Estimate(1.5, 0.01, 1000, 7, (0,))
+    est = volume.Estimate(1.5, 0.01, 1000, 7)
     d = est.to_dict()
     assert d["value"] == 1.5 and d["samples"] == 1000
-    assert volume.Estimate(1.5, 0.01, 1000, 7, (0,)).to_json() == est.to_json()
+    assert volume.Estimate(1.5, 0.01, 1000, 7).to_json() == est.to_json()
 
 
 def test_mc_ball_polar_lebesgue():
@@ -123,3 +123,8 @@ def test_exact_polar_rotation_invariance(seed):
         return
     v2 = volume.exact_polar_volume_crosspoly(pts @ Q.T)
     assert v2 == pytest.approx(v1, rel=1e-8)
+
+
+def test_mc_rejects_empty_budget():
+    with pytest.raises(volume.EstimationError):
+        volume.mc_polar_measure(geom.BallBody(1.0, 2), LEB2, 0, RngStream(1, 0))
