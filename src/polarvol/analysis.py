@@ -329,8 +329,10 @@ def brunn_profile(
     Quadrature only (n <= 2); the convexity verdict uses a 1e-6
     tolerance matching the quadrature accuracy.
     """
-    if alpha <= 0:
+    if not alpha > 0:
         raise ValueError("alpha must be > 0")
+    if not domain_radius > 0:
+        raise ValueError("domain_radius must be > 0 (inf allowed)")
     if n not in (1, 2):
         raise ValueError("brunn profile implemented for n in {1, 2}")
     t_grid = np.asarray(sorted(t_grid), dtype=float)
@@ -487,6 +489,8 @@ def rbll_check_1d(
         raise ValueError("need one coefficient row per function")
     if len(gs) > 3 or coeffs.shape[1] > 3:
         raise ValueError("exact oracle limited to k, N <= 3")
+    if not (math.isfinite(box_halfwidth) and box_halfwidth > 0):
+        raise ValueError("box_halfwidth must be a finite number > 0")
     lhs = _layered_integral(list(gs), coeffs, box_halfwidth)
     rhs = _layered_integral([rearrange_step1d(g) for g in gs], coeffs, box_halfwidth)
     return {"lhs": lhs, "rhs": rhs}

@@ -191,12 +191,13 @@ def run_dominance(obj: dict, threads: int):
 
 
 def run_polar_volume(obj: dict, threads: int):
-    """Monte Carlo estimate of nu(K°) for a configured body."""
+    """Monte Carlo estimate of nu(K°); FAIL when value or stderr is not finite."""
     body = parse_body(_require(obj, "body", "config"))
     m = parse_measure(_require(obj, "measure", "config"), body.dim)
     rng = RngStream(int(obj.get("seed", 0)), 0)
     est = mc_polar_measure(body, m, int(obj.get("budget", 10 ** 6)), rng, threads)
-    return obj, True, est.to_dict(), "", f"value={est.value:.6g} stderr={est.stderr:.3g}"
+    verdict = math.isfinite(est.value) and math.isfinite(est.stderr)
+    return obj, verdict, est.to_dict(), "", f"value={est.value:.6g} stderr={est.stderr:.3g}"
 
 
 def run_converge(obj: dict, threads: int):

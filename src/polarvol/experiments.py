@@ -10,7 +10,6 @@ noise.
 from __future__ import annotations
 
 import math
-import time
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
@@ -105,7 +104,6 @@ class ExperimentReport:
     trials_x: list = field(default_factory=list)
     trials_z: list = field(default_factory=list)
     survival: Optional[dict] = None
-    wall_clock: float = 0.0  # informational only, never serialized
 
     def to_csv(self) -> str:
         lines = ["trial_index,side,value,stderr"]
@@ -127,10 +125,10 @@ def _trial_values(cfg: ExperimentConfig, threads: int = 1):
     rn = dn_radius(n)
     vx, vz = [], []
     for i in range(cfg.trials):
-        pts_x = np.atleast_2d(sample_density(cfg.law_x, RngStream(cfg.seed, 4 * i), size=N))
+        pts_x = sample_density(cfg.law_x, RngStream(cfg.seed, 4 * i), N)
         body_x = MatrixImageBody(pts_x.T, cfg.gauge, cfg.rball)
         est_x = mc_polar_measure(body_x, cfg.m, cfg.budget_per_trial, RngStream(cfg.seed, 4 * i + 1), threads)
-        pts_z = np.atleast_2d(sample_uniform_ball(n, rn, RngStream(cfg.seed, 4 * i + 2), size=N))
+        pts_z = sample_uniform_ball(n, rn, RngStream(cfg.seed, 4 * i + 2), N)
         body_z = MatrixImageBody(pts_z.T, cfg.gauge, cfg.rball)
         est_z = mc_polar_measure(body_z, cfg.m, cfg.budget_per_trial, RngStream(cfg.seed, 4 * i + 3), threads)
         vx.append((est_x.value, est_x.stderr))
@@ -151,7 +149,6 @@ def santalo_expectation_experiment(cfg: ExperimentConfig, threads: int = 1) -> E
     """
     if cfg.mode != "expectation":
         raise ConfigError("mode: expected 'expectation'")
-    t0 = time.perf_counter()
     vx, vz = _trial_values(cfg, threads)
     ax = np.array([v for v, _ in vx])
     az = np.array([v for v, _ in vz])
@@ -160,7 +157,7 @@ def santalo_expectation_experiment(cfg: ExperimentConfig, threads: int = 1) -> E
     se_z = float(az.std(ddof=1) / math.sqrt(len(az))) if len(az) > 1 else math.inf
     combined = math.sqrt(se_x ** 2 + se_z ** 2)
     verdict = (mean_z - mean_x) >= -3.0 * combined
-    report = ExperimentReport(
+    return ExperimentReport(
         mode="expectation",
         config=_config_echo(cfg),
         seed=cfg.seed,
@@ -177,8 +174,6 @@ def santalo_expectation_experiment(cfg: ExperimentConfig, threads: int = 1) -> E
         trials_x=vx,
         trials_z=vz,
     )
-    report.wall_clock = time.perf_counter() - t0
-    return report
 
 
 def stochastic_dominance_experiment(
@@ -191,7 +186,6 @@ def stochastic_dominance_experiment(
     """
     if cfg.mode != "dominance":
         raise ConfigError("mode: expected 'dominance'")
-    t0 = time.perf_counter()
     vx, vz = _trial_values(cfg, threads)
     ax = np.array([v for v, _ in vx])
     az = np.array([v for v, _ in vz])
@@ -203,7 +197,7 @@ def stochastic_dominance_experiment(
     se = np.sqrt(s_x * (1 - s_x) / T + s_z * (1 - s_z) / T)
     gaps = s_x - s_z - 3.0 * se
     verdict = bool(np.all(gaps <= 1e-12))
-    report = ExperimentReport(
+    return ExperimentReport(
         mode="dominance",
         config=_config_echo(cfg),
         seed=cfg.seed,
@@ -221,8 +215,6 @@ def stochastic_dominance_experiment(
             "s_z": s_z.tolist(),
         },
     )
-    report.wall_clock = time.perf_counter() - t0
-    return report
 
 
 def convergence_experiment(
@@ -239,9 +231,10 @@ def convergence_experiment(
     """
     if n not in (2, 3):
         raise ConfigError("n: exact convergence oracle needs n in {2, 3}")
-    t0 = time.perf_counter()
+    if not (math.isfinite(band) and band >= 0):
+        raise ConfigError("band: must be a finite number >= 0")
     schedule = sorted(schedule)
-    pts = np.atleast_2d(sample_uniform_ball(n, dn_radius(n), RngStream(seed, 0), size=schedule[-1]))
+    pts = sample_uniform_ball(n, dn_radius(n), RngStream(seed, 0), schedule[-1])
     values, dists = [], []
     prev_body = None
     for N in schedule:
@@ -255,7 +248,7 @@ def convergence_experiment(
     monotone = all(values[i + 1] <= values[i] + 1e-12 for i in range(len(values) - 1))
     rel_err = abs(values[-1] - target) / target
     verdict = monotone and rel_err <= band
-    report = ExperimentReport(
+    return ExperimentReport(
         mode="convergence",
         config={"n": n, "schedule": list(schedule), "band": band},
         seed=seed,
@@ -269,8 +262,6 @@ def convergence_experiment(
         },
         trials_x=[(v, 0.0) for v in values],
     )
-    report.wall_clock = time.perf_counter() - t0
-    return report
 
 
 # ---------------------------------------------------------------------------
@@ -367,7 +358,6 @@ def centroid_polar_experiment(
     threads: int = 1,
 ) -> ExperimentReport:
     """Test ν(Z_p(μ)°) <= ν(Z_p(λ_{D_n})°) at 3-sigma."""
-    t0 = time.perf_counter()
     n = mu.dim
     body_mu = centroid_body_oracle(mu, p)
     ref = centroid_body_oracle(UniformBodyDensity("Dn", n), p)
@@ -379,7 +369,7 @@ def centroid_polar_experiment(
     rhs = radial_mass_in_ball(m, 1.0 / radius)
     est = mc_polar_measure(body_mu, m, budget, RngStream(seed, 0), threads)
     verdict = est.value <= rhs + 3.0 * est.stderr
-    report = ExperimentReport(
+    return ExperimentReport(
         mode="centroid",
         config={"p": p, "budget": budget},
         seed=seed,
@@ -393,8 +383,6 @@ def centroid_polar_experiment(
         trials_x=[(est.value, est.stderr)],
         trials_z=[(rhs, 0.0)],
     )
-    report.wall_clock = time.perf_counter() - t0
-    return report
 
 
 def body_volume_exact(body: Body) -> float:
@@ -423,7 +411,6 @@ def newsan_experiment(
     threads: int = 1,
 ) -> ExperimentReport:
     """Test ν(K°) <= ν((t_K B)°) where t_K matches |K| to a ball volume."""
-    t0 = time.perf_counter()
     n = body.dim
     vol_k = body_volume_exact(body)
     if not math.isfinite(vol_k) or vol_k <= 0:
@@ -432,7 +419,7 @@ def newsan_experiment(
     rhs = radial_mass_in_ball(m, 1.0 / t_k)
     est = mc_polar_measure(body, m, budget, RngStream(seed, 0), threads)
     verdict = est.value <= rhs + 3.0 * est.stderr
-    report = ExperimentReport(
+    return ExperimentReport(
         mode="newsan",
         config={"budget": budget},
         seed=seed,
@@ -447,5 +434,3 @@ def newsan_experiment(
         trials_x=[(est.value, est.stderr)],
         trials_z=[(rhs, 0.0)],
     )
-    report.wall_clock = time.perf_counter() - t0
-    return report

@@ -158,6 +158,8 @@ class HPolytopeBody:
         b = np.asarray(self.offsets, dtype=float)
         if A.shape[0] != b.shape[0]:
             raise DimensionMismatch("normals/offsets length mismatch")
+        if not (np.all(np.isfinite(A)) and np.all(np.isfinite(b))):
+            raise GeometryError("normals and offsets must be finite")
         object.__setattr__(self, "normals", A)
         object.__setattr__(self, "offsets", b)
 

@@ -3,13 +3,16 @@
 The canonical discretization everywhere is the radial step function:
 rearrangement and layer-cake manipulations are exact on steps, which
 keeps quadrature error out of the core inequality checks.
+
+Every random point of a law or a measure is drawn in this module,
+including the Monte Carlo samples of `volume`.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional, Union
+from typing import Callable, Union
 
 import numpy as np
 from scipy import integrate
@@ -34,6 +37,8 @@ __all__ = [
     "radial_mass_in_ball",
     "level_radius",
     "rearrange_density",
+    "ball_points",
+    "radial_sampler",
     "sample_uniform_ball",
     "sample_density",
     "sample_radial_measure",
@@ -101,6 +106,8 @@ class PowerKernel:
         tab = np.asarray(self.k_table, dtype=float)
         if tab.ndim != 2 or tab.shape[1] != 2 or tab.shape[0] < 2:
             raise MeasureError("k_table must be an (m, 2) array with m >= 2")
+        if not np.all(np.isfinite(tab)):
+            raise MeasureError("k_table entries must be finite")
         if np.any(np.diff(tab[:, 0]) <= 0):
             raise MeasureError("k_table abscissae must be strictly increasing")
         if np.any(tab[:, 1] <= 0):
@@ -365,120 +372,91 @@ def rearrange_density(f: Union[PnDensity, RadialStepFn]) -> RadialStepFn:
 # samplers
 
 
-def sample_uniform_ball(n: int, R: float, rng: RngStream, size: Optional[int] = None) -> np.ndarray:
-    """Uniform law on R·B_2^n: uniform direction times R·U^{1/n}."""
+def ball_points(gen: np.random.Generator, size: int, n: int, R: float) -> np.ndarray:
+    """`size` points uniform in R·B_2^n: a Gaussian direction, then radius R·U^{1/n}."""
+    dirs = gen.standard_normal((size, n))
+    dirs /= np.linalg.norm(dirs, axis=1)[:, None]
+    return dirs * (R * gen.random(size) ** (1.0 / n))[:, None]
+
+
+def radial_sampler(m: RadialMeasure) -> Callable[[np.random.Generator, int], np.ndarray]:
+    """`draw(gen, size)`: points of law ν/ν(R^n), for ν of finite mass.
+
+    Lebesgue draws uniformly in its ball.  Otherwise the radius law
+    ∝ ρ(t)·t^{n-1} is drawn by inverse CDF on a 4096-point log-spaced
+    table with linear interpolation; the table is built here, once.
+    """
+    n = m.dim
+    if isinstance(m, LebesgueRestricted):
+        return lambda gen, size: ball_points(gen, size, n, m.R)
+    # support radius: where the radial mass has essentially saturated
+    hi = level_radius(m, float(rho_eval(m, 0.0)) * 1e-12)
+    if math.isinf(hi):
+        hi = 1e6
+    ts = np.concatenate([[0.0], np.geomspace(hi * 1e-6, hi, 4095)])
+    dens = rho_eval(m, ts) * ts ** (n - 1)
+    cdf = integrate.cumulative_trapezoid(dens, ts, initial=0.0)
+    cdf /= cdf[-1]
+
+    def draw(gen: np.random.Generator, size: int) -> np.ndarray:
+        radii = np.interp(gen.random(size), cdf, ts)
+        dirs = gen.standard_normal((size, n))
+        dirs /= np.linalg.norm(dirs, axis=1)[:, None]
+        return dirs * radii[:, None]
+
+    return draw
+
+
+def sample_uniform_ball(n: int, R: float, rng: RngStream, size: int) -> np.ndarray:
+    """Uniform law on R·B_2^n, shape (size, n)."""
     if n < 1 or R <= 0:
         raise MeasureError("need n >= 1 and R > 0")
-    gen = rng.generator()
-    m = 1 if size is None else size
-    dirs = gen.standard_normal((m, n))
-    dirs /= np.linalg.norm(dirs, axis=1)[:, None]
-    radii = R * gen.random(m) ** (1.0 / n)
-    pts = dirs * radii[:, None]
-    return pts[0] if size is None else pts
+    return ball_points(rng.generator(), size, n, R)
 
 
-def _density_support_radius(f: PnDensity) -> float:
-    if isinstance(f, UniformBodyDensity):
-        n = f.dim
-        if f.shape == "Dn":
-            return dn_radius(n)
-        if f.shape == "cube":
-            return 0.5 * math.sqrt(n)
-        # simplex conv{0, c e_1, ..., c e_n} with c = (n!)^{1/n}
-        return math.factorial(n) ** (1.0 / n)
-    return float(f.breaks[-1])
-
-
-def density_eval(f: PnDensity, X: np.ndarray) -> np.ndarray:
-    """Density value at a batch of points; X: (m, n)."""
-    X = np.atleast_2d(np.asarray(X, dtype=float))
-    if isinstance(f, UniformBodyDensity):
-        n = f.dim
-        if f.shape == "Dn":
-            return (np.linalg.norm(X, axis=1) <= dn_radius(n)).astype(float)
-        if f.shape == "cube":
-            return np.all(np.abs(X) <= 0.5, axis=1).astype(float)
-        c = math.factorial(n) ** (1.0 / n)
-        inside = np.all(X >= 0, axis=1) & (X.sum(axis=1) <= c)
-        return inside.astype(float)
-    return f.as_step().eval_radius(np.linalg.norm(X, axis=1))
-
-
-def sample_density(f: PnDensity, rng: RngStream, size: Optional[int] = None) -> np.ndarray:
-    """Exact sampling from a P_n density.
+def sample_density(f: PnDensity, rng: RngStream, size: int) -> np.ndarray:
+    """Exact sampling from a P_n density, shape (size, n).
 
     Direct for the uniform-body kinds; rejection from the support's
     bounding ball with envelope ||f||_inf <= 1 for radial steps.
     """
     gen = rng.generator()
-    m = 1 if size is None else size
     n = f.dim
     if isinstance(f, UniformBodyDensity):
         if f.shape == "cube":
-            pts = gen.random((m, n)) - 0.5
-        elif f.shape == "Dn":
-            dirs = gen.standard_normal((m, n))
-            dirs /= np.linalg.norm(dirs, axis=1)[:, None]
-            pts = dirs * (dn_radius(n) * gen.random(m) ** (1.0 / n))[:, None]
-        else:  # simplex: ordered uniform spacings scaled to volume one
-            c = math.factorial(n) ** (1.0 / n)
-            e = -np.log(gen.random((m, n + 1)))
-            pts = c * (e[:, :n] / e.sum(axis=1)[:, None])
-        return pts[0] if size is None else pts
-    # radial step: rejection with envelope 1 on the bounding ball
-    Rs = _density_support_radius(f)
+            return gen.random((size, n)) - 0.5
+        if f.shape == "Dn":
+            return ball_points(gen, size, n, dn_radius(n))
+        # simplex: ordered uniform spacings scaled to volume one
+        c = math.factorial(n) ** (1.0 / n)
+        e = -np.log(gen.random((size, n + 1)))
+        return c * (e[:, :n] / e.sum(axis=1)[:, None])
+    # radial step: rejection with envelope 1 on the support's ball
+    Rs = float(f.breaks[-1])
     step = f.as_step()
-    out = np.empty((m, n))
+    out = np.empty((size, n))
     filled = 0
     iters = 0
-    while filled < m:
-        batch = max(4 * (m - filled), 1024)
-        dirs = gen.standard_normal((batch, n))
-        dirs /= np.linalg.norm(dirs, axis=1)[:, None]
-        cand = dirs * (Rs * gen.random(batch) ** (1.0 / n))[:, None]
+    while filled < size:
+        batch = max(4 * (size - filled), 1024)
+        cand = ball_points(gen, batch, n, Rs)
         u = gen.random(batch)
         accept = u < step.eval_radius(np.linalg.norm(cand, axis=1))
-        take = cand[accept][: m - filled]
+        take = cand[accept][: size - filled]
         out[filled : filled + take.shape[0]] = take
         filled += take.shape[0]
         iters += batch
-        if iters > REJECTION_CAP * m:
+        if iters > REJECTION_CAP * size:
             raise MeasureError("rejection sampler exceeded iteration cap; density mis-specified?")
-    return out[0] if size is None else out
+    return out
 
 
-def sample_radial_measure(m: RadialMeasure, rng: RngStream, size: Optional[int] = None):
-    """Sample from ν/ν(R^n); returns (points, total mass).
-
-    Radius law ∝ ρ(t)·t^{n-1} drawn by inverse-CDF on a 4096-point
-    log-spaced table with linear interpolation.
-    """
+def sample_radial_measure(m: RadialMeasure, rng: RngStream, size: int):
+    """Sample from ν/ν(R^n); returns (points of shape (size, n), total mass)."""
     mass = total_mass(m)
     if math.isinf(mass):
         raise InfiniteMass("cannot sample a measure of infinite total mass")
-    n = m.dim
-    gen = rng.generator()
-    count = 1 if size is None else size
-    if isinstance(m, LebesgueRestricted):
-        pts = sample_uniform_ball(n, m.R, rng, size=count)
-        pts = np.atleast_2d(pts)
-    else:
-        # support radius: where the radial mass has essentially saturated
-        hi = level_radius(m, float(rho_eval(m, 0.0)) * 1e-12)
-        if math.isinf(hi):
-            hi = 1e6
-        ts = np.concatenate([[0.0], np.geomspace(hi * 1e-6, hi, 4095)])
-        dens = rho_eval(m, ts) * ts ** (n - 1)
-        cdf = integrate.cumulative_trapezoid(dens, ts, initial=0.0)
-        cdf /= cdf[-1]
-        radii = np.interp(gen.random(count), cdf, ts)
-        dirs = gen.standard_normal((count, n))
-        dirs /= np.linalg.norm(dirs, axis=1)[:, None]
-        pts = dirs * radii[:, None]
-    if size is None:
-        return pts[0], mass
-    return pts, mass
+    return radial_sampler(m)(rng.generator(), size), mass
 
 
 # ---------------------------------------------------------------------------

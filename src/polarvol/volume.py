@@ -15,7 +15,6 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import integrate
 
 from . import measure
 from .geom import (
@@ -27,7 +26,7 @@ from .geom import (
     polar_sampling_radius,
     unit_ball_volume,
 )
-from .measure import InfiniteMass, RadialMeasure, rho_eval, total_mass
+from .measure import RadialMeasure, rho_eval, total_mass
 from .rng import RngStream
 
 __all__ = [
@@ -95,7 +94,7 @@ def _run_chunks(budget: int, worker, threads: int = 1):
         take = min(CHUNK, left)
         sizes.append(take)
         left -= take
-    if threads <= 1:
+    if threads <= 1 or len(sizes) == 1:
         results = [worker(k, sz) for k, sz in enumerate(sizes)]
     else:
         with ThreadPoolExecutor(max_workers=threads) as pool:
@@ -131,52 +130,23 @@ def mc_polar_measure(
         rstar = math.inf
     if math.isfinite(rstar):
         vol_box = unit_ball_volume(n) * rstar ** n
-
-        def worker(k: int, size: int):
-            gen = rng.chunk_generator(k)
-            dirs = gen.standard_normal((size, n))
-            dirs /= np.linalg.norm(dirs, axis=1)[:, None]
-            Y = dirs * (rstar * gen.random(size) ** (1.0 / n))[:, None]
-            w = rho_eval(m, np.linalg.norm(Y, axis=1))
-            v = vol_box * w * polar_contains(body, Y)
-            return _chunk_stats(v)
-
-        return Estimate(*_run_chunks(budget, worker, threads), rng.seed)
-
-    mass = total_mass(m)
-    if math.isinf(mass):
-        raise EstimationError(
-            "polar is unbounded and the measure has infinite mass: "
-            "no rigorous estimator applies to this configuration"
-        )
+        draw = lambda gen, size: measure.ball_points(gen, size, n, rstar)
+        weight = lambda Y: vol_box * rho_eval(m, np.linalg.norm(Y, axis=1))
+    else:
+        mass = total_mass(m)
+        if math.isinf(mass):
+            raise EstimationError(
+                "polar is unbounded and the measure has infinite mass: "
+                "no rigorous estimator applies to this configuration"
+            )
+        draw = measure.radial_sampler(m)
+        weight = lambda Y: mass
 
     def worker(k: int, size: int):
-        gen = rng.chunk_generator(k)
-        pts = _radial_measure_chunk(m, gen, size)
-        v = mass * polar_contains(body, pts).astype(float)
-        return _chunk_stats(v)
+        Y = draw(rng.chunk_generator(k), size)
+        return _chunk_stats(weight(Y) * polar_contains(body, Y))
 
     return Estimate(*_run_chunks(budget, worker, threads), rng.seed)
-
-
-def _radial_measure_chunk(m: RadialMeasure, gen: np.random.Generator, size: int) -> np.ndarray:
-    """ν-normalized sample of given size from an explicit generator."""
-    n = m.dim
-    if isinstance(m, measure.LebesgueRestricted):
-        dirs = gen.standard_normal((size, n))
-        dirs /= np.linalg.norm(dirs, axis=1)[:, None]
-        return dirs * (m.R * gen.random(size) ** (1.0 / n))[:, None]
-    hi = measure.level_radius(m, float(rho_eval(m, 0.0)) * 1e-12)
-    if math.isinf(hi):
-        hi = 1e6
-    ts = np.concatenate([[0.0], np.geomspace(hi * 1e-6, hi, 4095)])
-    dens = rho_eval(m, ts) * ts ** (n - 1)
-    cdf = integrate.cumulative_trapezoid(dens, ts, initial=0.0)
-    cdf /= cdf[-1]
-    radii = np.interp(gen.random(size), cdf, ts)
-    dirs = gen.standard_normal((size, n))
-    dirs /= np.linalg.norm(dirs, axis=1)[:, None]
-    return dirs * radii[:, None]
 
 
 def default_level_grid(m: RadialMeasure, levels: int = 64) -> np.ndarray:
@@ -229,10 +199,7 @@ def layer_cake_measure(
         weights[j + 1] += 0.5 * h
 
     def worker(k: int, size: int):
-        gen = rng.chunk_generator(k)
-        dirs = gen.standard_normal((size, n))
-        dirs /= np.linalg.norm(dirs, axis=1)[:, None]
-        Y = dirs * (r_box * gen.random(size) ** (1.0 / n))[:, None]
+        Y = measure.ball_points(rng.chunk_generator(k), size, n, r_box)
         inside = polar_contains(body, Y)
         rY = np.linalg.norm(Y, axis=1)
         # tau(s) = quadrature weight of {t : R(t) >= s}

@@ -4,8 +4,10 @@ from pathlib import Path
 import pytest
 from click.testing import CliRunner
 
+from polarvol import cli
 from polarvol.cli import main, parse_experiment_config
 from polarvol.experiments import ConfigError
+from polarvol.volume import Estimate
 
 BASE = {
     "mode": "expectation",
@@ -143,6 +145,10 @@ SHADOW = {
     "seed": 0,
 }
 
+NAN, INF = float("nan"), float("inf")
+SQUARE = {"kind": "hpolytope", "normals": [[1.0, 0.0], [-1.0, 0.0], [0.0, 1.0], [0.0, -1.0]],
+          "offsets": [1.0, 1.0, 1.0, 1.0]}
+
 # malformed values that must end in exit 2 (config error), never a traceback
 BAD_VALUES = [
     ("santalo", dict(BASE, budget="lots")),
@@ -169,6 +175,16 @@ BAD_VALUES = [
     ("brunn", {"phi": "sqrt_quadratic", "alpha": "x"}),
     ("rbll", {"box": "wide"}),
     ("rbll", [1, 2, 3]),
+    # non-finite numbers are refused where they are constructed
+    ("polar-volume", dict(PV_BALL, measure={"kind": "power_kernel", "k_table": [[0.0, 1.0], [1.0, NAN]]})),
+    ("polar-volume", dict(PV_BALL, measure={"kind": "power_kernel", "k_table": [[0.0, 1.0], [INF, 2.0]]})),
+    ("polar-volume", dict(PV_BALL, body=dict(SQUARE, normals=[[1.0, 0.0], [-1.0, 0.0], [0.0, NAN], [0.0, -1.0]]))),
+    ("polar-volume", dict(PV_BALL, body=dict(SQUARE, offsets=[1.0, 1.0, INF, 1.0]))),
+    ("newsan", dict(PV_BALL, body=dict(SQUARE, offsets=[1.0, NAN, 1.0, 1.0]))),
+    ("rbll", {"box": NAN}),
+    ("converge", {"n": 2, "seed": 2, "band": NAN}),
+    ("brunn", {"phi": "sqrt_quadratic", "domain_radius": NAN}),
+    ("brunn", {"phi": "sqrt_quadratic", "alpha": NAN}),
 ]
 
 
@@ -179,6 +195,20 @@ def test_bad_values_exit_2_without_traceback(tmp_path, command, cfg):
     assert isinstance(res.exception, SystemExit)
     assert "Traceback" not in res.output and "error:" in res.output
     assert not (tmp_path / "o" / "report.json").exists()
+
+
+def test_brunn_accepts_infinite_domain(tmp_path):
+    cfg = {"phi": "sqrt_quadratic", "alpha": 3.0, "n": 1, "t_grid": [-1.0, 0.0, 1.0], "domain_radius": INF}
+    res = invoke(["brunn", "--config", write_cfg(tmp_path, cfg), "--out", str(tmp_path / "o")])
+    assert res.exit_code == 0, res.output
+
+
+def test_non_finite_polar_volume_estimate_fails(tmp_path, monkeypatch):
+    monkeypatch.setattr(cli, "mc_polar_measure", lambda *args: Estimate(NAN, NAN, 1, 0))
+    out = tmp_path / "o"
+    res = invoke(["polar-volume", "--config", write_cfg(tmp_path, PV_BALL), "--out", str(out)])
+    assert res.exit_code == 1, res.output
+    assert json.loads((out / "report.json").read_text())["verdict"] == "FAIL"
 
 
 def test_malformed_json_exits_2(tmp_path):

@@ -44,6 +44,15 @@ def test_mc_thread_count_does_not_change_result():
     assert a.value == b.value and a.stderr == b.stderr
 
 
+def test_one_chunk_runs_without_a_pool(monkeypatch):
+    def no_pool(*args, **kwargs):
+        raise AssertionError("a one-chunk call must not start a thread pool")
+
+    monkeypatch.setattr(volume, "ThreadPoolExecutor", no_pool)
+    est = volume.mc_polar_measure(geom.BallBody(1.0, 2), LEB2, 4000, RngStream(1, 0), threads=4)
+    assert est.samples == 4000
+
+
 def test_layer_cake_agrees_with_direct_mc():
     g = measure.GaussianLike(1.0, 2)
     body = geom.BallBody(1.0, 2)
@@ -128,3 +137,48 @@ def test_exact_polar_rotation_invariance(seed):
 def test_mc_rejects_empty_budget():
     with pytest.raises(volume.EstimationError):
         volume.mc_polar_measure(geom.BallBody(1.0, 2), LEB2, 0, RngStream(1, 0))
+
+
+# Exact values recorded before the samplers moved behind measure.ball_points /
+# measure.radial_sampler.  No configs/*.json reaches the unbounded-polar branch
+# or radial-step rejection, so these pins are what holds those draws fixed.
+RANK1 = geom.MatrixImageBody(np.array([[1.0], [0.5]]), geom.LqBall(1.0, 1), 0.0)
+
+
+@pytest.mark.parametrize("m,value,stderr", [
+    (measure.GaussianLike(1.0, 2), 3.9305812085913434, 0.011493621563099717),
+    (measure.PowerKernel(np.array([[0.0, 1.0], [1.0, 2.0]]), 2), 1.2318633593676092, 0.005797239677949148),
+    (measure.LebesgueRestricted(2.0, 2), 6.910067681255904, 0.023629882553598273),
+])
+def test_unbounded_polar_estimate_is_pinned(m, value, stderr):
+    est = volume.mc_polar_measure(RANK1, m, 70_000, RngStream(12, 3), threads=2)
+    assert (est.value, est.stderr, est.samples) == (value, stderr, 70_000)
+
+
+def _fingerprint(pts):
+    return float(pts.sum()), pts[0].tolist(), pts[-1].tolist()
+
+
+def test_sampler_draws_are_pinned():
+    b2 = math.sqrt(0.25 + (1 - math.pi / 4) / (0.5 * math.pi))
+    step = measure.RadialStepDensity(np.array([0.5, b2]), np.array([1.0, 0.5]), 2)
+    assert _fingerprint(measure.sample_density(step, RngStream(13, 1), 300)) == (
+        1.7702307617331106, [-0.4612169543427602, -0.1626043174067375], [0.06423594775770453, -0.3422869792740142])
+    dn = measure.sample_density(measure.UniformBodyDensity("Dn", 3), RngStream(15, 0), 300)
+    assert _fingerprint(dn) == (
+        -7.966709115955147, [-0.005945677635821051, -0.20904467399602542, 0.5043026131709145],
+        [-0.21951500048996297, -0.3618567216920768, 0.2743891712731092])
+    ball = measure.sample_uniform_ball(2, 1.5, RngStream(16, 0), 300)
+    assert _fingerprint(ball) == (
+        13.63127657068954, [0.08997895500608635, 0.48108399225799825], [-0.11439244889765281, -0.5921791273669246])
+
+
+def test_radial_measure_draws_are_pinned():
+    pts, mass = measure.sample_radial_measure(measure.GaussianLike(1.0, 2), RngStream(14, 2), 300)
+    assert (mass, *_fingerprint(pts)) == (
+        6.2831853071795845, -14.713160306644967, [-0.9240317834692722, 1.7643471694284134],
+        [0.7518456628553238, 1.7667600098620349])
+    pts, mass = measure.sample_radial_measure(measure.LebesgueRestricted(2.0, 3), RngStream(14, 2), 300)
+    assert (mass, *_fingerprint(pts)) == (
+        33.510321638291124, -11.173427217602287, [0.7792654697657978, -0.5724127185558212, -0.7356313752385875],
+        [0.07883172307365749, 0.11969157735251713, 1.724380906960084])
