@@ -55,6 +55,8 @@ __all__ = [
 ]
 
 MODES = ("expectation", "dominance")
+# floats in one block of the centroid oracle's temporaries (about 1 MB)
+ORACLE_BLOCK_ELEMENTS = 1 << 17
 
 
 class ConfigError(ValueError):
@@ -328,22 +330,37 @@ def _density_nodes(mu: PnDensity):
 
 
 def centroid_body_oracle(mu: PnDensity, p: float) -> SupportOracleBody:
-    """Support oracle of the moment body h(y) = (∫ |<x,y>|^p dμ)^{1/p}."""
-    if not p >= 1:
-        raise ConfigError("p: must be >= 1")
+    """Support oracle of the moment body h(y) = (∫ |<x,y>|^p dμ)^{1/p}.
+
+    The evaluator works in blocks of rows whose |nodes| x rows temporary
+    holds about ORACLE_BLOCK_ELEMENTS floats, reused in place.  The block
+    width is a power of two >= 16, a multiple of the BLAS kernels' row
+    unroll, so every row takes the kernel path it would take in one
+    unblocked product of the whole call and gets the same bits.
+    """
+    if not (math.isfinite(p) and p >= 1):
+        raise ConfigError("p: must be a finite number >= 1")
     nodes, weights = _density_nodes(mu)
     wsum = float(weights.sum())
     if abs(wsum - 1.0) > 1e-6:
         raise ConfigError(f"density quadrature mass {wsum:.8f} != 1")
     weights = weights / wsum
+    rows = 1 << max(4, (ORACLE_BLOCK_ELEMENTS // len(nodes)).bit_length() - 1)
 
     def evaluator(Y: np.ndarray) -> np.ndarray:
         Y = np.atleast_2d(np.asarray(Y, dtype=float))
-        out = np.empty(Y.shape[0])
-        block = 8192
-        for i in range(0, Y.shape[0], block):
-            sub = Y[i : i + block]
-            out[i : i + block] = (weights @ np.abs(nodes @ sub.T) ** p) ** (1.0 / p)
+        m = Y.shape[0]
+        out = np.empty(m)
+        buf = np.empty(len(nodes) * min(rows + 1, m))
+        i = 0
+        while i < m:
+            # a lone last row would take BLAS's one-column path: keep it in the block before
+            k = m - i if m - i <= rows + 1 else rows
+            t = np.matmul(nodes, Y[i : i + k].T, out=buf[: len(nodes) * k].reshape(len(nodes), k))
+            np.abs(t, out=t)
+            t **= p
+            out[i : i + k] = (weights @ t) ** (1.0 / p)
+            i += k
         return out
 
     return SupportOracleBody(evaluator, mu.dim)

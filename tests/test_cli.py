@@ -185,6 +185,9 @@ BAD_VALUES = [
     ("converge", {"n": 2, "seed": 2, "band": NAN}),
     ("brunn", {"phi": "sqrt_quadratic", "domain_radius": NAN}),
     ("brunn", {"phi": "sqrt_quadratic", "alpha": NAN}),
+    # the moment-body quadrature needs a finite p (Z_inf would come out as the wrong body)
+    ("centroid", {"n": 2, "p": INF, "law": {"kind": "uniform_cube"},
+                  "measure": {"kind": "gaussian", "sigma": 1.0}, "budget": 100, "seed": 1}),
 ]
 
 

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -163,3 +164,25 @@ def test_newsan_ball_is_equality():
     )
     assert rep.verdict
     assert rep.summary["lhs"] == pytest.approx(rep.summary["rhs"], abs=3 * rep.summary["lhs_stderr"] + 1e-9)
+
+
+def test_centroid_oracle_blocks_are_small_and_exact():
+    mu = measure.UniformBodyDensity("Dn", 3)
+    oracle = experiments.centroid_body_oracle(mu, 2.0)
+    Y = np.random.default_rng(5).standard_normal((3000, 3))
+    tracemalloc.start()
+    try:
+        got = oracle.evaluator(Y)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 32 * 2**20  # one unblocked product of these rows holds two 393 MB temporaries
+    nodes, weights = experiments._density_nodes(mu)
+    weights = weights / weights.sum()
+    # the unblocked arithmetic, a 200-row slice at a time, gives the same bits
+    for i in range(0, len(Y), 200):
+        want = (weights @ np.abs(nodes @ Y[i : i + 200].T) ** 2.0) ** 0.5
+        assert got[i : i + 200].tobytes() == want.tobytes()
+    # one row per call takes BLAS's one-column kernels, which round differently
+    rows = np.concatenate([oracle.evaluator(Y[i : i + 1]) for i in range(0, len(Y), 97)])
+    assert np.allclose(rows, got[::97], rtol=1e-14, atol=0)

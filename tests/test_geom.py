@@ -133,3 +133,49 @@ def test_facet_vertices_dedups_in_facet_order():
     V = np.array(geom.facet_vertices(A, np.ones(5)))
     assert V.tolist() == [[1.0, 1.0], [1.0, -1.0], [-1.0, 1.0], [-1.0, -1.0]]
     assert geom.facet_vertices(A, -np.ones(5)) == []
+
+
+@pytest.mark.parametrize("shape", [(65536, 3), (4000, 4), (720, 512), (1, 4)])
+def test_row_max_equals_max_reduction_bit_for_bit(shape):
+    M = np.random.default_rng(7).standard_normal(shape)
+    assert geom._row_max(M).tobytes() == M.max(axis=1).tobytes()
+    # NaN propagates like the reduction, wherever it sits in the row
+    M[0, -1] = math.nan
+    if shape[0] > 1:
+        M[1, 0] = math.nan
+    got = geom._row_max(M)
+    assert np.isnan(got[: min(2, shape[0])]).all()
+    assert got.tobytes() == M.max(axis=1).tobytes()
+
+
+SQUARE_NORMALS = np.array([[1.0, 0.0], [-1.0, 0.0], [0.0, 1.0], [0.0, -1.0]])
+
+
+def test_hpolytope_vertices_enumerated_once(monkeypatch):
+    calls = []
+    enumerate_vertices = geom.hpolytope_vertices
+
+    def counted(body):
+        calls.append(body)
+        return enumerate_vertices(body)
+
+    monkeypatch.setattr(geom, "hpolytope_vertices", counted)
+    body = geom.HPolytopeBody(SQUARE_NORMALS, np.ones(4))
+    assert calls == []  # nothing is enumerated at construction
+    Y = np.random.default_rng(3).standard_normal((100, 2))
+    first = geom.support_values(body, Y)
+    for _ in range(2):
+        assert geom.support_values(body, Y).tobytes() == first.tobytes()
+    assert len(calls) == 1
+    assert first.tobytes() == (Y @ enumerate_vertices(body).T).max(axis=1).tobytes()
+
+
+@pytest.mark.parametrize("normals,offsets,message", [
+    (SQUARE_NORMALS, np.array([-1.0, -1.0, 1.0, 1.0]), "empty or degenerate"),  # x <= -1 and x >= 1
+    (np.vstack([np.eye(4), -np.eye(4)]), np.ones(8), "n <= 3"),
+])
+def test_unusable_hpolytope_constructs_and_raises_on_first_support(normals, offsets, message):
+    body = geom.HPolytopeBody(normals, offsets)
+    for _ in range(2):  # a failed enumeration is not cached
+        with pytest.raises(geom.GeometryError, match=message):
+            geom.support_values(body, np.ones((1, body.dim)))

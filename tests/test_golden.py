@@ -1,4 +1,8 @@
-"""Every configs/*.json run at --threads 2 reproduces its committed report.json byte for byte."""
+"""Every configs/*.json run at --threads 2 reproduces its committed report.json byte for byte.
+
+The configs whose estimates span more than one chunk also run at
+--threads 1 against the same bytes.
+"""
 
 import json
 from pathlib import Path
@@ -11,6 +15,16 @@ from polarvol.cli import main
 GOLDEN = Path(__file__).parent / "golden"
 CONFIGS = Path(__file__).parent.parent / "configs"
 NAMES = sorted(p.stem for p in CONFIGS.glob("*.json"))
+MULTI_CHUNK = ["centroid_cube", "newsan_box", "polar_volume_ball"]
+
+
+def check_golden(tmp_path, name, threads):
+    want = (GOLDEN / f"{name}.report.json").read_bytes()
+    golden = json.loads(want)
+    args = [golden["command"], "--config", str(CONFIGS / f"{name}.json"), "--out", str(tmp_path), "--threads", threads]
+    res = CliRunner().invoke(main, args)
+    assert res.exit_code == (0 if golden["verdict"] == "PASS" else 1), res.output
+    assert (tmp_path / "report.json").read_bytes() == want
 
 
 def test_every_config_has_a_golden_report():
@@ -19,9 +33,9 @@ def test_every_config_has_a_golden_report():
 
 @pytest.mark.parametrize("name", NAMES)
 def test_report_matches_golden(tmp_path, name):
-    want = (GOLDEN / f"{name}.report.json").read_bytes()
-    golden = json.loads(want)
-    args = [golden["command"], "--config", str(CONFIGS / f"{name}.json"), "--out", str(tmp_path), "--threads", "2"]
-    res = CliRunner().invoke(main, args)
-    assert res.exit_code == (0 if golden["verdict"] == "PASS" else 1), res.output
-    assert (tmp_path / "report.json").read_bytes() == want
+    check_golden(tmp_path, name, "2")
+
+
+@pytest.mark.parametrize("name", MULTI_CHUNK)
+def test_report_matches_golden_at_one_thread(tmp_path, name):
+    check_golden(tmp_path, name, "1")
