@@ -23,7 +23,7 @@ from .geom import (
     MatrixImageBody,
     UnboundedBody,
 )
-from .measure import LebesgueRestricted, MeasureError, RadialMeasure, nu_plus_hyperplane
+from .measure import LebesgueRestricted, MeasureError, RadialMeasure, nu_plus_hyperplane, psi_values
 from .rng import RngStream
 from .volume import exact_polar_volume_crosspoly, halfspace_volume, mc_polar_measure
 
@@ -208,12 +208,13 @@ def shadow_profile(
 
 
 def busemann_gauge(
-    psi: Callable[[np.ndarray], float],
+    psi: Callable[[np.ndarray], np.ndarray],
     z: np.ndarray,
     support_radius: float = 50.0,
 ) -> float:
     """Gauge z -> |z| / ∫_{z⊥} ψ for an even, -1/n-concave density ψ.
 
+    ψ maps an (m, n) batch to shape (m,), as in `nu_plus_hyperplane`.
     Returns 0 at z = 0 by convention.
     """
     z = np.asarray(z, dtype=float)
@@ -226,7 +227,7 @@ def busemann_gauge(
 
 
 def spot_check_neg_recip_concavity(
-    psi: Callable[[np.ndarray], float],
+    psi: Callable[[np.ndarray], np.ndarray],
     n: int,
     rng: RngStream,
     segments: int = 50,
@@ -234,16 +235,17 @@ def spot_check_neg_recip_concavity(
 ) -> bool:
     """Midpoint check of ψ^{-1/n} convexity on random segments.
 
-    A violation does not raise: callers demote the run to
-    hypothesis-unverified status instead.
+    ψ maps an (m, n) batch to shape (m,); the endpoints and midpoints of
+    all segments go to it in one batch.  A violation does not raise:
+    callers demote the run to hypothesis-unverified status instead.
     """
-    gen = rng.generator()
-    for _ in range(segments):
-        a = gen.uniform(-radius, radius, size=n)
-        b = gen.uniform(-radius, radius, size=n)
-        va, vb, vm = psi(a), psi(b), psi(0.5 * (a + b))
-        def inv(v):
-            return math.inf if v <= 0 else v ** (-1.0 / n)
+    # the draws of segment k are a_k then b_k, as in one draw per endpoint
+    ends = rng.generator().uniform(-radius, radius, size=(segments, 2, n))
+    a, b = ends[:, 0], ends[:, 1]
+    vals = psi_values(psi, np.concatenate([a, b, 0.5 * (a + b)]))
+    def inv(v):
+        return math.inf if v <= 0 else v ** (-1.0 / n)
+    for va, vb, vm in zip(*vals.reshape(3, segments).tolist()):
         ka, kb, km = inv(va), inv(vb), inv(vm)
         if math.isinf(ka) or math.isinf(kb):
             continue

@@ -149,12 +149,19 @@ def serialize_config(cfg: ExperimentConfig) -> dict:
 
 
 def named_density(name: str, sigma: float = 1.0):
+    """(ψ, support radius): ψ maps an (m, n) batch of points to shape (m,).
+
+    Each row gets the arithmetic of a one-point evaluation: `np.vecdot`
+    runs the same dot kernel as `np.dot(x, x)`, and the Gaussian takes
+    `math.exp` per row, because `np.exp` rounds differently.
+    """
     if name == "gaussian":
-        return lambda x: math.exp(-float(np.dot(x, x)) / (2 * sigma * sigma)), 12.0 * sigma
+        c = 2 * sigma * sigma
+        return lambda X: np.array([math.exp(-d / c) for d in np.vecdot(X, X).tolist()]), 12.0 * sigma
     if name == "uniform_square":
-        return lambda x: 1.0 if np.all(np.abs(x) <= 1.0) else 0.0, 2.0
+        return lambda X: np.all(np.abs(X) <= 1.0, axis=1).astype(float), 2.0
     if name == "uniform_ball":
-        return lambda x: 1.0 if float(np.dot(x, x)) <= 1.0 else 0.0, 2.0
+        return lambda X: (np.vecdot(X, X) <= 1.0).astype(float), 2.0
     raise ConfigError(f"density: unknown named density {name!r}")
 
 
@@ -232,6 +239,8 @@ def run_busemann(obj: dict, threads: int):
     """Triangle-inequality battery for the hyperplane-mass gauge."""
     psi, radius = named_density(_require(obj, "density", "config"), float(obj.get("sigma", 1.0)))
     pairs = int(obj.get("pairs", 200))
+    if pairs < 1:
+        raise ConfigError("pairs: must be >= 1")
     seed = int(obj.get("seed", 0))
     gen = RngStream(seed, 0).generator()
     worst = -math.inf
@@ -251,11 +260,15 @@ def run_busemann(obj: dict, threads: int):
 
 def run_gauge(obj: dict, threads: int):
     """Homogeneity battery for the radial-integral gauges."""
-    f, radius = named_density(_require(obj, "density", "config"), float(obj.get("sigma", 1.0)))
+    psi, radius = named_density(_require(obj, "density", "config"), float(obj.get("sigma", 1.0)))
+    f = lambda y: float(psi(y[None, :])[0])  # ball_bobkov_gauge evaluates one point at a time
     p = float(obj.get("p", 1.0))
+    checks = int(obj.get("checks", 100))
+    if checks < 1:
+        raise ConfigError("checks: must be >= 1")
     gen = RngStream(int(obj.get("seed", 0)), 0).generator()
     worst = 0.0
-    for _ in range(int(obj.get("checks", 100))):
+    for _ in range(checks):
         x = gen.uniform(-1.0, 1.0, size=2)
         if np.linalg.norm(x) < 1e-3:
             continue
@@ -282,6 +295,8 @@ def run_brunn(obj: dict, threads: int):
 def run_rbll(obj: dict, threads: int):
     """Exhaustive small-family check of the 1-D rearrangement inequality."""
     shifts = obj.get("shifts", [-2, -1, 0, 1, 2])
+    if len(shifts) < 1:
+        raise ConfigError("shifts: must list at least one shift")
     box = float(obj.get("box", 6.0))
     worst = -math.inf
     cases = 0

@@ -236,6 +236,8 @@ def convergence_experiment(
     if not (math.isfinite(band) and band >= 0):
         raise ConfigError("band: must be a finite number >= 0")
     schedule = sorted(schedule)
+    if not schedule:
+        raise ConfigError("schedule: must list at least one N")
     pts = sample_uniform_ball(n, dn_radius(n), RngStream(seed, 0), schedule[-1])
     values, dists = [], []
     prev_body = None

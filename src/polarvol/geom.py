@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import combinations
+from itertools import chain, combinations, islice
 from typing import Callable, Union
 
 import numpy as np
@@ -42,6 +42,8 @@ __all__ = [
 ]
 
 DEGENERATE_TOL = 1e-12
+# facet-tuple block of `facet_vertices`: about 1 MB of float64 temporaries
+FACET_BLOCK_ELEMENTS = 1 << 17
 
 
 class GeometryError(ValueError):
@@ -210,17 +212,30 @@ def facet_vertices(A: np.ndarray, b: np.ndarray) -> list:
     Every n-subset of facets with a nonsingular normal matrix gives a
     candidate point; feasible candidates are kept once each (1e-9
     apart), in facet-tuple order.  May return an empty list.
+
+    The tuples are taken in blocks of about FACET_BLOCK_ELEMENTS floats of
+    temporaries: one stacked det, one stacked solve and one stacked
+    feasibility product per block.  The stacked calls run the same
+    LAPACK/BLAS kernel per tuple as a single call would, so every
+    candidate and every verdict is the one-tuple-at-a-time result bit for bit.
     """
-    n = A.shape[1]
+    m, n = A.shape
+    block = max(1, FACET_BLOCK_ELEMENTS // (n * n + n + m))
+    tuples = combinations(range(m), n)
     out = []
-    for idx in combinations(range(A.shape[0]), n):
-        sub = A[list(idx)]
-        if abs(np.linalg.det(sub)) < 1e-12:
-            continue
-        v = np.linalg.solve(sub, b[list(idx)])
-        if np.all(A @ v <= b + 1e-9) and not any(np.linalg.norm(v - w) < 1e-9 for w in out):
-            out.append(v)
-    return out
+    while True:
+        idx = np.fromiter(chain.from_iterable(islice(tuples, block)), dtype=np.intp).reshape(-1, n)
+        if idx.shape[0] == 0:
+            return out
+        sub = A[idx]
+        keep = ~(np.abs(np.linalg.det(sub)) < 1e-12)
+        idx, sub = idx[keep], sub[keep]
+        V = np.linalg.solve(sub, b[idx][:, :, None])[:, :, 0]
+        # A broadcast against (k, n, 1): one gemv per candidate, as A @ v
+        feasible = np.all(np.matmul(A, V[:, :, None])[:, :, 0] <= b + 1e-9, axis=1)
+        for v in V[feasible]:
+            if not any(np.linalg.norm(v - w) < 1e-9 for w in out):
+                out.append(v)
 
 
 def hpolytope_vertices(body: HPolytopeBody) -> np.ndarray:

@@ -42,6 +42,7 @@ __all__ = [
     "sample_uniform_ball",
     "sample_density",
     "sample_radial_measure",
+    "psi_values",
     "nu_plus_hyperplane",
     "dn_radius",
 ]
@@ -463,16 +464,27 @@ def sample_radial_measure(m: RadialMeasure, rng: RngStream, size: int):
 # hyperplane mass
 
 
+def psi_values(psi: Callable[[np.ndarray], np.ndarray], P: np.ndarray) -> np.ndarray:
+    """ψ at the rows of an (m, n) batch P; MeasureError unless ψ returns shape (m,)."""
+    vals = np.asarray(psi(P), dtype=float)
+    if vals.shape != (P.shape[0],):
+        raise MeasureError(f"psi must map an (m, n) batch to shape (m,); got {vals.shape} for {P.shape}")
+    return vals
+
+
 def nu_plus_hyperplane(
-    psi: Callable[[np.ndarray], float],
+    psi: Callable[[np.ndarray], np.ndarray],
     z: np.ndarray,
     support_radius: float = 50.0,
     tol: float = 1e-9,
 ) -> float:
     """ν⁺(z⊥) = ∫_{z⊥} ψ, by quadrature over the hyperplane (n in {2, 3}).
 
-    `psi` takes a single point of R^n.  `support_radius` bounds the
-    integration domain; ψ must be negligible beyond it.
+    `psi` maps an (m, n) batch of points to their m densities; anything
+    but shape (m,) raises MeasureError.  The jump scan is one batch; the
+    bisection and the quadrature integrand evaluate one-row batches.
+    `support_radius` bounds the integration domain; ψ must be
+    negligible beyond it.
     """
     z = np.asarray(z, dtype=float)
     n = z.size
@@ -483,12 +495,12 @@ def nu_plus_hyperplane(
     zhat = z / np.linalg.norm(z)
     if n == 2:
         u = np.array([-zhat[1], zhat[0]])
-        g = lambda s: psi(s * u)
+        g = lambda s: float(psi_values(psi, (s * u)[None, :])[0])
         # adaptive quad silently mis-integrates jump densities (indicators);
         # locate the jumps by bisection and hand them to quad as breakpoints
         S = support_radius
         grid = np.linspace(-S, S, 4097)
-        gv = np.array([g(s) for s in grid])
+        gv = psi_values(psi, grid[:, None] * u[None, :])
         spread = float(gv.max() - gv.min())
         jumps = []
         if spread > 0:
@@ -512,7 +524,7 @@ def nu_plus_hyperplane(
         u /= np.linalg.norm(u)
         v = np.cross(zhat, u)
         val, err = integrate.dblquad(
-            lambda s, t: psi(s * u + t * v),
+            lambda s, t: float(psi_values(psi, (s * u + t * v)[None, :])[0]),
             -support_radius,
             support_radius,
             -support_radius,

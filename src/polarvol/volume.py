@@ -216,21 +216,30 @@ def layer_cake_measure(
 
 
 def _clip_polygon(poly: np.ndarray, a: np.ndarray, b: float) -> np.ndarray:
-    """Sutherland-Hodgman clip of a convex polygon by {<a, y> <= b}."""
+    """Sutherland-Hodgman clip of a convex polygon by {<a, y> <= b}.
+
+    A half-plane that cuts nothing returns `poly` itself (the clip would
+    copy every vertex).  Otherwise the walk runs on plain floats: the
+    polygons have a handful of vertices, where per-element numpy
+    indexing costs more than the arithmetic, which is the same either way.
+    """
     if poly.shape[0] == 0:
         return poly
-    d = poly @ a - b
+    d = (poly @ a - b).tolist()
+    if all(di <= 1e-12 for di in d):
+        return poly
+    pts = poly.tolist()
     out = []
-    k = poly.shape[0]
+    k = len(pts)
     for i in range(k):
         j = (i + 1) % k
-        pi, pj = poly[i], poly[j]
+        (xi, yi), (xj, yj) = pts[i], pts[j]
         di, dj = d[i], d[j]
         if di <= 1e-12:
-            out.append(pi)
+            out.append((xi, yi))
         if (di < -1e-12 and dj > 1e-12) or (di > 1e-12 and dj < -1e-12):
             t = di / (di - dj)
-            out.append(pi + t * (pj - pi))
+            out.append((xi + t * (xj - xi), yi + t * (yj - yi)))
     return np.array(out) if out else np.empty((0, 2))
 
 
@@ -238,7 +247,9 @@ def _shoelace(poly: np.ndarray) -> float:
     if poly.shape[0] < 3:
         return 0.0
     x, y = poly[:, 0], poly[:, 1]
-    return 0.5 * abs(float(np.dot(x, np.roll(y, -1)) - np.dot(y, np.roll(x, -1))))
+    # np.roll(v, -1), without its general-axis bookkeeping
+    x1, y1 = np.concatenate((x[1:], x[:1])), np.concatenate((y[1:], y[:1]))
+    return 0.5 * abs(float(np.dot(x, y1) - np.dot(y, x1)))
 
 
 def halfspace_volume(normals: np.ndarray, offsets: np.ndarray) -> float:

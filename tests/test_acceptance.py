@@ -90,7 +90,7 @@ def test_criterion_05_shadow_profile_exact_convexity():
 
 
 def test_criterion_06_busemann_triangle_and_gaussian():
-    square = lambda x: 1.0 if np.all(np.abs(x) <= 1.0) else 0.0
+    square = lambda X: np.all(np.abs(X) <= 1.0, axis=1).astype(float)
     gen = RngStream(6, 0).generator()
     worst = -math.inf
     pairs = 0
@@ -103,7 +103,7 @@ def test_criterion_06_busemann_triangle_and_gaussian():
         f12 = analysis.busemann_gauge(square, z1 + z2, 2.0)
         worst = max(worst, f12 - f1 - f2)
         pairs += 1
-    gauss = lambda x: math.exp(-float(np.dot(x, x)) / 2.0)
+    gauss = lambda X: np.exp(-np.sum(X * X, axis=1) / 2.0)
     gerr = 0.0
     for _ in range(20):
         z = gen.uniform(-2, 2, 2)

@@ -76,14 +76,14 @@ def test_shadow_config_requires_orthogonal_base():
 
 
 def test_busemann_gauge_gaussian_closed_form():
-    psi = lambda x: math.exp(-float(np.dot(x, x)) / 2.0)
+    psi = lambda X: np.exp(-np.sum(X * X, axis=1) / 2.0)
     for z in (np.array([1.0, 0.0]), np.array([0.6, -0.8]), np.array([2.0, 1.0])):
         expected = np.linalg.norm(z) / math.sqrt(2 * math.pi)
         assert analysis.busemann_gauge(psi, z) == pytest.approx(expected, abs=1e-6)
 
 
 def test_busemann_triangle_inequality_battery():
-    psi = lambda x: 1.0 if np.all(np.abs(x) <= 1.0) else 0.0
+    psi = lambda X: np.all(np.abs(X) <= 1.0, axis=1).astype(float)
     gen = RngStream(9, 0).generator()
     for _ in range(40):
         z1, z2 = gen.uniform(-1, 1, 2), gen.uniform(-1, 1, 2)
@@ -96,7 +96,7 @@ def test_busemann_triangle_inequality_battery():
 
 
 def test_neg_recip_concavity_spot_check_gaussian():
-    psi = lambda x: math.exp(-float(np.dot(x, x)) / 2.0)
+    psi = lambda X: np.exp(-np.sum(X * X, axis=1) / 2.0)
     assert analysis.spot_check_neg_recip_concavity(psi, 2, RngStream(1, 0))
 
 

@@ -1,10 +1,12 @@
 import json
+import math
 from pathlib import Path
 
+import numpy as np
 import pytest
 from click.testing import CliRunner
 
-from polarvol import cli
+from polarvol import analysis, cli
 from polarvol.cli import main, parse_experiment_config
 from polarvol.experiments import ConfigError
 from polarvol.volume import Estimate
@@ -188,6 +190,11 @@ BAD_VALUES = [
     # the moment-body quadrature needs a finite p (Z_inf would come out as the wrong body)
     ("centroid", {"n": 2, "p": INF, "law": {"kind": "uniform_cube"},
                   "measure": {"kind": "gaussian", "sigma": 1.0}, "budget": 100, "seed": 1}),
+    # empty batteries: nothing checked is not a PASS (worst_violation would be -Infinity)
+    ("busemann", {"density": "uniform_square", "pairs": 0, "seed": 1}),
+    ("gauge", {"density": "gaussian", "checks": 0, "seed": 1}),
+    ("rbll", {"shifts": [], "box": 5.0}),
+    ("converge", {"n": 2, "seed": 2, "schedule": []}),
 ]
 
 
@@ -269,6 +276,32 @@ def test_shadow_command_exact(tmp_path):
     assert res.exit_code == 0
     report = json.loads((out / "report.json").read_text())
     assert report["verdict"] == "PASS"
+
+
+def test_named_densities_match_one_point_evaluation_bit_for_bit():
+    X = np.random.default_rng(3).uniform(-3.0, 3.0, (2000, 2))
+    X[:4] = [[1.0, 0.0], [0.6, 0.8], [1.0, 1.0], [-1.0, 0.5]]  # on the indicators' boundaries
+    one_point = {
+        "gaussian": lambda x: math.exp(-float(np.dot(x, x)) / (2 * 0.7 * 0.7)),
+        "uniform_square": lambda x: 1.0 if np.all(np.abs(x) <= 1.0) else 0.0,
+        "uniform_ball": lambda x: 1.0 if float(np.dot(x, x)) <= 1.0 else 0.0,
+    }
+    for name, f in one_point.items():
+        psi, _ = cli.named_density(name, 0.7)
+        assert psi(X).tobytes() == np.array([f(x) for x in X]).tobytes(), name
+
+
+# Exact values recorded before the densities took batches of points; no
+# golden covers the indicator densities, and busemann on uniform_square is
+# a benchmark op.
+def test_busemann_uniform_square_is_pinned():
+    _, verdict, summary, _, _ = cli.run_busemann({"density": "uniform_square", "pairs": 10, "seed": 5}, 1)
+    assert verdict and summary == {"worst_violation": 2.7755575615628914e-16, "pairs": 10, "hypothesis_verified": True}
+    zs = [np.array([0.37, -0.81]), np.array([0.92, 0.13]), np.array([-0.2, 0.45])]
+    for name, want in (("uniform_square", [0.405, 0.45999999999999996, 0.22499999999999995]),
+                       ("uniform_ball", [0.44525273721786374, 0.46456969337226467, 0.24622144504490262])):
+        psi, radius = cli.named_density(name)
+        assert [analysis.busemann_gauge(psi, z, radius) for z in zs] == want, name
 
 
 def test_converge_command(tmp_path):

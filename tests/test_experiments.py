@@ -99,6 +99,14 @@ def test_convergence_monotone_and_continuity():
     assert diffs[order[0]] <= diffs[order[-1]] + 1e-9
 
 
+# Exact values recorded before the facet-tuple enumeration was blocked; the
+# converge golden is n = 2, so this pin holds the 3-D path fixed.
+def test_convergence_n3_is_pinned():
+    rep = experiments.convergence_experiment(n=3, seed=3, schedule=[6, 12, 18, 24], band=3.0)
+    assert rep.summary["values"] == [117.78893448053957, 38.28283328336429, 29.860967860577137, 28.92780436002418]
+    assert rep.summary["hausdorff_steps"] == [0.41756201092918654, 0.2270134323409032, 0.09621864596577301]
+
+
 def test_rearrangement_gap_ordering_three_way():
     # a non-monotone radial law, its rearrangement, and the uniform ball:
     # expected polar measures must come out ordered (within noise)

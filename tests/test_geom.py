@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -133,6 +134,32 @@ def test_facet_vertices_dedups_in_facet_order():
     V = np.array(geom.facet_vertices(A, np.ones(5)))
     assert V.tolist() == [[1.0, 1.0], [1.0, -1.0], [-1.0, 1.0], [-1.0, -1.0]]
     assert geom.facet_vertices(A, -np.ones(5)) == []
+
+
+def _facet_vertices_one_tuple_at_a_time(A, b):
+    """The enumerator before blocking: one det, solve and product per tuple."""
+    out = []
+    for idx in itertools.combinations(range(A.shape[0]), A.shape[1]):
+        sub = A[list(idx)]
+        if abs(np.linalg.det(sub)) < 1e-12:
+            continue
+        v = np.linalg.solve(sub, b[list(idx)])
+        if np.all(A @ v <= b + 1e-9) and not any(np.linalg.norm(v - w) < 1e-9 for w in out):
+            out.append(v)
+    return out
+
+
+@pytest.mark.parametrize("n,rows", [(1, 5), (2, 9), (3, 14)])
+def test_facet_vertices_blocks_match_one_tuple_at_a_time(monkeypatch, n, rows):
+    # rounded normals give singular tuples and vertices hit by several tuples
+    gen = RngStream(4, n).generator()
+    A = np.round(gen.standard_normal((rows, n)), 1)
+    b = np.round(gen.uniform(0.2, 1.5, rows), 1)
+    want = np.array(_facet_vertices_one_tuple_at_a_time(A, b))
+    assert want.shape[0] >= n + 1
+    for elements in (geom.FACET_BLOCK_ELEMENTS, 100, 1):
+        monkeypatch.setattr(geom, "FACET_BLOCK_ELEMENTS", elements)
+        assert np.array(geom.facet_vertices(A, b)).tobytes() == want.tobytes()
 
 
 @pytest.mark.parametrize("shape", [(65536, 3), (4000, 4), (720, 512), (1, 4)])

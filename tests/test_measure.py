@@ -129,9 +129,19 @@ def test_sample_radial_measure_rayleigh_mean():
 
 
 def test_nu_plus_hyperplane_gaussian_line():
-    psi = lambda x: math.exp(-float(np.dot(x, x)) / 2.0)
+    psi = lambda X: np.exp(-np.sum(X * X, axis=1) / 2.0)
     val = measure.nu_plus_hyperplane(psi, np.array([0.3, 0.7]))
     assert val == pytest.approx(math.sqrt(2 * math.pi), abs=1e-8)
+
+
+@pytest.mark.parametrize("z", [np.array([0.3, 0.7]), np.array([0.3, 0.7, -0.2])])
+def test_nu_plus_hyperplane_refuses_a_one_point_psi(z):
+    # a one-point indicator answers a whole batch with one number
+    psi = lambda x: 1.0 if np.all(np.abs(x) <= 1.0) else 0.0
+    with pytest.raises(measure.MeasureError, match="shape"):
+        measure.nu_plus_hyperplane(psi, z, support_radius=2.0)
+    with pytest.raises(measure.MeasureError, match="shape"):
+        measure.nu_plus_hyperplane(lambda X: np.ones((X.shape[0], 1)), z, support_radius=2.0)
 
 
 @given(st.floats(0.1, 3.0), st.floats(0.1, 3.0))

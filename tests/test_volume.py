@@ -93,6 +93,75 @@ def test_halfspace_volume_3d():
     assert volume.halfspace_volume(tet_normals, tet_offsets) == pytest.approx(1 / 6, abs=1e-9)
 
 
+# Exact values recorded before the facet-tuple enumeration was blocked; no
+# configs/*.json reaches the 3-D oracle, so this pin holds it fixed.
+def test_halfspace_volume_3d_cross_polytopes_are_pinned():
+    gen = RngStream(21, 0).generator()
+    vols = []
+    for N in (3, 4, 6, 9, 12):
+        P = gen.standard_normal((N, 3))
+        vols.append(volume.halfspace_volume(np.vstack([P, -P]), np.ones(2 * N)))
+    assert vols == [1.3613501274791453, 3.958480199623993, 0.9638153502918358,
+                    1.4829936171868603, 0.45339047810091077]
+
+
+SQUARE = np.array([[-1.0, -1.0], [1.0, -1.0], [1.0, 1.0], [-1.0, 1.0]])
+
+
+@pytest.mark.parametrize("a,b,want", [
+    ((1.0, 0.0), 2.0, SQUARE.tolist()),  # cuts nothing
+    ((1.0, 1.0), 2.0, SQUARE.tolist()),  # touches the vertex (1, 1) only
+    ((1.0, -1.0), 0.0, [[-1.0, -1.0], [1.0, 1.0], [-1.0, 1.0]]),  # the diagonal, vertex to vertex
+    ((2.0, -1.0), 1.0, [[-1.0, -1.0], [0.0, -1.0], [1.0, 1.0], [-1.0, 1.0]]),  # vertex (1, 1) to an edge
+    ((1.0, 0.0), -2.0, []),  # empties the square
+])
+def test_clip_polygon_edge_cases(a, b, want):
+    clipped = volume._clip_polygon(SQUARE, np.array(a), b)
+    assert clipped.shape == (len(want), 2) and clipped.tolist() == want
+    normals = np.vstack([[1.0, 0.0], [-1.0, 0.0], [0.0, 1.0], [0.0, -1.0], a])
+    area = volume.halfspace_volume(normals, np.array([1.0, 1.0, 1.0, 1.0, b]))
+    assert area == pytest.approx(volume._shoelace(clipped), abs=1e-12)
+
+
+def _clip_polygon_numpy(poly, a, b):
+    """The clip before the plain-float walk: numpy rows throughout."""
+    d = poly @ a - b
+    out = []
+    for i in range(poly.shape[0]):
+        j = (i + 1) % poly.shape[0]
+        if d[i] <= 1e-12:
+            out.append(poly[i])
+        if (d[i] < -1e-12 and d[j] > 1e-12) or (d[i] > 1e-12 and d[j] < -1e-12):
+            out.append(poly[i] + d[i] / (d[i] - d[j]) * (poly[j] - poly[i]))
+    return np.array(out) if out else np.empty((0, 2))
+
+
+def test_clip_polygon_matches_the_numpy_walk_bit_for_bit():
+    gen = RngStream(8, 0).generator()
+    for _ in range(300):
+        ang = np.sort(gen.uniform(0, 2 * math.pi, int(gen.integers(3, 9))))
+        poly = np.column_stack([np.cos(ang), np.sin(ang)]) * gen.uniform(0.5, 3.0)
+        a = gen.standard_normal(2)
+        # offsets that cut, miss, empty, or pass through a vertex
+        for b in (float(gen.uniform(-1.0, 1.0)), 10.0, -10.0, float(poly[0] @ a)):
+            want = _clip_polygon_numpy(poly, a, b)
+            assert volume._clip_polygon(poly, a, b).tobytes() == want.tobytes()
+
+
+@given(st.integers(0, 2 ** 31), st.sampled_from([2, 3]))
+@settings(max_examples=25, deadline=None)
+def test_exact_polar_volume_inclusion_monotone(seed, n):
+    # adding a point can only grow K = conv{±x_i}, so |K°| never increases;
+    # the last point lies inside K and must leave |K°| unchanged
+    gen = RngStream(seed, 2).generator()
+    pts = gen.standard_normal((n + 3, n))
+    pts = np.vstack([pts, 0.5 * (pts[0] - pts[1])])
+    vols = [volume.exact_polar_volume_crosspoly(pts[:N]) for N in range(n, len(pts) + 1)]
+    for before, after in zip(vols, vols[1:]):
+        assert after <= before * (1 + 1e-9)
+    assert vols[-1] == pytest.approx(vols[-2], rel=1e-9)
+
+
 def test_exact_polar_volume_known_cases():
     assert volume.exact_polar_volume_crosspoly(np.eye(2)) == pytest.approx(4.0, abs=1e-9)
     assert volume.exact_polar_volume_crosspoly(np.eye(3)) == pytest.approx(8.0, abs=1e-9)
