@@ -106,7 +106,7 @@ def convexity_even_check(p: ProfileReport, tol: float, check_even: bool = True) 
             gap = abs(g[i] - g[k])
             if gap > tol:
                 even = False
-            worst = max(worst, gap if gap > tol else 0.0)
+            worst = max(worst, gap)
     verdict = {"even": even, "midpoint_convex": convex, "worst_violation": worst}
     p.even, p.midpoint_convex, p.worst_violation = even, convex, max(p.worst_violation, worst)
     return verdict
@@ -154,7 +154,7 @@ class ShadowConfig:
 
 def _exact_oracle_eligible(cfg: ShadowConfig) -> bool:
     return (
-        cfg.n in (2, 3)
+        cfg.n >= 2
         and cfg.rball == 0.0
         and cfg.gauge.q == 1.0
         and isinstance(cfg.m, LebesgueRestricted)
@@ -172,7 +172,7 @@ def shadow_profile(
 ) -> ProfileReport:
     """Profile g(t) = 1 / nu(body(t·direction)°) along a line in R^N.
 
-    Uses the exact low-dimensional oracle when the configuration is a
+    Uses the exact qhull oracle when the configuration is a
     cross-polytope under Lebesgue measure; Monte Carlo otherwise, with
     the tolerance for the verdicts set to 3x the propagated stderr.
     An unbounded polar under Lebesgue measure contributes g = 0.

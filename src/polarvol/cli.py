@@ -258,11 +258,17 @@ def run_busemann(obj: dict, threads: int):
     return obj, worst <= 1e-6, summary, "", f"worst={worst:.3g}"
 
 
+def radial_gauge(density: str, sigma: float, p: float):
+    """x -> F(x) of `ball_bobkov_gauge`, integrated out to |r x| = 10 support radii, r = 10·radius/|x|."""
+    psi, radius = named_density(density, sigma)
+    f = lambda y: float(psi(y[None, :])[0])  # ball_bobkov_gauge evaluates one point at a time
+    return lambda x: analysis.ball_bobkov_gauge(f, p, x, upper=10.0 * radius / float(np.linalg.norm(x)))
+
+
 def run_gauge(obj: dict, threads: int):
     """Homogeneity battery for the radial-integral gauges."""
-    psi, radius = named_density(_require(obj, "density", "config"), float(obj.get("sigma", 1.0)))
-    f = lambda y: float(psi(y[None, :])[0])  # ball_bobkov_gauge evaluates one point at a time
     p = float(obj.get("p", 1.0))
+    gauge = radial_gauge(_require(obj, "density", "config"), float(obj.get("sigma", 1.0)), p)
     checks = int(obj.get("checks", 100))
     if checks < 1:
         raise ConfigError("checks: must be >= 1")
@@ -273,8 +279,8 @@ def run_gauge(obj: dict, threads: int):
         if np.linalg.norm(x) < 1e-3:
             continue
         lam = float(gen.uniform(0.5, 3.0))
-        fx = analysis.ball_bobkov_gauge(f, p, x, upper=radius * 10)
-        flx = analysis.ball_bobkov_gauge(f, p, lam * x, upper=radius * 10)
+        fx = gauge(x)
+        flx = gauge(lam * x)
         worst = max(worst, abs(flx - lam * fx) / max(1e-12, lam * fx))
     return obj, worst <= 1e-9, {"worst_relative_error": worst, "p": p}, "", f"worst={worst:.3g}"
 

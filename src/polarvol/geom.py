@@ -4,8 +4,8 @@ A body is represented by what the estimators actually need: a support
 function.  The canonical form is the matrix image of a coefficient
 gauge plus a Euclidean ball; the support function then splits as
 h(y) = h_C(Aᵀy) + r|y|, which makes polar membership an O(nN) test in
-any dimension.  H-polytopes are supported only at desk scale (n <= 3,
-via vertex enumeration).
+any dimension.  H-polytopes are supported in any n >= 2 through their
+vertices, which qhull enumerates once per body.
 """
 
 from __future__ import annotations
@@ -13,10 +13,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import chain, combinations, islice
 from typing import Callable, Union
 
 import numpy as np
+from scipy.optimize import linprog
+from scipy.spatial import HalfspaceIntersection, QhullError
 
 __all__ = [
     "GeometryError",
@@ -42,8 +43,6 @@ __all__ = [
 ]
 
 DEGENERATE_TOL = 1e-12
-# facet-tuple block of `facet_vertices`: about 1 MB of float64 temporaries
-FACET_BLOCK_ELEMENTS = 1 << 17
 
 
 class GeometryError(ValueError):
@@ -164,10 +163,11 @@ class BallBody:
 
 @dataclass(frozen=True)
 class HPolytopeBody:
-    """Intersection of halfspaces <a_i, y> <= b_i; support solved for n <= 3.
+    """Intersection of halfspaces <a_i, y> <= b_i in n >= 2 dimensions.
 
     The vertices are enumerated on the first support call, not here, so an
-    empty or n > 3 polytope constructs and raises only when it is used.
+    empty, flat or unbounded polytope constructs and raises only when it
+    is used.
     """
 
     normals: np.ndarray  # (m, n)
@@ -206,46 +206,46 @@ class SupportOracleBody:
 Body = Union[MatrixImageBody, BallBody, HPolytopeBody, SupportOracleBody]
 
 
-def facet_vertices(A: np.ndarray, b: np.ndarray) -> list:
-    """Vertices of {y : Ay <= b} by exhaustive facet-tuple intersection.
+def halfspace_vertices(A: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Vertices of the polytope {y : Ay <= b}, n >= 2, by qhull.
 
-    Every n-subset of facets with a nonsingular normal matrix gives a
-    candidate point; feasible candidates are kept once each (1e-9
-    apart), in facet-tuple order.  May return an empty list.
-
-    The tuples are taken in blocks of about FACET_BLOCK_ELEMENTS floats of
-    temporaries: one stacked det, one stacked solve and one stacked
-    feasibility product per block.  The stacked calls run the same
-    LAPACK/BLAS kernel per tuple as a single call would, so every
-    candidate and every verdict is the one-tuple-at-a-time result bit for bit.
+    qhull needs a point strictly inside: the origin when every b_i > 0,
+    otherwise the Chebyshev centre.  An empty or flat polytope gives a
+    (0, n) array; an unbounded one raises GeometryError.
     """
-    m, n = A.shape
-    block = max(1, FACET_BLOCK_ELEMENTS // (n * n + n + m))
-    tuples = combinations(range(m), n)
-    out = []
-    while True:
-        idx = np.fromiter(chain.from_iterable(islice(tuples, block)), dtype=np.intp).reshape(-1, n)
-        if idx.shape[0] == 0:
-            return out
-        sub = A[idx]
-        keep = ~(np.abs(np.linalg.det(sub)) < 1e-12)
-        idx, sub = idx[keep], sub[keep]
-        V = np.linalg.solve(sub, b[idx][:, :, None])[:, :, 0]
-        # A broadcast against (k, n, 1): one gemv per candidate, as A @ v
-        feasible = np.all(np.matmul(A, V[:, :, None])[:, :, 0] <= b + 1e-9, axis=1)
-        for v in V[feasible]:
-            if not any(np.linalg.norm(v - w) < 1e-9 for w in out):
-                out.append(v)
+    n = A.shape[1]
+    if n < 2:
+        raise GeometryError("qhull vertex enumeration needs n >= 2")
+    interior = np.zeros(n)
+    if not np.all(b > 0):
+        # Chebyshev centre c: maximise r subject to <a_i, c> + r|a_i| <= b_i, r >= 0
+        res = linprog(np.r_[np.zeros(n), -1.0], A_ub=np.column_stack([A, np.linalg.norm(A, axis=1)]), b_ub=b,
+                      bounds=[(None, None)] * n + [(0.0, None)], method="highs")
+        if res.status == 3:
+            raise GeometryError("halfspace intersection is unbounded")
+        if res.status not in (0, 2):
+            raise GeometryError(f"Chebyshev centre: {res.message}")
+        if res.status == 2 or res.x[n] <= DEGENERATE_TOL * (1.0 + float(np.linalg.norm(res.x[:n]))):
+            return np.empty((0, n))  # empty, or flat
+        interior = res.x[:n]
+    try:
+        # an unbounded intersection divides by a zero dual offset; it is refused below
+        with np.errstate(divide="ignore", invalid="ignore"):
+            hs = HalfspaceIntersection(np.column_stack([A, -b]), interior)
+    except QhullError as e:
+        raise GeometryError("halfspace normals do not span; polytope unbounded") from e
+    # the dual hull must hold the origin strictly inside: offsets < 0
+    if not np.all(hs.dual_equations[:, -1] < 0):
+        raise GeometryError("halfspace intersection is unbounded")
+    return hs.intersections
 
 
 def hpolytope_vertices(body: HPolytopeBody) -> np.ndarray:
-    """Vertex enumeration of an H-polytope, n <= 3."""
-    if body.dim > 3:
-        raise GeometryError("HPolytope support values are only solved for n <= 3")
-    verts = facet_vertices(body.normals, body.offsets)
-    if not verts:
+    """Vertices of an H-polytope; GeometryError when it is empty, flat or unbounded."""
+    V = halfspace_vertices(body.normals, body.offsets)
+    if V.shape[0] == 0:
         raise GeometryError("H-polytope is empty or degenerate")
-    return np.array(verts)
+    return V
 
 
 def support_values(body: Body, Y: np.ndarray) -> np.ndarray:

@@ -1,5 +1,6 @@
 """Estimators of ν(K°): Monte Carlo with honest error bars, a
-layer-cake reduction to balls, and an exact oracle in dimensions 2, 3.
+layer-cake reduction to balls, and exact polytope volumes in any
+dimension n >= 2 (qhull) plus a clip for general polygons.
 
 Monte Carlo runs are chunked into fixed 2^16-sample blocks, chunk k
 drawing from stream sub-key k, and merged in chunk order; the result is
@@ -15,13 +16,14 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.spatial import ConvexHull
 
 from . import measure
 from .geom import (
     Body,
     GeometryError,
     UnboundedBody,
-    facet_vertices,
+    halfspace_vertices,
     polar_contains,
     polar_sampling_radius,
     unit_ball_volume,
@@ -212,7 +214,7 @@ def layer_cake_measure(
 
 
 # ---------------------------------------------------------------------------
-# exact polytope volumes, n <= 3
+# exact polytope volumes
 
 
 def _clip_polygon(poly: np.ndarray, a: np.ndarray, b: float) -> np.ndarray:
@@ -253,11 +255,12 @@ def _shoelace(poly: np.ndarray) -> float:
 
 
 def halfspace_volume(normals: np.ndarray, offsets: np.ndarray) -> float:
-    """Exact volume of {y : <a_i, y> <= b_i} in dimension 1, 2 or 3.
+    """Exact volume of {y : <a_i, y> <= b_i}; raises GeometryError if unbounded.
 
-    The polytope must be bounded; raises GeometryError otherwise.
-    n = 2 uses half-plane clipping of a bounding square then shoelace;
-    n = 3 uses facet-triple vertex enumeration and hull decomposition.
+    n = 1 intersects intervals; n >= 3 takes the hull of the qhull vertices.
+    n = 2 clips a bounding square, then applies the shoelace formula: a
+    general polygon has no known interior point, and an LP for one costs
+    more than the clip.
     """
     A = np.atleast_2d(np.asarray(normals, dtype=float))
     b = np.asarray(offsets, dtype=float)
@@ -274,50 +277,38 @@ def halfspace_volume(normals: np.ndarray, offsets: np.ndarray) -> float:
         if not (math.isfinite(lo) and math.isfinite(hi)):
             raise GeometryError("unbounded 1-D halfspace intersection")
         return max(0.0, hi - lo)
+    if n >= 3:
+        V = halfspace_vertices(A, b)
+        return float(ConvexHull(V).volume) if len(V) else 0.0
     # bounding radius from the smallest singular value of the active rows
     sigma_min = float(np.linalg.svd(A, compute_uv=False).min()) if A.shape[0] >= n else 0.0
     if sigma_min < 1e-12:
         raise GeometryError("halfspace normals do not span; polytope unbounded")
-    bound = math.sqrt(A.shape[0]) * float(np.abs(b).max(initial=1.0)) / sigma_min + 1.0
-    if n == 2:
-        L = bound
-        # grow the clipping square until no vertex touches it, so the
-        # result is the true (bounded) intersection
-        for _ in range(60):
-            poly = np.array([[-L, -L], [L, -L], [L, L], [-L, L]])
-            for ai, bi in zip(A, b):
-                poly = _clip_polygon(poly, ai, float(bi))
-                if poly.shape[0] == 0:
-                    return 0.0
-            if np.abs(poly).max() < L - 1e-9:
-                return _shoelace(poly)
-            L *= 4.0
-        raise GeometryError("2-D halfspace intersection appears unbounded")
-    if n == 3:
-        verts = facet_vertices(A, b)
-        if len(verts) < 4:
-            return 0.0
-        from scipy.spatial import ConvexHull, QhullError
-
-        try:
-            return float(ConvexHull(np.array(verts)).volume)
-        except QhullError:
-            return float(ConvexHull(np.array(verts), qhull_options="QJ Pp").volume)
-    raise GeometryError("exact halfspace volume implemented for n <= 3 only")
+    L = math.sqrt(A.shape[0]) * float(np.abs(b).max(initial=1.0)) / sigma_min + 1.0
+    # grow the clipping square until no vertex touches it, so the
+    # result is the true (bounded) intersection
+    for _ in range(60):
+        poly = np.array([[-L, -L], [L, -L], [L, L], [-L, L]])
+        for ai, bi in zip(A, b):
+            poly = _clip_polygon(poly, ai, float(bi))
+            if poly.shape[0] == 0:
+                return 0.0
+        if np.abs(poly).max() < L - 1e-9:
+            return _shoelace(poly)
+        L *= 4.0
+    raise GeometryError("2-D halfspace intersection appears unbounded")
 
 
 def exact_polar_volume_crosspoly(points: np.ndarray) -> float:
-    """Exact |K°| for K = conv{±x_1, ..., ±x_N}, n in {2, 3}.
+    """Exact |K°| for K = conv{±x_1, ..., ±x_N} in R^n, n >= 2.
 
-    K° = {y : |<x_i, y>| <= 1 for all i}; rank-deficient point sets
-    make the polar a slab of infinite volume and raise GeometryError.
+    K° = {y : |<x_i, y>| <= 1 for all i} holds the origin, so qhull needs
+    no LP; rank-deficient point sets make the polar a slab of infinite
+    volume and raise UnboundedBody.
     """
     P = np.atleast_2d(np.asarray(points, dtype=float))
     n = P.shape[1]
-    if n not in (2, 3):
-        raise GeometryError("exact polar volume implemented for n in {2, 3}")
     if np.linalg.matrix_rank(P, tol=1e-10) < n:
         raise UnboundedBody("points do not span; polar volume is infinite")
     A = np.vstack([P, -P])
-    b = np.ones(A.shape[0])
-    return halfspace_volume(A, b)
+    return float(ConvexHull(halfspace_vertices(A, np.ones(A.shape[0]))).volume)

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
-from polarvol import analysis, cli
+from polarvol import analysis, cli, volume
 from polarvol.cli import main, parse_experiment_config
 from polarvol.experiments import ConfigError
 from polarvol.volume import Estimate
@@ -195,6 +195,8 @@ BAD_VALUES = [
     ("gauge", {"density": "gaussian", "checks": 0, "seed": 1}),
     ("rbll", {"shifts": [], "box": 5.0}),
     ("converge", {"n": 2, "seed": 2, "schedule": []}),
+    # qhull's cost grows fast with n: the exact path stops at n = 5
+    ("converge", {"n": 6, "seed": 2, "schedule": [8, 16]}),
 ]
 
 
@@ -309,3 +311,37 @@ def test_converge_command(tmp_path):
     out = tmp_path / "o"
     res = invoke(["converge", "--config", write_cfg(tmp_path, cfg), "--out", str(out)])
     assert res.exit_code == 0
+
+
+def test_converge_command_in_four_dimensions(tmp_path):
+    cfg = {"n": 4, "seed": 2, "schedule": [8, 16, 32, 64], "band": 3.0}
+    out = tmp_path / "o"
+    res = invoke(["converge", "--config", write_cfg(tmp_path, cfg), "--out", str(out)])
+    assert res.exit_code == 0, res.output
+    values = json.loads((out / "report.json").read_text())["summary"]["values"]
+    assert len(values) == 4 and all(b <= a for a, b in zip(values, values[1:]))
+
+
+def test_exact_shadow_in_four_dimensions(tmp_path):
+    theta = np.array([0.0, 0.0, 0.0, 1.0])
+    base = np.random.default_rng(4).uniform(-1.5, 1.5, (6, 4))
+    base[:, 3] = 0.0
+    direction = np.array([1.0, -0.5, 0.25, 0.75, -1.0, 0.5])
+    cfg = dict(SHADOW, n=4, theta=theta.tolist(), base_positions=base.tolist(), direction=direction.tolist())
+    out = tmp_path / "o"
+    res = invoke(["shadow", "--config", write_cfg(tmp_path, cfg), "--out", str(out)])
+    assert res.exit_code == 0, res.output
+    header, *rows = (out / "trials.csv").read_text().strip().split("\n")
+    for row, t in zip(rows, SHADOW["t_grid"]):
+        _, value, stderr = map(float, row.split(","))
+        cols = base + t * direction[:, None] * theta[None, :]
+        # at t = 0 the columns span only theta-perp: the polar is unbounded and g = 0
+        want = 1.0 / volume.exact_polar_volume_crosspoly(cols) if t != 0.0 else 0.0
+        assert (value, stderr) == (want, 0.0)
+
+
+def test_radial_gauge_is_homogeneous_near_the_origin():
+    # the radial integral must reach |r x| = 120 also when |x| is small
+    gauge = cli.radial_gauge("gaussian", 1.0, 2.0)
+    x = np.array([0.012, -0.016])  # |x| = 0.02
+    assert gauge(2.0 * x) == pytest.approx(2.0 * gauge(x), rel=1e-9)

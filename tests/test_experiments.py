@@ -7,6 +7,8 @@ import pytest
 from polarvol import experiments, geom, measure
 from polarvol.cli import parse_experiment_config, serialize_config
 from polarvol.experiments import ConfigError, ExperimentConfig
+from polarvol.rng import RngStream
+from polytope_reference import face_volume
 
 
 def small_config(mode="expectation", m=None, trials=30, budget=10_000, seed=5):
@@ -99,11 +101,14 @@ def test_convergence_monotone_and_continuity():
     assert diffs[order[0]] <= diffs[order[-1]] + 1e-9
 
 
-# Exact values recorded before the facet-tuple enumeration was blocked; the
-# converge golden is n = 2, so this pin holds the 3-D path fixed.
+# The converge golden is n = 2, so this test holds the 3-D path: the
+# polar volumes against the loop reference, the Hausdorff steps (which
+# never touch the polytope oracle) as recorded.
 def test_convergence_n3_is_pinned():
     rep = experiments.convergence_experiment(n=3, seed=3, schedule=[6, 12, 18, 24], band=3.0)
-    assert rep.summary["values"] == [117.78893448053957, 38.28283328336429, 29.860967860577137, 28.92780436002418]
+    pts = measure.sample_uniform_ball(3, measure.dn_radius(3), RngStream(3, 0), 24)
+    want = [face_volume(np.vstack([pts[:N], -pts[:N]]), np.ones(2 * N)) for N in (6, 12, 18, 24)]
+    assert rep.summary["values"] == pytest.approx(want, rel=1e-14, abs=0)
     assert rep.summary["hausdorff_steps"] == [0.41756201092918654, 0.2270134323409032, 0.09621864596577301]
 
 

@@ -1,5 +1,5 @@
-import itertools
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from polarvol import geom
 from polarvol.rng import RngStream
+from polytope_reference import loop_vertices
 
 
 def test_unit_ball_volume_small_dims():
@@ -128,38 +129,28 @@ def test_ball_body_rejects_bad_dim_and_radius():
         geom.BallBody(math.nan, 2)
 
 
-def test_facet_vertices_dedups_in_facet_order():
-    # the square |y_i| <= 1 with its top facet listed twice
-    A = np.array([[1.0, 0.0], [0.0, 1.0], [-1.0, 0.0], [0.0, -1.0], [0.0, 1.0]])
-    V = np.array(geom.facet_vertices(A, np.ones(5)))
-    assert V.tolist() == [[1.0, 1.0], [1.0, -1.0], [-1.0, 1.0], [-1.0, -1.0]]
-    assert geom.facet_vertices(A, -np.ones(5)) == []
+def _sorted_rows(V):
+    V = np.asarray(V)
+    return V[np.lexsort(V.T[::-1])]
 
 
-def _facet_vertices_one_tuple_at_a_time(A, b):
-    """The enumerator before blocking: one det, solve and product per tuple."""
-    out = []
-    for idx in itertools.combinations(range(A.shape[0]), A.shape[1]):
-        sub = A[list(idx)]
-        if abs(np.linalg.det(sub)) < 1e-12:
-            continue
-        v = np.linalg.solve(sub, b[list(idx)])
-        if np.all(A @ v <= b + 1e-9) and not any(np.linalg.norm(v - w) < 1e-9 for w in out):
-            out.append(v)
-    return out
+def _random_hpolytope(n, rows, seed):
+    gen = RngStream(seed, n).generator()
+    return gen.standard_normal((rows, n)), gen.uniform(0.2, 1.5, rows)
 
 
-@pytest.mark.parametrize("n,rows", [(1, 5), (2, 9), (3, 14)])
-def test_facet_vertices_blocks_match_one_tuple_at_a_time(monkeypatch, n, rows):
-    # rounded normals give singular tuples and vertices hit by several tuples
-    gen = RngStream(4, n).generator()
-    A = np.round(gen.standard_normal((rows, n)), 1)
-    b = np.round(gen.uniform(0.2, 1.5, rows), 1)
-    want = np.array(_facet_vertices_one_tuple_at_a_time(A, b))
-    assert want.shape[0] >= n + 1
-    for elements in (geom.FACET_BLOCK_ELEMENTS, 100, 1):
-        monkeypatch.setattr(geom, "FACET_BLOCK_ELEMENTS", elements)
-        assert np.array(geom.facet_vertices(A, b)).tobytes() == want.tobytes()
+def _cross_polytope_polar(n, N, seed):
+    P = RngStream(seed, n).generator().standard_normal((N, n))
+    return np.vstack([P, -P]), np.ones(2 * N)
+
+
+@pytest.mark.parametrize("n,rows", [(2, 9), (3, 14), (4, 16)])
+def test_halfspace_vertices_match_loop_reference(n, rows):
+    for A, b in (_random_hpolytope(n, rows, 4), _cross_polytope_polar(n, rows // 2, 5)):
+        want = _sorted_rows(loop_vertices(A, b))
+        got = _sorted_rows(geom.halfspace_vertices(A, b))
+        assert got.shape == want.shape and want.shape[0] >= n + 1
+        assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max()
 
 
 @pytest.mark.parametrize("shape", [(65536, 3), (4000, 4), (720, 512), (1, 4)])
@@ -197,12 +188,25 @@ def test_hpolytope_vertices_enumerated_once(monkeypatch):
     assert first.tobytes() == (Y @ enumerate_vertices(body).T).max(axis=1).tobytes()
 
 
+CUBE3_NORMALS = np.vstack([np.eye(3), -np.eye(3)])
+
+
 @pytest.mark.parametrize("normals,offsets,message", [
     (SQUARE_NORMALS, np.array([-1.0, -1.0, 1.0, 1.0]), "empty or degenerate"),  # x <= -1 and x >= 1
-    (np.vstack([np.eye(4), -np.eye(4)]), np.ones(8), "n <= 3"),
+    (CUBE3_NORMALS, np.array([1.0, 1.0, 1.0, -2.0, 1.0, 1.0]), "empty or degenerate"),  # x <= 1 and x >= 2
+    (CUBE3_NORMALS[[2, 5, 0, 1]], np.ones(4), "unbounded"),  # |z| <= 1, x <= 1, y <= 1: a half-slab
+    (CUBE3_NORMALS[[0, 1, 3, 4]], np.ones(4), "unbounded"),  # z free: the normals do not span
 ])
 def test_unusable_hpolytope_constructs_and_raises_on_first_support(normals, offsets, message):
     body = geom.HPolytopeBody(normals, offsets)
-    for _ in range(2):  # a failed enumeration is not cached
-        with pytest.raises(geom.GeometryError, match=message):
-            geom.support_values(body, np.ones((1, body.dim)))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for _ in range(2):  # a failed enumeration is not cached
+            with pytest.raises(geom.GeometryError, match=message):
+                geom.support_values(body, np.ones((1, body.dim)))
+
+
+def test_hpolytope_support_4d_cube():
+    body = geom.HPolytopeBody(np.vstack([np.eye(4), -np.eye(4)]), np.array([1.0, 2.0, 3.0, 4.0] * 2))
+    Y = np.random.default_rng(9).standard_normal((50, 4))
+    assert geom.support_values(body, Y) == pytest.approx(np.abs(Y) @ [1.0, 2.0, 3.0, 4.0], rel=1e-14)

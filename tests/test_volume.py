@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from polarvol import geom, measure, volume
 from polarvol.rng import RngStream
+from polytope_reference import face_volume, loop_vertices
 
 LEB2 = measure.LebesgueRestricted(math.inf, 2)
 
@@ -93,16 +94,36 @@ def test_halfspace_volume_3d():
     assert volume.halfspace_volume(tet_normals, tet_offsets) == pytest.approx(1 / 6, abs=1e-9)
 
 
-# Exact values recorded before the facet-tuple enumeration was blocked; no
-# configs/*.json reaches the 3-D oracle, so this pin holds it fixed.
-def test_halfspace_volume_3d_cross_polytopes_are_pinned():
+def test_halfspace_volume_3d_chebyshev_and_empty():
+    cube = np.vstack([np.eye(3), -np.eye(3)])
+    # [1, 3]^3 leaves the origin out: qhull starts from the Chebyshev centre
+    assert volume.halfspace_volume(cube, np.array([3.0, 3.0, 3.0, -1.0, -1.0, -1.0])) == pytest.approx(8.0, rel=1e-14)
+    assert volume.halfspace_volume(cube, np.array([1.0, 1.0, 1.0, -2.0, 1.0, 1.0])) == 0.0  # x <= 1 and x >= 2
+    assert volume.halfspace_volume(cube, np.array([1.0, 1.0, 1.0, -1.0, 1.0, 1.0])) == 0.0  # the flat x = 1
+
+
+# The five 3-D cross-polytopes were bit pins of the facet-tuple enumerator;
+# qhull is held to the loop reference instead.
+def test_halfspace_volume_3d_cross_polytopes_match_reference():
     gen = RngStream(21, 0).generator()
-    vols = []
     for N in (3, 4, 6, 9, 12):
         P = gen.standard_normal((N, 3))
-        vols.append(volume.halfspace_volume(np.vstack([P, -P]), np.ones(2 * N)))
-    assert vols == [1.3613501274791453, 3.958480199623993, 0.9638153502918358,
-                    1.4829936171868603, 0.45339047810091077]
+        A, b = np.vstack([P, -P]), np.ones(2 * N)
+        assert volume.halfspace_volume(A, b) == pytest.approx(face_volume(A, b), rel=1e-14, abs=0)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_exact_volumes_match_reference(n):
+    gen = RngStream(22, n).generator()
+    for _ in range(3):
+        P = gen.standard_normal((n + 3, n))
+        want = face_volume(np.vstack([P, -P]), np.ones(2 * len(P)))
+        assert volume.exact_polar_volume_crosspoly(P) == pytest.approx(want, rel=1e-14, abs=0)
+        # random cuts of the box [-2, 2]^n; negative offsets may leave out the origin
+        A = np.vstack([np.eye(n), -np.eye(n), gen.standard_normal((3 * n, n))])
+        b = np.concatenate([np.full(2 * n, 2.0), gen.uniform(-0.5, 1.5, 3 * n)])
+        want = face_volume(A, b) if loop_vertices(A, b) else 0.0
+        assert volume.halfspace_volume(A, b) == pytest.approx(want, rel=1e-14, abs=0)
 
 
 SQUARE = np.array([[-1.0, -1.0], [1.0, -1.0], [1.0, 1.0], [-1.0, 1.0]])
@@ -148,7 +169,7 @@ def test_clip_polygon_matches_the_numpy_walk_bit_for_bit():
             assert volume._clip_polygon(poly, a, b).tobytes() == want.tobytes()
 
 
-@given(st.integers(0, 2 ** 31), st.sampled_from([2, 3]))
+@given(st.integers(0, 2 ** 31), st.sampled_from([2, 3, 4]))
 @settings(max_examples=25, deadline=None)
 def test_exact_polar_volume_inclusion_monotone(seed, n):
     # adding a point can only grow K = conv{±x_i}, so |K°| never increases;
@@ -165,6 +186,9 @@ def test_exact_polar_volume_inclusion_monotone(seed, n):
 def test_exact_polar_volume_known_cases():
     assert volume.exact_polar_volume_crosspoly(np.eye(2)) == pytest.approx(4.0, abs=1e-9)
     assert volume.exact_polar_volume_crosspoly(np.eye(3)) == pytest.approx(8.0, abs=1e-9)
+    # (B_1^n)° is the cube [-1, 1]^n
+    for n in (4, 5):
+        assert volume.exact_polar_volume_crosspoly(np.eye(n)) == pytest.approx(2.0 ** n, rel=1e-14)
     # conv(+-(1,0), +-(0,2)) has polar [-1,1] x [-1/2,1/2], area 2
     pts = np.array([[1.0, 0.0], [0.0, 2.0]])
     assert volume.exact_polar_volume_crosspoly(pts) == pytest.approx(2.0, abs=1e-9)
