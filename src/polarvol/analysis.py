@@ -25,7 +25,7 @@ from .geom import (
 )
 from .measure import LebesgueRestricted, MeasureError, RadialMeasure, nu_plus_hyperplane, psi_values
 from .rng import RngStream
-from .volume import exact_polar_volume_crosspoly, halfspace_volume, mc_polar_measure
+from .volume import EstimationError, exact_polar_volume_crosspoly, halfspace_volume, mc_polar_measure
 
 __all__ = [
     "ShadowConfig",
@@ -195,6 +195,8 @@ def shadow_profile(
             stderrs[i] = 0.0
         else:
             est = mc_polar_measure(body, cfg.m, budget, RngStream(rng.seed, rng.stream + i), threads)
+            if est.value == 0:
+                raise EstimationError(f"no sample fell in the polar at t = {t:g}: raise the budget")
             values[i] = 1.0 / est.value
             stderrs[i] = est.stderr / est.value ** 2
     tol = 1e-9 if exact else 3.0 * float(stderrs.max(initial=0.0))

@@ -25,6 +25,7 @@ from .rng import RngStream
 from .volume import mc_polar_measure
 
 EXIT_PASS, EXIT_FAIL, EXIT_CONFIG, EXIT_IO = 0, 1, 2, 3
+BUDGET = 200_000  # the default budget of centroid and newsan
 
 
 # ---------------------------------------------------------------------------
@@ -94,7 +95,6 @@ def parse_body(obj: dict, path: str = "body"):
 
 def parse_experiment_config(obj: dict) -> ExperimentConfig:
     """Parse and fully validate a loaded expectation/dominance config."""
-    mode = _require(obj, "mode", "config")
     n = int(_require(obj, "n", "config"))
     N = int(_require(obj, "N", "config"))
     gauge = parse_gauge(_require(obj, "gauge", "config"), N)
@@ -110,38 +110,7 @@ def parse_experiment_config(obj: dict) -> ExperimentConfig:
         trials=int(_require(obj, "trials", "config")),
         budget_per_trial=int(_require(obj, "budget", "config")),
         seed=int(_require(obj, "seed", "config")),
-        mode=mode,
     )
-
-
-def serialize_config(cfg: ExperimentConfig) -> dict:
-    gauge = {"type": "lq", "q": cfg.gauge.q}
-    if isinstance(cfg.m, measure.LebesgueRestricted):
-        m = {"kind": "lebesgue_ball", "R": "inf" if math.isinf(cfg.m.R) else cfg.m.R}
-    elif isinstance(cfg.m, measure.GaussianLike):
-        m = {"kind": "gaussian", "sigma": cfg.m.sigma}
-    else:
-        m = {"kind": "power_kernel", "k_table": cfg.m.k_table.tolist()}
-    if isinstance(cfg.law_x, measure.UniformBodyDensity):
-        law = {"kind": f"uniform_{cfg.law_x.shape}"}
-    else:
-        law = {
-            "kind": "radial_step",
-            "breaks": cfg.law_x.breaks.tolist(),
-            "values": cfg.law_x.values.tolist(),
-        }
-    return {
-        "mode": cfg.mode,
-        "n": cfg.n,
-        "N": cfg.N,
-        "gauge": gauge,
-        "r": cfg.rball,
-        "law": law,
-        "measure": m,
-        "trials": cfg.trials,
-        "budget": cfg.budget_per_trial,
-        "seed": cfg.seed,
-    }
 
 
 # ---------------------------------------------------------------------------
@@ -156,6 +125,8 @@ def named_density(name: str, sigma: float = 1.0):
     `math.exp` per row, because `np.exp` rounds differently.
     """
     if name == "gaussian":
+        if not (math.isfinite(sigma) and sigma > 0):
+            raise ConfigError("sigma: must be a finite number > 0")
         c = 2 * sigma * sigma
         return lambda X: np.array([math.exp(-d / c) for d in np.vecdot(X, X).tolist()]), 12.0 * sigma
     if name == "uniform_square":
@@ -181,10 +152,12 @@ def named_brunn_phi(name: str):
 
 
 def _experiment(obj: dict, threads: int, mode: str, experiment):
-    obj.setdefault("mode", mode)
+    """The command fixes the mode: a config may leave it out, never name another."""
+    if obj.setdefault("mode", mode) != mode:
+        raise ConfigError(f"config.mode: this command runs mode {mode!r}")
     report = experiment(parse_experiment_config(obj), threads)
     line = json.dumps(report.summary, sort_keys=True, default=str)[:200]
-    return report.config, report.verdict, report.summary, report.to_csv(), line
+    return obj, report.verdict, report.summary, report.to_csv(), line
 
 
 def run_santalo(obj: dict, threads: int):
@@ -208,26 +181,30 @@ def run_polar_volume(obj: dict, threads: int):
 
 
 def run_converge(obj: dict, threads: int):
-    """Exact polar volumes along a growing random path."""
-    report = experiments.convergence_experiment(
-        n=int(_require(obj, "n", "config")),
-        seed=int(obj.get("seed", 0)),
-        schedule=obj.get("schedule", (4, 8, 16, 32, 64, 128, 256, 512)),
-        band=float(obj.get("band", 0.05)),
-    )
+    """Exact polar volumes along a growing random path; echoes n, schedule and band."""
+    echo = {
+        "n": int(_require(obj, "n", "config")),
+        "schedule": sorted(obj.get("schedule", (4, 8, 16, 32, 64, 128, 256, 512))),
+        "band": float(obj.get("band", 0.05)),
+    }
+    report = experiments.convergence_experiment(seed=int(obj.get("seed", 0)), **echo)
     line = f"rel_err={report.summary['relative_error']:.4f}"
-    return report.config, report.verdict, report.summary, report.to_csv(), line
+    return echo, report.verdict, report.summary, report.to_csv(), line
 
 
 def run_shadow(obj: dict, threads: int):
     """Shadow-system profile with evenness/convexity verdicts."""
     n = int(_require(obj, "n", "config"))
     base = np.asarray(_require(obj, "base_positions", "config"), dtype=float)
+    if base.ndim != 2:
+        raise ConfigError("config.base_positions: must be a list of equal-length vectors")
     theta = np.asarray(_require(obj, "theta", "config"), dtype=float)
     gauge = parse_gauge(_require(obj, "gauge", "config"), base.shape[0])
     m = parse_measure(_require(obj, "measure", "config"), n)
     cfg = analysis.ShadowConfig(theta, base, gauge, float(obj.get("r", 0.0)), m)
     direction = np.asarray(_require(obj, "direction", "config"), dtype=float)
+    if direction.shape != (base.shape[0],):
+        raise ConfigError("config.direction: needs one number per base position")
     t_grid = np.asarray(_require(obj, "t_grid", "config"), dtype=float)
     rng = RngStream(int(obj.get("seed", 0)), 0)
     report = analysis.shadow_profile(cfg, direction, t_grid, int(obj.get("budget", 10 ** 5)), rng, threads)
@@ -259,10 +236,20 @@ def run_busemann(obj: dict, threads: int):
 
 
 def radial_gauge(density: str, sigma: float, p: float):
-    """x -> F(x) of `ball_bobkov_gauge`, integrated out to |r x| = 10 support radii, r = 10·radius/|x|."""
+    """x -> F(x) of `ball_bobkov_gauge`, integrated over the r where f(r x) > 0.
+
+    An indicator ends at its jump, r = 1/|x|_inf (square) or 1/|x| (ball),
+    which quad cannot locate; the Gaussian goes out to |r x| = 10 support
+    radii, r = 10·radius/|x|.
+    """
     psi, radius = named_density(density, sigma)
     f = lambda y: float(psi(y[None, :])[0])  # ball_bobkov_gauge evaluates one point at a time
-    return lambda x: analysis.ball_bobkov_gauge(f, p, x, upper=10.0 * radius / float(np.linalg.norm(x)))
+    ends = {
+        "uniform_square": lambda x: 1.0 / float(np.abs(x).max()),
+        "uniform_ball": lambda x: 1.0 / float(np.linalg.norm(x)),
+    }
+    end = ends.get(density, lambda x: 10.0 * radius / float(np.linalg.norm(x)))
+    return lambda x: analysis.ball_bobkov_gauge(f, p, x, upper=end(x))
 
 
 def run_gauge(obj: dict, threads: int):
@@ -328,7 +315,7 @@ def run_centroid(obj: dict, threads: int):
         parse_density(_require(obj, "law", "config"), n),
         p=float(_require(obj, "p", "config")),
         m=parse_measure(_require(obj, "measure", "config"), n),
-        budget=int(obj.get("budget", 200_000)),
+        budget=int(obj.get("budget", BUDGET)),
         seed=int(obj.get("seed", 0)),
         threads=threads,
     )
@@ -341,7 +328,7 @@ def run_newsan(obj: dict, threads: int):
     report = experiments.newsan_experiment(
         body,
         parse_measure(_require(obj, "measure", "config"), body.dim),
-        budget=int(obj.get("budget", 200_000)),
+        budget=int(obj.get("budget", BUDGET)),
         seed=int(obj.get("seed", 0)),
         threads=threads,
     )

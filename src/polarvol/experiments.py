@@ -11,10 +11,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
-from scipy.spatial import ConvexHull
+from scipy.spatial import ConvexHull, QhullError
 
 from . import measure as measure_mod
 from .geom import (
@@ -55,7 +55,8 @@ __all__ = [
     "body_volume_exact",
 ]
 
-MODES = ("expectation", "dominance")
+# levels of the shared grid on which dominance compares survival curves
+SURVIVAL_LEVELS = 50
 # floats in one block of the centroid oracle's temporaries (about 1 MB)
 ORACLE_BLOCK_ELEMENTS = 1 << 17
 
@@ -75,11 +76,8 @@ class ExperimentConfig:
     trials: int
     budget_per_trial: int
     seed: int
-    mode: str
 
     def __post_init__(self):
-        if self.mode not in MODES:
-            raise ConfigError(f"mode: unknown mode {self.mode!r}")
         if self.n < 1 or self.N < 1:
             raise ConfigError("n, N: must be >= 1")
         if self.trials < 1 or self.budget_per_trial < 1:
@@ -88,25 +86,14 @@ class ExperimentConfig:
             raise ConfigError("law/measure: dimension must equal n")
         if self.gauge.dim != self.N:
             raise ConfigError("gauge: dimension must equal N")
-        if self.mode == "dominance":
-            grid = np.linspace(1e-6, 10.0, 64)
-            flags = check_condnu2(self.m, grid)
-            if not (flags["decreasing"] and flags["condnu2"]):
-                raise ConfigError(
-                    "measure: dominance mode needs a decreasing rho with convex rho^(-1/(n+1))"
-                )
 
 
 @dataclass
 class ExperimentReport:
-    mode: str
-    config: dict
-    seed: int
     verdict: bool
     summary: dict
     trials_x: list = field(default_factory=list)
     trials_z: list = field(default_factory=list)
-    survival: Optional[dict] = None
 
     def to_csv(self) -> str:
         lines = ["trial_index,side,value,stderr"]
@@ -139,19 +126,11 @@ def _trial_values(cfg: ExperimentConfig, threads: int = 1):
     return vx, vz
 
 
-def _config_echo(cfg: ExperimentConfig) -> dict:
-    from .cli import serialize_config  # late import: cli owns the schema
-
-    return serialize_config(cfg)
-
-
 def santalo_expectation_experiment(cfg: ExperimentConfig, threads: int = 1) -> ExperimentReport:
     """Compare E[ν(polar)] for columns drawn from law_x vs uniform(D_n).
 
     PASS iff mean_Z - mean_X >= -3·(combined stderr of the two means).
     """
-    if cfg.mode != "expectation":
-        raise ConfigError("mode: expected 'expectation'")
     vx, vz = _trial_values(cfg, threads)
     ax = np.array([v for v, _ in vx])
     az = np.array([v for v, _ in vz])
@@ -161,9 +140,6 @@ def santalo_expectation_experiment(cfg: ExperimentConfig, threads: int = 1) -> E
     combined = math.sqrt(se_x ** 2 + se_z ** 2)
     verdict = (mean_z - mean_x) >= -3.0 * combined
     return ExperimentReport(
-        mode="expectation",
-        config=_config_echo(cfg),
-        seed=cfg.seed,
         verdict=bool(verdict),
         summary={
             "mean_x": mean_x,
@@ -180,20 +156,21 @@ def santalo_expectation_experiment(cfg: ExperimentConfig, threads: int = 1) -> E
 
 
 def stochastic_dominance_experiment(
-    cfg: ExperimentConfig, threads: int = 1, levels: int = 50
+    cfg: ExperimentConfig, threads: int = 1
 ) -> ExperimentReport:
     """Survival-curve ordering S_X(t) <= S_Z(t) on a shared level grid.
 
     PASS iff S_X(t) <= S_Z(t) + 3·(combined binomial SE) at every grid
-    point.
+    point.  The measure must satisfy condν2 (checked before any trial).
     """
-    if cfg.mode != "dominance":
-        raise ConfigError("mode: expected 'dominance'")
+    flags = check_condnu2(cfg.m, np.linspace(1e-6, 10.0, 64))
+    if not (flags["decreasing"] and flags["condnu2"]):
+        raise ConfigError("measure: dominance needs a decreasing rho with convex rho^(-1/(n+1))")
     vx, vz = _trial_values(cfg, threads)
     ax = np.array([v for v, _ in vx])
     az = np.array([v for v, _ in vz])
     pooled = np.concatenate([ax, az])
-    tgrid = np.linspace(float(pooled.min()), float(pooled.max()), levels)
+    tgrid = np.linspace(float(pooled.min()), float(pooled.max()), SURVIVAL_LEVELS)
     T = len(ax)
     s_x = np.array([(ax >= t).mean() for t in tgrid])
     s_z = np.array([(az >= t).mean() for t in tgrid])
@@ -201,30 +178,22 @@ def stochastic_dominance_experiment(
     gaps = s_x - s_z - 3.0 * se
     verdict = bool(np.all(gaps <= 1e-12))
     return ExperimentReport(
-        mode="dominance",
-        config=_config_echo(cfg),
-        seed=cfg.seed,
         verdict=verdict,
         summary={
-            "levels": levels,
+            "levels": SURVIVAL_LEVELS,
             "worst_gap": float(gaps.max()),
             "trials": cfg.trials,
         },
         trials_x=vx,
         trials_z=vz,
-        survival={
-            "t": tgrid.tolist(),
-            "s_x": s_x.tolist(),
-            "s_z": s_z.tolist(),
-        },
     )
 
 
 def convergence_experiment(
     n: int,
     seed: int,
-    schedule: Sequence[int] = (4, 8, 16, 32, 64, 128, 256, 512),
-    band: float = 0.05,
+    schedule: Sequence[int],
+    band: float,
 ) -> ExperimentReport:
     """Exact polar volumes along one seeded path of D_n samples.
 
@@ -255,9 +224,6 @@ def convergence_experiment(
     rel_err = abs(values[-1] - target) / target
     verdict = monotone and rel_err <= band
     return ExperimentReport(
-        mode="convergence",
-        config={"n": n, "schedule": list(schedule), "band": band},
-        seed=seed,
         verdict=bool(verdict),
         summary={
             "values": values,
@@ -370,12 +336,37 @@ def centroid_body_oracle(mu: PnDensity, p: float) -> SupportOracleBody:
     return SupportOracleBody(evaluator, mu.dim)
 
 
+def _ball_comparison(
+    body: Body,
+    m: RadialMeasure,
+    radius: float,
+    budget: int,
+    seed: int,
+    threads: int,
+    **extra,
+) -> ExperimentReport:
+    """Test ν(K°) <= ν((radius·B)°) at 3-sigma; `extra` joins the summary."""
+    rhs = radial_mass_in_ball(m, 1.0 / radius)
+    est = mc_polar_measure(body, m, budget, RngStream(seed, 0), threads)
+    return ExperimentReport(
+        verdict=bool(est.value <= rhs + 3.0 * est.stderr),
+        summary={
+            "lhs": est.value,
+            "lhs_stderr": est.stderr,
+            "rhs": rhs,
+            **extra,
+        },
+        trials_x=[(est.value, est.stderr)],
+        trials_z=[(rhs, 0.0)],
+    )
+
+
 def centroid_polar_experiment(
     mu: PnDensity,
     p: float,
     m: RadialMeasure,
-    budget: int = 200_000,
-    seed: int = 0,
+    budget: int,
+    seed: int,
     threads: int = 1,
 ) -> ExperimentReport:
     """Test ν(Z_p(μ)°) <= ν(Z_p(λ_{D_n})°) at 3-sigma."""
@@ -387,27 +378,11 @@ def centroid_polar_experiment(
     e1 = np.zeros(n)
     e1[0] = 1.0
     radius = float(ref.evaluator(e1[None, :])[0])
-    rhs = radial_mass_in_ball(m, 1.0 / radius)
-    est = mc_polar_measure(body_mu, m, budget, RngStream(seed, 0), threads)
-    verdict = est.value <= rhs + 3.0 * est.stderr
-    return ExperimentReport(
-        mode="centroid",
-        config={"p": p, "budget": budget},
-        seed=seed,
-        verdict=bool(verdict),
-        summary={
-            "lhs": est.value,
-            "lhs_stderr": est.stderr,
-            "rhs": rhs,
-            "ball_radius": radius,
-        },
-        trials_x=[(est.value, est.stderr)],
-        trials_z=[(rhs, 0.0)],
-    )
+    return _ball_comparison(body_mu, m, radius, budget, seed, threads, ball_radius=radius)
 
 
 def body_volume_exact(body: Body) -> float:
-    """|K| for the body kinds with a closed-form or qhull exact volume."""
+    """|K| for the body kinds with a closed-form or qhull exact volume; 0 for a flat K."""
     if isinstance(body, BallBody):
         return unit_ball_volume(body.dim) * body.R ** body.dim
     if isinstance(body, HPolytopeBody):
@@ -416,15 +391,18 @@ def body_volume_exact(body: Body) -> float:
         if not (body.gauge.q == 1.0 and body.rball == 0.0):
             raise GeometryError("exact |K| available for cross-polytope images only")
         pts = body.matrix.T
-        return float(ConvexHull(np.vstack([pts, -pts])).volume)
+        try:
+            return float(ConvexHull(np.vstack([pts, -pts])).volume)
+        except QhullError:  # the columns do not span R^n
+            return 0.0
     raise GeometryError(f"no exact volume for {type(body)!r}")
 
 
 def newsan_experiment(
     body: Body,
     m: RadialMeasure,
-    budget: int = 200_000,
-    seed: int = 0,
+    budget: int,
+    seed: int,
     threads: int = 1,
 ) -> ExperimentReport:
     """Test ν(K°) <= ν((t_K B)°) where t_K matches |K| to a ball volume."""
@@ -433,21 +411,4 @@ def newsan_experiment(
     if not math.isfinite(vol_k) or vol_k <= 0:
         raise GeometryError("newsan needs a bounded body of positive volume")
     t_k = (vol_k / unit_ball_volume(n)) ** (1.0 / n)
-    rhs = radial_mass_in_ball(m, 1.0 / t_k)
-    est = mc_polar_measure(body, m, budget, RngStream(seed, 0), threads)
-    verdict = est.value <= rhs + 3.0 * est.stderr
-    return ExperimentReport(
-        mode="newsan",
-        config={"budget": budget},
-        seed=seed,
-        verdict=bool(verdict),
-        summary={
-            "lhs": est.value,
-            "lhs_stderr": est.stderr,
-            "rhs": rhs,
-            "t_k": t_k,
-            "volume_k": vol_k,
-        },
-        trials_x=[(est.value, est.stderr)],
-        trials_z=[(rhs, 0.0)],
-    )
+    return _ball_comparison(body, m, t_k, budget, seed, threads, t_k=t_k, volume_k=vol_k)

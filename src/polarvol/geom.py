@@ -176,8 +176,8 @@ class HPolytopeBody:
     def __post_init__(self):
         A = np.atleast_2d(np.asarray(self.normals, dtype=float))
         b = np.asarray(self.offsets, dtype=float)
-        if A.shape[0] != b.shape[0]:
-            raise DimensionMismatch("normals/offsets length mismatch")
+        if b.shape != (A.shape[0],):
+            raise DimensionMismatch("offsets: need one number per normal")
         if not (np.all(np.isfinite(A)) and np.all(np.isfinite(b))):
             raise GeometryError("normals and offsets must be finite")
         object.__setattr__(self, "normals", A)

@@ -1,12 +1,19 @@
+import copy
+import dataclasses
 import json
 import math
+import tempfile
+from functools import reduce
+from operator import getitem
 from pathlib import Path
 
 import numpy as np
 import pytest
 from click.testing import CliRunner
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from polarvol import analysis, cli, volume
+from polarvol import analysis, cli, experiments, volume
 from polarvol.cli import main, parse_experiment_config
 from polarvol.experiments import ConfigError
 from polarvol.volume import Estimate
@@ -40,8 +47,10 @@ def write_cfg(tmp_path, obj, name="c.json"):
 
 
 def test_parse_minimal_expectation_config():
-    cfg = parse_experiment_config(BASE)
-    assert cfg.n == 2 and cfg.N == 4 and cfg.mode == "expectation"
+    # the command fixes the mode, so the parser neither needs nor reads it
+    cfg = parse_experiment_config({k: v for k, v in BASE.items() if k != "mode"})
+    assert cfg == parse_experiment_config(BASE)
+    assert cfg.n == 2 and cfg.N == 4 and cfg.trials == 12
 
 
 def test_parse_rejects_small_q_with_field_path():
@@ -52,7 +61,17 @@ def test_parse_rejects_small_q_with_field_path():
 
 def test_parse_accepts_gaussian_dominance():
     cfg = parse_experiment_config(dict(BASE, mode="dominance", measure={"kind": "gaussian", "sigma": 1.0}))
-    assert cfg.mode == "dominance"
+    rep = experiments.stochastic_dominance_experiment(dataclasses.replace(cfg, trials=4, budget_per_trial=500))
+    assert rep.summary["trials"] == 4
+
+
+def test_config_without_mode_runs_and_echoes_it(tmp_path):
+    cfg = {k: v for k, v in dict(BASE, trials=4, budget=500).items() if k != "mode"}
+    for command, mode in (("santalo", "expectation"), ("dominance", "dominance")):
+        out = tmp_path / command
+        res = invoke([command, "--config", write_cfg(tmp_path, cfg), "--out", str(out)])
+        assert res.exit_code in (0, 1), res.output
+        assert json.loads((out / "report.json").read_text())["config"] == dict(cfg, mode=mode)
 
 
 def test_cli_exit_code_config_error(tmp_path):
@@ -197,6 +216,20 @@ BAD_VALUES = [
     ("converge", {"n": 2, "seed": 2, "schedule": []}),
     # qhull's cost grows fast with n: the exact path stops at n = 5
     ("converge", {"n": 6, "seed": 2, "schedule": [8, 16]}),
+    # the command fixes the mode; dominance needs a measure that satisfies condnu2
+    ("santalo", dict(BASE, mode="dominance")),
+    ("dominance", BASE),
+    ("dominance", dict(BASE, mode="dominance",
+                       measure={"kind": "power_kernel", "k_table": [[t, math.sqrt(1.0 + t)] for t in range(10)]})),
+    # shapes and values that used to end in ZeroDivisionError, IndexError or QhullError
+    ("busemann", {"density": "gaussian", "sigma": 0, "pairs": 3}),
+    ("gauge", {"density": "gaussian", "sigma": 0, "checks": 3}),
+    ("newsan", dict(PV_BALL, body=dict(SQUARE, offsets=0))),
+    ("shadow", dict(SHADOW, base_positions=1.0)),
+    ("shadow", dict(SHADOW, direction=1.0)),
+    ("shadow", dict(SHADOW, r=1e300, budget=64)),  # a Monte Carlo estimate of 0 hits: g = 1/0
+    ("newsan", dict(PV_BALL, body={"kind": "matrix_image", "columns": [[1.0, 0.0], [2.0, 0.0]],
+                                   "gauge": {"type": "lq", "q": 1.0}})),
 ]
 
 
@@ -340,8 +373,58 @@ def test_exact_shadow_in_four_dimensions(tmp_path):
         assert (value, stderr) == (want, 0.0)
 
 
+def test_gauge_on_the_square_indicator_passes():
+    # quad cannot find the indicator's jump at r = 1/|x|_inf, so the integral must end there
+    for seed in (0, 1, 2):
+        _, verdict, summary, _, _ = cli.run_gauge({"density": "uniform_square", "p": 2.0, "checks": 20, "seed": seed}, 1)
+        assert verdict, (seed, summary)
+
+
 def test_radial_gauge_is_homogeneous_near_the_origin():
     # the radial integral must reach |r x| = 120 also when |x| is small
     gauge = cli.radial_gauge("gaussian", 1.0, 2.0)
     x = np.array([0.012, -0.016])  # |x| = 0.02
     assert gauge(2.0 * x) == pytest.approx(2.0 * gauge(x), rel=1e-9)
+
+
+def field_paths(node, prefix=()):
+    """The path of every dict key and list index below node, at any depth."""
+    items = node.items() if isinstance(node, dict) else enumerate(node) if isinstance(node, list) else ()
+    for key, child in items:
+        yield prefix + (key,)
+        yield from field_paths(child, prefix + (key,))
+
+
+CONFIGS = Path(__file__).parent.parent / "configs"
+GOLDEN = Path(__file__).parent / "golden"
+# (command, example config, path of one of its fields)
+FIELDS = [
+    (json.loads((GOLDEN / f"{p.stem}.report.json").read_text())["command"], cfg, path)
+    for p in sorted(CONFIGS.glob("*.json"))
+    for cfg in [json.loads(p.read_text())]
+    for path in field_paths(cfg)
+]
+DELETE = object()
+BIG = "<1e400>"  # written into the JSON text as the literal 1e400
+POOL = [None, True, "x", [], {}, -1, 0, 0.5, NAN, INF, -INF, BIG]
+
+
+# Of the 1898 one-field mutations, the 65 of rbll_default take 0-56 s each
+# (the full rbll family runs whatever the value) and the rest about 10 ms:
+# 60 random draws keep the test near 10 s on 2 vCPU.
+@settings(max_examples=60, deadline=None)
+@given(field=st.sampled_from(FIELDS), value=st.sampled_from([DELETE, *POOL]))
+def test_one_field_mutation_keeps_the_exit_code_contract(field, value):
+    command, cfg, path = field
+    cfg = copy.deepcopy(cfg)
+    parent = reduce(getitem, path[:-1], cfg)
+    if value is DELETE:
+        del parent[path[-1]]
+    else:
+        parent[path[-1]] = value
+    with tempfile.TemporaryDirectory() as tmp:
+        config = Path(tmp) / "c.json"
+        config.write_text(json.dumps(cfg).replace(json.dumps(BIG), "1e400"))
+        res = CliRunner().invoke(main, [command, "--config", str(config), "--out", tmp, "--budget", "64"])
+    assert res.exit_code in (0, 1, 2, 3), res.output
+    assert res.exception is None or isinstance(res.exception, SystemExit), repr(res.exception)
