@@ -25,7 +25,7 @@ from .geom import (
 )
 from .measure import LebesgueRestricted, MeasureError, RadialMeasure, nu_plus_hyperplane, psi_values
 from .rng import RngStream
-from .volume import EstimationError, exact_polar_volume_crosspoly, halfspace_volume, mc_polar_measure
+from .volume import EstimationError, exact_polar_volume_crosspoly, mc_polar_measure
 
 __all__ = [
     "ShadowConfig",
@@ -437,36 +437,64 @@ def rearrange_step1d(g: Step1D) -> Step1D:
     return Step1D(breaks, values)
 
 
-def _slab_box_volume(constraints, coeffs: np.ndarray, box_halfwidth: float) -> float:
-    """Exact volume of {s in [-L, L]^N : <c_i, s> in [lo_i, hi_i)}.
+def _clip_polygon(poly: np.ndarray, a: np.ndarray, b: float) -> np.ndarray:
+    """Sutherland-Hodgman clip of a convex polygon by {<a, y> <= b}.
 
-    Zero coefficient rows reduce to the point condition 0 in [lo, hi).
+    A half-plane that cuts nothing returns `poly` itself (the clip would
+    copy every vertex).  Otherwise the walk runs on plain floats: the
+    polygons have a handful of vertices, where per-element numpy
+    indexing costs more than the arithmetic, which is the same either way.
     """
-    N = coeffs.shape[1]
-    normals, offsets = [], []
+    if poly.shape[0] == 0:
+        return poly
+    d = (poly @ a - b).tolist()
+    if all(di <= 1e-12 for di in d):
+        return poly
+    pts = poly.tolist()
+    out = []
+    k = len(pts)
+    for i in range(k):
+        j = (i + 1) % k
+        (xi, yi), (xj, yj) = pts[i], pts[j]
+        di, dj = d[i], d[j]
+        if di <= 1e-12:
+            out.append((xi, yi))
+        if (di < -1e-12 and dj > 1e-12) or (di > 1e-12 and dj < -1e-12):
+            t = di / (di - dj)
+            out.append((xi + t * (xj - xi), yi + t * (yj - yi)))
+    return np.array(out) if out else np.empty((0, 2))
+
+
+def _shoelace(poly: np.ndarray) -> float:
+    if poly.shape[0] < 3:
+        return 0.0
+    x, y = poly[:, 0], poly[:, 1]
+    # np.roll(v, -1), without its general-axis bookkeeping
+    x1, y1 = np.concatenate((x[1:], x[:1])), np.concatenate((y[1:], y[:1]))
+    return 0.5 * abs(float(np.dot(x, y1) - np.dot(y, x1)))
+
+
+def _slab_box_volume(constraints, coeffs: np.ndarray, box_halfwidth: float) -> float:
+    """Exact area of {s in [-L, L]^2 : <c_i, s> in [lo_i, hi_i)}.
+
+    Clips the square by each slab's two half-planes.  Zero coefficient
+    rows reduce to the point condition 0 in [lo, hi), checked exactly:
+    the clip's 1e-12 tolerance would keep a slab that ends at 0.
+    """
+    L = box_halfwidth
+    poly = np.array([[-L, -L], [L, -L], [L, L], [-L, L]])
     for (lo, hi), c in zip(constraints, coeffs):
-        if np.all(c == 0.0):
+        if not c.any():
             if not (lo <= 0.0 < hi):
                 return 0.0
             continue
-        normals.append(c)
-        offsets.append(hi)
-        normals.append(-c)
-        offsets.append(-lo)
-    L = box_halfwidth
-    for j in range(N):
-        e = np.zeros(N)
-        e[j] = 1.0
-        normals.extend([e, -e])
-        offsets.extend([L, L])
-    return halfspace_volume(np.array(normals), np.array(offsets))
+        poly = _clip_polygon(_clip_polygon(poly, c, hi), -c, -lo)
+    return _shoelace(poly)
 
 
-def _layered_integral(gs: Sequence[Step1D], coeffs: np.ndarray, box_halfwidth: float) -> float:
-    """∫_{[-L,L]^N} Π_i g_i(<c_i, s>) ds by exact cell decomposition."""
-    per_fn_layers = [g.layers() for g in gs]
-    if any(not layers for layers in per_fn_layers):
-        return 0.0
+def _layered_integral(per_fn_layers, coeffs: np.ndarray, box_halfwidth: float) -> float:
+    """∫_{[-L,L]^2} Π_i g_i(<c_i, s>) ds by exact cell decomposition, from
+    the layer-cake decompositions of the g_i; a g_i with no layers gives 0."""
     total = 0.0
     for combo in product(*per_fn_layers):
         weight = math.prod(w for w, _ in combo)
@@ -480,21 +508,28 @@ def rbll_check_1d(
     coeffs: np.ndarray,
     box_halfwidth: float = 10.0,
 ) -> dict:
-    """Both sides of the 1-D rearrangement inequality for step functions.
+    """Both sides of the 1-D rearrangement inequality for step functions in the plane.
 
-    lhs = ∫ Π g_i(<c_i, s>) ds over the box, rhs the same with every
-    g_i replaced by its symmetric decreasing rearrangement; the
-    contract is lhs <= rhs up to fp round-off.  Restricting to a
-    symmetric box is harmless: the box indicator factors as symmetric
-    decreasing functions of the coordinates.
+    `coeffs` is a stack of (k, 2) coefficient matrices, one per case.
+    For each, lhs = ∫ Π g_i(<c_i, s>) ds over the box and rhs the same
+    with every g_i replaced by its symmetric decreasing rearrangement;
+    the contract is lhs <= rhs up to fp round-off.  Each g_i is
+    rearranged once for the whole stack.  Restricting to a symmetric
+    box is harmless: the box indicator factors as symmetric decreasing
+    functions of the coordinates.
     """
-    coeffs = np.atleast_2d(np.asarray(coeffs, dtype=float))
-    if coeffs.shape[0] != len(gs):
-        raise ValueError("need one coefficient row per function")
-    if len(gs) > 3 or coeffs.shape[1] > 3:
-        raise ValueError("exact oracle limited to k, N <= 3")
+    coeffs = np.asarray(coeffs, dtype=float)
+    if coeffs.ndim != 3 or coeffs.shape[1] != len(gs):
+        raise ValueError("need a stack of coefficient matrices with one row per function")
+    if coeffs.shape[2] != 2:
+        raise ValueError("exact oracle works in the plane: N must be 2")
+    if len(gs) > 3:
+        raise ValueError("exact oracle limited to k <= 3")
     if not (math.isfinite(box_halfwidth) and box_halfwidth > 0):
         raise ValueError("box_halfwidth must be a finite number > 0")
-    lhs = _layered_integral(list(gs), coeffs, box_halfwidth)
-    rhs = _layered_integral([rearrange_step1d(g) for g in gs], coeffs, box_halfwidth)
-    return {"lhs": lhs, "rhs": rhs}
+    layers = [g.layers() for g in gs]
+    star_layers = [rearrange_step1d(g).layers() for g in gs]
+    return {
+        "lhs": [_layered_integral(layers, c, box_halfwidth) for c in coeffs],
+        "rhs": [_layered_integral(star_layers, c, box_halfwidth) for c in coeffs],
+    }

@@ -33,7 +33,3 @@ class RngStream:
         """
         ss = np.random.SeedSequence(self.seed, spawn_key=(self.stream, chunk))
         return np.random.Generator(np.random.Philox(ss))
-
-    def child(self, index: int) -> "RngStream":
-        """Derived stream; used to fan out trials of an experiment."""
-        return RngStream(self.seed, self.stream * 1_000_003 + index + 1)

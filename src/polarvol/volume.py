@@ -1,6 +1,6 @@
 """Estimators of ν(K°): Monte Carlo with honest error bars, a
 layer-cake reduction to balls, and exact polytope volumes in any
-dimension n >= 2 (qhull) plus a clip for general polygons.
+dimension n >= 2 (qhull).
 
 Monte Carlo runs are chunked into fixed 2^16-sample blocks, chunk k
 drawing from stream sub-key k, and merged in chunk order; the result is
@@ -10,7 +10,6 @@ workers execute the chunks.
 
 from __future__ import annotations
 
-import json
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -21,7 +20,6 @@ from scipy.spatial import ConvexHull
 from . import measure
 from .geom import (
     Body,
-    GeometryError,
     UnboundedBody,
     halfspace_vertices,
     polar_contains,
@@ -63,9 +61,6 @@ class Estimate:
             "samples": self.samples,
             "seed": self.seed,
         }
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), sort_keys=True)
 
 
 def _merge_chunks(chunks):
@@ -217,86 +212,15 @@ def layer_cake_measure(
 # exact polytope volumes
 
 
-def _clip_polygon(poly: np.ndarray, a: np.ndarray, b: float) -> np.ndarray:
-    """Sutherland-Hodgman clip of a convex polygon by {<a, y> <= b}.
-
-    A half-plane that cuts nothing returns `poly` itself (the clip would
-    copy every vertex).  Otherwise the walk runs on plain floats: the
-    polygons have a handful of vertices, where per-element numpy
-    indexing costs more than the arithmetic, which is the same either way.
-    """
-    if poly.shape[0] == 0:
-        return poly
-    d = (poly @ a - b).tolist()
-    if all(di <= 1e-12 for di in d):
-        return poly
-    pts = poly.tolist()
-    out = []
-    k = len(pts)
-    for i in range(k):
-        j = (i + 1) % k
-        (xi, yi), (xj, yj) = pts[i], pts[j]
-        di, dj = d[i], d[j]
-        if di <= 1e-12:
-            out.append((xi, yi))
-        if (di < -1e-12 and dj > 1e-12) or (di > 1e-12 and dj < -1e-12):
-            t = di / (di - dj)
-            out.append((xi + t * (xj - xi), yi + t * (yj - yi)))
-    return np.array(out) if out else np.empty((0, 2))
-
-
-def _shoelace(poly: np.ndarray) -> float:
-    if poly.shape[0] < 3:
-        return 0.0
-    x, y = poly[:, 0], poly[:, 1]
-    # np.roll(v, -1), without its general-axis bookkeeping
-    x1, y1 = np.concatenate((x[1:], x[:1])), np.concatenate((y[1:], y[:1]))
-    return 0.5 * abs(float(np.dot(x, y1) - np.dot(y, x1)))
-
-
 def halfspace_volume(normals: np.ndarray, offsets: np.ndarray) -> float:
-    """Exact volume of {y : <a_i, y> <= b_i}; raises GeometryError if unbounded.
+    """Exact volume of {y : <a_i, y> <= b_i} in R^n, n >= 2: the hull of its
+    qhull vertices, 0.0 when the set is empty or flat.
 
-    n = 1 intersects intervals; n >= 3 takes the hull of the qhull vertices.
-    n = 2 clips a bounding square, then applies the shoelace formula: a
-    general polygon has no known interior point, and an LP for one costs
-    more than the clip.
+    Raises GeometryError when the set is unbounded or n = 1.
     """
     A = np.atleast_2d(np.asarray(normals, dtype=float))
-    b = np.asarray(offsets, dtype=float)
-    n = A.shape[1]
-    if n == 1:
-        lo, hi = -math.inf, math.inf
-        for ai, bi in zip(A[:, 0], b):
-            if ai > 1e-15:
-                hi = min(hi, bi / ai)
-            elif ai < -1e-15:
-                lo = max(lo, bi / ai)
-            elif bi < 0:
-                return 0.0
-        if not (math.isfinite(lo) and math.isfinite(hi)):
-            raise GeometryError("unbounded 1-D halfspace intersection")
-        return max(0.0, hi - lo)
-    if n >= 3:
-        V = halfspace_vertices(A, b)
-        return float(ConvexHull(V).volume) if len(V) else 0.0
-    # bounding radius from the smallest singular value of the active rows
-    sigma_min = float(np.linalg.svd(A, compute_uv=False).min()) if A.shape[0] >= n else 0.0
-    if sigma_min < 1e-12:
-        raise GeometryError("halfspace normals do not span; polytope unbounded")
-    L = math.sqrt(A.shape[0]) * float(np.abs(b).max(initial=1.0)) / sigma_min + 1.0
-    # grow the clipping square until no vertex touches it, so the
-    # result is the true (bounded) intersection
-    for _ in range(60):
-        poly = np.array([[-L, -L], [L, -L], [L, L], [-L, L]])
-        for ai, bi in zip(A, b):
-            poly = _clip_polygon(poly, ai, float(bi))
-            if poly.shape[0] == 0:
-                return 0.0
-        if np.abs(poly).max() < L - 1e-9:
-            return _shoelace(poly)
-        L *= 4.0
-    raise GeometryError("2-D halfspace intersection appears unbounded")
+    V = halfspace_vertices(A, np.asarray(offsets, dtype=float))
+    return float(ConvexHull(V).volume) if len(V) else 0.0
 
 
 def exact_polar_volume_crosspoly(points: np.ndarray) -> float:
@@ -311,4 +235,4 @@ def exact_polar_volume_crosspoly(points: np.ndarray) -> float:
     if np.linalg.matrix_rank(P, tol=1e-10) < n:
         raise UnboundedBody("points do not span; polar volume is infinite")
     A = np.vstack([P, -P])
-    return float(ConvexHull(halfspace_vertices(A, np.ones(A.shape[0]))).volume)
+    return halfspace_volume(A, np.ones(A.shape[0]))

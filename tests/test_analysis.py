@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from polarvol import analysis, geom, measure
+from polarvol import analysis, geom, measure, volume
 from polarvol.rng import RngStream
 
 LEB2 = measure.LebesgueRestricted(math.inf, 2)
@@ -173,15 +173,15 @@ def test_rbll_equality_for_symmetric_decreasing_inputs():
     # symmetric decreasing inputs are fixed points: lhs must equal rhs
     g1 = analysis.Step1D(np.array([-1.0, 1.0]), np.array([1.0]))
     g2 = analysis.Step1D(np.array([-0.5, 0.5]), np.array([2.0]))
-    res = analysis.rbll_check_1d([g1, g2], np.array([[1.0, 0.0], [0.5, 1.0]]), 6.0)
-    assert res["lhs"] == pytest.approx(res["rhs"], abs=1e-9)
+    res = analysis.rbll_check_1d([g1, g2], np.array([[[1.0, 0.0], [0.5, 1.0]]]), 6.0)
+    assert res["lhs"][0] == pytest.approx(res["rhs"][0], abs=1e-9)
 
 
 def test_rbll_inequality_shifted_indicator():
     # shifting an indicator off center can only lower the correlation
     g = analysis.Step1D(np.array([1.0, 2.0]), np.array([1.0]))
-    res = analysis.rbll_check_1d([g, g], np.array([[1.0, 1.0], [1.0, -1.0]]), 6.0)
-    assert res["lhs"] <= res["rhs"] + 1e-9
+    res = analysis.rbll_check_1d([g, g], np.array([[[1.0, 1.0], [1.0, -1.0]]]), 6.0)
+    assert res["lhs"][0] <= res["rhs"][0] + 1e-9
 
 
 @given(st.integers(0, 2 ** 31))
@@ -194,6 +194,109 @@ def test_rbll_random_two_function_cases(seed):
         w = float(gen.uniform(0.2, 1.5))
         h = float(gen.uniform(0.2, 3.0))
         gs.append(analysis.Step1D(np.array([a, a + w]), np.array([h])))
-    coeffs = gen.integers(-1, 2, size=(2, 2)).astype(float)
+    coeffs = gen.integers(-1, 2, size=(1, 2, 2)).astype(float)
     res = analysis.rbll_check_1d(gs, coeffs, 8.0)
-    assert res["lhs"] <= res["rhs"] + 1e-9
+    assert res["lhs"][0] <= res["rhs"][0] + 1e-9
+
+
+def test_rbll_works_in_the_plane_only():
+    g = analysis.Step1D(np.array([0.0, 1.0]), np.array([1.0]))
+    with pytest.raises(ValueError):
+        analysis.rbll_check_1d([g, g], np.ones((1, 2, 3)), 6.0)
+
+
+def test_rbll_rearranges_once_for_a_stack(monkeypatch):
+    calls = []
+    rearrange = analysis.rearrange_step1d
+    monkeypatch.setattr(analysis, "rearrange_step1d", lambda g: calls.append(g) or rearrange(g))
+    gs = [analysis.Step1D(np.array([a, a + 1.0]), np.array([1.0])) for a in (-1.0, 0.5)]
+    stack = np.array([[[1.0, 0.0], [0.0, 1.0]], [[1.0, 1.0], [1.0, -1.0]], [[0.0, 0.0], [1.0, 0.0]]])
+    res = analysis.rbll_check_1d(gs, stack, 6.0)
+    assert len(calls) == 2 and len(res["lhs"]) == len(res["rhs"]) == 3
+    for i, c in enumerate(stack):
+        one = analysis.rbll_check_1d(gs, c[None], 6.0)
+        assert (one["lhs"][0], one["rhs"][0]) == (res["lhs"][i], res["rhs"][i])
+
+
+SQUARE = np.array([[-1.0, -1.0], [1.0, -1.0], [1.0, 1.0], [-1.0, 1.0]])
+
+
+@pytest.mark.parametrize("a,b,want", [
+    ((1.0, 0.0), 2.0, SQUARE.tolist()),  # cuts nothing
+    ((1.0, 1.0), 2.0, SQUARE.tolist()),  # touches the vertex (1, 1) only
+    ((1.0, -1.0), 0.0, [[-1.0, -1.0], [1.0, 1.0], [-1.0, 1.0]]),  # the diagonal, vertex to vertex
+    ((2.0, -1.0), 1.0, [[-1.0, -1.0], [0.0, -1.0], [1.0, 1.0], [-1.0, 1.0]]),  # vertex (1, 1) to an edge
+    ((1.0, 0.0), -2.0, []),  # empties the square
+])
+def test_clip_polygon_edge_cases(a, b, want):
+    clipped = analysis._clip_polygon(SQUARE, np.array(a), b)
+    assert clipped.shape == (len(want), 2) and clipped.tolist() == want
+    normals = np.vstack([[1.0, 0.0], [-1.0, 0.0], [0.0, 1.0], [0.0, -1.0], a])
+    area = volume.halfspace_volume(normals, np.array([1.0, 1.0, 1.0, 1.0, b]))
+    assert area == pytest.approx(analysis._shoelace(clipped), abs=1e-12)
+
+
+def _clip_polygon_numpy(poly, a, b):
+    """The clip before the plain-float walk: numpy rows throughout."""
+    d = poly @ a - b
+    out = []
+    for i in range(poly.shape[0]):
+        j = (i + 1) % poly.shape[0]
+        if d[i] <= 1e-12:
+            out.append(poly[i])
+        if (d[i] < -1e-12 and d[j] > 1e-12) or (d[i] > 1e-12 and d[j] < -1e-12):
+            out.append(poly[i] + d[i] / (d[i] - d[j]) * (poly[j] - poly[i]))
+    return np.array(out) if out else np.empty((0, 2))
+
+
+def test_clip_polygon_matches_the_numpy_walk_bit_for_bit():
+    gen = RngStream(8, 0).generator()
+    for _ in range(300):
+        ang = np.sort(gen.uniform(0, 2 * math.pi, int(gen.integers(3, 9))))
+        poly = np.column_stack([np.cos(ang), np.sin(ang)]) * gen.uniform(0.5, 3.0)
+        a = gen.standard_normal(2)
+        # offsets that cut, miss, empty, or pass through a vertex
+        for b in (float(gen.uniform(-1.0, 1.0)), 10.0, -10.0, float(poly[0] @ a)):
+            want = _clip_polygon_numpy(poly, a, b)
+            assert analysis._clip_polygon(poly, a, b).tobytes() == want.tobytes()
+
+
+def _qhull_slab_box(constraints, coeffs, L):
+    """The same cell through qhull: both half-planes of each slab plus the box rows."""
+    A = np.vstack([coeffs, -coeffs, np.eye(2), -np.eye(2)])
+    b = np.concatenate([[hi for _, hi in constraints], [-lo for lo, _ in constraints], np.full(4, L)])
+    return volume.halfspace_volume(A, b)
+
+
+def test_slab_box_volume_matches_qhull():
+    gen = RngStream(9, 0).generator()
+    without_origin = 0
+    for _ in range(300):
+        L = float(gen.uniform(1.0, 6.0))
+        k = int(gen.integers(1, 4))
+        coeffs = gen.integers(-1, 2, size=(k, 2)).astype(float) if gen.uniform() < 0.5 else gen.standard_normal((k, 2))
+        coeffs[~coeffs.any(axis=1)] = [1.0, -1.0]  # zero rows are covered below
+        lo = gen.uniform(-2.0 * L, L, k)
+        constraints = list(zip(lo.tolist(), (lo + gen.uniform(0.2, 2.0 * L, k)).tolist()))
+        without_origin += any(lo_i > 0 or hi_i <= 0 for lo_i, hi_i in constraints)
+        want = _qhull_slab_box(constraints, coeffs, L)
+        assert analysis._slab_box_volume(constraints, coeffs, L) == pytest.approx(want, rel=1e-12, abs=0)
+    assert without_origin > 50  # the qhull side starts from a Chebyshev centre there
+
+
+def test_slab_box_volume_empty_cells_and_zero_rows():
+    c = np.array([[1.0, 1.0], [1.0, 1.0]])
+    # two disjoint slabs along the same normal
+    assert analysis._slab_box_volume([(0.0, 1.0), (2.0, 3.0)], c, 4.0) == 0.0
+    assert _qhull_slab_box([(0.0, 1.0), (2.0, 3.0)], c, 4.0) == 0.0
+    # a slab that misses the box
+    assert analysis._slab_box_volume([(9.0, 10.0)], c[:1], 4.0) == 0.0
+    # a zero row holds iff 0 is in [lo, hi): it drops out or empties the cell
+    z = np.array([[0.0, 0.0], [1.0, -1.0]])
+    cell = [(-0.5, 1.5)]
+    want = _qhull_slab_box(cell, z[1:], 4.0)
+    assert want > 0
+    assert analysis._slab_box_volume([(-1.0, 1.0)] + cell, z, 4.0) == pytest.approx(want, rel=1e-12, abs=0)
+    assert analysis._slab_box_volume([(0.0, 1.0)] + cell, z, 4.0) == pytest.approx(want, rel=1e-12, abs=0)
+    assert analysis._slab_box_volume([(-1.0, 0.0)] + cell, z, 4.0) == 0.0  # ends at 0
+    assert analysis._slab_box_volume([(1.0, 2.0)] + cell, z, 4.0) == 0.0

@@ -230,6 +230,9 @@ BAD_VALUES = [
     ("shadow", dict(SHADOW, r=1e300, budget=64)),  # a Monte Carlo estimate of 0 hits: g = 1/0
     ("newsan", dict(PV_BALL, body={"kind": "matrix_image", "columns": [[1.0, 0.0], [2.0, 0.0]],
                                    "gauge": {"type": "lq", "q": 1.0}})),
+    # a non-finite shift used to PASS
+    ("rbll", {"shifts": [NAN]}),
+    ("rbll", {"shifts": [INF]}),
 ]
 
 

@@ -72,10 +72,12 @@ def test_report_self_containment(tmp_path):
     # the config echoed into report.json, run again, reproduces the report byte for byte
     experiment = {"n": 2, "N": 4, "gauge": {"type": "lq", "q": 1.0}, "r": 0.0, "law": {"kind": "uniform_cube"},
                   "measure": {"kind": "gaussian", "sigma": 1.0}, "trials": 10, "budget": 5_000, "seed": 5}
-    # santalo's config has no mode, which the echo adds; the first run's --budget goes into the echo
-    for command, cfg in (("santalo", experiment), ("dominance", dict(experiment, mode="dominance"))):
+    # santalo's config has no mode, which the echo adds; the first run's --seed and --budget go into the echo
+    converge = {"n": 2, "schedule": [16, 4, 8], "band": 0.5}
+    for command, cfg in (("santalo", experiment), ("dominance", dict(experiment, mode="dominance")),
+                         ("converge", converge)):
         reports = []
-        for run, overrides in (("first", ["--budget", "3000"]), ("again", [])):
+        for run, overrides in (("first", ["--seed", "6", "--budget", "3000"]), ("again", [])):
             path = tmp_path / f"{command}-{run}.json"
             path.write_text(json.dumps(cfg))
             out = tmp_path / f"{command}-{run}"

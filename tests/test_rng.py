@@ -22,9 +22,3 @@ def test_chunk_generators_independent_of_order():
     assert np.array_equal(first[0], second[1])
     assert np.array_equal(first[2], second[0])
 
-
-def test_child_streams_do_not_collide():
-    s = RngStream(5, 1)
-    kids = {(s.child(i).seed, s.child(i).stream) for i in range(100)}
-    assert len(kids) == 100
-    assert (s.seed, s.stream) not in kids
