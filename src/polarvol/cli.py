@@ -22,7 +22,7 @@ import numpy as np
 from . import analysis, experiments, geom, measure
 from .experiments import ConfigError, ExperimentConfig
 from .rng import RngStream
-from .volume import mc_polar_measure
+from .volume import polar_measure
 
 EXIT_PASS, EXIT_FAIL, EXIT_CONFIG, EXIT_IO = 0, 1, 2, 3
 BUDGET = 200_000  # the default budget of centroid and newsan
@@ -171,11 +171,11 @@ def run_dominance(obj: dict, threads: int):
 
 
 def run_polar_volume(obj: dict, threads: int):
-    """Monte Carlo estimate of nu(K°); FAIL when value or stderr is not finite."""
+    """Estimate of nu(K°), exact where polar_measure allows; FAIL when value or stderr is not finite."""
     body = parse_body(_require(obj, "body", "config"))
     m = parse_measure(_require(obj, "measure", "config"), body.dim)
     rng = RngStream(int(obj.get("seed", 0)), 0)
-    est = mc_polar_measure(body, m, int(obj.get("budget", 10 ** 6)), rng, threads)
+    est = polar_measure(body, m, int(obj.get("budget", 10 ** 6)), rng, threads)
     verdict = math.isfinite(est.value) and math.isfinite(est.stderr)
     return obj, verdict, est.to_dict(), "", f"value={est.value:.6g} stderr={est.stderr:.3g}"
 

@@ -40,7 +40,7 @@ from .measure import (
     sample_uniform_ball,
 )
 from .rng import RngStream
-from .volume import exact_polar_volume_crosspoly, halfspace_volume, mc_polar_measure
+from .volume import exact_polar_volume_crosspoly, halfspace_volume, polar_measure
 
 __all__ = [
     "ExperimentConfig",
@@ -109,7 +109,8 @@ def _trial_values(cfg: ExperimentConfig, threads: int = 1):
 
     Stream layout: trial i uses streams 4i..4i+3 (X points, X
     estimator, Z points, Z estimator), so the two sides and any subset
-    of trials are reproducible in isolation.
+    of trials are reproducible in isolation.  An exact `polar_measure`
+    value leaves its estimator stream unused and reports stderr 0.
     """
     n, N = cfg.n, cfg.N
     rn = dn_radius(n)
@@ -117,10 +118,10 @@ def _trial_values(cfg: ExperimentConfig, threads: int = 1):
     for i in range(cfg.trials):
         pts_x = sample_density(cfg.law_x, RngStream(cfg.seed, 4 * i), N)
         body_x = MatrixImageBody(pts_x.T, cfg.gauge, cfg.rball)
-        est_x = mc_polar_measure(body_x, cfg.m, cfg.budget_per_trial, RngStream(cfg.seed, 4 * i + 1), threads)
+        est_x = polar_measure(body_x, cfg.m, cfg.budget_per_trial, RngStream(cfg.seed, 4 * i + 1), threads)
         pts_z = sample_uniform_ball(n, rn, RngStream(cfg.seed, 4 * i + 2), N)
         body_z = MatrixImageBody(pts_z.T, cfg.gauge, cfg.rball)
-        est_z = mc_polar_measure(body_z, cfg.m, cfg.budget_per_trial, RngStream(cfg.seed, 4 * i + 3), threads)
+        est_z = polar_measure(body_z, cfg.m, cfg.budget_per_trial, RngStream(cfg.seed, 4 * i + 3), threads)
         vx.append((est_x.value, est_x.stderr))
         vz.append((est_z.value, est_z.stderr))
     return vx, vz
@@ -347,7 +348,7 @@ def _ball_comparison(
 ) -> ExperimentReport:
     """Test ν(K°) <= ν((radius·B)°) at 3-sigma; `extra` joins the summary."""
     rhs = radial_mass_in_ball(m, 1.0 / radius)
-    est = mc_polar_measure(body, m, budget, RngStream(seed, 0), threads)
+    est = polar_measure(body, m, budget, RngStream(seed, 0), threads)
     return ExperimentReport(
         verdict=bool(est.value <= rhs + 3.0 * est.stderr),
         summary={

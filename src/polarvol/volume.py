@@ -1,6 +1,7 @@
 """Estimators of ν(K°): Monte Carlo with honest error bars, a
-layer-cake reduction to balls, and exact polytope volumes in any
-dimension n >= 2 (qhull).
+layer-cake reduction to balls, exact polytope volumes in any
+dimension n >= 2 (qhull), and exact radial measures of planar polygon
+polars, which `polar_measure` picks whenever they apply.
 
 Monte Carlo runs are chunked into fixed 2^16-sample blocks, chunk k
 drawing from stream sub-key k, and merged in chunk order; the result is
@@ -15,23 +16,26 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.spatial import ConvexHull
+from scipy.spatial import ConvexHull, QhullError
+from scipy.special import owens_t
 
 from . import measure
 from .geom import (
     Body,
+    MatrixImageBody,
     UnboundedBody,
     halfspace_vertices,
     polar_contains,
     polar_sampling_radius,
     unit_ball_volume,
 )
-from .measure import RadialMeasure, rho_eval, total_mass
+from .measure import GaussianLike, LebesgueRestricted, RadialMeasure, rho_eval, total_mass
 from .rng import RngStream
 
 __all__ = [
     "Estimate",
     "EstimationError",
+    "polar_measure",
     "mc_polar_measure",
     "layer_cake_measure",
     "exact_polar_volume_crosspoly",
@@ -41,6 +45,9 @@ __all__ = [
 ]
 
 CHUNK = 1 << 16
+# Gauss–Legendre rule on [-1, 1] for the part of a polar edge inside radius σ:
+# 12 nodes integrate its (1 - e^(-x))/x, x <= 1/2, to rounding
+GAUSS_NODES, GAUSS_WEIGHTS = (a.tolist() for a in np.polynomial.legendre.leggauss(12))
 
 
 class EstimationError(ValueError):
@@ -144,6 +151,92 @@ def mc_polar_measure(
         return _chunk_stats(weight(Y) * polar_contains(body, Y))
 
     return Estimate(*_run_chunks(budget, worker, threads), rng.seed)
+
+
+def polar_measure(
+    body: Body,
+    m: RadialMeasure,
+    budget: int,
+    rng: RngStream,
+    threads: int = 1,
+) -> Estimate:
+    """ν(K°), exact where the polar is a polygon with closed-form edges.
+
+    The exact branch runs for K = conv{±x_i} in the plane (a matrix image
+    with q = 1 and r = 0) whose columns span R², under Lebesgue measure
+    on a disk (any R, including inf) or a Gaussian.  It reports stderr 0
+    and 0 samples and draws nothing from `rng`.  Every other input goes
+    to `mc_polar_measure` unchanged.
+    """
+    if body.dim != m.dim:
+        raise EstimationError("body and measure dimensions differ")
+    if budget < 1:
+        raise EstimationError("budget must be >= 1")
+    if (isinstance(body, MatrixImageBody) and body.dim == 2 and body.gauge.q == 1 and body.rball == 0
+            and isinstance(m, (LebesgueRestricted, GaussianLike))):
+        edges = _polar_polygon_edges(body.matrix.T)
+        if edges is not None:
+            return Estimate(math.fsum(_edge_measure(m, *edge) for edge in edges), 0.0, 0, rng.seed)
+    return mc_polar_measure(body, m, budget, rng, threads)
+
+
+def _polar_polygon_edges(points: np.ndarray):
+    """(d, s0, s1) per edge of the polygon K° for K = conv{±x_i} in the plane.
+
+    Each facet <u, x> = h of K (|u| = 1) gives the polar vertex u/h; taken
+    in angle order they walk K° counterclockwise.  An edge lies on a line
+    at distance d from the origin, and s0 < s1 are the tangent
+    coordinates of its ends.  None when the points do not span R² (the
+    rank test of `exact_polar_volume_crosspoly`), which makes K° unbounded.
+    A polygon has 4 to 2N edges, so plain floats beat arrays here.
+    """
+    if np.linalg.matrix_rank(points, tol=1e-10) < 2:
+        return None
+    try:
+        facets = ConvexHull(np.vstack([points, -points])).equations.tolist()
+    except QhullError:  # flat to qhull's precision
+        return None
+    V = sorted(((ux / -c, uy / -c) for ux, uy, c in facets), key=lambda v: math.atan2(v[1], v[0]))
+    edges = []
+    for (ax, ay), (bx, by) in zip(V, V[1:] + V[:1]):
+        length = math.hypot(bx - ax, by - ay)
+        tx, ty = (bx - ax) / length, (by - ay) / length
+        s0 = ax * tx + ay * ty
+        edges.append((ax * ty - ay * tx, s0, s0 + length))
+    return edges
+
+
+def _edge_measure(m: RadialMeasure, d: float, s0: float, s1: float) -> float:
+    """ν of the cone from the origin over one polar edge: ∫ Φ(d/cos ψ) dψ over
+    ψ = atan2(s, d), s0 <= s <= s1, with Φ(t) = ∫_0^t ρ(r) r dr.
+
+    The circle of radius R (Lebesgue) or σ (Gaussian) splits the edge: the
+    part [lo, hi] with |s| <= c lies inside it.  Outside, Φ is R²/2
+    (Lebesgue), and the Gaussian integral is σ²·[Δψ - 2π·ΔT(d/σ, s/d)], T
+    Owen's function, whose integrand 1 - e^(-d²/2σ²cos²ψ) stays above
+    1 - e^(-1/2) there, so no digits cancel.  Inside, Φ(d/cos ψ) dψ is
+    (d/2)·ds times 1 (Lebesgue) or (1 - e^(-x))/x with x = (d² + s²)/2σ² <= 1/2
+    (Gaussian), which Gauss–Legendre integrates to rounding.
+    """
+    R = m.sigma if isinstance(m, GaussianLike) else m.R
+    if math.isinf(R * R):  # the whole plane, or a circle beyond any polygon in floats
+        return 0.5 * d * (s1 - s0)
+    c = math.sqrt(max(R * R - d * d, 0.0))
+    lo, hi = min(max(s0, -c), c), min(max(s1, -c), c)
+    angle = lambda a, b: math.atan2(d * (b - a), d * d + a * b)  # subtended from s = a to s = b
+    outside = angle(hi, s1) + angle(s0, lo)
+    if isinstance(m, LebesgueRestricted):
+        return 0.5 * d * (hi - lo) + 0.5 * R * R * outside
+    T = lambda s: owens_t(d / R, s / d)
+    total = R * R * (outside - 2 * math.pi * float((T(s1) - T(hi)) + (T(lo) - T(s0))))
+    if hi > lo:
+        # x at the nodes in units of σ, so σ² never overflows; x underflows to 0
+        # only where (1 - e^(-x))/x is 1 to rounding
+        a, mid, half = d / R, 0.5 * (hi + lo) / R, 0.5 * (hi - lo) / R
+        xs = [(a * a + (mid + half * t) ** 2) / 2 for t in GAUSS_NODES]
+        g = math.fsum(w * (-math.expm1(-x) / x if x > 0 else 1.0) for w, x in zip(GAUSS_WEIGHTS, xs))
+        total += 0.25 * d * (hi - lo) * g
+    return total
 
 
 def default_level_grid(m: RadialMeasure, levels: int = 64) -> np.ndarray:

@@ -112,6 +112,34 @@ def test_polar_volume_cross_polytope(tmp_path):
     assert abs(report["summary"]["value"] - 4.0) <= 3 * report["summary"]["stderr"]
 
 
+PV_PLANE = {
+    "body": {"kind": "matrix_image", "columns": [[0.9, 0.2], [-0.3, 0.7], [0.4, -0.8]],
+             "gauge": {"type": "lq", "q": 1.0}, "r": 0.0},
+    "measure": {"kind": "lebesgue_ball", "R": 1.5},
+    "budget": 5000,
+    "seed": 3,
+}
+
+
+# (config, samples): a planar cross-polytope image under Lebesgue or Gaussian
+# measure is exact; columns that do not span, and q > 1, stay Monte Carlo
+@pytest.mark.parametrize("cfg,samples", [
+    (PV_PLANE, 0),
+    (dict(PV_PLANE, measure={"kind": "gaussian", "sigma": 0.5}), 0),
+    (dict(PV_PLANE, measure={"kind": "lebesgue_ball", "R": "inf"}), 0),
+    (dict(PV_PLANE, body=dict(PV_PLANE["body"], columns=[[1.0, 0.0], [2.0, 0.0]]),
+          measure={"kind": "gaussian", "sigma": 1.0}), 5000),
+    (dict(PV_PLANE, body=dict(PV_PLANE["body"], gauge={"type": "lq", "q": 2.0})), 5000),
+])
+def test_polar_volume_in_the_plane(tmp_path, cfg, samples):
+    out = tmp_path / "o"
+    res = invoke(["polar-volume", "--config", write_cfg(tmp_path, cfg), "--out", str(out)])
+    assert res.exit_code == 0, res.output
+    summary = json.loads((out / "report.json").read_text())["summary"]
+    assert summary["samples"] == samples and summary["value"] > 0
+    assert (summary["stderr"] == 0.0) == (samples == 0)
+
+
 def test_santalo_reports_identical_across_runs_and_threads(tmp_path):
     path = write_cfg(tmp_path, BASE)
     outs = []
@@ -233,6 +261,8 @@ BAD_VALUES = [
     # a non-finite shift used to PASS
     ("rbll", {"shifts": [NAN]}),
     ("rbll", {"shifts": [INF]}),
+    # the exact planar branch keeps the budget check
+    ("polar-volume", dict(PV_PLANE, budget=0)),
 ]
 
 
@@ -252,7 +282,7 @@ def test_brunn_accepts_infinite_domain(tmp_path):
 
 
 def test_non_finite_polar_volume_estimate_fails(tmp_path, monkeypatch):
-    monkeypatch.setattr(cli, "mc_polar_measure", lambda *args: Estimate(NAN, NAN, 1, 0))
+    monkeypatch.setattr(cli, "polar_measure", lambda *args: Estimate(NAN, NAN, 1, 0))
     out = tmp_path / "o"
     res = invoke(["polar-volume", "--config", write_cfg(tmp_path, PV_BALL), "--out", str(out)])
     assert res.exit_code == 1, res.output
@@ -412,10 +442,10 @@ BIG = "<1e400>"  # written into the JSON text as the literal 1e400
 POOL = [None, True, "x", [], {}, -1, 0, 0.5, NAN, INF, -INF, BIG]
 
 
-# Of the 1898 one-field mutations, the 65 of rbll_default take 0-56 s each
-# (the full rbll family runs whatever the value) and the rest about 10 ms:
-# 60 random draws keep the test near 10 s on 2 vCPU.
-@settings(max_examples=60, deadline=None)
+# Of the 1898 one-field mutations, the 65 of rbll_default run the full rbll
+# family (about 2.5 s) whatever the value, and the rest take about 10 ms:
+# 200 random draws take about 9 s on 2 vCPU.
+@settings(max_examples=200, deadline=None)
 @given(field=st.sampled_from(FIELDS), value=st.sampled_from([DELETE, *POOL]))
 def test_one_field_mutation_keeps_the_exit_code_contract(field, value):
     command, cfg, path = field

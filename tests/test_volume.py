@@ -237,3 +237,159 @@ def test_radial_measure_draws_are_pinned():
     assert (mass, *_fingerprint(pts)) == (
         33.510321638291124, -11.173427217602287, [0.7792654697657978, -0.5724127185558212, -0.7356313752385875],
         [0.07883172307365749, 0.11969157735251713, 1.724380906960084])
+
+
+# ---------------------------------------------------------------------------
+# polar_measure: exact for planar cross-polytope images, Monte Carlo elsewhere
+
+SQUARE_DUAL = geom.MatrixImageBody(np.eye(2), geom.LqBall(1.0, 2), 0.0)  # K° = [-1, 1]²
+PLANAR_MEASURES = [
+    measure.LebesgueRestricted(0.5, 2), measure.LebesgueRestricted(1.5, 2), measure.LebesgueRestricted(5.0, 2),
+    measure.LebesgueRestricted(math.inf, 2),
+    measure.GaussianLike(0.5, 2), measure.GaussianLike(1.0, 2), measure.GaussianLike(3.0, 2),
+]
+
+
+def cross_image(pts):
+    return geom.MatrixImageBody(np.asarray(pts).T, geom.LqBall(1.0, len(pts)), 0.0)
+
+
+def exact(pts, m):
+    est = volume.polar_measure(cross_image(pts), m, 1, RngStream(0, 0))
+    assert (est.stderr, est.samples) == (0.0, 0)
+    return est.value
+
+
+def test_polar_measure_closed_forms_on_the_square():
+    # the disk of radius 0.5 lies inside the square; the circle of radius 1.2 crosses every edge
+    segment = 1.44 * math.acos(1 / 1.2) - math.sqrt(1.44 - 1)
+    cases = [(measure.LebesgueRestricted(0.5, 2), math.pi / 4),
+             (measure.LebesgueRestricted(1.2, 2), math.pi * 1.44 - 4 * segment),
+             (measure.LebesgueRestricted(math.inf, 2), 4.0)]
+    # sigma = 0.5 and 1 leave each edge outside the circle of radius sigma, 3 keeps
+    # it inside, and 1.2 splits it
+    for sigma in (0.5, 1.0, 1.2, 3.0):
+        side = sigma * math.sqrt(2 * math.pi) * math.erf(1 / (sigma * math.sqrt(2)))
+        cases.append((measure.GaussianLike(sigma, 2), side ** 2))
+    for m, want in cases:
+        est = volume.polar_measure(SQUARE_DUAL, m, 1000, RngStream(9, 4))
+        assert est.value == pytest.approx(want, rel=1e-14, abs=0), m
+        assert (est.stderr, est.samples, est.seed) == (0.0, 0, 9)
+
+
+@pytest.mark.parametrize("lam", [1e-3, 1e3, 1e6])
+def test_polar_measure_gaussian_keeps_its_digits_at_any_scale(lam):
+    # (λ·B_1²)° = [-1/λ, 1/λ]²; far inside the circle of radius sigma the
+    # Owen-T form alone would lose about eps·λ² of relative precision
+    body = geom.MatrixImageBody(lam * np.eye(2), geom.LqBall(1.0, 2), 0.0)
+    for sigma in (0.5, 1.0, 3.0):
+        want = (sigma * math.sqrt(2 * math.pi) * math.erf(1 / (lam * sigma * math.sqrt(2)))) ** 2
+        est = volume.polar_measure(body, measure.GaussianLike(sigma, 2), 1, RngStream(0, 0))
+        assert est.value == pytest.approx(want, rel=1e-13, abs=0), sigma
+
+
+def test_polar_measure_matches_the_qhull_oracle():
+    gen = RngStream(23, 0).generator()
+    for N in (2, 3, 4, 6, 9, 16):
+        for scale in (0.1, 1.0, 7.0):
+            P = scale * gen.standard_normal((N, 2))
+            want = volume.exact_polar_volume_crosspoly(P)
+            assert exact(P, LEB2) == pytest.approx(want, rel=1e-13, abs=0)
+
+
+def test_polar_measure_agrees_with_monte_carlo():
+    # pinned seeds; the R cases cover edges outside the disk (d >= R), edges
+    # the circle cuts, and whole polygons inside the disk
+    seen = set()
+    for seed in (31, 32, 33):
+        P = RngStream(seed, 0).generator().uniform(-1.0, 1.0, (4, 2))
+        body = cross_image(P)
+        edges = volume._polar_polygon_edges(P)
+        for k, m in enumerate(PLANAR_MEASURES):
+            if isinstance(m, measure.LebesgueRestricted) and math.isfinite(m.R):
+                far = [max(d * d + s0 * s0, d * d + s1 * s1) for d, s0, s1 in edges]
+                seen |= {"outside" for d, _, _ in edges if d >= m.R}
+                seen |= {"cut" for (d, _, _), f in zip(edges, far) if d < m.R < math.sqrt(f)}
+                seen |= {"inside"} if max(far) <= m.R ** 2 else set()
+            est = volume.polar_measure(body, m, 1, RngStream(seed, 1))
+            mc = volume.mc_polar_measure(body, m, 200_000, RngStream(seed, 2 + k))
+            assert abs(est.value - mc.value) <= 4 * mc.stderr, (seed, m, est.value, mc.value, mc.stderr)
+    assert seen == {"outside", "cut", "inside"}
+
+
+def test_polar_measure_draws_no_random_numbers():
+    class SeedOnly:  # any draw would need generator() or chunk_generator()
+        seed = 17
+
+    for m in PLANAR_MEASURES:
+        assert volume.polar_measure(SQUARE_DUAL, m, 10, SeedOnly()).seed == 17
+
+
+NON_EXACT = [
+    # columns that do not span R²: the polar is a slab
+    (geom.MatrixImageBody(np.array([[1.0, 2.0], [0.0, 0.0]]), geom.LqBall(1.0, 2), 0.0), measure.GaussianLike(1.0, 2)),
+    # rank 1 at the tolerance of exact_polar_volume_crosspoly, though qhull would build a hull
+    (geom.MatrixImageBody(1e-12 * np.eye(2), geom.LqBall(1.0, 2), 0.0), measure.GaussianLike(1.0, 2)),
+    # rank 2 at that tolerance, but flat to qhull's precision
+    (geom.MatrixImageBody(np.array([[1e8, 1e8], [0.0, 1e-7]]), geom.LqBall(1.0, 2), 0.0), measure.GaussianLike(1.0, 2)),
+    (geom.MatrixImageBody(np.eye(2), geom.LqBall(2.0, 2), 0.0), LEB2),
+    (geom.MatrixImageBody(np.eye(2), geom.LqBall(1.0, 2), 0.25), measure.GaussianLike(1.0, 2)),
+    (SQUARE_DUAL, measure.PowerKernel(np.array([[0.0, 1.0], [1.0, 2.0]]), 2)),
+    (geom.MatrixImageBody(np.eye(3), geom.LqBall(1.0, 3), 0.0), measure.LebesgueRestricted(2.0, 3)),
+    (geom.BallBody(1.0, 2), LEB2),
+    (geom.HPolytopeBody(np.vstack([np.eye(2), -np.eye(2)]), np.ones(4)), measure.GaussianLike(1.0, 2)),
+]
+
+
+@pytest.mark.parametrize("body,m", NON_EXACT)
+def test_polar_measure_falls_back_to_monte_carlo(body, m):
+    args = (body, m, 70_000, RngStream(5, 1))
+    est = volume.polar_measure(*args, threads=2)
+    assert est == volume.mc_polar_measure(*args, threads=2)
+    assert est.samples == 70_000
+
+
+def test_polar_measure_keeps_the_input_checks():
+    with pytest.raises(volume.EstimationError):
+        volume.polar_measure(SQUARE_DUAL, measure.GaussianLike(1.0, 3), 100, RngStream(1, 0))
+    with pytest.raises(volume.EstimationError):
+        volume.polar_measure(SQUARE_DUAL, LEB2, 0, RngStream(1, 0))
+    # a slab under Lebesgue measure on the plane: Monte Carlo refuses, as before
+    with pytest.raises(volume.EstimationError):
+        volume.polar_measure(geom.MatrixImageBody(np.array([[1.0, 2.0], [0.0, 0.0]]), geom.LqBall(1.0, 2), 0.0),
+                             LEB2, 100, RngStream(1, 0))
+
+
+def _rotation(angle):
+    return np.array([[math.cos(angle), -math.sin(angle)], [math.sin(angle), math.cos(angle)]])
+
+
+@given(st.integers(0, 2 ** 31), st.sampled_from(PLANAR_MEASURES))
+@settings(max_examples=40, deadline=None)
+def test_polar_measure_rotation_invariance(seed, m):
+    gen = RngStream(seed, 5).generator()
+    P = gen.standard_normal((int(gen.integers(2, 7)), 2))
+    Q = _rotation(float(gen.uniform(0, 2 * math.pi)))
+    assert exact(P @ Q.T, m) == pytest.approx(exact(P, m), rel=1e-12, abs=0)
+
+
+@given(st.integers(0, 2 ** 31), st.floats(0.25, 4.0), st.sampled_from([0.5, 1.5, 5.0, math.inf]))
+@settings(max_examples=40, deadline=None)
+def test_polar_measure_lebesgue_scale_law(seed, lam, R):
+    # (λK)° = K°/λ, so ν_R((λK)°) = λ⁻²·ν_{λR}(K°); at R = inf this is |(λK)°| = λ⁻²|K°|
+    P = RngStream(seed, 6).generator().standard_normal((4, 2))
+    lhs = exact(lam * P, measure.LebesgueRestricted(R, 2))
+    assert lhs == pytest.approx(exact(P, measure.LebesgueRestricted(lam * R, 2)) / lam ** 2, rel=1e-12, abs=0)
+
+
+@given(st.integers(0, 2 ** 31), st.sampled_from(PLANAR_MEASURES))
+@settings(max_examples=40, deadline=None)
+def test_polar_measure_inclusion_monotone(seed, m):
+    # each added column grows K, so ν(K°) never rises; a column inside K changes nothing
+    gen = RngStream(seed, 7).generator()
+    P = gen.standard_normal((6, 2))
+    P = np.vstack([P, 0.5 * (P[0] - P[1])])
+    values = [exact(P[:N], m) for N in range(2, len(P) + 1)]
+    for before, after in zip(values, values[1:]):
+        assert after <= before * (1 + 1e-12)
+    assert values[-1] == pytest.approx(values[-2], rel=1e-12, abs=0)
