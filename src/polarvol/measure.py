@@ -17,7 +17,7 @@ from typing import Callable, Union
 import numpy as np
 from scipy import integrate
 
-from .geom import unit_ball_volume
+from .geom import row_norms, unit_ball_volume
 from .rng import RngStream
 
 __all__ = [
@@ -376,8 +376,9 @@ def rearrange_density(f: Union[PnDensity, RadialStepFn]) -> RadialStepFn:
 def ball_points(gen: np.random.Generator, size: int, n: int, R: float) -> np.ndarray:
     """`size` points uniform in R·B_2^n: a Gaussian direction, then radius R·U^{1/n}."""
     dirs = gen.standard_normal((size, n))
-    dirs /= np.linalg.norm(dirs, axis=1)[:, None]
-    return dirs * (R * gen.random(size) ** (1.0 / n))[:, None]
+    dirs /= row_norms(dirs)[:, None]
+    dirs *= (R * gen.random(size) ** (1.0 / n))[:, None]
+    return dirs
 
 
 def radial_sampler(m: RadialMeasure) -> Callable[[np.random.Generator, int], np.ndarray]:
@@ -402,8 +403,9 @@ def radial_sampler(m: RadialMeasure) -> Callable[[np.random.Generator, int], np.
     def draw(gen: np.random.Generator, size: int) -> np.ndarray:
         radii = np.interp(gen.random(size), cdf, ts)
         dirs = gen.standard_normal((size, n))
-        dirs /= np.linalg.norm(dirs, axis=1)[:, None]
-        return dirs * radii[:, None]
+        dirs /= row_norms(dirs)[:, None]
+        dirs *= radii[:, None]
+        return dirs
 
     return draw
 
@@ -442,7 +444,7 @@ def sample_density(f: PnDensity, rng: RngStream, size: int) -> np.ndarray:
         batch = max(4 * (size - filled), 1024)
         cand = ball_points(gen, batch, n, Rs)
         u = gen.random(batch)
-        accept = u < step.eval_radius(np.linalg.norm(cand, axis=1))
+        accept = u < step.eval_radius(row_norms(cand))
         take = cand[accept][: size - filled]
         out[filled : filled + take.shape[0]] = take
         filled += take.shape[0]

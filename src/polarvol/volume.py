@@ -27,6 +27,7 @@ from .geom import (
     halfspace_vertices,
     polar_contains,
     polar_sampling_radius,
+    row_norms,
     unit_ball_volume,
 )
 from .measure import GaussianLike, LebesgueRestricted, RadialMeasure, rho_eval, total_mass
@@ -135,7 +136,7 @@ def mc_polar_measure(
     if math.isfinite(rstar):
         vol_box = unit_ball_volume(n) * rstar ** n
         draw = lambda gen, size: measure.ball_points(gen, size, n, rstar)
-        weight = lambda Y: vol_box * rho_eval(m, np.linalg.norm(Y, axis=1))
+        weight = lambda Y: vol_box * rho_eval(m, row_norms(Y))
     else:
         mass = total_mass(m)
         if math.isinf(mass):
@@ -291,7 +292,7 @@ def layer_cake_measure(
     def worker(k: int, size: int):
         Y = measure.ball_points(rng.chunk_generator(k), size, n, r_box)
         inside = polar_contains(body, Y)
-        rY = np.linalg.norm(Y, axis=1)
+        rY = row_norms(Y)
         # tau(s) = quadrature weight of {t : R(t) >= s}
         in_levels = rY[:, None] <= np.minimum(grid_r, r_box)[None, :]
         tau = in_levels @ weights

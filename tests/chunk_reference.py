@@ -1,0 +1,87 @@
+"""Reference Monte Carlo chunk kernels for the tests: the library's earlier expressions.
+
+Row norms are numpy's `np.linalg.norm(Y, axis=1)`, points are scaled
+out of place, and the matrix-image support goes through `gauge_support`
+on a fresh `|Y @ A|`.  The library's chunk kernels must reproduce these
+estimates bit for bit; chunking, merging, radii and masses are the
+library's own, since they are not what the kernels change.
+"""
+
+import math
+
+import numpy as np
+from scipy import integrate
+
+from polarvol import geom, measure, volume
+
+
+def ball_points(gen, size, n, R):
+    dirs = gen.standard_normal((size, n))
+    dirs /= np.linalg.norm(dirs, axis=1)[:, None]
+    return dirs * (R * gen.random(size) ** (1.0 / n))[:, None]
+
+
+def radial_sampler(m):
+    n = m.dim
+    if isinstance(m, measure.LebesgueRestricted):
+        return lambda gen, size: ball_points(gen, size, n, m.R)
+    hi = measure.level_radius(m, float(measure.rho_eval(m, 0.0)) * 1e-12)
+    if math.isinf(hi):
+        hi = 1e6
+    ts = np.concatenate([[0.0], np.geomspace(hi * 1e-6, hi, 4095)])
+    cdf = integrate.cumulative_trapezoid(measure.rho_eval(m, ts) * ts ** (n - 1), ts, initial=0.0)
+    cdf /= cdf[-1]
+
+    def draw(gen, size):
+        radii = np.interp(gen.random(size), cdf, ts)
+        dirs = gen.standard_normal((size, n))
+        dirs /= np.linalg.norm(dirs, axis=1)[:, None]
+        return dirs * radii[:, None]
+
+    return draw
+
+
+def gauge_support(gauge, U):
+    qp = geom.dual_exponent(gauge.q)
+    absU = np.abs(U)
+    if qp == math.inf:
+        return absU.max(axis=1)
+    if qp == 1.0:
+        return absU.sum(axis=1)
+    return (absU ** qp).sum(axis=1) ** (1.0 / qp)
+
+
+def support_values(body, Y):
+    if isinstance(body, geom.BallBody):
+        return body.R * np.linalg.norm(Y, axis=1)
+    if isinstance(body, geom.MatrixImageBody):
+        h = gauge_support(body.gauge, Y @ body.matrix)
+        if body.rball > 0:
+            h = h + body.rball * np.linalg.norm(Y, axis=1)
+        return h
+    if isinstance(body, geom.HPolytopeBody):
+        return (Y @ body.vertices.T).max(axis=1)
+    return np.asarray(body.evaluator(Y), dtype=float)
+
+
+def mc_polar_measure(body, m, budget, rng):
+    """`volume.mc_polar_measure` at one thread, with the kernels above."""
+    n = body.dim
+    try:
+        rstar = geom.polar_sampling_radius(body)
+    except geom.UnboundedBody:
+        rstar = math.inf
+    if math.isfinite(rstar):
+        vol_box = geom.unit_ball_volume(n) * rstar ** n
+        draw = lambda gen, size: ball_points(gen, size, n, rstar)
+        weight = lambda Y: vol_box * measure.rho_eval(m, np.linalg.norm(Y, axis=1))
+    else:
+        mass = measure.total_mass(m)
+        draw = radial_sampler(m)
+        weight = lambda Y: mass
+
+    def worker(k, size):
+        Y = draw(rng.chunk_generator(k), size)
+        return volume._chunk_stats(weight(Y) * (support_values(body, Y) <= 1.0))
+
+    return volume.Estimate(*volume._run_chunks(budget, worker, 1), rng.seed)

@@ -166,6 +166,20 @@ def test_row_max_equals_max_reduction_bit_for_bit(shape):
     assert got.tobytes() == M.max(axis=1).tobytes()
 
 
+@pytest.mark.parametrize("n", range(1, 8))
+def test_row_norms_equal_numpy_norm_bit_for_bit(n):
+    g = np.random.default_rng(40 + n)
+    Y = g.standard_normal((20000, n)) * np.exp(g.uniform(-5, 5, (20000, 1)))
+    Y[:3000] *= 1e150
+    Y[3000:6000] *= 1e-150
+    Y[6000:6100] = 0.0
+    Y[6100:6200] = g.standard_normal((100, n)) * 1e-310  # subnormal entries
+    Y[6200:6300, 0] = 5e-324  # the smallest subnormal, alone in its row
+    before = Y.copy()
+    assert geom.row_norms(Y).tobytes() == np.linalg.norm(Y, axis=1).tobytes()
+    assert Y.tobytes() == before.tobytes()
+
+
 SQUARE_NORMALS = np.array([[1.0, 0.0], [-1.0, 0.0], [0.0, 1.0], [0.0, -1.0]])
 
 

@@ -44,6 +44,24 @@ def test_mc_thread_count_does_not_change_result():
     assert a.value == b.value and a.stderr == b.stderr
 
 
+@given(st.integers(0, 2 ** 31), st.floats(0.25, 4.0), st.sampled_from([1.0, 2.0, math.inf]),
+       st.sampled_from([0.0, 0.25]))
+@settings(max_examples=40, deadline=None, derandomize=True)
+def test_mc_lebesgue_scale_law(seed, lam, q, r):
+    # |(λK)°| = λ⁻ⁿ|K°|.  With the seed shared, λK's sampling ball is K's scaled by
+    # 1/λ up to rounding, so both runs draw the same points up to rounding and the
+    # two estimates agree to rounding unless a point within rounding of ∂K° flips
+    gen = RngStream(seed, 8).generator()
+    n = int(gen.integers(2, 5))
+    A = gen.standard_normal((n, int(gen.integers(n, 7))))
+    m = measure.LebesgueRestricted(math.inf, n)
+    body, scaled = (geom.MatrixImageBody(s * A, geom.LqBall(q, A.shape[1]), s * r) for s in (1.0, lam))
+    est = volume.mc_polar_measure(body, m, 3000, RngStream(seed, 9))
+    est_scaled = volume.mc_polar_measure(scaled, m, 3000, RngStream(seed, 9))
+    assert est_scaled.value * lam ** n == pytest.approx(est.value, rel=1e-12, abs=0)
+    assert est_scaled.stderr * lam ** n == pytest.approx(est.stderr, rel=1e-12, abs=0)
+
+
 def test_one_chunk_runs_without_a_pool(monkeypatch):
     def no_pool(*args, **kwargs):
         raise AssertionError("a one-chunk call must not start a thread pool")
