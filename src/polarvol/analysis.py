@@ -130,6 +130,8 @@ class ShadowConfig:
     def __post_init__(self):
         th = np.asarray(self.theta, dtype=float)
         Y = np.atleast_2d(np.asarray(self.base_positions, dtype=float))
+        if not (np.isfinite(th).all() and np.isfinite(Y).all()):
+            raise GeometryError("theta and base positions must be finite")
         if abs(np.linalg.norm(th) - 1.0) > 1e-12:
             raise GeometryError("theta must be a unit vector")
         if Y.shape[1] != th.size:
@@ -264,8 +266,8 @@ def ball_bobkov_gauge(
 ) -> float:
     """F(x) = (∫_0^∞ f(rx) r^{p-1} dr)^{-1/p} by adaptive quadrature."""
     x = np.asarray(x, dtype=float)
-    if p <= 0:
-        raise ValueError("p must be > 0")
+    if not 0 < p < math.inf:
+        raise ValueError("p must be finite and > 0")
     if np.linalg.norm(x) == 0:
         raise ValueError("x must be nonzero")
     val, _ = integrate.quad(lambda r: f(r * x) * r ** (p - 1.0), 0.0, upper, limit=400)
@@ -340,6 +342,8 @@ def brunn_profile(
     if n not in (1, 2):
         raise ValueError("brunn profile implemented for n in {1, 2}")
     t_grid = np.asarray(sorted(t_grid), dtype=float)
+    if not np.isfinite(t_grid).all():
+        raise ValueError("t grid must be finite")
     L = domain_radius
     lo, hi = (-L, L) if math.isfinite(L) else (-math.inf, math.inf)
     vals = np.zeros_like(t_grid)

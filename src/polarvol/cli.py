@@ -203,9 +203,11 @@ def run_shadow(obj: dict, threads: int):
     m = parse_measure(_require(obj, "measure", "config"), n)
     cfg = analysis.ShadowConfig(theta, base, gauge, float(obj.get("r", 0.0)), m)
     direction = np.asarray(_require(obj, "direction", "config"), dtype=float)
-    if direction.shape != (base.shape[0],):
-        raise ConfigError("config.direction: needs one number per base position")
+    if direction.shape != (base.shape[0],) or not np.isfinite(direction).all():
+        raise ConfigError("config.direction: needs one finite number per base position")
     t_grid = np.asarray(_require(obj, "t_grid", "config"), dtype=float)
+    if not np.isfinite(t_grid).all():
+        raise ConfigError("config.t_grid: must be finite")
     rng = RngStream(int(obj.get("seed", 0)), 0)
     report = analysis.shadow_profile(cfg, direction, t_grid, int(obj.get("budget", 10 ** 5)), rng, threads)
     verdict = bool(report.even) and bool(report.midpoint_convex)

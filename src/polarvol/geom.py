@@ -17,7 +17,7 @@ from typing import Callable, Union
 
 import numpy as np
 from scipy.optimize import linprog
-from scipy.spatial import HalfspaceIntersection, QhullError
+from scipy.spatial import ConvexHull, QhullError
 
 __all__ = [
     "GeometryError",
@@ -33,9 +33,7 @@ __all__ = [
     "dual_exponent",
     "row_norms",
     "gauge_support",
-    "support_value",
     "support_values",
-    "polar_membership",
     "polar_contains",
     "polar_bounding_radius",
     "polar_sampling_radius",
@@ -159,8 +157,8 @@ class MatrixImageBody:
             raise DimensionMismatch(
                 f"matrix has {A.shape[1]} columns but gauge lives in R^{self.gauge.dim}"
             )
-        if not self.rball >= 0:
-            raise GeometryError("rball must be >= 0")
+        if not 0 <= self.rball < math.inf:
+            raise GeometryError("rball must be finite and >= 0")
         if not np.all(np.isfinite(A)):
             raise GeometryError("matrix entries must be finite")
 
@@ -175,8 +173,8 @@ class BallBody:
     dim: int
 
     def __post_init__(self):
-        if not self.R >= 0:
-            raise GeometryError("ball radius must be >= 0")
+        if not 0 <= self.R < math.inf:
+            raise GeometryError("ball radius must be finite and >= 0")
         if self.dim < 1:
             raise GeometryError("ball dimension must be >= 1")
 
@@ -227,37 +225,43 @@ Body = Union[MatrixImageBody, BallBody, HPolytopeBody, SupportOracleBody]
 
 
 def halfspace_vertices(A: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Vertices of the polytope {y : Ay <= b}, n >= 2, by qhull.
+    """Vertices of the polytope {y : Ay <= b}, n >= 2, from qhull's dual hull.
 
-    qhull needs a point strictly inside: the origin when every b_i > 0,
-    otherwise the Chebyshev centre.  An empty or flat polytope gives a
-    (0, n) array; an unbounded one raises GeometryError.
+    qhull needs a point c strictly inside: the origin when every b_i > 0,
+    otherwise the Chebyshev centre.  The polytope is bounded exactly when
+    c lies strictly inside the hull of the dual points a_i/(b_i - <a_i, c>),
+    and each facet <u, x> = -h of that hull gives the vertex c + u/h.  An
+    empty or flat polytope gives a (0, n) array; an unbounded one raises
+    UnboundedBody.
     """
     n = A.shape[1]
     if n < 2:
         raise GeometryError("qhull vertex enumeration needs n >= 2")
     interior = np.zeros(n)
-    if not np.all(b > 0):
+    if not (b > 0).all():
         # Chebyshev centre c: maximise r subject to <a_i, c> + r|a_i| <= b_i, r >= 0
         res = linprog(np.r_[np.zeros(n), -1.0], A_ub=np.column_stack([A, np.linalg.norm(A, axis=1)]), b_ub=b,
                       bounds=[(None, None)] * n + [(0.0, None)], method="highs")
         if res.status == 3:
-            raise GeometryError("halfspace intersection is unbounded")
+            raise UnboundedBody("halfspace intersection is unbounded")
         if res.status not in (0, 2):
             raise GeometryError(f"Chebyshev centre: {res.message}")
         if res.status == 2 or res.x[n] <= DEGENERATE_TOL * (1.0 + float(np.linalg.norm(res.x[:n]))):
             return np.empty((0, n))  # empty, or flat
         interior = res.x[:n]
     try:
-        # an unbounded intersection divides by a zero dual offset; it is refused below
-        with np.errstate(divide="ignore", invalid="ignore"):
-            hs = HalfspaceIntersection(np.column_stack([A, -b]), interior)
+        facets = ConvexHull(A / (b - A @ interior)[:, None]).equations
     except QhullError as e:
-        raise GeometryError("halfspace normals do not span; polytope unbounded") from e
+        raise UnboundedBody("halfspace normals do not span; polytope unbounded") from e
     # the dual hull must hold the origin strictly inside: offsets < 0
-    if not np.all(hs.dual_equations[:, -1] < 0):
-        raise GeometryError("halfspace intersection is unbounded")
-    return hs.intersections
+    if not (facets[:, -1] < 0).all():
+        raise UnboundedBody("halfspace intersection is unbounded")
+    V = facets[:, :-1] / -facets[:, -1:] + interior
+    if n > 2:
+        # ConvexHull triangulates (qhull's Qt), so a dual facet with more than n
+        # vertices repeats its equation once per simplex; plane facets are segments
+        V = np.array(list(dict.fromkeys(map(tuple, V.tolist()))))
+    return V
 
 
 def hpolytope_vertices(body: HPolytopeBody) -> np.ndarray:
@@ -288,17 +292,9 @@ def support_values(body: Body, Y: np.ndarray) -> np.ndarray:
     raise TypeError(f"unknown body type {type(body)!r}")
 
 
-def support_value(body: Body, y: np.ndarray) -> float:
-    return float(support_values(body, np.asarray(y, dtype=float)[None, :])[0])
-
-
 def polar_contains(body: Body, Y: np.ndarray) -> np.ndarray:
     """Membership of a batch of points in K° = {y : h_K(y) <= 1}."""
     return support_values(body, Y) <= 1.0
-
-
-def polar_membership(body: Body, y: np.ndarray) -> bool:
-    return bool(support_value(body, y) <= 1.0)
 
 
 # ---------------------------------------------------------------------------

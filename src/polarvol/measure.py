@@ -258,6 +258,8 @@ class RadialStepFn:
         v = np.asarray(self.values, dtype=float)
         if b.ndim != 1 or b.shape != v.shape or b.size == 0:
             raise MeasureError("breaks and values must be equal-length 1-D arrays")
+        if not (np.isfinite(b).all() and np.isfinite(v).all()):
+            raise MeasureError("breaks and values must be finite")
         if b[0] <= 0 or np.any(np.diff(b) <= 0):
             raise MeasureError("breaks must be positive and strictly increasing")
         if np.any(v < 0):

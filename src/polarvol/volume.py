@@ -16,7 +16,7 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.spatial import ConvexHull, QhullError
+from scipy.spatial import ConvexHull
 from scipy.special import owens_t
 
 from . import measure
@@ -41,7 +41,6 @@ __all__ = [
     "layer_cake_measure",
     "exact_polar_volume_crosspoly",
     "halfspace_volume",
-    "default_level_grid",
     "CHUNK",
 ]
 
@@ -175,29 +174,24 @@ def polar_measure(
         raise EstimationError("budget must be >= 1")
     if (isinstance(body, MatrixImageBody) and body.dim == 2 and body.gauge.q == 1 and body.rball == 0
             and isinstance(m, (LebesgueRestricted, GaussianLike))):
-        edges = _polar_polygon_edges(body.matrix.T)
-        if edges is not None:
-            return Estimate(math.fsum(_edge_measure(m, *edge) for edge in edges), 0.0, 0, rng.seed)
+        try:
+            V = _crosspoly_polar_vertices(body.matrix.T)
+        except UnboundedBody:
+            pass
+        else:
+            return Estimate(math.fsum(_edge_measure(m, *edge) for edge in _polar_polygon_edges(V)), 0.0, 0, rng.seed)
     return mc_polar_measure(body, m, budget, rng, threads)
 
 
-def _polar_polygon_edges(points: np.ndarray):
-    """(d, s0, s1) per edge of the polygon K° for K = conv{±x_i} in the plane.
+def _polar_polygon_edges(V: np.ndarray):
+    """(d, s0, s1) per edge of the convex polygon with vertices V around the origin.
 
-    Each facet <u, x> = h of K (|u| = 1) gives the polar vertex u/h; taken
-    in angle order they walk K° counterclockwise.  An edge lies on a line
-    at distance d from the origin, and s0 < s1 are the tangent
-    coordinates of its ends.  None when the points do not span R² (the
-    rank test of `exact_polar_volume_crosspoly`), which makes K° unbounded.
-    A polygon has 4 to 2N edges, so plain floats beat arrays here.
+    Taken in angle order the vertices walk the polygon counterclockwise.
+    An edge lies on a line at distance d from the origin, and s0 < s1 are
+    the tangent coordinates of its ends.  A polygon has 4 to 2N edges, so
+    plain floats beat arrays here.
     """
-    if np.linalg.matrix_rank(points, tol=1e-10) < 2:
-        return None
-    try:
-        facets = ConvexHull(np.vstack([points, -points])).equations.tolist()
-    except QhullError:  # flat to qhull's precision
-        return None
-    V = sorted(((ux / -c, uy / -c) for ux, uy, c in facets), key=lambda v: math.atan2(v[1], v[0]))
+    V = sorted(V.tolist(), key=lambda v: math.atan2(v[1], v[0]))
     edges = []
     for (ax, ay), (bx, by) in zip(V, V[1:] + V[:1]):
         length = math.hypot(bx - ax, by - ay)
@@ -238,12 +232,6 @@ def _edge_measure(m: RadialMeasure, d: float, s0: float, s1: float) -> float:
         g = math.fsum(w * (-math.expm1(-x) / x if x > 0 else 1.0) for w, x in zip(GAUSS_WEIGHTS, xs))
         total += 0.25 * d * (hi - lo) * g
     return total
-
-
-def default_level_grid(m: RadialMeasure, levels: int = 64) -> np.ndarray:
-    """Geometric grid of 64 levels between ρ(0) and ρ(0)·1e-6."""
-    top = float(rho_eval(m, 0.0))
-    return np.geomspace(top * 1e-6, top, levels)
 
 
 def layer_cake_measure(
@@ -317,16 +305,23 @@ def halfspace_volume(normals: np.ndarray, offsets: np.ndarray) -> float:
     return float(ConvexHull(V).volume) if len(V) else 0.0
 
 
-def exact_polar_volume_crosspoly(points: np.ndarray) -> float:
-    """Exact |K°| for K = conv{±x_1, ..., ±x_N} in R^n, n >= 2.
+def _crosspoly_polar_vertices(points: np.ndarray) -> np.ndarray:
+    """Vertices of K° for K = conv{±x_1, ..., ±x_N} in R^n, n >= 2.
 
     K° = {y : |<x_i, y>| <= 1 for all i} holds the origin, so qhull needs
-    no LP; rank-deficient point sets make the polar a slab of infinite
-    volume and raise UnboundedBody.
+    no LP.  Points whose smallest singular value is at most 1e-10 of their
+    largest, or that are flat to qhull, make K° a slab: UnboundedBody.
+    """
+    sigma = np.linalg.svd(points, compute_uv=False)  # descending
+    if len(sigma) < points.shape[1] or sigma[-1] <= 1e-10 * sigma[0]:
+        raise UnboundedBody("points do not span; polar volume is infinite")
+    A = np.concatenate([points, -points])
+    return halfspace_vertices(A, np.ones(A.shape[0]))
+
+
+def exact_polar_volume_crosspoly(points: np.ndarray) -> float:
+    """Exact |K°| for K = conv{±x_1, ..., ±x_N} in R^n, n >= 2: the hull
+    volume of its vertices.  Raises UnboundedBody when K° is a slab.
     """
     P = np.atleast_2d(np.asarray(points, dtype=float))
-    n = P.shape[1]
-    if np.linalg.matrix_rank(P, tol=1e-10) < n:
-        raise UnboundedBody("points do not span; polar volume is infinite")
-    A = np.vstack([P, -P])
-    return halfspace_volume(A, np.ones(A.shape[0]))
+    return float(ConvexHull(_crosspoly_polar_vertices(P)).volume)

@@ -3,6 +3,7 @@ import dataclasses
 import json
 import math
 import tempfile
+import warnings
 from functools import reduce
 from operator import getitem
 from pathlib import Path
@@ -263,6 +264,19 @@ BAD_VALUES = [
     ("rbll", {"shifts": [INF]}),
     # the exact planar branch keeps the budget check
     ("polar-volume", dict(PV_PLANE, budget=0)),
+    # NaN step laws used to PASS: the bound and integral checks cannot see a NaN
+    # value, and a NaN break spun the sampler up to its rejection cap
+    ("santalo", dict(BASE, trials=5, law={"kind": "radial_step", "breaks": [0.5641895835477563, 2.0], "values": [1.0, NAN]})),
+    ("santalo", dict(BASE, trials=5, law={"kind": "radial_step", "breaks": [NAN, 2.0], "values": [1.0, 0.0]})),
+    # infinite radii used to PASS with every value 0
+    ("polar-volume", dict(PV_BALL, body={"kind": "ball", "R": INF, "n": 2})),
+    ("santalo", dict(BASE, r=INF)),
+    ("dominance", dict(BASE, mode="dominance", measure={"kind": "gaussian", "sigma": 1.0}, r=INF)),
+    # non-finite shadow inputs are refused before any arithmetic on them
+    ("shadow", dict(SHADOW, theta=[NAN, 1.0])),
+    ("shadow", dict(SHADOW, base_positions=[[1.0, 0.0], [INF, 0.0]])),
+    ("shadow", dict(SHADOW, direction=[1.0, INF])),
+    ("shadow", dict(SHADOW, t_grid=[-2.0, -1.0, 0.0, 1.0, INF])),
 ]
 
 
@@ -273,6 +287,20 @@ def test_bad_values_exit_2_without_traceback(tmp_path, command, cfg):
     assert isinstance(res.exception, SystemExit)
     assert "Traceback" not in res.output and "error:" in res.output
     assert not (tmp_path / "o" / "report.json").exists()
+
+
+@pytest.mark.parametrize("command,cfg", [
+    ("gauge", {"density": "gaussian", "p": NAN, "checks": 3}),
+    ("gauge", {"density": "gaussian", "p": INF, "checks": 3}),
+    ("brunn", {"phi": "sqrt_quadratic", "t_grid": [NAN, -1.0, 0.0, 1.0, 2.0]}),
+])
+def test_non_finite_quadrature_inputs_are_refused_before_any_quadrature(tmp_path, command, cfg):
+    # quad warns (IntegrationWarning) when it integrates NaN; none may run
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        res = invoke([command, "--config", write_cfg(tmp_path, cfg), "--out", str(tmp_path / "o")])
+    assert res.exit_code == 2, res.output
+    assert isinstance(res.exception, SystemExit)
 
 
 def test_brunn_accepts_infinite_domain(tmp_path):
@@ -461,3 +489,6 @@ def test_one_field_mutation_keeps_the_exit_code_contract(field, value):
         res = CliRunner().invoke(main, [command, "--config", str(config), "--out", tmp, "--budget", "64"])
     assert res.exit_code in (0, 1, 2, 3), res.output
     assert res.exception is None or isinstance(res.exception, SystemExit), repr(res.exception)
+    # NaN never PASSes; --budget overrides a NaN budget
+    if value is NAN and path[-1] != "budget":
+        assert res.exit_code != 0, (command, path)

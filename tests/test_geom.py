@@ -1,3 +1,4 @@
+import itertools
 import math
 import warnings
 
@@ -5,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.spatial import HalfspaceIntersection
 
 from polarvol import geom
 from polarvol.rng import RngStream
@@ -47,10 +49,9 @@ def test_matrix_image_support_identity_cross():
 
 def test_ball_support_and_membership():
     b = geom.BallBody(2.0, 3)
-    y = np.array([1.0, 2.0, 2.0])
-    assert geom.support_value(b, y) == pytest.approx(6.0)
-    assert geom.polar_membership(b, y / 18.0)
-    assert not geom.polar_membership(b, y / 2.0)
+    y = np.array([[1.0, 2.0, 2.0]])
+    assert geom.support_values(b, y)[0] == pytest.approx(6.0)
+    assert geom.polar_contains(b, np.vstack([y / 18.0, y / 2.0])).tolist() == [True, False]
 
 
 def test_hpolytope_vertices_square():
@@ -104,9 +105,9 @@ def test_hausdorff_estimate_balls():
 @settings(max_examples=50, deadline=None)
 def test_support_scaling_law(lam, yx, yy):
     body = geom.BallBody(1.7, 2)
-    y = np.array([yx, yy])
-    h1 = geom.support_value(body, lam * y)
-    h2 = lam * geom.support_value(body, y)
+    y = np.array([[yx, yy]])
+    h1 = geom.support_values(body, lam * y)[0]
+    h2 = lam * geom.support_values(body, y)[0]
     assert h1 == pytest.approx(h2, abs=1e-9)
 
 
@@ -116,9 +117,9 @@ def test_matrix_image_support_subadditive(seed):
     gen = RngStream(seed, 0).generator()
     A = gen.standard_normal((2, 3))
     body = geom.MatrixImageBody(A, geom.LqBall(1.0, 3), 0.25)
-    y1, y2 = gen.standard_normal(2), gen.standard_normal(2)
-    lhs = geom.support_value(body, y1 + y2)
-    rhs = geom.support_value(body, y1) + geom.support_value(body, y2)
+    y1, y2 = gen.standard_normal((1, 2)), gen.standard_normal((1, 2))
+    lhs = geom.support_values(body, y1 + y2)[0]
+    rhs = geom.support_values(body, y1)[0] + geom.support_values(body, y2)[0]
     assert lhs <= rhs + 1e-9
 
 
@@ -127,6 +128,11 @@ def test_ball_body_rejects_bad_dim_and_radius():
         geom.BallBody(1.0, 0)
     with pytest.raises(geom.GeometryError):
         geom.BallBody(math.nan, 2)
+    # an infinite radius has the polar {0}: every estimate would read 0
+    with pytest.raises(geom.GeometryError, match="finite"):
+        geom.BallBody(math.inf, 2)
+    with pytest.raises(geom.GeometryError, match="finite"):
+        geom.MatrixImageBody(np.eye(2), geom.LqBall(1.0, 2), math.inf)
 
 
 def _sorted_rows(V):
@@ -144,13 +150,48 @@ def _cross_polytope_polar(n, N, seed):
     return np.vstack([P, -P]), np.ones(2 * N)
 
 
+def _shifted_hpolytope(n, rows, seed):
+    """A random H-polytope with normals ±g_j, so bounded, moved by a shift s
+    that sets b_0 = -1/2: the origin is outside, and qhull starts from the
+    Chebyshev centre."""
+    gen = RngStream(seed, n).generator()
+    G = gen.standard_normal((rows // 2, n))
+    A, b = np.vstack([G, -G]), gen.uniform(0.2, 1.5, 2 * len(G))
+    s = gen.uniform(-1.0, 1.0, n)
+    s -= (b[0] + A[0] @ s + 0.5) * A[0] / (A[0] @ A[0])
+    return A, b + A @ s
+
+
 @pytest.mark.parametrize("n,rows", [(2, 9), (3, 14), (4, 16)])
 def test_halfspace_vertices_match_loop_reference(n, rows):
-    for A, b in (_random_hpolytope(n, rows, 4), _cross_polytope_polar(n, rows // 2, 5)):
+    # with the origin inside, qhull's dual hull reproduces the vertices to 1e-14;
+    # from the Chebyshev centre the LP's rounding moves them more (at most 9e-14
+    # relative on seeds 0-299 of _shifted_hpolytope, at n = 4)
+    cases = [(_random_hpolytope(n, rows, 4), 1e-14), (_cross_polytope_polar(n, rows // 2, 5), 1e-14)]
+    cases += [(_shifted_hpolytope(n, rows, seed), 1e-12) for seed in (6, 7, 8)]
+    for (A, b), rel in cases:
         want = _sorted_rows(loop_vertices(A, b))
         got = _sorted_rows(geom.halfspace_vertices(A, b))
         assert got.shape == want.shape and want.shape[0] >= n + 1
-        assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max()
+        assert np.abs(got - want).max() <= rel * np.abs(want).max()
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_halfspace_vertices_equal_scipy_halfspace_intersection(n):
+    # with the origin inside, the dual hull is the one HalfspaceIntersection
+    # builds, so its vertices come out in the same order and to the same bits;
+    # B_1^n has 2^n facets and 2^(n-1) of them meet at each vertex
+    signs = np.array(list(itertools.product([1.0, -1.0], repeat=n)))
+    cases = [(signs, np.ones(len(signs)))]
+    for seed in range(10):
+        cases += [_random_hpolytope(n, 4 * n, seed), _cross_polytope_polar(n, 3 * n, seed)]
+    for A, b in cases:
+        hs = HalfspaceIntersection(np.column_stack([A, -b]), np.zeros(n))
+        if not (hs.dual_equations[:, -1] < 0).all():
+            with pytest.raises(geom.UnboundedBody):
+                geom.halfspace_vertices(A, b)
+            continue
+        assert geom.halfspace_vertices(A, b).tobytes() == hs.intersections.tobytes()
 
 
 @pytest.mark.parametrize("shape", [(65536, 3), (4000, 4), (720, 512), (1, 4)])

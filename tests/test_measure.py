@@ -75,6 +75,11 @@ def test_pn_density_validation():
         measure.RadialStepDensity(np.array([1.0]), np.array([2.0]), 2)
     with pytest.raises(measure.MeasureError):
         measure.RadialStepDensity(np.array([1.0]), np.array([0.5]), 2)
+    # NaN slips past "bounded by 1" and "integrates to 1", so steps refuse it first
+    r2 = 1 / math.sqrt(math.pi)
+    for breaks, values in (([r2, 2.0], [1.0, math.nan]), ([math.nan, 2.0], [1.0, 0.0]), ([r2, math.inf], [1.0, 0.0])):
+        with pytest.raises(measure.MeasureError, match="finite"):
+            measure.RadialStepDensity(np.array(breaks), np.array(values), 2)
 
 
 def test_rearrange_uniform_body_is_dn_indicator():

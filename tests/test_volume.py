@@ -74,7 +74,7 @@ def test_one_chunk_runs_without_a_pool(monkeypatch):
 def test_layer_cake_agrees_with_direct_mc():
     g = measure.GaussianLike(1.0, 2)
     body = geom.BallBody(1.0, 2)
-    grid = volume.default_level_grid(g)
+    grid = np.geomspace(1e-6, 1.0, 64)  # 64 levels between rho(0) = 1 and 1e-6
     lc = volume.layer_cake_measure(body, g, grid, 200_000, RngStream(5, 0))
     target = 2 * math.pi * (1 - math.exp(-0.5))
     assert lc.value == pytest.approx(target, abs=0.01)
@@ -177,6 +177,13 @@ def test_exact_polar_volume_known_cases():
 def test_exact_polar_volume_degenerate_raises():
     with pytest.raises(geom.UnboundedBody):
         volume.exact_polar_volume_crosspoly(np.array([[1.0, 0.0], [2.0, 0.0]]))
+    # the rank test is relative to the largest singular value: a thin set
+    # spans nothing at any scale, and a spanning set spans at any scale
+    with pytest.raises(geom.UnboundedBody):
+        volume.exact_polar_volume_crosspoly(np.array([[1.0, 0.0], [1.0, 1e-11]]))
+    P = np.array([[1.0, 0.2], [0.3, 1.0], [-0.5, 0.7]])
+    tiny = volume.exact_polar_volume_crosspoly(1e-11 * P)
+    assert tiny == pytest.approx(volume.exact_polar_volume_crosspoly(P) * 1e22, rel=1e-13, abs=0)
 
 
 @given(st.integers(0, 2 ** 31), st.floats(0.5, 2.0))
@@ -295,7 +302,7 @@ def test_polar_measure_closed_forms_on_the_square():
         assert (est.stderr, est.samples, est.seed) == (0.0, 0, 9)
 
 
-@pytest.mark.parametrize("lam", [1e-3, 1e3, 1e6])
+@pytest.mark.parametrize("lam", [1e-3, 1e3, 1e6, 1e-11])
 def test_polar_measure_gaussian_keeps_its_digits_at_any_scale(lam):
     # (λ·B_1²)° = [-1/λ, 1/λ]²; far inside the circle of radius sigma the
     # Owen-T form alone would lose about eps·λ² of relative precision
@@ -322,7 +329,7 @@ def test_polar_measure_agrees_with_monte_carlo():
     for seed in (31, 32, 33):
         P = RngStream(seed, 0).generator().uniform(-1.0, 1.0, (4, 2))
         body = cross_image(P)
-        edges = volume._polar_polygon_edges(P)
+        edges = volume._polar_polygon_edges(volume._crosspoly_polar_vertices(P))
         for k, m in enumerate(PLANAR_MEASURES):
             if isinstance(m, measure.LebesgueRestricted) and math.isfinite(m.R):
                 far = [max(d * d + s0 * s0, d * d + s1 * s1) for d, s0, s1 in edges]
@@ -346,9 +353,9 @@ def test_polar_measure_draws_no_random_numbers():
 NON_EXACT = [
     # columns that do not span R²: the polar is a slab
     (geom.MatrixImageBody(np.array([[1.0, 2.0], [0.0, 0.0]]), geom.LqBall(1.0, 2), 0.0), measure.GaussianLike(1.0, 2)),
-    # rank 1 at the tolerance of exact_polar_volume_crosspoly, though qhull would build a hull
-    (geom.MatrixImageBody(1e-12 * np.eye(2), geom.LqBall(1.0, 2), 0.0), measure.GaussianLike(1.0, 2)),
-    # rank 2 at that tolerance, but flat to qhull's precision
+    # rank 1 at 1e-10 of the largest singular value, though qhull would build a hull
+    (geom.MatrixImageBody(np.array([[1.0, 1.0], [0.0, 1e-11]]), geom.LqBall(1.0, 2), 0.0), measure.GaussianLike(1.0, 2)),
+    # flat to qhull's precision as well
     (geom.MatrixImageBody(np.array([[1e8, 1e8], [0.0, 1e-7]]), geom.LqBall(1.0, 2), 0.0), measure.GaussianLike(1.0, 2)),
     (geom.MatrixImageBody(np.eye(2), geom.LqBall(2.0, 2), 0.0), LEB2),
     (geom.MatrixImageBody(np.eye(2), geom.LqBall(1.0, 2), 0.25), measure.GaussianLike(1.0, 2)),
