@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from typing import Callable, Union
 
 import numpy as np
-from scipy import integrate
+from scipy import integrate, special
 
 from .geom import row_norms, unit_ball_volume
 from .rng import RngStream
@@ -96,8 +96,9 @@ class PowerKernel:
     """ρ = k(t)^{-(n+1)} for a convex increasing k given as a linear table.
 
     `k_table` is a (m, 2) array of (t, k(t)) pairs with increasing t;
-    k is extended linearly beyond the last knot.  k(t) = 0 maps to
-    ρ = +inf which is rejected at construction.
+    k is extended linearly beyond the last knot.  k(t) <= 0 would make
+    ρ infinite, so a knot with k <= 0, a slope that overflows and a
+    falling last piece are refused.
     """
 
     k_table: np.ndarray
@@ -109,21 +110,24 @@ class PowerKernel:
             raise MeasureError("k_table must be an (m, 2) array with m >= 2")
         if not np.all(np.isfinite(tab)):
             raise MeasureError("k_table entries must be finite")
-        if np.any(np.diff(tab[:, 0]) <= 0):
+        dt = np.diff(tab[:, 0])
+        if np.any(dt <= 0):
             raise MeasureError("k_table abscissae must be strictly increasing")
         if np.any(tab[:, 1] <= 0):
             raise MeasureError("k must be positive (rho finite)")
+        with np.errstate(over="ignore"):
+            slopes = np.diff(tab[:, 1]) / dt
+        if not np.all(np.isfinite(slopes)):
+            raise MeasureError("k_table slopes must be finite")
+        if slopes[-1] < 0:
+            raise MeasureError("k must not fall past the last knot (rho would turn infinite, then negative)")
         object.__setattr__(self, "k_table", tab)
 
     def k_eval(self, t: np.ndarray) -> np.ndarray:
         ts, ks = self.k_table[:, 0], self.k_table[:, 1]
         # linear extrapolation on the right keeps k convex increasing
-        out = np.interp(t, ts, ks)
-        right = t > ts[-1]
-        if np.any(right):
-            slope = (ks[-1] - ks[-2]) / (ts[-1] - ts[-2])
-            out = np.where(right, ks[-1] + slope * (t - ts[-1]), out)
-        return out
+        slope = (ks[-1] - ks[-2]) / (ts[-1] - ts[-2])
+        return np.interp(t, ts, ks) + slope * np.maximum(t - ts[-1], 0.0)
 
 
 RadialMeasure = Union[LebesgueRestricted, GaussianLike, PowerKernel]
@@ -157,55 +161,51 @@ def check_condnu2(m: RadialMeasure, grid: np.ndarray) -> dict:
     decreasing = bool(np.all(np.diff(rho) <= 1e-10 * (1.0 + np.abs(rho[:-1]))))
     with np.errstate(divide="ignore"):
         k = np.where(rho > 0, rho ** (-1.0 / (m.dim + 1.0)), np.inf)
-    condnu2 = True
-    for i in range(len(grid) - 2):
-        a, b, c = k[i], k[i + 1], k[i + 2]
-        if math.isinf(a) or math.isinf(c):
-            continue  # +inf endpoints absorb any midpoint
-        if math.isinf(b):
-            condnu2 = False
-            break
-        mid_bound = 0.5 * (a + c)
-        if b > mid_bound + 1e-10 * (1.0 + abs(mid_bound)):
-            condnu2 = False
-            break
+    finite = np.isfinite(k[:-2]) & np.isfinite(k[2:])  # +inf endpoints absorb any midpoint
+    mid = 0.5 * (k[:-2][finite] + k[2:][finite])
+    condnu2 = bool(np.all(k[1:-1][finite] <= mid + 1e-10 * (1.0 + np.abs(mid))))
     return {"decreasing": decreasing, "condnu2": condnu2}
 
 
 def total_mass(m: RadialMeasure) -> float:
-    """ν(R^n) = n·ω_n ∫ ρ(t) t^{n-1} dt; math.inf when divergent."""
-    n = m.dim
-    surface = n * unit_ball_volume(n)
-    if isinstance(m, LebesgueRestricted):
-        if math.isinf(m.R):
-            return math.inf
-        return unit_ball_volume(n) * m.R ** n
-    if isinstance(m, GaussianLike):
-        val, _ = integrate.quad(lambda t: math.exp(-t * t / (2 * m.sigma ** 2)) * t ** (n - 1), 0, math.inf)
-        return surface * val
-    if isinstance(m, PowerKernel):
-        # rho ~ t^{-(n+1)} for linearly growing k, so the tail integrand
-        # decays like t^{-2}: finite.  Flat k beyond the last knot would
-        # diverge; PowerKernel extrapolates linearly with the last slope.
-        ts = m.k_table[:, 0]
-        slope = (m.k_table[-1, 1] - m.k_table[-2, 1]) / (ts[-1] - ts[-2])
-        if slope <= 0:
-            return math.inf
-        val, _ = integrate.quad(
-            lambda t: float(rho_eval(m, t)) * t ** (n - 1), 0, math.inf, limit=200
-        )
-        return surface * val
-    raise TypeError(f"unknown measure type {type(m)!r}")
+    """ν(R^n); math.inf when divergent."""
+    return radial_mass_in_ball(m, math.inf)
 
 
-def radial_mass_in_ball(m: RadialMeasure, R: float) -> float:
-    """ν(R·B_2^n), by closed form or radial quadrature."""
+def radial_mass_in_ball(m: RadialMeasure, R):
+    """ν(R·B_2^n) in closed form, for a radius or an array of radii (R = inf allowed).
+
+    The one routine that knows a measure's radial law: Φ(R) = ∫_0^R ρ(t) t^{n-1} dt
+    is this mass over n·ω_n.  A PowerKernel's k is linear between knots and past
+    the last one; with u = t/k(t), a piece [t0, t1] holds Δt/(n·k0·k1)·Σ_i u1^i·u0^{n-1-i}
+    of Φ, and as t1 → ∞ both Δt/k1 and u1 tend to 1/slope (a flat tail diverges).
+    """
     n = m.dim
+    R = np.asarray(R, dtype=float)
     if isinstance(m, LebesgueRestricted):
-        r = min(R, m.R)
-        return unit_ball_volume(n) * r ** n
-    val, _ = integrate.quad(lambda t: float(rho_eval(m, t)) * t ** (n - 1), 0, R, limit=200)
-    return n * unit_ball_volume(n) * val
+        mass = unit_ball_volume(n) * np.minimum(R, m.R) ** n
+    elif isinstance(m, GaussianLike):
+        s2 = 2.0 * m.sigma ** 2
+        mass = (math.pi * s2) ** (n / 2) * special.gammainc(n / 2, R ** 2 / s2)
+    elif isinstance(m, PowerKernel):
+        def piece(t0, k0, w, u1):  # w = Δt/k1
+            return w / (n * k0) * sum(u1 ** i * (t0 / k0) ** (n - 1 - i) for i in range(n))
+
+        ts, ks = m.k_table.T
+        knots = np.append(0.0, ts[ts > 0])
+        k = m.k_eval(knots)
+        cum = np.append(0.0, np.cumsum(piece(knots[:-1], k[:-1], np.diff(knots) / k[1:], knots[1:] / k[1:])))
+        slope = (ks[-1] - ks[-2]) / (ts[-1] - ts[-2])
+        tail = piece(knots[-1], k[-1], 1.0 / slope, 1.0 / slope) if slope > 0 else math.inf
+        far = np.isinf(R)
+        j = np.searchsorted(knots, R, side="right") - 1
+        t1 = np.where(far, knots[j], R)
+        k1 = m.k_eval(t1)
+        phi = np.where(far, cum[-1] + tail, cum[j] + piece(knots[j], k[j], (t1 - knots[j]) / k1, t1 / k1))
+        mass = n * unit_ball_volume(n) * phi
+    else:
+        raise TypeError(f"unknown measure type {type(m)!r}")
+    return float(mass) if np.ndim(mass) == 0 else mass
 
 
 def level_radius(m: RadialMeasure, t: float) -> float:
@@ -386,27 +386,29 @@ def ball_points(gen: np.random.Generator, size: int, n: int, R: float) -> np.nda
 def radial_sampler(m: RadialMeasure) -> Callable[[np.random.Generator, int], np.ndarray]:
     """`draw(gen, size)`: points of law ν/ν(R^n), for ν of finite mass.
 
-    Lebesgue draws uniformly in its ball.  Otherwise the radius law
-    ∝ ρ(t)·t^{n-1} is drawn by inverse CDF on a 4096-point log-spaced
-    table with linear interpolation; the table is built here, once.
+    Lebesgue draws uniformly in its ball and the Gaussian draws σ·N(0, I),
+    both exact.  A PowerKernel draws its radius by inverse CDF on one
+    4097-node table of `radial_mass_in_ball`, built here, once.  Its
+    nodes are uniform in v = t/(c + t) up to t = inf at v = 1, where c is
+    the radius of the ball that holds the total mass at density ρ(0).
     """
     n = m.dim
+    total = total_mass(m)
+    if math.isinf(total):
+        raise InfiniteMass("cannot sample a measure of infinite total mass")
     if isinstance(m, LebesgueRestricted):
         return lambda gen, size: ball_points(gen, size, n, m.R)
-    # support radius: where the radial mass has essentially saturated
-    hi = level_radius(m, float(rho_eval(m, 0.0)) * 1e-12)
-    if math.isinf(hi):
-        hi = 1e6
-    ts = np.concatenate([[0.0], np.geomspace(hi * 1e-6, hi, 4095)])
-    dens = rho_eval(m, ts) * ts ** (n - 1)
-    cdf = integrate.cumulative_trapezoid(dens, ts, initial=0.0)
-    cdf /= cdf[-1]
+    if isinstance(m, GaussianLike):
+        return lambda gen, size: gen.normal(scale=m.sigma, size=(size, n))
+    c = (total / (unit_ball_volume(n) * float(rho_eval(m, 0.0)))) ** (1.0 / n)
+    vs = np.linspace(0.0, 1.0, 4097)
+    cdf = np.append(radial_mass_in_ball(m, c * vs[:-1] / (1.0 - vs[:-1])) / total, 1.0)
 
     def draw(gen: np.random.Generator, size: int) -> np.ndarray:
-        radii = np.interp(gen.random(size), cdf, ts)
+        v = np.interp(gen.random(size), cdf, vs)
         dirs = gen.standard_normal((size, n))
         dirs /= row_norms(dirs)[:, None]
-        dirs *= radii[:, None]
+        dirs *= (c * v / (1.0 - v))[:, None]
         return dirs
 
     return draw
@@ -458,10 +460,7 @@ def sample_density(f: PnDensity, rng: RngStream, size: int) -> np.ndarray:
 
 def sample_radial_measure(m: RadialMeasure, rng: RngStream, size: int):
     """Sample from ν/ν(R^n); returns (points of shape (size, n), total mass)."""
-    mass = total_mass(m)
-    if math.isinf(mass):
-        raise InfiniteMass("cannot sample a measure of infinite total mass")
-    return radial_sampler(m)(rng.generator(), size), mass
+    return radial_sampler(m)(rng.generator(), size), total_mass(m)
 
 
 # ---------------------------------------------------------------------------

@@ -3,14 +3,14 @@
 Row norms are numpy's `np.linalg.norm(Y, axis=1)`, points are scaled
 out of place, and the matrix-image support goes through `gauge_support`
 on a fresh `|Y @ A|`.  The library's chunk kernels must reproduce these
-estimates bit for bit; chunking, merging, radii and masses are the
-library's own, since they are not what the kernels change.
+estimates bit for bit; chunking, merging, radii and masses (which give
+the radial inverse-CDF table its node values) are the library's own,
+since they are not what the kernels change.
 """
 
 import math
 
 import numpy as np
-from scipy import integrate
 
 from polarvol import geom, measure, volume
 
@@ -25,18 +25,18 @@ def radial_sampler(m):
     n = m.dim
     if isinstance(m, measure.LebesgueRestricted):
         return lambda gen, size: ball_points(gen, size, n, m.R)
-    hi = measure.level_radius(m, float(measure.rho_eval(m, 0.0)) * 1e-12)
-    if math.isinf(hi):
-        hi = 1e6
-    ts = np.concatenate([[0.0], np.geomspace(hi * 1e-6, hi, 4095)])
-    cdf = integrate.cumulative_trapezoid(measure.rho_eval(m, ts) * ts ** (n - 1), ts, initial=0.0)
-    cdf /= cdf[-1]
+    if isinstance(m, measure.GaussianLike):
+        return lambda gen, size: m.sigma * gen.standard_normal((size, n))
+    total = measure.total_mass(m)
+    c = (total / (geom.unit_ball_volume(n) * float(measure.rho_eval(m, 0.0)))) ** (1.0 / n)
+    vs = np.linspace(0.0, 1.0, 4097)
+    cdf = np.append(measure.radial_mass_in_ball(m, c * vs[:-1] / (1.0 - vs[:-1])) / total, 1.0)
 
     def draw(gen, size):
-        radii = np.interp(gen.random(size), cdf, ts)
+        v = np.interp(gen.random(size), cdf, vs)
         dirs = gen.standard_normal((size, n))
         dirs /= np.linalg.norm(dirs, axis=1)[:, None]
-        return dirs * radii[:, None]
+        return dirs * (c * v / (1.0 - v))[:, None]
 
     return draw
 

@@ -277,6 +277,9 @@ BAD_VALUES = [
     ("shadow", dict(SHADOW, base_positions=[[1.0, 0.0], [INF, 0.0]])),
     ("shadow", dict(SHADOW, direction=[1.0, INF])),
     ("shadow", dict(SHADOW, t_grid=[-2.0, -1.0, 0.0, 1.0, INF])),
+    # a falling last piece drives k below 0: rho turned infinite, then negative, and PASSed
+    ("polar-volume", dict(PV_BALL, body={"kind": "ball", "R": 0.2, "n": 2},
+                          measure={"kind": "power_kernel", "k_table": [[0, 2], [1, 1]]})),
 ]
 
 

@@ -4,16 +4,16 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy import integrate
 
 from polarvol import measure
+from polarvol.geom import unit_ball_volume
 from polarvol.rng import RngStream
 
 
 def test_dn_radius_gives_unit_volume():
     for n in (1, 2, 3, 5):
         r = measure.dn_radius(n)
-        from polarvol.geom import unit_ball_volume
-
         assert unit_ball_volume(n) * r ** n == pytest.approx(1.0)
 
 
@@ -166,3 +166,98 @@ def test_gaussian_rejects_bad_sigma(sigma):
 def test_lebesgue_rejects_nan_radius():
     with pytest.raises(measure.MeasureError):
         measure.LebesgueRestricted(math.nan, 2)
+
+
+def test_power_kernel_refuses_a_falling_tail():
+    # k extrapolated below 0 would make rho infinite, then negative
+    with pytest.raises(measure.MeasureError, match="last knot"):
+        measure.PowerKernel(np.array([[0.0, 2.0], [1.0, 1.0]]), 2)
+    with pytest.raises(measure.MeasureError, match="slopes must be finite"):
+        measure.PowerKernel(np.array([[0.0, 1.0], [2.2e-309, 2.0]]), 2)
+    flat = measure.PowerKernel(np.array([[0.0, 2.0], [1.0, 2.0]]), 2)
+    assert measure.total_mass(flat) == math.inf
+
+
+# ---------------------------------------------------------------------------
+# radial laws: radial_mass_in_ball against a quadrature reference
+
+
+def quad_mass(m, R):
+    """n·ω_n ∫_0^R ρ(t) t^{n-1} dt by adaptive quadrature, split where the integrand changes scale."""
+    n = m.dim
+    f = lambda t: float(measure.rho_eval(m, t)) * t ** (n - 1)
+    quad = lambda g, a, b: integrate.quad(g, a, b, epsabs=0, epsrel=1e-13, limit=200)[0]
+    if isinstance(m, measure.PowerKernel):
+        (t0, k0), (t1, k1) = m.k_table[-2:]
+        # past the last knot the integrand falls off on the scale k/slope
+        cuts = np.append(m.k_table[:, 0], t1 + k1 * (t1 - t0) / (k1 - k0) * 10.0 ** np.arange(-2, 3))
+    else:
+        cuts = np.array([m.sigma])
+    cuts = [0.0, *np.sort(cuts[(cuts > 0) & (cuts < R)])]
+    val = sum(quad(f, a, b) for a, b in zip(cuts, cuts[1:] + ([R] if R < math.inf else [])))
+    if R == math.inf:  # t = c/x maps the tail past the last cut onto (0, 1]
+        c = cuts[-1]
+        val += quad(lambda x: f(c / x) * c / x ** 2, 0.0, 1.0)
+    return n * unit_ball_volume(n) * val
+
+
+@st.composite
+def power_kernels(draw):
+    n = draw(st.integers(1, 4))
+    # knots on a 0.01 grid: quad cannot resolve a k that ramps over 1e-38 (the closed form can)
+    ts = sorted(i / 100 for i in draw(st.lists(st.integers(0, 500), min_size=2, max_size=5, unique=True)))
+    ks = draw(st.lists(st.floats(0.05, 3.0), min_size=len(ts), max_size=len(ts)))
+    ks[-1] = ks[-2] + draw(st.floats(0.05, 3.0))  # a rising last piece: finite mass
+    return measure.PowerKernel(np.column_stack([ts, ks]), n)
+
+
+@given(power_kernels(), st.lists(st.one_of(st.floats(0.0, 12.0), st.just(math.inf)), min_size=1, max_size=4))
+@settings(max_examples=60, deadline=None)
+def test_power_kernel_mass_matches_quadrature(m, radii):
+    want = [quad_mass(m, R) for R in radii]
+    assert measure.radial_mass_in_ball(m, np.array(radii)) == pytest.approx(want, rel=1e-10, abs=1e-300)
+    for R, w in zip(radii, want):
+        assert measure.radial_mass_in_ball(m, R) == pytest.approx(w, rel=1e-10, abs=1e-300)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+@pytest.mark.parametrize("sigma", [0.3, 1.0, 2.5])
+def test_gaussian_mass_matches_quadrature(n, sigma):
+    m = measure.GaussianLike(sigma, n)
+    radii = [0.0, 0.4 * sigma, sigma, 3.0 * sigma, math.inf]
+    want = [quad_mass(m, R) for R in radii]
+    assert measure.radial_mass_in_ball(m, np.array(radii)) == pytest.approx(want, rel=1e-10)
+    assert measure.total_mass(m) == pytest.approx((2 * math.pi * sigma ** 2) ** (n / 2), rel=1e-15)
+
+
+def test_power_kernel_draws_reach_the_tail():
+    # k = 1 + t in n = 3: Φ(t) = u³/3 with u = t/(1 + t), so P(|Y| > 200) = 1 - (200/201)³.
+    # A radial table that stops short of t = inf loses this tail (1.2% drawn instead of 1.49%).
+    m = measure.PowerKernel(np.array([[0.0, 1.0], [1.0, 2.0]]), 3)
+    size = 10 ** 6
+    pts, mass = measure.sample_radial_measure(m, RngStream(17, 0), size)
+    assert mass == pytest.approx(4 * math.pi / 3, rel=1e-15)
+    p = 1 - (200 / 201) ** 3
+    frac = float(np.count_nonzero(np.linalg.norm(pts, axis=1) > 200.0)) / size
+    assert abs(frac - p) <= 4 * math.sqrt(p * (1 - p) / size)
+
+
+def condnu2_by_loop(k):
+    """The triple-by-triple midpoint-convexity scan that check_condnu2 vectorises."""
+    for a, b, c in zip(k, k[1:], k[2:]):
+        if math.isinf(a) or math.isinf(c):
+            continue  # +inf endpoints absorb any midpoint
+        mid_bound = 0.5 * (a + c)
+        if math.isinf(b) or b > mid_bound + 1e-10 * (1.0 + abs(mid_bound)):
+            return False
+    return True
+
+
+@given(st.one_of(power_kernels(), st.builds(measure.LebesgueRestricted, st.floats(0.1, 30.0), st.integers(1, 4))),
+       st.sampled_from([1.0, 5.0, 40.0]))
+@settings(max_examples=60, deadline=None)
+def test_check_condnu2_matches_the_loop(m, top):
+    grid = np.linspace(1e-6, top, 50)
+    with np.errstate(divide="ignore"):
+        k = np.where(measure.rho_eval(m, grid) > 0, measure.rho_eval(m, grid) ** (-1.0 / (m.dim + 1.0)), np.inf)
+    assert measure.check_condnu2(m, grid)["condnu2"] == condnu2_by_loop(k.tolist())

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy import integrate
 
 from polarvol import geom, measure, volume
 from polarvol.rng import RngStream
@@ -219,20 +220,66 @@ def test_mc_rejects_empty_budget():
         volume.mc_polar_measure(geom.BallBody(1.0, 2), LEB2, 0, RngStream(1, 0))
 
 
-# Exact values recorded before the samplers moved behind measure.ball_points /
-# measure.radial_sampler.  No configs/*.json reaches the unbounded-polar branch
-# or radial-step rejection, so these pins are what holds those draws fixed.
+# Exact values of the unbounded-polar branch, whose draws come from
+# measure.radial_sampler.  No configs/*.json reaches that branch or the
+# radial-step rejection, so these pins are what holds those draws fixed.
 RANK1 = geom.MatrixImageBody(np.array([[1.0], [0.5]]), geom.LqBall(1.0, 1), 0.0)
 
 
 @pytest.mark.parametrize("m,value,stderr", [
-    (measure.GaussianLike(1.0, 2), 3.9305812085913434, 0.011493621563099717),
-    (measure.PowerKernel(np.array([[0.0, 1.0], [1.0, 2.0]]), 2), 1.2318633593676092, 0.005797239677949148),
+    (measure.GaussianLike(1.0, 2), 3.956701307511191, 0.011467552851514951),
+    (measure.PowerKernel(np.array([[0.0, 1.0], [1.0, 2.0]]), 2), 1.2316838397874041, 0.005797089698013378),
     (measure.LebesgueRestricted(2.0, 2), 6.910067681255904, 0.023629882553598273),
 ])
 def test_unbounded_polar_estimate_is_pinned(m, value, stderr):
     est = volume.mc_polar_measure(RANK1, m, 70_000, RngStream(12, 3), threads=2)
     assert (est.value, est.stderr, est.samples) == (value, stderr, 70_000)
+
+
+K_LINEAR = np.array([[0.0, 1.0], [1.0, 2.0]])  # k = 1 + t
+
+
+def slab_measure(m, w):
+    """ν({|y_1| <= w}): erf for the Gaussian, quadrature over spheres for a PowerKernel.
+
+    The sphere of radius t meets the slab in length 4t·asin(min(1, w/t)) in
+    the plane and in area 4πt·min(t, w) in space (Archimedes).
+    """
+    n = m.dim
+    if isinstance(m, measure.GaussianLike):
+        s = m.sigma
+        return (2 * math.pi * s * s) ** ((n - 1) / 2) * s * math.sqrt(2 * math.pi) * math.erf(w / (s * math.sqrt(2)))
+    rho = lambda t: float(measure.rho_eval(m, t))
+    inside = 2 * math.pi if n == 2 else 4 * math.pi
+    crossing = (lambda t: 4 * t * math.asin(w / t)) if n == 2 else (lambda t: 4 * math.pi * t * w)
+    return (integrate.quad(lambda t: rho(t) * inside * t ** (n - 1), 0, w, epsrel=1e-12)[0]
+            + integrate.quad(lambda t: rho(t) * crossing(t), w, math.inf, epsrel=1e-12, limit=200)[0])
+
+
+@pytest.mark.parametrize("m,w", [
+    (measure.GaussianLike(1.0, 2), 1.0), (measure.GaussianLike(0.7, 3), 1.0),
+    (measure.PowerKernel(K_LINEAR, 2), 1.0), (measure.PowerKernel(K_LINEAR, 2), 20.0),
+    (measure.PowerKernel(K_LINEAR, 3), 1.0), (measure.PowerKernel(K_LINEAR, 3), 20.0),
+])
+def test_unbounded_polar_slab_is_unbiased(m, w):
+    # K = [-e_1/w, e_1/w] has the slab K° = {|y_1| <= w}, so the estimate runs the unbounded branch
+    n = m.dim
+    body = geom.MatrixImageBody(np.eye(n)[:, :1] / w, geom.LqBall(1.0, 1), 0.0)
+    est = volume.mc_polar_measure(body, m, 10 ** 6, RngStream(41, 0), threads=2)
+    assert abs(est.value - slab_measure(m, w)) <= 4 * est.stderr
+
+
+@given(st.integers(0, 2 ** 31), st.sampled_from([measure.GaussianLike(1.0, 3), measure.PowerKernel(K_LINEAR, 3),
+                                                 measure.LebesgueRestricted(2.0, 3)]))
+@settings(max_examples=15, deadline=None)
+def test_unbounded_polar_inclusion_monotone(seed, m):
+    # rank-1 K ⊂ rank-2 L in R³: L° ⊂ K°, and with a shared seed both see the same draws
+    X = RngStream(seed, 5).generator().standard_normal((3, 2))
+    K = geom.MatrixImageBody(X[:, :1], geom.LqBall(1.0, 1), 0.0)
+    L = geom.MatrixImageBody(X, geom.LqBall(1.0, 2), 0.0)
+    est_K = volume.mc_polar_measure(K, m, 5000, RngStream(seed, 6))
+    est_L = volume.mc_polar_measure(L, m, 5000, RngStream(seed, 6))
+    assert est_L.value <= est_K.value
 
 
 def _fingerprint(pts):
@@ -256,8 +303,8 @@ def test_sampler_draws_are_pinned():
 def test_radial_measure_draws_are_pinned():
     pts, mass = measure.sample_radial_measure(measure.GaussianLike(1.0, 2), RngStream(14, 2), 300)
     assert (mass, *_fingerprint(pts)) == (
-        6.2831853071795845, -14.713160306644967, [-0.9240317834692722, 1.7643471694284134],
-        [0.7518456628553238, 1.7667600098620349])
+        6.283185307179586, -25.886830297519104, [1.5972813796366498, -1.1732897353852911],
+        [0.9315626722740394, 0.9630237647612038])
     pts, mass = measure.sample_radial_measure(measure.LebesgueRestricted(2.0, 3), RngStream(14, 2), 300)
     assert (mass, *_fingerprint(pts)) == (
         33.510321638291124, -11.173427217602287, [0.7792654697657978, -0.5724127185558212, -0.7356313752385875],
