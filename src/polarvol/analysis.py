@@ -441,8 +441,10 @@ def rearrange_step1d(g: Step1D) -> Step1D:
     return Step1D(breaks, values)
 
 
-def _clip_polygon(poly: np.ndarray, a: np.ndarray, b: float) -> np.ndarray:
+def _clip_polygon(poly: np.ndarray, a: np.ndarray, b: float, tol: float) -> np.ndarray:
     """Sutherland-Hodgman clip of a convex polygon by {<a, y> <= b}.
+
+    A vertex within `tol` of the line counts as on it.
 
     A half-plane that cuts nothing returns `poly` itself (the clip would
     copy every vertex).  Otherwise the walk runs on plain floats: the
@@ -452,7 +454,7 @@ def _clip_polygon(poly: np.ndarray, a: np.ndarray, b: float) -> np.ndarray:
     if poly.shape[0] == 0:
         return poly
     d = (poly @ a - b).tolist()
-    if all(di <= 1e-12 for di in d):
+    if all(di <= tol for di in d):
         return poly
     pts = poly.tolist()
     out = []
@@ -461,9 +463,9 @@ def _clip_polygon(poly: np.ndarray, a: np.ndarray, b: float) -> np.ndarray:
         j = (i + 1) % k
         (xi, yi), (xj, yj) = pts[i], pts[j]
         di, dj = d[i], d[j]
-        if di <= 1e-12:
+        if di <= tol:
             out.append((xi, yi))
-        if (di < -1e-12 and dj > 1e-12) or (di > 1e-12 and dj < -1e-12):
+        if (di < -tol and dj > tol) or (di > tol and dj < -tol):
             t = di / (di - dj)
             out.append((xi + t * (xj - xi), yi + t * (yj - yi)))
     return np.array(out) if out else np.empty((0, 2))
@@ -481,18 +483,21 @@ def _shoelace(poly: np.ndarray) -> float:
 def _slab_box_volume(constraints, coeffs: np.ndarray, box_halfwidth: float) -> float:
     """Exact area of {s in [-L, L]^2 : <c_i, s> in [lo_i, hi_i)}.
 
-    Clips the square by each slab's two half-planes.  Zero coefficient
-    rows reduce to the point condition 0 in [lo, hi), checked exactly:
-    the clip's 1e-12 tolerance would keep a slab that ends at 0.
+    Clips the square by each slab's two half-planes, with a tolerance of
+    1e-12·L·|c|_1, the scale of <c, s> on the box.  Zero coefficient rows
+    reduce to the point condition 0 in [lo, hi), checked exactly: the
+    clip's tolerance would keep a slab that ends at 0.
     """
     L = box_halfwidth
     poly = np.array([[-L, -L], [L, -L], [L, L], [-L, L]])
     for (lo, hi), c in zip(constraints, coeffs):
-        if not c.any():
+        cx, cy = c.tolist()  # plain floats: numpy calls on two elements cost more than the arithmetic
+        if cx == 0.0 and cy == 0.0:
             if not (lo <= 0.0 < hi):
                 return 0.0
             continue
-        poly = _clip_polygon(_clip_polygon(poly, c, hi), -c, -lo)
+        tol = 1e-12 * L * (abs(cx) + abs(cy))
+        poly = _clip_polygon(_clip_polygon(poly, c, hi, tol), -c, -lo, tol)
     return _shoelace(poly)
 
 

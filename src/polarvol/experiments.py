@@ -57,7 +57,7 @@ __all__ = [
 
 # levels of the shared grid on which dominance compares survival curves
 SURVIVAL_LEVELS = 50
-# floats in one block of the centroid oracle's temporaries (about 1 MB)
+# floats in one block of the centroid oracle's temporaries for p != 2 (about 1 MB)
 ORACLE_BLOCK_ELEMENTS = 1 << 17
 
 
@@ -303,11 +303,17 @@ def _density_nodes(mu: PnDensity):
 def centroid_body_oracle(mu: PnDensity, p: float) -> SupportOracleBody:
     """Support oracle of the moment body h(y) = (∫ |<x,y>|^p dμ)^{1/p}.
 
-    The evaluator works in blocks of rows whose |nodes| x rows temporary
-    holds about ORACLE_BLOCK_ELEMENTS floats, reused in place.  The block
-    width is a power of two >= 16, a multiple of the BLAS kernels' row
-    unroll, so every row takes the kernel path it would take in one
-    unblocked product of the whole call and gets the same bits.
+    For p = 2 the quadrature sum is the quadratic form y^T M y with
+    M = Σ w_i x_i x_i^T, so Z_2(μ) is an ellipsoid: M is folded once from
+    the nodes and each row costs O(n^2).  The form is summed column by
+    column without a BLAS product, so a row's bits do not depend on where
+    it sits in the call.
+
+    Any other p evaluates the nodes in blocks of rows whose |nodes| x rows
+    temporary holds about ORACLE_BLOCK_ELEMENTS floats, reused in place.
+    The block width is a power of two >= 16, a multiple of the BLAS
+    kernels' row unroll, so every row takes the kernel path it would take
+    in one unblocked product of the whole call and gets the same bits.
     """
     if not (math.isfinite(p) and p >= 1):
         raise ConfigError("p: must be a finite number >= 1")
@@ -316,6 +322,10 @@ def centroid_body_oracle(mu: PnDensity, p: float) -> SupportOracleBody:
     if abs(wsum - 1.0) > 1e-6:
         raise ConfigError(f"density quadrature mass {wsum:.8f} != 1")
     weights = weights / wsum
+    if p == 2.0:
+        # einsum sums in its own loops, not in BLAS, so M's bits do not depend on the BLAS threads
+        M = np.einsum("i,ij,ik->jk", weights, nodes, nodes)
+        return SupportOracleBody(_quadratic_form_root(M), mu.dim)
     rows = 1 << max(4, (ORACLE_BLOCK_ELEMENTS // len(nodes)).bit_length() - 1)
 
     def evaluator(Y: np.ndarray) -> np.ndarray:
@@ -335,6 +345,27 @@ def centroid_body_oracle(mu: PnDensity, p: float) -> SupportOracleBody:
         return out
 
     return SupportOracleBody(evaluator, mu.dim)
+
+
+def _quadratic_form_root(M: np.ndarray):
+    """Evaluator of y -> sqrt(y^T M y) for the symmetrised M, summed column by column."""
+    M = 0.5 * (M + M.T)
+    n = M.shape[0]
+
+    def evaluator(Y: np.ndarray) -> np.ndarray:
+        Y = np.atleast_2d(np.asarray(Y, dtype=float))
+        out = np.zeros(Y.shape[0])
+        t = np.empty(Y.shape[0])
+        for j in range(n):
+            # t = (M y)_j, then out += y_j t
+            np.multiply(Y[:, 0], M[j, 0], out=t)
+            for k in range(1, n):
+                t += M[j, k] * Y[:, k]
+            t *= Y[:, j]
+            out += t
+        return np.sqrt(out, out=out)
+
+    return evaluator
 
 
 def _ball_comparison(

@@ -229,7 +229,7 @@ SQUARE = np.array([[-1.0, -1.0], [1.0, -1.0], [1.0, 1.0], [-1.0, 1.0]])
     ((1.0, 0.0), -2.0, []),  # empties the square
 ])
 def test_clip_polygon_edge_cases(a, b, want):
-    clipped = analysis._clip_polygon(SQUARE, np.array(a), b)
+    clipped = analysis._clip_polygon(SQUARE, np.array(a), b, 1e-12)
     assert clipped.shape == (len(want), 2) and clipped.tolist() == want
     normals = np.vstack([[1.0, 0.0], [-1.0, 0.0], [0.0, 1.0], [0.0, -1.0], a])
     area = volume.halfspace_volume(normals, np.array([1.0, 1.0, 1.0, 1.0, b]))
@@ -258,7 +258,7 @@ def test_clip_polygon_matches_the_numpy_walk_bit_for_bit():
         # offsets that cut, miss, empty, or pass through a vertex
         for b in (float(gen.uniform(-1.0, 1.0)), 10.0, -10.0, float(poly[0] @ a)):
             want = _clip_polygon_numpy(poly, a, b)
-            assert analysis._clip_polygon(poly, a, b).tobytes() == want.tobytes()
+            assert analysis._clip_polygon(poly, a, b, 1e-12).tobytes() == want.tobytes()
 
 
 def _qhull_slab_box(constraints, coeffs, L):
@@ -282,6 +282,12 @@ def test_slab_box_volume_matches_qhull():
         want = _qhull_slab_box(constraints, coeffs, L)
         assert analysis._slab_box_volume(constraints, coeffs, L) == pytest.approx(want, rel=1e-12, abs=0)
     assert without_origin > 50  # the qhull side starts from a Chebyshev centre there
+
+
+@pytest.mark.parametrize("L", [1.0, 1e-6, 1e-11, 1e-13])
+def test_slab_box_volume_tolerance_scales_with_the_box(L):
+    # the slab 0 <= s_1 < 10 covers half the box whatever its size
+    assert analysis._slab_box_volume([(0.0, 10.0)], np.array([[1.0, 0.0]]), L) == pytest.approx(2 * L * L, rel=1e-12, abs=0)
 
 
 def test_slab_box_volume_empty_cells_and_zero_rows():

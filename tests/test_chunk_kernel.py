@@ -29,6 +29,8 @@ CASES = {
     "hpolytope": (HPOLY, measure.GaussianLike(0.7, 3)),
     "centroid_cube": (experiments.centroid_body_oracle(measure.UniformBodyDensity("cube", 2), 2.0),
                       measure.LebesgueRestricted(math.inf, 2)),
+    "centroid_cube_p3": (experiments.centroid_body_oracle(measure.UniformBodyDensity("cube", 2), 3.0),
+                         measure.LebesgueRestricted(math.inf, 2)),
     "rank1_gaussian": (RANK1_3D, measure.GaussianLike(1.0, 3)),
     "rank1_power_kernel": (RANK1_2D, measure.PowerKernel(np.array([[0.0, 1.0], [1.0, 2.0]]), 2)),
 }
@@ -37,7 +39,7 @@ CASES = {
 @pytest.mark.parametrize("name", CASES)
 def test_estimate_matches_the_reference_kernels(name):
     body, m = CASES[name]
-    chunks = 2 if name == "centroid_cube" else 3  # the oracle costs about 0.4 s a chunk
+    chunks = 2 if name == "centroid_cube_p3" else 3  # the node oracle costs about 0.4 s a chunk
     budget = (chunks - 1) * volume.CHUNK + 777
     want = ref.mc_polar_measure(body, m, budget, RngStream(31, 2))
     for threads in (1, 2):
@@ -54,7 +56,7 @@ def _polar_radius(body):
 @pytest.mark.parametrize("name", CASES)
 def test_draws_and_supports_match_the_reference_kernels(name):
     body, m = CASES[name]
-    size = 5000 if name == "centroid_cube" else volume.CHUNK - 3
+    size = 5000 if name == "centroid_cube_p3" else volume.CHUNK - 3
     radius = _polar_radius(body)
     if radius < math.inf:
         draws = (lambda gen: measure.ball_points(gen, size, body.dim, radius),

@@ -181,8 +181,9 @@ def test_newsan_ball_is_equality():
 
 
 def test_centroid_oracle_blocks_are_small_and_exact():
+    # p = 3 takes the blocked node path (p = 2 is the quadratic form below)
     mu = measure.UniformBodyDensity("Dn", 3)
-    oracle = experiments.centroid_body_oracle(mu, 2.0)
+    oracle = experiments.centroid_body_oracle(mu, 3.0)
     Y = np.random.default_rng(5).standard_normal((3000, 3))
     tracemalloc.start()
     try:
@@ -195,8 +196,54 @@ def test_centroid_oracle_blocks_are_small_and_exact():
     weights = weights / weights.sum()
     # the unblocked arithmetic, a 200-row slice at a time, gives the same bits
     for i in range(0, len(Y), 200):
-        want = (weights @ np.abs(nodes @ Y[i : i + 200].T) ** 2.0) ** 0.5
+        want = (weights @ np.abs(nodes @ Y[i : i + 200].T) ** 3.0) ** (1.0 / 3.0)
         assert got[i : i + 200].tobytes() == want.tobytes()
     # one row per call takes BLAS's one-column kernels, which round differently
     rows = np.concatenate([oracle.evaluator(Y[i : i + 1]) for i in range(0, len(Y), 97)])
     assert np.allclose(rows, got[::97], rtol=1e-14, atol=0)
+
+
+def _step_law():
+    a = 0.3
+    b = math.sqrt(a * a + (1.0 - 0.1 * math.pi * a * a) / math.pi)
+    return measure.RadialStepDensity(np.array([a, b]), np.array([0.1, 1.0]), 2)
+
+
+Z2_LAWS = {
+    "cube2": measure.UniformBodyDensity("cube", 2),
+    "cube3": measure.UniformBodyDensity("cube", 3),
+    "Dn2": measure.UniformBodyDensity("Dn", 2),
+    "Dn3": measure.UniformBodyDensity("Dn", 3),
+    "radial_step": _step_law(),
+}
+
+
+@pytest.mark.parametrize("name", Z2_LAWS)
+def test_centroid_z2_rows_are_position_free(name):
+    mu = Z2_LAWS[name]
+    oracle = experiments.centroid_body_oracle(mu, 2.0)
+    Y = np.random.default_rng(6).standard_normal((1001, mu.dim))
+    got = oracle.evaluator(Y)
+    rows = np.concatenate([oracle.evaluator(Y[i : i + 1]) for i in range(len(Y))])
+    assert rows.tobytes() == got.tobytes()
+
+
+@pytest.mark.parametrize("name", Z2_LAWS)
+def test_centroid_z2_agrees_with_the_nodes(name):
+    mu = Z2_LAWS[name]
+    Y = np.random.default_rng(7).standard_normal((500, mu.dim))
+    nodes, weights = experiments._density_nodes(mu)
+    want = np.sqrt((weights / weights.sum()) @ (nodes @ Y.T) ** 2)
+    got = experiments.centroid_body_oracle(mu, 2.0).evaluator(Y)
+    assert np.allclose(got, want, rtol=1e-13, atol=0)
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_centroid_z2_closed_forms(n):
+    # h_{Z_2}(y) = |y|·sqrt(E X_1^2): 1/12 on the unit cube, r_n^2/(n+2) on D_n
+    Y = np.random.default_rng(8).standard_normal((500, n))
+    norms = np.linalg.norm(Y, axis=1)
+    cube = experiments.centroid_body_oracle(measure.UniformBodyDensity("cube", n), 2.0)
+    ball = experiments.centroid_body_oracle(measure.UniformBodyDensity("Dn", n), 2.0)
+    assert np.allclose(cube.evaluator(Y), norms / math.sqrt(12.0), rtol=1e-13, atol=0)
+    assert np.allclose(ball.evaluator(Y), norms * measure.dn_radius(n) / math.sqrt(n + 2), rtol=1e-13, atol=0)
