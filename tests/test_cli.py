@@ -419,6 +419,17 @@ def test_converge_command_in_four_dimensions(tmp_path):
     assert len(values) == 4 and all(b <= a for a, b in zip(values, values[1:]))
 
 
+def test_centroid_of_the_ball_law_in_four_dimensions(tmp_path):
+    # Z_p of a radial law is a closed-form ball in any n, so the equality case runs and PASSes
+    cfg = {"n": 4, "p": 2.0, "law": {"kind": "uniform_Dn"}, "measure": {"kind": "gaussian", "sigma": 1.0},
+           "budget": 20000, "seed": 3}
+    out = tmp_path / "o"
+    res = invoke(["centroid", "--config", write_cfg(tmp_path, cfg), "--out", str(out)])
+    assert res.exit_code == 0, res.output
+    summary = json.loads((out / "report.json").read_text())["summary"]
+    assert abs(summary["lhs"] - summary["rhs"]) <= 3 * summary["lhs_stderr"]
+
+
 def test_exact_shadow_in_four_dimensions(tmp_path):
     theta = np.array([0.0, 0.0, 0.0, 1.0])
     base = np.random.default_rng(4).uniform(-1.5, 1.5, (6, 4))

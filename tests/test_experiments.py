@@ -5,6 +5,7 @@ import tracemalloc
 import numpy as np
 import pytest
 from click.testing import CliRunner
+from scipy import integrate
 
 from polarvol import experiments, geom, measure
 from polarvol.cli import main
@@ -182,8 +183,7 @@ def test_newsan_ball_is_equality():
 
 def test_centroid_oracle_blocks_are_small_and_exact():
     # p = 3 takes the blocked node path (p = 2 is the quadratic form below)
-    mu = measure.UniformBodyDensity("Dn", 3)
-    oracle = experiments.centroid_body_oracle(mu, 3.0)
+    oracle = experiments.centroid_body_oracle(measure.UniformBodyDensity("cube", 3), 3.0)
     Y = np.random.default_rng(5).standard_normal((3000, 3))
     tracemalloc.start()
     try:
@@ -191,8 +191,9 @@ def test_centroid_oracle_blocks_are_small_and_exact():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 32 * 2**20  # one unblocked product of these rows holds two 393 MB temporaries
-    nodes, weights = experiments._density_nodes(mu)
+    assert peak < 32 * 2**20  # one unblocked product of these rows holds two 98 MB temporaries
+    nodes, weights = experiments._cube_nodes(3)
+    assert len(nodes) == 4096
     weights = weights / weights.sum()
     # the unblocked arithmetic, a 200-row slice at a time, gives the same bits
     for i in range(0, len(Y), 200):
@@ -203,10 +204,12 @@ def test_centroid_oracle_blocks_are_small_and_exact():
     assert np.allclose(rows, got[::97], rtol=1e-14, atol=0)
 
 
-def _step_law():
+def _step_law(n=2):
+    # density 0.1 on the inner ball and 1 on the shell out to b, so its values rise outward
     a = 0.3
-    b = math.sqrt(a * a + (1.0 - 0.1 * math.pi * a * a) / math.pi)
-    return measure.RadialStepDensity(np.array([a, b]), np.array([0.1, 1.0]), 2)
+    w = geom.unit_ball_volume(n)
+    b = (a**n + (1.0 - 0.1 * w * a**n) / w) ** (1.0 / n)
+    return measure.RadialStepDensity(np.array([a, b]), np.array([0.1, 1.0]), n)
 
 
 Z2_LAWS = {
@@ -220,19 +223,18 @@ Z2_LAWS = {
 
 @pytest.mark.parametrize("name", Z2_LAWS)
 def test_centroid_z2_rows_are_position_free(name):
-    mu = Z2_LAWS[name]
-    oracle = experiments.centroid_body_oracle(mu, 2.0)
-    Y = np.random.default_rng(6).standard_normal((1001, mu.dim))
-    got = oracle.evaluator(Y)
-    rows = np.concatenate([oracle.evaluator(Y[i : i + 1]) for i in range(len(Y))])
+    body = experiments.centroid_body_oracle(Z2_LAWS[name], 2.0)
+    Y = np.random.default_rng(6).standard_normal((1001, body.dim))
+    got = geom.support_values(body, Y)
+    rows = np.concatenate([geom.support_values(body, Y[i : i + 1]) for i in range(len(Y))])
     assert rows.tobytes() == got.tobytes()
 
 
-@pytest.mark.parametrize("name", Z2_LAWS)
+@pytest.mark.parametrize("name", ["cube2", "cube3"])
 def test_centroid_z2_agrees_with_the_nodes(name):
     mu = Z2_LAWS[name]
     Y = np.random.default_rng(7).standard_normal((500, mu.dim))
-    nodes, weights = experiments._density_nodes(mu)
+    nodes, weights = experiments._cube_nodes(mu.dim)
     want = np.sqrt((weights / weights.sum()) @ (nodes @ Y.T) ** 2)
     got = experiments.centroid_body_oracle(mu, 2.0).evaluator(Y)
     assert np.allclose(got, want, rtol=1e-13, atol=0)
@@ -246,4 +248,83 @@ def test_centroid_z2_closed_forms(n):
     cube = experiments.centroid_body_oracle(measure.UniformBodyDensity("cube", n), 2.0)
     ball = experiments.centroid_body_oracle(measure.UniformBodyDensity("Dn", n), 2.0)
     assert np.allclose(cube.evaluator(Y), norms / math.sqrt(12.0), rtol=1e-13, atol=0)
-    assert np.allclose(ball.evaluator(Y), norms * measure.dn_radius(n) / math.sqrt(n + 2), rtol=1e-13, atol=0)
+    assert np.allclose(geom.support_values(ball, Y), norms * measure.dn_radius(n) / math.sqrt(n + 2), rtol=1e-13, atol=0)
+
+
+def _dn_step(n):
+    return measure.RadialStepFn(np.array([measure.dn_radius(n)]), np.array([1.0]), n)
+
+
+def _radial_moment(step, p):
+    """∫ |x|^p f(|x|) dx of a radial step density, one annulus at a time."""
+    n = step.dim
+    inner = np.append(0.0, step.breaks[:-1])
+    shells = (step.breaks ** (n + p) - inner ** (n + p)) / (n + p)
+    return n * geom.unit_ball_volume(n) * float(np.dot(step.values, shells))
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_centroid_of_a_radial_law_is_a_ball(n):
+    # c_p^p = E|θ_1|^p · E|X|^p, with E|θ_1|^p = Γ(n/2)Γ((p+1)/2)/(√π Γ((n+p)/2)) on the sphere
+    laws = [measure.UniformBodyDensity("Dn", n), _step_law(n)]
+    steps = [_dn_step(n), laws[1].as_step()]
+    for p in (1.0, 2.0, 3.0, 5.5):
+        sphere = math.gamma(n / 2) * math.gamma((p + 1) / 2) / (math.sqrt(math.pi) * math.gamma((n + p) / 2))
+        for mu, step in zip(laws, steps):
+            body = experiments.centroid_body_oracle(mu, p)
+            assert isinstance(body, geom.BallBody) and body.dim == n
+            assert body.R == pytest.approx((sphere * _radial_moment(step, p)) ** (1 / p), rel=1e-13, abs=0)
+    assert isinstance(experiments.centroid_body_oracle(measure.UniformBodyDensity("cube", n), 3.0), geom.SupportOracleBody)
+
+
+@pytest.mark.parametrize("p", [1.0, 2.0, 3.0, 5.5])
+def test_centroid_radius_matches_quad_in_the_plane(p):
+    # c_p^p = ∫_0^{2π} |cos θ|^p dθ · ∫_0^∞ f(t) t^{p+1} dt, each by quad with its kink as a breakpoint
+    angular = integrate.quad(lambda t: abs(math.cos(t)) ** p, 0.0, math.pi, points=[math.pi / 2], epsabs=0, epsrel=2e-14)[0]
+    for mu in (measure.UniformBodyDensity("Dn", 2), _step_law()):
+        step = mu.as_step() if isinstance(mu, measure.RadialStepDensity) else _dn_step(2)
+        radial = integrate.quad(lambda t: float(step.eval_radius(t)) * t ** (p + 1), 0.0, step.breaks[-1],
+                                points=step.breaks[:-1], epsabs=0, epsrel=2e-14)[0]
+        want = (2.0 * angular * radial) ** (1 / p)
+        assert experiments.centroid_body_oracle(mu, p).R == pytest.approx(want, rel=1e-13, abs=0)
+
+
+def test_centroid_radius_out_of_range_is_refused():
+    # the sphere moment underflows here; a radius of 0 would make an unbounded polar
+    with pytest.raises(ConfigError, match="out of floating-point range"):
+        experiments.centroid_body_oracle(measure.UniformBodyDensity("Dn", 300), 1000.0)
+
+
+def test_centroid_z1_of_d3_is_the_closed_form():
+    # in R^3 |θ_1| is uniform on [0, 1] (Archimedes), and E|X| = 3r/4 on D_3: c_1 = 3r/8
+    body = experiments.centroid_body_oracle(measure.UniformBodyDensity("Dn", 3), 1.0)
+    h = geom.support_values(body, np.array([[1.0, 0.0, 0.0], [0.0, 0.6, 0.8]]))
+    assert np.allclose(h, 3 * measure.dn_radius(3) / 8, rtol=1e-13, atol=0)
+
+
+def test_centroid_equality_case_is_exact_under_lebesgue():
+    # μ = D_3, p = 1: both sides are ν((c_1 B)°) = ω_3 / c_1^3
+    rep = experiments.centroid_polar_experiment(
+        measure.UniformBodyDensity("Dn", 3), p=1.0, m=measure.LebesgueRestricted(math.inf, 3), budget=50_000, seed=1
+    )
+    want = geom.unit_ball_volume(3) / (3 * measure.dn_radius(3) / 8) ** 3
+    assert rep.verdict
+    assert rep.summary["rhs"] == pytest.approx(want, rel=1e-13, abs=0)
+    assert rep.summary["lhs"] == pytest.approx(want, rel=1e-13, abs=0)
+
+
+@pytest.mark.parametrize("mR", [math.inf, 10.0])
+@pytest.mark.parametrize("R", [0.5, 1.0, 2.0])
+def test_newsan_ball_in_four_dimensions_is_equality(R, mR):
+    # the estimate lands an ulp or two above the right side with a stderr far below one ulp
+    rep = experiments.newsan_experiment(geom.BallBody(R, 4), measure.LebesgueRestricted(mR, 4), budget=50_000, seed=1)
+    assert rep.verdict
+    assert rep.summary["lhs"] == pytest.approx(rep.summary["rhs"], rel=1e-14, abs=0)
+
+
+@pytest.mark.parametrize("R", [0.5, 1.0, 2.0])
+def test_ball_comparison_fails_a_radius_one_in_a_billion_too_large(R):
+    rep = experiments._ball_comparison(
+        geom.BallBody(R, 4), measure.LebesgueRestricted(math.inf, 4), R * (1 + 1e-9), budget=50_000, seed=1, threads=1
+    )
+    assert not rep.verdict
