@@ -316,6 +316,8 @@ def _comparison(obj: dict, report):
 def run_centroid(obj: dict, threads: int):
     """Moment-body polar comparison against the uniform-ball law."""
     n = int(_require(obj, "n", "config"))
+    if n < 1:
+        raise ConfigError("config.n: must be >= 1")
     report = experiments.centroid_polar_experiment(
         parse_density(_require(obj, "law", "config"), n),
         p=float(_require(obj, "p", "config")),

@@ -1,7 +1,8 @@
 """Estimators of ν(K°): Monte Carlo with honest error bars, a
 layer-cake reduction to balls, exact polytope volumes in any
-dimension n >= 2 (qhull), and exact radial measures of planar polygon
-polars, which `polar_measure` picks whenever they apply.
+dimension n >= 2 (qhull), and exact radial measures of ball polars and
+of planar polygon polars, which `polar_measures` picks whenever they
+apply.
 
 Monte Carlo runs are chunked into fixed 2^16-sample blocks, chunk k
 drawing from stream sub-key k, and merged in chunk order; the result is
@@ -14,6 +15,7 @@ from __future__ import annotations
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 from scipy.spatial import ConvexHull
@@ -21,6 +23,7 @@ from scipy.special import owens_t
 
 from . import measure
 from .geom import (
+    BallBody,
     Body,
     MatrixImageBody,
     UnboundedBody,
@@ -37,6 +40,7 @@ __all__ = [
     "Estimate",
     "EstimationError",
     "polar_measure",
+    "polar_measures",
     "mc_polar_measure",
     "layer_cake_measure",
     "exact_polar_volume_crosspoly",
@@ -160,78 +164,116 @@ def polar_measure(
     rng: RngStream,
     threads: int = 1,
 ) -> Estimate:
-    """ν(K°), exact where the polar is a polygon with closed-form edges.
+    """ν(K°) for one body: `polar_measures` on a one-element batch."""
+    return polar_measures([body], m, budget, [rng], threads)[0]
 
-    The exact branch runs for K = conv{±x_i} in the plane (a matrix image
-    with q = 1 and r = 0) whose columns span R², under Lebesgue measure
-    on a disk (any R, including inf) or a Gaussian.  It reports stderr 0
-    and 0 samples and draws nothing from `rng`.  Every other input goes
-    to `mc_polar_measure` unchanged.
+
+def polar_measures(
+    bodies: Sequence[Body],
+    m: RadialMeasure,
+    budget: int,
+    rngs: Sequence[RngStream],
+    threads: int = 1,
+) -> list[Estimate]:
+    """ν(K°) for each body, exact where a closed form applies, with its own stream.
+
+    Two branches are exact: report stderr 0 and 0 samples, and draw
+    nothing from their stream.
+    - A ball R·B with R > 0 has the polar (1/R)·B, whose measure is
+      `radial_mass_in_ball(m, 1/R)` under every measure kind.
+    - K = conv{±x_i} in the plane (a matrix image with q = 1 and r = 0)
+      whose columns span R², under Lebesgue measure on a disk (any R,
+      including inf) or a Gaussian, has a polygon for K°.  The edges of
+      every such polygon in the batch go through one array pass,
+      `_polygon_measures`.
+    Every other body goes to `mc_polar_measure` in order, on its own
+    stream, with the bits it would have alone.
     """
-    if body.dim != m.dim:
-        raise EstimationError("body and measure dimensions differ")
     if budget < 1:
         raise EstimationError("budget must be >= 1")
-    if (isinstance(body, MatrixImageBody) and body.dim == 2 and body.gauge.q == 1 and body.rball == 0
-            and isinstance(m, (LebesgueRestricted, GaussianLike))):
-        try:
-            V = _crosspoly_polar_vertices(body.matrix.T)
-        except UnboundedBody:
-            pass
-        else:
-            return Estimate(math.fsum(_edge_measure(m, *edge) for edge in _polar_polygon_edges(V)), 0.0, 0, rng.seed)
-    return mc_polar_measure(body, m, budget, rng, threads)
+    if any(body.dim != m.dim for body in bodies):
+        raise EstimationError("body and measure dimensions differ")
+    planar = m.dim == 2 and isinstance(m, (LebesgueRestricted, GaussianLike))
+    out = [None] * len(bodies)
+    polygons = []  # (batch index, vertices of K°)
+    for i, (body, rng) in enumerate(zip(bodies, rngs, strict=True)):
+        if isinstance(body, BallBody) and body.R > 0:
+            out[i] = Estimate(float(measure.radial_mass_in_ball(m, 1.0 / body.R)), 0.0, 0, rng.seed)
+            continue
+        if planar and isinstance(body, MatrixImageBody) and body.gauge.q == 1 and body.rball == 0:
+            try:
+                polygons.append((i, _crosspoly_polar_vertices(body.matrix.T)))
+                continue
+            except UnboundedBody:
+                pass
+        out[i] = mc_polar_measure(body, m, budget, rng, threads)
+    if polygons:
+        values = _polygon_measures(m, [V for _, V in polygons])
+        for (i, _), value in zip(polygons, values):
+            out[i] = Estimate(value, 0.0, 0, rngs[i].seed)
+    return out
 
 
-def _polar_polygon_edges(V: np.ndarray):
-    """(d, s0, s1) per edge of the convex polygon with vertices V around the origin.
+def _polygon_measures(m: RadialMeasure, polygons: Sequence[np.ndarray]) -> list[float]:
+    """ν of each convex polygon around the origin, given by its vertices, in one array pass.
 
-    Taken in angle order the vertices walk the polygon counterclockwise.
-    An edge lies on a line at distance d from the origin, and s0 < s1 are
-    the tangent coordinates of its ends.  A polygon has 4 to 2N edges, so
-    plain floats beat arrays here.
-    """
-    V = sorted(V.tolist(), key=lambda v: math.atan2(v[1], v[0]))
-    edges = []
-    for (ax, ay), (bx, by) in zip(V, V[1:] + V[:1]):
-        length = math.hypot(bx - ax, by - ay)
-        tx, ty = (bx - ax) / length, (by - ay) / length
-        s0 = ax * tx + ay * ty
-        edges.append((ax * ty - ay * tx, s0, s0 + length))
-    return edges
-
-
-def _edge_measure(m: RadialMeasure, d: float, s0: float, s1: float) -> float:
-    """ν of the cone from the origin over one polar edge: ∫ Φ(d/cos ψ) dψ over
+    Every polygon's vertices, taken in angle order, walk it
+    counterclockwise.  An edge lies on a line at distance d from the
+    origin, and s0 < s1 are the tangent coordinates of its ends.  ν of the
+    cone from the origin over the edge is ∫ Φ(d/cos ψ) dψ over
     ψ = atan2(s, d), s0 <= s <= s1, with Φ(t) = ∫_0^t ρ(r) r dr.
 
-    The circle of radius R (Lebesgue) or σ (Gaussian) splits the edge: the
+    The circle of radius R (Lebesgue) or σ (Gaussian) splits an edge: the
     part [lo, hi] with |s| <= c lies inside it.  Outside, Φ is R²/2
     (Lebesgue), and the Gaussian integral is σ²·[Δψ - 2π·ΔT(d/σ, s/d)], T
     Owen's function, whose integrand 1 - e^(-d²/2σ²cos²ψ) stays above
     1 - e^(-1/2) there, so no digits cancel.  Inside, Φ(d/cos ψ) dψ is
     (d/2)·ds times 1 (Lebesgue) or (1 - e^(-x))/x with x = (d² + s²)/2σ² <= 1/2
-    (Gaussian), which Gauss–Legendre integrates to rounding.
+    (Gaussian), which Gauss–Legendre integrates to rounding.  Each
+    polygon's edge terms are summed with `math.fsum`.
     """
+    sizes = [len(V) for V in polygons]
+    ends = np.cumsum(sizes)
+    starts = ends - sizes
+    V = np.concatenate(polygons)
+    group = np.repeat(np.arange(len(polygons)), sizes)
+    V = V[np.lexsort((np.arctan2(V[:, 1], V[:, 0]), group))]
+    following = np.arange(1, len(V) + 1)
+    following[ends - 1] = starts
+    ax, ay = V[:, 0], V[:, 1]
+    dx, dy = V[following, 0] - ax, V[following, 1] - ay
+    # math.hypot, not np.hypot: the two differ in the last bit now and then, and a
+    # thin polygon's edge angles magnify a last-bit change in a length by its aspect
+    length = np.array([math.hypot(x, y) for x, y in zip(dx.tolist(), dy.tolist())])
+    tx, ty = dx / length, dy / length
+    s0 = ax * tx + ay * ty
+    s1 = s0 + length
+    d = ax * ty - ay * tx
     R = m.sigma if isinstance(m, GaussianLike) else m.R
     if math.isinf(R * R):  # the whole plane, or a circle beyond any polygon in floats
-        return 0.5 * d * (s1 - s0)
-    c = math.sqrt(max(R * R - d * d, 0.0))
-    lo, hi = min(max(s0, -c), c), min(max(s1, -c), c)
-    angle = lambda a, b: math.atan2(d * (b - a), d * d + a * b)  # subtended from s = a to s = b
-    outside = angle(hi, s1) + angle(s0, lo)
-    if isinstance(m, LebesgueRestricted):
-        return 0.5 * d * (hi - lo) + 0.5 * R * R * outside
-    T = lambda s: owens_t(d / R, s / d)
-    total = R * R * (outside - 2 * math.pi * float((T(s1) - T(hi)) + (T(lo) - T(s0))))
-    if hi > lo:
-        # x at the nodes in units of σ, so σ² never overflows; x underflows to 0
-        # only where (1 - e^(-x))/x is 1 to rounding
-        a, mid, half = d / R, 0.5 * (hi + lo) / R, 0.5 * (hi - lo) / R
-        xs = [(a * a + (mid + half * t) ** 2) / 2 for t in GAUSS_NODES]
-        g = math.fsum(w * (-math.expm1(-x) / x if x > 0 else 1.0) for w, x in zip(GAUSS_WEIGHTS, xs))
-        total += 0.25 * d * (hi - lo) * g
-    return total
+        terms = 0.5 * d * (s1 - s0)
+    else:
+        c = np.sqrt(np.maximum(R * R - d * d, 0.0))
+        lo, hi = np.clip(s0, -c, c), np.clip(s1, -c, c)
+        angle = lambda a, b: np.arctan2(d * (b - a), d * d + a * b)  # subtended from s = a to s = b
+        outside = angle(hi, s1) + angle(s0, lo)
+        if isinstance(m, LebesgueRestricted):
+            terms = 0.5 * d * (hi - lo) + 0.5 * R * R * outside
+        else:
+            T = owens_t(np.tile(d / R, 4), np.concatenate([s1, hi, lo, s0]) / np.tile(d, 4)).reshape(4, -1)
+            terms = R * R * (outside - 2 * math.pi * ((T[0] - T[1]) + (T[2] - T[3])))
+            # on the edges that enter the circle: x at the nodes in units of σ, so σ²
+            # never overflows; x underflows to 0 only where (1 - e^(-x))/x is 1 to rounding
+            k = np.flatnonzero(hi > lo)
+            d, lo, hi = d[k], lo[k], hi[k]
+            a, mid, half = d / R, 0.5 * (hi + lo) / R, 0.5 * (hi - lo) / R
+            g = np.zeros(len(k))
+            for t, w in zip(GAUSS_NODES, GAUSS_WEIGHTS):
+                x = (a * a + (mid + half * t) ** 2) / 2
+                g += w * np.divide(-np.expm1(-x), x, out=np.ones_like(x), where=x > 0)
+            terms[k] += 0.25 * d * (hi - lo) * g
+    terms = terms.tolist()
+    return [math.fsum(terms[s:e]) for s, e in zip(starts.tolist(), ends.tolist())]
 
 
 def layer_cake_measure(

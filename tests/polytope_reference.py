@@ -4,11 +4,21 @@
 `face_volume` sums cones over the facets, recursing through the faces.
 The library enumerates vertices with qhull, and so do the benchmark's
 references, so these are what the tests compare the library against.
+
+`polygon_measure` is the scalar form of the library's planar polygon
+measure: one edge at a time in plain floats, with the same closed forms,
+against which the batched array pass is held.
 """
 
 import itertools
+import math
 
 import numpy as np
+from scipy.special import owens_t
+
+from polarvol.measure import GaussianLike, LebesgueRestricted
+
+GAUSS_NODES, GAUSS_WEIGHTS = (a.tolist() for a in np.polynomial.legendre.leggauss(12))
 
 
 def loop_vertices(A, b):
@@ -55,3 +65,48 @@ def face_volume(A, b):
     facets = [frozenset(np.flatnonzero(np.abs(V @ a - bi) <= 1e-9 * max(1.0, abs(bi))).tolist())
               for a, bi in zip(A, b)]
     return _volume(V, list(range(len(V))), A.shape[1], facets)
+
+
+def polar_polygon_edges(V):
+    """(d, s0, s1) per edge of the convex polygon with vertices V around the origin.
+
+    Taken in angle order the vertices walk the polygon counterclockwise.
+    An edge lies on a line at distance d from the origin, and s0 < s1 are
+    the tangent coordinates of its ends.
+    """
+    V = sorted(np.asarray(V).tolist(), key=lambda v: math.atan2(v[1], v[0]))
+    edges = []
+    for (ax, ay), (bx, by) in zip(V, V[1:] + V[:1]):
+        length = math.hypot(bx - ax, by - ay)
+        tx, ty = (bx - ax) / length, (by - ay) / length
+        s0 = ax * tx + ay * ty
+        edges.append((ax * ty - ay * tx, s0, s0 + length))
+    return edges
+
+
+def edge_measure(m, d, s0, s1):
+    """ν of the cone from the origin over one polar edge, with Φ(t) = ∫_0^t ρ(r) r dr:
+    Owen's T outside the circle of radius R or σ, Gauss–Legendre inside it.
+    """
+    R = m.sigma if isinstance(m, GaussianLike) else m.R
+    if math.isinf(R * R):
+        return 0.5 * d * (s1 - s0)
+    c = math.sqrt(max(R * R - d * d, 0.0))
+    lo, hi = min(max(s0, -c), c), min(max(s1, -c), c)
+    angle = lambda a, b: math.atan2(d * (b - a), d * d + a * b)  # subtended from s = a to s = b
+    outside = angle(hi, s1) + angle(s0, lo)
+    if isinstance(m, LebesgueRestricted):
+        return 0.5 * d * (hi - lo) + 0.5 * R * R * outside
+    T = lambda s: owens_t(d / R, s / d)
+    total = R * R * (outside - 2 * math.pi * float((T(s1) - T(hi)) + (T(lo) - T(s0))))
+    if hi > lo:
+        a, mid, half = d / R, 0.5 * (hi + lo) / R, 0.5 * (hi - lo) / R
+        xs = [(a * a + (mid + half * t) ** 2) / 2 for t in GAUSS_NODES]
+        g = math.fsum(w * (-math.expm1(-x) / x if x > 0 else 1.0) for w, x in zip(GAUSS_WEIGHTS, xs))
+        total += 0.25 * d * (hi - lo) * g
+    return total
+
+
+def polygon_measure(m, V):
+    """ν of the convex polygon with vertices V around the origin, summed edge by edge."""
+    return math.fsum(edge_measure(m, *edge) for edge in polar_polygon_edges(V))

@@ -176,7 +176,9 @@ def test_seed_override_changes_report(tmp_path):
 
 def test_budget_override_is_echoed(tmp_path):
     out = tmp_path / "o"
-    res = invoke(["polar-volume", "--config", write_cfg(tmp_path, PV_BALL), "--out", str(out), "--budget", "300"])
+    # the ball polar is exact and draws nothing, so the square runs Monte Carlo
+    cfg = dict(PV_BALL, body=SQUARE)
+    res = invoke(["polar-volume", "--config", write_cfg(tmp_path, cfg), "--out", str(out), "--budget", "300"])
     assert res.exit_code == 0
     report = json.loads((out / "report.json").read_text())
     assert report["config"]["budget"] == 300 and report["summary"]["samples"] == 300
@@ -280,6 +282,11 @@ BAD_VALUES = [
     # a falling last piece drives k below 0: rho turned infinite, then negative, and PASSed
     ("polar-volume", dict(PV_BALL, body={"kind": "ball", "R": 0.2, "n": 2},
                           measure={"kind": "power_kernel", "k_table": [[0, 2], [1, 1]]})),
+    # one trial has no spread: threshold was -inf, so santalo PASSed whatever the law
+    ("santalo", dict(BASE, trials=1)),
+    # the D_n reference radius divided by n
+    ("centroid", {"n": 0, "p": 2.0, "law": {"kind": "uniform_cube"},
+                  "measure": {"kind": "lebesgue_ball", "R": "inf"}, "budget": 64, "seed": 1}),
 ]
 
 
@@ -420,14 +427,15 @@ def test_converge_command_in_four_dimensions(tmp_path):
 
 
 def test_centroid_of_the_ball_law_in_four_dimensions(tmp_path):
-    # Z_p of a radial law is a closed-form ball in any n, so the equality case runs and PASSes
+    # Z_p of a radial law is a closed-form ball in any n, and so is the measure of its polar
     cfg = {"n": 4, "p": 2.0, "law": {"kind": "uniform_Dn"}, "measure": {"kind": "gaussian", "sigma": 1.0},
            "budget": 20000, "seed": 3}
     out = tmp_path / "o"
     res = invoke(["centroid", "--config", write_cfg(tmp_path, cfg), "--out", str(out)])
     assert res.exit_code == 0, res.output
     summary = json.loads((out / "report.json").read_text())["summary"]
-    assert abs(summary["lhs"] - summary["rhs"]) <= 3 * summary["lhs_stderr"]
+    assert summary["lhs_stderr"] == 0.0
+    assert abs(summary["lhs"] - summary["rhs"]) <= 64 * np.finfo(float).eps * summary["rhs"]
 
 
 def test_exact_shadow_in_four_dimensions(tmp_path):

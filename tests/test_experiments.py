@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import tracemalloc
@@ -60,6 +61,18 @@ def test_santalo_report_shape_and_determinism():
     assert lines[0] == "trial_index,side,value,stderr"
     assert len(lines) == 1 + 2 * cfg.trials
     assert {"mean_x", "mean_z", "stderr_x", "stderr_z", "margin", "threshold"} <= set(a.summary)
+
+
+@pytest.mark.parametrize("q", [1.0, 2.0])
+def test_first_trials_reproduce_in_isolation(q):
+    # q = 1 trials are exact polygons measured in one batch, q = 2 trials sample:
+    # either way trial i reads only its own streams 4i..4i+3
+    cfg = dataclasses.replace(small_config(m=measure.GaussianLike(1.0, 2), trials=12, budget=500),
+                              gauge=geom.LqBall(q, 4))
+    full = experiments._trial_values(cfg)
+    head = experiments._trial_values(dataclasses.replace(cfg, trials=5))
+    assert (full[0][:5], full[1][:5]) == head
+    assert all((stderr == 0.0) == (q == 1.0) for side in full for _, stderr in side)
 
 
 def test_dominance_small_run_passes():
@@ -316,7 +329,7 @@ def test_centroid_equality_case_is_exact_under_lebesgue():
 @pytest.mark.parametrize("mR", [math.inf, 10.0])
 @pytest.mark.parametrize("R", [0.5, 1.0, 2.0])
 def test_newsan_ball_in_four_dimensions_is_equality(R, mR):
-    # the estimate lands an ulp or two above the right side with a stderr far below one ulp
+    # the left side is exact; the right side's radius t_K is R only up to rounding
     rep = experiments.newsan_experiment(geom.BallBody(R, 4), measure.LebesgueRestricted(mR, 4), budget=50_000, seed=1)
     assert rep.verdict
     assert rep.summary["lhs"] == pytest.approx(rep.summary["rhs"], rel=1e-14, abs=0)

@@ -1,7 +1,7 @@
 """Every configs/*.json run at --threads 2 reproduces its committed report.json byte for byte.
 
-The configs whose estimates span more than one chunk also run at
---threads 1 against the same bytes.
+Three configs also run at --threads 1 against the same bytes: the two
+whose estimates span more than one chunk, and the exact ball polar.
 """
 
 import json
@@ -15,7 +15,7 @@ from polarvol.cli import main
 GOLDEN = Path(__file__).parent / "golden"
 CONFIGS = Path(__file__).parent.parent / "configs"
 NAMES = sorted(p.stem for p in CONFIGS.glob("*.json"))
-MULTI_CHUNK = ["centroid_cube", "newsan_box", "polar_volume_ball"]
+ONE_THREAD = ["centroid_cube", "newsan_box", "polar_volume_ball"]
 
 
 def check_golden(tmp_path, name, threads):
@@ -36,6 +36,6 @@ def test_report_matches_golden(tmp_path, name):
     check_golden(tmp_path, name, "2")
 
 
-@pytest.mark.parametrize("name", MULTI_CHUNK)
+@pytest.mark.parametrize("name", ONE_THREAD)
 def test_report_matches_golden_at_one_thread(tmp_path, name):
     check_golden(tmp_path, name, "1")

@@ -8,7 +8,7 @@ from scipy import integrate
 
 from polarvol import geom, measure, volume
 from polarvol.rng import RngStream
-from polytope_reference import face_volume, loop_vertices
+from polytope_reference import face_volume, loop_vertices, polar_polygon_edges, polygon_measure
 
 LEB2 = measure.LebesgueRestricted(math.inf, 2)
 
@@ -376,7 +376,7 @@ def test_polar_measure_agrees_with_monte_carlo():
     for seed in (31, 32, 33):
         P = RngStream(seed, 0).generator().uniform(-1.0, 1.0, (4, 2))
         body = cross_image(P)
-        edges = volume._polar_polygon_edges(volume._crosspoly_polar_vertices(P))
+        edges = polar_polygon_edges(volume._crosspoly_polar_vertices(P))
         for k, m in enumerate(PLANAR_MEASURES):
             if isinstance(m, measure.LebesgueRestricted) and math.isfinite(m.R):
                 far = [max(d * d + s0 * s0, d * d + s1 * s1) for d, s0, s1 in edges]
@@ -408,7 +408,8 @@ NON_EXACT = [
     (geom.MatrixImageBody(np.eye(2), geom.LqBall(1.0, 2), 0.25), measure.GaussianLike(1.0, 2)),
     (SQUARE_DUAL, measure.PowerKernel(np.array([[0.0, 1.0], [1.0, 2.0]]), 2)),
     (geom.MatrixImageBody(np.eye(3), geom.LqBall(1.0, 3), 0.0), measure.LebesgueRestricted(2.0, 3)),
-    (geom.BallBody(1.0, 2), LEB2),
+    # a ball of radius 0 has the whole plane for its polar: no closed form is taken
+    (geom.BallBody(0.0, 2), measure.GaussianLike(1.0, 2)),
     (geom.HPolytopeBody(np.vstack([np.eye(2), -np.eye(2)]), np.ones(4)), measure.GaussianLike(1.0, 2)),
 ]
 
@@ -419,6 +420,21 @@ def test_polar_measure_falls_back_to_monte_carlo(body, m):
     est = volume.polar_measure(*args, threads=2)
     assert est == volume.mc_polar_measure(*args, threads=2)
     assert est.samples == 70_000
+
+
+@pytest.mark.parametrize("m", [
+    LEB2, measure.LebesgueRestricted(0.3, 2), measure.GaussianLike(1.0, 4),
+    measure.PowerKernel(K_LINEAR, 3),
+])
+def test_polar_measure_of_a_ball_is_exact(m):
+    # (R·B)° = B/R, so ν of it is the closed-form mass of the ball of radius 1/R; nothing is drawn
+    class SeedOnly:
+        seed = 19
+
+    est = volume.polar_measure(geom.BallBody(2.5, m.dim), m, 10 ** 6, SeedOnly(), threads=2)
+    assert est == volume.Estimate(measure.radial_mass_in_ball(m, 0.4), 0.0, 0, 19)
+    mc = volume.mc_polar_measure(geom.BallBody(2.5, m.dim), m, 100_000, RngStream(19, 0))
+    assert abs(est.value - mc.value) <= 4 * mc.stderr + 1e-12 * est.value
 
 
 def test_polar_measure_keeps_the_input_checks():
@@ -465,3 +481,86 @@ def test_polar_measure_inclusion_monotone(seed, m):
     for before, after in zip(values, values[1:]):
         assert after <= before * (1 + 1e-12)
     assert values[-1] == pytest.approx(values[-2], rel=1e-12, abs=0)
+
+
+# ---------------------------------------------------------------------------
+# polar_measures: the edges of every polygon in a batch go through one array pass
+
+POLYGON_MEASURES = [measure.LebesgueRestricted(R, 2) for R in (0.5, 5.0, math.inf)] + [
+    measure.GaussianLike(sigma, 2) for sigma in (1e-3, 1.0, 1e3)]
+
+
+@given(st.integers(0, 2 ** 31), st.sampled_from(POLYGON_MEASURES))
+@settings(max_examples=60, deadline=None, derandomize=True)
+def test_polygon_batch_matches_the_scalar_reference(seed, m):
+    # the batch takes its angles, expm1 and node sums in numpy, so last bits may move
+    gen = RngStream(seed, 10).generator()
+    sets = [gen.standard_normal((int(gen.integers(2, 9)), 2)) * 10.0 ** gen.uniform(-2, 2)
+            for _ in range(int(gen.integers(1, 30)))]
+    batch = volume.polar_measures([cross_image(P) for P in sets], m, 1, [RngStream(seed, 11 + k) for k in range(len(sets))])
+    for k, (P, est) in enumerate(zip(sets, batch)):
+        want = polygon_measure(m, volume._crosspoly_polar_vertices(P))
+        assert (est.stderr, est.samples, est.seed) == (0.0, 0, seed)
+        assert est.value == pytest.approx(want, rel=1e-15, abs=0), (k, P.tolist())
+
+
+def test_polygon_batch_runs_every_other_body_on_its_own_stream():
+    bodies = [
+        cross_image([[1.0, 0.2], [0.3, 1.0]]),
+        geom.MatrixImageBody(np.array([[1.0, 2.0], [0.0, 0.0]]), geom.LqBall(1.0, 2), 0.0),  # does not span
+        geom.MatrixImageBody(np.eye(2), geom.LqBall(2.0, 2), 0.0),
+        cross_image([[0.5, -0.4], [0.1, 0.9], [-0.7, 0.3]]),
+        geom.MatrixImageBody(np.eye(2), geom.LqBall(1.0, 2), 0.25),
+        geom.BallBody(1.5, 2),
+    ]
+    rngs = [RngStream(7, k) for k in range(len(bodies))]
+    g = measure.GaussianLike(1.0, 2)
+    batch = volume.polar_measures(bodies, g, 70_000, rngs, threads=2)
+    assert [e.samples for e in batch] == [0, 70_000, 70_000, 0, 70_000, 0]
+    for body, rng, est in zip(bodies, rngs, batch):
+        assert est == volume.polar_measure(body, g, 70_000, rng, threads=2)
+        if est.samples:
+            assert est == volume.mc_polar_measure(body, g, 70_000, rng, threads=2)
+    # no polygon has a closed form under a PowerKernel: every matrix image runs Monte Carlo
+    pk = measure.PowerKernel(K_LINEAR, 2)
+    batch = volume.polar_measures(bodies[:5], pk, 70_000, rngs[:5], threads=2)
+    assert batch == [volume.mc_polar_measure(b, pk, 70_000, rng, threads=2) for b, rng in zip(bodies, rngs[:5])]
+
+
+def test_polygon_batch_keeps_the_input_checks():
+    with pytest.raises(volume.EstimationError):
+        volume.polar_measures([SQUARE_DUAL, geom.BallBody(1.0, 3)], LEB2, 100, [RngStream(1, 0), RngStream(1, 1)])
+    with pytest.raises(ValueError):
+        volume.polar_measures([SQUARE_DUAL, SQUARE_DUAL], LEB2, 100, [RngStream(1, 0)])
+    assert volume.polar_measures([], LEB2, 100, []) == []
+
+
+# ---------------------------------------------------------------------------
+# Monte Carlo properties on the bounded-polar branch.  They hold in
+# expectation only: each case shares its seed between the two estimates and
+# allows 4 combined stderrs.
+
+MC_CASES = [(seed, n, q, r) for seed in range(6) for n, q, r in ((2, 1.0, 0.25), (2, 2.0, 0.0), (3, math.inf, 0.0), (3, 1.0, 0.0))]
+MC_MEASURES = {2: measure.GaussianLike(0.8, 2), 3: measure.LebesgueRestricted(1.5, 3)}
+
+
+@pytest.mark.parametrize("seed,n,q,r", MC_CASES)
+def test_monte_carlo_rotation_invariance(seed, n, q, r):
+    gen = RngStream(seed, 12).generator()
+    A = gen.standard_normal((n, n + 2))
+    Q = np.linalg.qr(gen.standard_normal((n, n)))[0]
+    m = MC_MEASURES[n]
+    a, b = (volume.mc_polar_measure(geom.MatrixImageBody(M, geom.LqBall(q, n + 2), r), m, 20_000, RngStream(seed, 13))
+            for M in (A, Q @ A))
+    assert abs(a.value - b.value) <= 4 * (a.stderr + b.stderr), (a, b)
+
+
+@pytest.mark.parametrize("seed,n,q,r", MC_CASES)
+def test_monte_carlo_inclusion_monotone(seed, n, q, r):
+    # K = [x_1 .. x_{N-1}]C + rB lies in L = [x_1 .. x_N]C + rB, so ν(L°) <= ν(K°)
+    gen = RngStream(seed, 14).generator()
+    A = gen.standard_normal((n, n + 2))
+    m = MC_MEASURES[n]
+    est_K, est_L = (volume.mc_polar_measure(geom.MatrixImageBody(A[:, :N], geom.LqBall(q, N), r), m, 20_000,
+                                            RngStream(seed, 15)) for N in (n + 1, n + 2))
+    assert est_L.value <= est_K.value + 4 * (est_K.stderr + est_L.stderr), (est_K, est_L)
