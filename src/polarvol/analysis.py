@@ -174,9 +174,9 @@ def shadow_profile(
 ) -> ProfileReport:
     """Profile g(t) = 1 / nu(body(t·direction)°) along a line in R^N.
 
-    Uses the exact qhull oracle when the configuration is a
-    cross-polytope under Lebesgue measure; Monte Carlo otherwise, with
-    the tolerance for the verdicts set to 3x the propagated stderr.
+    Uses the exact qhull oracle when the configuration is a cross-polytope
+    under Lebesgue measure, with a verdict tolerance of 1e-9·max g (g scales
+    as s^n with the system); Monte Carlo otherwise, with 3x the propagated stderr.
     An unbounded polar under Lebesgue measure contributes g = 0.
     """
     d = np.asarray(direction, dtype=float)
@@ -201,7 +201,7 @@ def shadow_profile(
                 raise EstimationError(f"no sample fell in the polar at t = {t:g}: raise the budget")
             values[i] = 1.0 / est.value
             stderrs[i] = est.stderr / est.value ** 2
-    tol = 1e-9 if exact else 3.0 * float(stderrs.max(initial=0.0))
+    tol = 1e-9 * float(values.max()) if exact else 3.0 * float(stderrs.max(initial=0.0))
     report = ProfileReport(t_grid, values, stderrs, tol=tol)
     convexity_even_check(report, tol, check_even=True)
     return report

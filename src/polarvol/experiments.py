@@ -59,8 +59,11 @@ __all__ = [
 
 # levels of the shared grid on which dominance compares survival curves
 SURVIVAL_LEVELS = 50
-# floats in one block of the centroid oracle's temporaries for p != 2 (about 1 MB)
-ORACLE_BLOCK_ELEMENTS = 1 << 17
+# the cube's Z_p costs 2^(n-1) terms a direction; past p = 1e15, |x|^p rounds to 0 at |x| = 1 - ulp
+CUBE_MAX_DIM, CUBE_MAX_P = 8, 1e15
+# e_i of log(sinh s / s) = Σ_i e_i s^2i, the log-MGF of the uniform law on [-1, 1] (`_taylor_factor`)
+_LOG_SINHC = [1 / 6, -1 / 180, 1 / 2835, -1 / 37800, 1 / 467775, -691 / 3831077250, 2 / 127702575, -3617 / 2605132530000]
+TAYLOR_TERMS = len(_LOG_SINHC)
 # least sigma of a ball comparison, relative to its right side: 64 ulps
 ROUNDING_FLOOR = 64 * np.finfo(float).eps
 
@@ -248,18 +251,6 @@ def convergence_experiment(
 # centroid bodies
 
 
-def _cube_nodes(n: int):
-    """Tensor Gauss–Legendre nodes (m, n) and weights on the unit cube [-1/2, 1/2]^n."""
-    k = 48 if n == 2 else 16
-    x, w = np.polynomial.legendre.leggauss(k)
-    x = 0.5 * x  # map [-1, 1] -> [-1/2, 1/2]
-    w = 0.5 * w
-    grids = np.meshgrid(*([x] * n), indexing="ij")
-    pts = np.column_stack([g.ravel() for g in grids])
-    ws = np.prod(np.meshgrid(*([w] * n), indexing="ij"), axis=0).ravel()
-    return pts, ws
-
-
 def _radial_centroid_radius(step: RadialStepFn, p: float) -> float:
     """c_p with Z_p(μ) = c_p·B_2^n, for μ of radial step density `step`.
 
@@ -287,18 +278,7 @@ def centroid_body_oracle(mu: PnDensity, p: float) -> Body:
     """The moment body Z_p(μ), h(y) = (∫ |<x,y>|^p dμ)^{1/p}.
 
     For D_n and radial step laws it is the ball of radius
-    `_radial_centroid_radius`.  The cube is a `SupportOracleBody` on its
-    tensor Gauss–Legendre rule.  For p = 2 the rule's sum is the
-    quadratic form y^T M y with M = Σ w_i x_i x_i^T, so Z_2 is an
-    ellipsoid: M is folded once from the nodes and each row costs O(n^2).
-    The form is summed column by column without a BLAS product, so a
-    row's bits do not depend on where it sits in the call.
-
-    Any other p evaluates the nodes in blocks of rows whose |nodes| x rows
-    temporary holds about ORACLE_BLOCK_ELEMENTS floats, reused in place.
-    The block width is a power of two >= 16, a multiple of the BLAS
-    kernels' row unroll, so every row takes the kernel path it would take
-    in one unblocked product of the whole call and gets the same bits.
+    `_radial_centroid_radius`; for the cube, `_cube_support` in closed form.
     """
     if not (math.isfinite(p) and p >= 1):
         raise ConfigError("p: must be a finite number >= 1")
@@ -309,52 +289,71 @@ def centroid_body_oracle(mu: PnDensity, p: float) -> Body:
         return BallBody(_radial_centroid_radius(step, p), mu.dim)
     if mu.shape != "cube":
         raise ConfigError("centroid oracle supports cube, Dn and radial_step laws")
-    nodes, weights = _cube_nodes(mu.dim)
-    weights = weights / weights.sum()
-    if p == 2.0:
-        # einsum sums in its own loops, not in BLAS, so M's bits do not depend on the BLAS threads
-        M = np.einsum("i,ij,ik->jk", weights, nodes, nodes)
-        return SupportOracleBody(_quadratic_form_root(M), mu.dim)
-    rows = 1 << max(4, (ORACLE_BLOCK_ELEMENTS // len(nodes)).bit_length() - 1)
+    if mu.dim > CUBE_MAX_DIM or p > CUBE_MAX_P:
+        raise ConfigError(f"n, p: the cube's centroid body needs n <= {CUBE_MAX_DIM} and p <= {CUBE_MAX_P:g}")
 
-    def evaluator(Y: np.ndarray) -> np.ndarray:
-        Y = np.atleast_2d(np.asarray(Y, dtype=float))
-        m = Y.shape[0]
-        out = np.empty(m)
-        buf = np.empty(len(nodes) * min(rows + 1, m))
-        i = 0
-        while i < m:
-            # a lone last row would take BLAS's one-column path: keep it in the block before
-            k = m - i if m - i <= rows + 1 else rows
-            t = np.matmul(nodes, Y[i : i + k].T, out=buf[: len(nodes) * k].reshape(len(nodes), k))
-            np.abs(t, out=t)
-            t **= p
-            out[i : i + k] = (weights @ t) ** (1.0 / p)
-            i += k
-        return out
-
-    return SupportOracleBody(evaluator, mu.dim)
+    return SupportOracleBody(lambda Y: _cube_support(np.atleast_2d(np.asarray(Y, dtype=float)), p), mu.dim)
 
 
-def _quadratic_form_root(M: np.ndarray):
-    """Evaluator of y -> sqrt(y^T M y) for the symmetrised M, summed column by column."""
-    M = 0.5 * (M + M.T)
-    n = M.shape[0]
+def _cube_support(Y: np.ndarray, p: float) -> np.ndarray:
+    """(E|<U, y>|^p)^{1/p} for each row y, U uniform on [-1/2, 1/2]^n.
 
-    def evaluator(Y: np.ndarray) -> np.ndarray:
-        Y = np.atleast_2d(np.asarray(Y, dtype=float))
-        out = np.zeros(Y.shape[0])
-        t = np.empty(Y.shape[0])
-        for j in range(n):
-            # t = (M y)_j, then out += y_j t
-            np.multiply(Y[:, 0], M[j, 0], out=t)
-            for k in range(1, n):
-                t += M[j, k] * Y[:, k]
-            t *= Y[:, j]
-            out += t
-        return np.sqrt(out, out=out)
+    With a_1 >= ... >= a_k the nonzero |y_i| and G_l(x) = |x|^{p+l} sgn(x)^l /
+    ((p+1)...(p+l)), E|<U, y>|^p = (Π a_i)^{-1} Σ_{ε∈{±1}^k} (Π ε_i) G_k(Σ ε_i a_i/2),
+    built one coordinate at a time: a term w G_l(x) takes coordinate l+1 as
+    w (G_{l+1}(x + a/2) - G_{l+1}(x - a/2))/a or, where that would cancel as the
+    coordinates left are small beside |x|, ends as w G_l(x) `_taylor_factor`.
+    Rows are scaled to Σ a_i = 2; a coordinate below 2^-100 of the largest counts
+    as 0 (h moves by ~2^-200).  Each step is elementwise or sums rows in order,
+    so a row's bits do not depend on its place in the call.
+    """
+    m, n = Y.shape
+    rows = max(1, (1 << 16) >> (n - 1))  # 2^16 terms a block: 512 KB a temporary
+    if m > rows:
+        return np.concatenate([_cube_support(Y[i : i + rows], p) for i in range(0, m, rows)])
+    A = np.ascontiguousarray(np.abs(Y).T)
+    s = 0.5 * sum(A)  # sum() adds the rows in order; numpy's pairwise sum would not for one column
+    zero = s == 0
+    A[:, zero], s[zero] = 1.0, 1.0
+    A /= s
+    for r in range(n):  # odd-even transposition sort: each column descending
+        for i in range(r % 2, n - 1, 2):
+            A[i], A[i + 1] = np.maximum(A[i], A[i + 1]), np.minimum(A[i], A[i + 1])
+    A[A < A[0] * 2.0**-100] = 0.0
+    H = 0.5 * A
+    tail = np.cumsum(H[::-1], axis=0)[::-1]  # tail[l]: the half-widths of coordinates l.. summed
+    # ε and -ε give the same term, so the first coordinate enters at +a_1/2 with weight 2/a_1
+    X, W, acc, den = H[:1], 2.0 / A[:1], np.zeros(m), 1.0
+    for l in range(1, n):
+        q = p + l
+        den *= q
+        far = (W != 0) & ((q + 2 * TAYLOR_TERMS) * tail[l] <= np.abs(X))
+        t, r = np.nonzero(far)
+        x = X[t, r]
+        g = np.copysign(np.abs(x) ** q, x if l % 2 else 1.0) / den
+        acc += np.bincount(r, W[t, r] * g * _taylor_factor(H[l:, r], x, q), minlength=m)
+        W = np.where(far, 0.0, W) / np.where(A[l] > 0, A[l], 1.0)  # a zero coordinate has ended every term
+        X, W = np.concatenate([X + H[l], X - H[l]]), np.concatenate([W, -W])
+    acc += sum(W * np.copysign(np.abs(X) ** (p + n), X if n % 2 else 1.0)) / (den * (p + n))
+    return np.where(zero, 0.0, s * acc ** (1.0 / p))
 
-    return evaluator
+
+def _taylor_factor(H: np.ndarray, x: np.ndarray, q: float) -> np.ndarray:
+    """E(1 + T/x)^q for T = Σ_i H_i V_i, V_i uniform on [-1, 1], column by column.
+
+    The series Σ_j q(q-1)...(q-2j+1) P_j x^{-2j} reads the moments P_j =
+    E T^{2j}/(2j)! off E e^{sT} = exp(Σ_i e_i Σ H^{2i} s^{2i}), e_i = 2^2i B_2i /
+    (2i (2i)!).  When (q + 2 TAYLOR_TERMS) Σ H <= |x|, the terms past
+    TAYLOR_TERMS are below 1e-16 of the sum.
+    """
+    sums = [sum(H ** (2 * i)) for i in range(1, TAYLOR_TERMS + 1)]
+    moments, factor, fall = [np.ones(len(x))], np.ones(len(x)), 1.0
+    u = np.divide(1.0, x * x, out=np.zeros_like(x), where=sums[0] > 0)
+    for j in range(1, TAYLOR_TERMS + 1):
+        moments.append(sum(i * _LOG_SINHC[i - 1] * sums[i - 1] * moments[j - i] for i in range(1, j + 1)) / j)
+        fall *= (q - 2 * j + 2) * (q - 2 * j + 1)
+        factor += fall * moments[j] * u**j
+    return factor
 
 
 def _ball_comparison(

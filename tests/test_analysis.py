@@ -52,6 +52,18 @@ def test_shadow_profile_exact_parallelogram():
     assert rep.even and rep.midpoint_convex
 
 
+@pytest.mark.parametrize("scale", [1e-5, 1.0, 1e3, 1e5])
+def test_exact_shadow_verdict_does_not_depend_on_scale(scale):
+    # configs/shadow_exact.json scaled by s: g = 1/|K°| scales as s^n, and so must the tolerance
+    theta = np.array([0.0, 1.0])
+    base = scale * np.array([[1.0, 0.0], [-1.0, 0.0], [0.5, 0.0]])
+    cfg = analysis.ShadowConfig(theta, base, geom.LqBall(1.0, 3), 0.0, LEB2)
+    rep = analysis.shadow_profile(cfg, scale * np.array([1.0, 1.0, -1.0]), np.linspace(-2, 2, 9), 0, RngStream(0, 0))
+    assert rep.tol == 1e-9 * rep.values.max()
+    assert rep.even and rep.midpoint_convex
+    assert rep.worst_violation <= 1e-12 * rep.values.max()
+
+
 def test_shadow_profile_mc_branch_matches_geometry():
     # rball > 0 rules out the exact oracle; K(t) = rect + 0.5 B
     theta = np.array([0.0, 1.0])

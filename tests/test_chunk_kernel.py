@@ -39,8 +39,7 @@ CASES = {
 @pytest.mark.parametrize("name", CASES)
 def test_estimate_matches_the_reference_kernels(name):
     body, m = CASES[name]
-    chunks = 2 if name == "centroid_cube_p3" else 3  # the node oracle costs about 0.4 s a chunk
-    budget = (chunks - 1) * volume.CHUNK + 777
+    budget = 2 * volume.CHUNK + 777
     want = ref.mc_polar_measure(body, m, budget, RngStream(31, 2))
     for threads in (1, 2):
         assert volume.mc_polar_measure(body, m, budget, RngStream(31, 2), threads) == want
@@ -56,7 +55,7 @@ def _polar_radius(body):
 @pytest.mark.parametrize("name", CASES)
 def test_draws_and_supports_match_the_reference_kernels(name):
     body, m = CASES[name]
-    size = 5000 if name == "centroid_cube_p3" else volume.CHUNK - 3
+    size = volume.CHUNK - 3
     radius = _polar_radius(body)
     if radius < math.inf:
         draws = (lambda gen: measure.ball_points(gen, size, body.dim, radius),

@@ -1,7 +1,8 @@
 import dataclasses
+import itertools
 import json
 import math
-import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -194,29 +195,6 @@ def test_newsan_ball_is_equality():
     assert rep.summary["lhs"] == pytest.approx(rep.summary["rhs"], abs=3 * rep.summary["lhs_stderr"] + 1e-9)
 
 
-def test_centroid_oracle_blocks_are_small_and_exact():
-    # p = 3 takes the blocked node path (p = 2 is the quadratic form below)
-    oracle = experiments.centroid_body_oracle(measure.UniformBodyDensity("cube", 3), 3.0)
-    Y = np.random.default_rng(5).standard_normal((3000, 3))
-    tracemalloc.start()
-    try:
-        got = oracle.evaluator(Y)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 32 * 2**20  # one unblocked product of these rows holds two 98 MB temporaries
-    nodes, weights = experiments._cube_nodes(3)
-    assert len(nodes) == 4096
-    weights = weights / weights.sum()
-    # the unblocked arithmetic, a 200-row slice at a time, gives the same bits
-    for i in range(0, len(Y), 200):
-        want = (weights @ np.abs(nodes @ Y[i : i + 200].T) ** 3.0) ** (1.0 / 3.0)
-        assert got[i : i + 200].tobytes() == want.tobytes()
-    # one row per call takes BLAS's one-column kernels, which round differently
-    rows = np.concatenate([oracle.evaluator(Y[i : i + 1]) for i in range(0, len(Y), 97)])
-    assert np.allclose(rows, got[::97], rtol=1e-14, atol=0)
-
-
 def _step_law(n=2):
     # density 0.1 on the inner ball and 1 on the shell out to b, so its values rise outward
     a = 0.3
@@ -228,6 +206,7 @@ def _step_law(n=2):
 Z2_LAWS = {
     "cube2": measure.UniformBodyDensity("cube", 2),
     "cube3": measure.UniformBodyDensity("cube", 3),
+    "cube_max": measure.UniformBodyDensity("cube", experiments.CUBE_MAX_DIM),
     "Dn2": measure.UniformBodyDensity("Dn", 2),
     "Dn3": measure.UniformBodyDensity("Dn", 3),
     "radial_step": _step_law(),
@@ -236,24 +215,16 @@ Z2_LAWS = {
 
 @pytest.mark.parametrize("name", Z2_LAWS)
 def test_centroid_z2_rows_are_position_free(name):
-    body = experiments.centroid_body_oracle(Z2_LAWS[name], 2.0)
-    Y = np.random.default_rng(6).standard_normal((1001, body.dim))
-    got = geom.support_values(body, Y)
-    rows = np.concatenate([geom.support_values(body, Y[i : i + 1]) for i in range(len(Y))])
-    assert rows.tobytes() == got.tobytes()
+    # the cube's closed form is one evaluator for every p, so every p keeps the bits
+    for p in (1.0, 2.0, 3.0, 5.5):
+        body = experiments.centroid_body_oracle(Z2_LAWS[name], p)
+        Y = np.random.default_rng(6).standard_normal((1001 if body.dim <= 3 else 129, body.dim))
+        got = geom.support_values(body, Y)
+        rows = np.concatenate([geom.support_values(body, Y[i : i + 1]) for i in range(len(Y))])
+        assert rows.tobytes() == got.tobytes()
 
 
-@pytest.mark.parametrize("name", ["cube2", "cube3"])
-def test_centroid_z2_agrees_with_the_nodes(name):
-    mu = Z2_LAWS[name]
-    Y = np.random.default_rng(7).standard_normal((500, mu.dim))
-    nodes, weights = experiments._cube_nodes(mu.dim)
-    want = np.sqrt((weights / weights.sum()) @ (nodes @ Y.T) ** 2)
-    got = experiments.centroid_body_oracle(mu, 2.0).evaluator(Y)
-    assert np.allclose(got, want, rtol=1e-13, atol=0)
-
-
-@pytest.mark.parametrize("n", [2, 3])
+@pytest.mark.parametrize("n", [1, 2, 3, 5, experiments.CUBE_MAX_DIM])
 def test_centroid_z2_closed_forms(n):
     # h_{Z_2}(y) = |y|·sqrt(E X_1^2): 1/12 on the unit cube, r_n^2/(n+2) on D_n
     Y = np.random.default_rng(8).standard_normal((500, n))
@@ -262,6 +233,79 @@ def test_centroid_z2_closed_forms(n):
     ball = experiments.centroid_body_oracle(measure.UniformBodyDensity("Dn", n), 2.0)
     assert np.allclose(cube.evaluator(Y), norms / math.sqrt(12.0), rtol=1e-13, atol=0)
     assert np.allclose(geom.support_values(ball, Y), norms * measure.dn_radius(n) / math.sqrt(n + 2), rtol=1e-13, atol=0)
+
+
+def _cube_moment(y, p):
+    """E|<U, y>|^p for U uniform on [-1/2, 1/2]^n and integer p, as an exact Fraction.
+
+    The signed sum (Π a_i)^{-1} Σ_ε (Π ε_i) G_k(Σ ε_i a_i/2) over the nonzero
+    a_i = |y_i|, G_k(x) = |x|^{p+k} sgn(x)^k / ((p+1)...(p+k)), in integers:
+    the a_i are dyadic, so d·a_i are integers for a power of two d, and
+    nothing cancels or rounds.
+    """
+    a = [Fraction(abs(v)) for v in y if v != 0]
+    k, d = len(a), math.lcm(*(v.denominator for v in a))
+    ints = [int(v * d) for v in a]
+    total = 0
+    for eps in itertools.product((1, -1), repeat=k):
+        x = sum(e * v for e, v in zip(eps, ints))  # 2d times the shift
+        total += math.prod(eps) * abs(x) ** (p + k) * (-1 if x < 0 and k % 2 else 1)
+    return Fraction(total * d**k, (2 * d) ** (p + k) * math.prod(ints) * math.prod(range(p + 1, p + k + 1)))
+
+
+def _root(moment, p):
+    # the p-th root through exact logarithms: moment underflows a float at p = 1000
+    return math.exp((math.log(moment.numerator) - math.log(moment.denominator)) / p)
+
+
+# directions near an axis, where the plain signed sum cancels (eps/t at y = (1, t)), and exact zeros
+NEAR_AXIS = [(1.0, t) for t in (1e-2, 1e-4, 1e-8, 1e-13)] + [
+    c for t in (1e-5, 1e-8, 1e-13) for c in ((1.0, 1.0, t), (1.0, t, t), (1.0, t, 0.7), (-t, 1.0, 0.0, t))
+] + [(0.0, 1.0), (1.0, 0.0, 0.0), (0.0, 0.0, -2.5, 0.0), (0.0, 0.0, 0.0), (3.0,), (-0.2,)]
+
+
+@pytest.mark.parametrize("p", [1, 2, 3, 7, 1000])
+def test_centroid_cube_matches_exact_fractions(p):
+    gen = np.random.default_rng(10)
+    rows = {n: [tuple(y) for y in gen.standard_normal((3, n))] for n in range(1, experiments.CUBE_MAX_DIM + 1)}
+    for y in NEAR_AXIS:
+        rows[len(y)].append(y)
+    for n, ys in rows.items():
+        got = experiments.centroid_body_oracle(measure.UniformBodyDensity("cube", n), float(p)).evaluator(np.array(ys))
+        want = [0.0 if not any(y) else _root(_cube_moment(y, p), p) for y in ys]
+        assert got == pytest.approx(want, rel=1e-12, abs=0), (n, ys)
+
+
+def _cube_moment_quad(y, p):
+    """E|<U, y>|^p for n = 2 by nested quad, each kink a breakpoint."""
+    a, b = sorted((abs(y[0]), abs(y[1])), reverse=True)
+
+    def inner(u):
+        kink = [-a * u / b] if a * abs(u) < 0.5 * b else None
+        return integrate.quad(lambda v: abs(a * u + b * v) ** p, -0.5, 0.5, points=kink, epsabs=0, epsrel=1e-13)[0]
+
+    # the inner kink leaves [-1/2, 1/2] at u = ±b/(2a)
+    return integrate.quad(inner, -0.5, 0.5, points=[-b / (2 * a), b / (2 * a)], epsabs=0, epsrel=1e-13)[0]
+
+
+@pytest.mark.parametrize("p", [1.5, 5.5])
+def test_centroid_cube_matches_quad_in_the_plane(p):
+    Y = np.vstack([np.random.default_rng(11).standard_normal((4, 2)), [y for y in NEAR_AXIS if len(y) == 2], [[1.0, -1.0]]])
+    got = experiments.centroid_body_oracle(measure.UniformBodyDensity("cube", 2), p).evaluator(Y)
+    want = [_cube_moment_quad(y, p) ** (1 / p) for y in Y]
+    assert got == pytest.approx(want, rel=1e-12, abs=0)
+    # beside a coordinate of 1e-8 the third one moves h by O(1e-16): the plane's value stands for R^3
+    cube3 = experiments.centroid_body_oracle(measure.UniformBodyDensity("cube", 3), p).evaluator
+    got = cube3(np.array([[1.0, 1.0, 1e-8], [1.0, 1e-8, 1e-8], [0.6, 1e-13, -0.8]]))
+    want = [_cube_moment_quad((1.0, 1.0), p) ** (1 / p), 0.5 / (p + 1) ** (1 / p), _cube_moment_quad((0.6, 0.8), p) ** (1 / p)]
+    assert got == pytest.approx(want, rel=1e-12, abs=0)
+
+
+def test_centroid_cube_bounds_are_refused():
+    with pytest.raises(ConfigError, match=f"n <= {experiments.CUBE_MAX_DIM}"):
+        experiments.centroid_body_oracle(measure.UniformBodyDensity("cube", experiments.CUBE_MAX_DIM + 1), 2.0)
+    with pytest.raises(ConfigError, match="p <= 1e\\+15"):
+        experiments.centroid_body_oracle(measure.UniformBodyDensity("cube", 2), 1e16)
 
 
 def _dn_step(n):
