@@ -379,7 +379,8 @@ def polar_sampling_radius(body: Body) -> float:
     Unlike :func:`polar_bounding_radius` this never undershoots: for
     matrix-image bodies it uses
     h_K(θ) >= σ_min(A)·min(1, N^{1/q'-1/2}) + r; for H-polytopes the
-    inradius bound; elsewhere a grid minimum with a safety factor.
+    inradius bound; elsewhere the minimum over a direction grid and the
+    coordinate axes ±e_i, with a safety factor.
     Raises UnboundedBody when no finite radius can be certified.
     """
     if isinstance(body, BallBody):
@@ -405,8 +406,10 @@ def polar_sampling_radius(body: Body) -> float:
         # K ⊇ ball of radius min_i b_i/|a_i| only if that ball satisfies all
         # constraints; it does since <a_i, y> <= |a_i||y| <= b_i.
         return 1.0 / float(scale.min())
-    grid = DirectionGrid.default(body.dim)
-    h = support_values(body, grid.directions)
+    # the axes as well: the grid misses them for n >= 4, and there the cube's
+    # Z_p has its smallest support for p > 2
+    axes = np.eye(body.dim)
+    h = support_values(body, np.vstack([DirectionGrid.default(body.dim).directions, axes, -axes]))
     hmin = float(h.min())
     if hmin < DEGENERATE_TOL:
         raise UnboundedBody("support minimum degenerate; polar unbounded")

@@ -2,7 +2,9 @@
 layer-cake reduction to balls, exact polytope volumes in any
 dimension n >= 2 (qhull), and exact radial measures of ball polars and
 of planar polygon polars, which `polar_measures` picks whenever they
-apply.
+apply.  The planar polars take their vertices from one hull scan batched
+across bodies, not from qhull; qhull serves the exact volumes, which
+`converge` and exact `shadow` use in every n >= 2, n >= 3 included.
 
 Monte Carlo runs are chunked into fixed 2^16-sample blocks, chunk k
 drawing from stream sub-key k, and merged in chunk order; the result is
@@ -183,9 +185,10 @@ def polar_measures(
       `radial_mass_in_ball(m, 1/R)` under every measure kind.
     - K = conv{±x_i} in the plane (a matrix image with q = 1 and r = 0)
       whose columns span R², under Lebesgue measure on a disk (any R,
-      including inf) or a Gaussian, has a polygon for K°.  The edges of
-      every such polygon in the batch go through one array pass,
-      `_polygon_measures`.
+      including inf) or a Gaussian, has a polygon for K°.  The bodies
+      with the same N get their K° vertices from one batched hull scan,
+      `_planar_polar_vertices`, and the edges of every polygon in the
+      batch go through one array pass, `_polygon_measures`.
     Every other body goes to `mc_polar_measure` in order, on its own
     stream, with the bits it would have alone.
     """
@@ -195,31 +198,98 @@ def polar_measures(
         raise EstimationError("body and measure dimensions differ")
     planar = m.dim == 2 and isinstance(m, (LebesgueRestricted, GaussianLike))
     out = [None] * len(bodies)
-    polygons = []  # (batch index, vertices of K°)
+    groups = {}  # N -> batch indices of the planar conv{±x_1, ..., ±x_N}
     for i, (body, rng) in enumerate(zip(bodies, rngs, strict=True)):
         if isinstance(body, BallBody) and body.R > 0:
             out[i] = Estimate(float(measure.radial_mass_in_ball(m, 1.0 / body.R)), 0.0, 0, rng.seed)
-            continue
-        if planar and isinstance(body, MatrixImageBody) and body.gauge.q == 1 and body.rball == 0:
-            try:
-                polygons.append((i, _crosspoly_polar_vertices(body.matrix.T)))
-                continue
-            except UnboundedBody:
-                pass
-        out[i] = mc_polar_measure(body, m, budget, rng, threads)
-    if polygons:
-        values = _polygon_measures(m, [V for _, V in polygons])
-        for (i, _), value in zip(polygons, values):
+        elif planar and isinstance(body, MatrixImageBody) and body.gauge.q == 1 and body.rball == 0:
+            groups.setdefault(body.matrix.shape[1], []).append(i)
+    exact, polygons, counts = [], [], []
+    for batch in groups.values():
+        spans, V, c = _planar_polar_vertices(np.stack([bodies[i].matrix.T for i in batch]))
+        exact += [i for i, s in zip(batch, spans.tolist()) if s]
+        polygons.append(V)
+        counts.append(c)
+    if exact:
+        values = _polygon_measures(m, np.concatenate(polygons), np.concatenate(counts))
+        for i, value in zip(exact, values):
             out[i] = Estimate(value, 0.0, 0, rngs[i].seed)
+    for i, body in enumerate(bodies):
+        if out[i] is None:
+            out[i] = mc_polar_measure(body, m, budget, rngs[i], threads)
     return out
 
 
-def _polygon_measures(m: RadialMeasure, polygons: Sequence[np.ndarray]) -> list[float]:
-    """ν of each convex polygon around the origin, given by its vertices, in one array pass.
+def _planar_polar_vertices(P: np.ndarray):
+    """Vertices of K° for each K = conv{±x_1, ..., ±x_N} in a (T, N, 2) stack of point sets.
 
-    Every polygon's vertices, taken in angle order, walk it
-    counterclockwise.  An edge lies on a line at distance d from the
-    origin, and s0 < s1 are the tangent coordinates of its ends.  ν of the
+    Returns (spans, V, counts).  spans[t] is False where row t's points do
+    not span R², by the rank test of the exact oracles (smallest singular
+    value at most 1e-10 of the largest): K° is then a slab.  V holds the
+    K° vertices of the spanning rows one polygon after the other, counts[k]
+    of them for the k-th, each polygon counterclockwise.
+
+    K is the hull of the 2N points ±x_i.  Each row's points are sorted by
+    angle, starting at its farthest point, which is a vertex of K, and
+    breaking ties by decreasing radius.  One Graham scan (Graham 1972) runs
+    across all rows at once; its Python loop runs over the 2N sorted
+    positions, never over rows.  It pops on every turn that is not strictly
+    left, so repeated and collinear points drop out.  The hull edge (a, b)
+    gives the K° vertex (b_y - a_y, a_x - b_x)/(a × b), on both lines
+    <a, y> = 1 and <b, y> = 1; a vertex that rounds onto the one after it
+    is dropped, so no edge of K° has length 0.
+    """
+    T, N, _ = P.shape
+    spans = np.zeros(T, dtype=bool)
+    if N >= 2:
+        sigma = np.linalg.svd(P, compute_uv=False)  # descending
+        spans = sigma[:, 1] > 1e-10 * sigma[:, 0]
+    Q = np.concatenate([P[spans], -P[spans]], axis=1)
+    x, y = Q[..., 0], Q[..., 1]
+    r2 = x * x + y * y
+    angle = np.arctan2(y, x)
+    angle -= np.take_along_axis(angle, r2.argmax(axis=1)[:, None], 1)
+    angle[angle < 0] += 2 * math.pi
+    order = np.lexsort((-r2, angle))
+    # the start again at the end closes the walk
+    order = np.concatenate([order, order[:, :1]], axis=1)
+    x, y = np.take_along_axis(x, order, 1), np.take_along_axis(y, order, 1)
+    # the stack holds the hull so far in its first `top` places
+    sx, sy = x.copy(), y.copy()
+    top = np.ones(len(Q), dtype=np.intp)
+    rows = np.arange(len(Q))
+    for i in range(1, order.shape[1]):
+        px, py = x[:, i], y[:, i]
+        while True:
+            a, b = top - 2, top - 1
+            ax, ay, bx, by = sx[rows, a], sy[rows, a], sx[rows, b], sy[rows, b]
+            pop = (top >= 2) & ((bx - ax) * (py - by) <= (by - ay) * (px - bx))
+            if not pop.any():
+                break
+            top -= pop
+        sx[rows, top], sy[rows, top] = px, py
+        top += 1
+    counts = top - 1  # the closing copy of the start is not a vertex
+    keep = np.arange(order.shape[1]) < counts[:, None]
+    ax, ay = sx[keep], sy[keep]
+    ends = np.cumsum(counts)
+    following = np.arange(1, len(ax) + 1)
+    following[ends - 1] = ends - counts
+    bx, by = ax[following], ay[following]
+    cross = ax * by - ay * bx
+    V = np.column_stack([(by - ay) / cross, (ax - bx) / cross])
+    repeat = np.all(V == V[following], axis=1)
+    group = np.repeat(np.arange(len(Q)), counts)
+    return spans, V[~repeat], counts - np.bincount(group[repeat], minlength=len(Q))
+
+
+def _polygon_measures(m: RadialMeasure, V: np.ndarray, counts: np.ndarray) -> list[float]:
+    """ν of each convex polygon around the origin, in one array pass.
+
+    V holds the vertices of all polygons one after the other, counts[k] of
+    them for the k-th, each polygon walked counterclockwise with no two
+    consecutive vertices equal.  An edge lies on a line at distance d from
+    the origin, and s0 < s1 are the tangent coordinates of its ends.  ν of the
     cone from the origin over the edge is ∫ Φ(d/cos ψ) dψ over
     ψ = atan2(s, d), s0 <= s <= s1, with Φ(t) = ∫_0^t ρ(r) r dr.
 
@@ -232,12 +302,8 @@ def _polygon_measures(m: RadialMeasure, polygons: Sequence[np.ndarray]) -> list[
     (Gaussian), which Gauss–Legendre integrates to rounding.  Each
     polygon's edge terms are summed with `math.fsum`.
     """
-    sizes = [len(V) for V in polygons]
-    ends = np.cumsum(sizes)
-    starts = ends - sizes
-    V = np.concatenate(polygons)
-    group = np.repeat(np.arange(len(polygons)), sizes)
-    V = V[np.lexsort((np.arctan2(V[:, 1], V[:, 0]), group))]
+    ends = np.cumsum(counts)
+    starts = ends - counts
     following = np.arange(1, len(V) + 1)
     following[ends - 1] = starts
     ax, ay = V[:, 0], V[:, 1]

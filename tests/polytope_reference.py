@@ -5,6 +5,9 @@
 The library enumerates vertices with qhull, and so do the benchmark's
 references, so these are what the tests compare the library against.
 
+`exact_polar_polygon` gives the K° vertices of K = conv{±x_i} in exact
+rationals, against which the library's planar hull scan is held.
+
 `polygon_measure` is the scalar form of the library's planar polygon
 measure: one edge at a time in plain floats, with the same closed forms,
 against which the batched array pass is held.
@@ -12,6 +15,7 @@ against which the batched array pass is held.
 
 import itertools
 import math
+from fractions import Fraction
 
 import numpy as np
 from scipy.special import owens_t
@@ -65,6 +69,31 @@ def face_volume(A, b):
     facets = [frozenset(np.flatnonzero(np.abs(V @ a - bi) <= 1e-9 * max(1.0, abs(bi))).tolist())
               for a, bi in zip(A, b)]
     return _volume(V, list(range(len(V))), A.shape[1], facets)
+
+
+def exact_polar_polygon(P):
+    """K° vertices, counterclockwise, of K = conv{±x_i} for planar float points P, in Fractions.
+
+    The hull of the 2N points is a monotone chain (Andrew 1979) in exact
+    arithmetic, which drops repeated and collinear points; each hull edge
+    (a, b) gives the vertex y with <a, y> = <b, y> = 1.
+    """
+    pts = sorted({(s * Fraction(x), s * Fraction(y)) for x, y in np.asarray(P, dtype=float).tolist() for s in (1, -1)})
+    turn = lambda o, a, b: (a[0] - o[0]) * (b[1] - o[1]) - (a[1] - o[1]) * (b[0] - o[0])
+    chains = []
+    for walk in (pts, pts[::-1]):
+        chain = []
+        for p in walk:
+            while len(chain) >= 2 and turn(chain[-2], chain[-1], p) <= 0:
+                chain.pop()
+            chain.append(p)
+        chains.append(chain[:-1])
+    hull = chains[0] + chains[1]
+    out = []
+    for a, b in zip(hull, hull[1:] + hull[:1]):
+        det = a[0] * b[1] - a[1] * b[0]
+        out.append(((b[1] - a[1]) / det, (a[0] - b[0]) / det))
+    return out
 
 
 def polar_polygon_edges(V):

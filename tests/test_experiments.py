@@ -308,6 +308,15 @@ def test_centroid_cube_bounds_are_refused():
         experiments.centroid_body_oracle(measure.UniformBodyDensity("cube", 2), 1e16)
 
 
+@pytest.mark.parametrize("n", [5, 6, 8])
+def test_centroid_cube_sampling_ball_holds_the_polar_on_the_axes(n):
+    # at p = 100 the cube's Z_p has its smallest support on the axes, which the
+    # random direction grid of n >= 4 misses: K° reaches e_i/h(e_i) there
+    body = experiments.centroid_body_oracle(measure.UniformBodyDensity("cube", n), 100.0)
+    axes = np.vstack([np.eye(n), -np.eye(n)])
+    assert np.all(1.0 / body.evaluator(axes) <= geom.polar_sampling_radius(body))
+
+
 def _dn_step(n):
     return measure.RadialStepFn(np.array([measure.dn_radius(n)]), np.array([1.0]), n)
 

@@ -8,7 +8,7 @@ from scipy import integrate
 
 from polarvol import geom, measure, volume
 from polarvol.rng import RngStream
-from polytope_reference import face_volume, loop_vertices, polar_polygon_edges, polygon_measure
+from polytope_reference import exact_polar_polygon, face_volume, loop_vertices, polar_polygon_edges, polygon_measure
 
 LEB2 = measure.LebesgueRestricted(math.inf, 2)
 
@@ -493,15 +493,87 @@ POLYGON_MEASURES = [measure.LebesgueRestricted(R, 2) for R in (0.5, 5.0, math.in
 @given(st.integers(0, 2 ** 31), st.sampled_from(POLYGON_MEASURES))
 @settings(max_examples=60, deadline=None, derandomize=True)
 def test_polygon_batch_matches_the_scalar_reference(seed, m):
-    # the batch takes its angles, expm1 and node sums in numpy, so last bits may move
+    # the batch takes its angles, expm1 and node sums in numpy, so last bits may move;
+    # the reference takes the batch's own vertices, which one set alone gives bit for bit
     gen = RngStream(seed, 10).generator()
     sets = [gen.standard_normal((int(gen.integers(2, 9)), 2)) * 10.0 ** gen.uniform(-2, 2)
             for _ in range(int(gen.integers(1, 30)))]
     batch = volume.polar_measures([cross_image(P) for P in sets], m, 1, [RngStream(seed, 11 + k) for k in range(len(sets))])
     for k, (P, est) in enumerate(zip(sets, batch)):
-        want = polygon_measure(m, volume._crosspoly_polar_vertices(P))
+        want = polygon_measure(m, volume._planar_polar_vertices(P[None])[1])
         assert (est.stderr, est.samples, est.seed) == (0.0, 0, seed)
         assert est.value == pytest.approx(want, rel=1e-15, abs=0), (k, P.tolist())
+
+
+def assert_polygon_vertices_exact(P):
+    """The scan's K° vertices against exact rationals, within 64·cond(P)·eps of the polygon's size.
+
+    Returns the relative tolerance and the exact vertices rounded to floats,
+    those that round onto the one before them dropped.
+    """
+    P = np.asarray(P, dtype=float)
+    spans, V, counts = volume._planar_polar_vertices(P[None])
+    assert spans.tolist() == [True] and counts.tolist() == [len(V)]
+    want = np.array(exact_polar_polygon(P), dtype=float)
+    sigma = np.linalg.svd(P, compute_uv=False)
+    rel = 64 * sigma[0] / sigma[-1] * np.finfo(float).eps
+    gap = np.linalg.norm(V[:, None, :] - want[None, :, :], axis=2)
+    tol = rel * np.abs(want).max()
+    assert gap.min(axis=1).max() <= tol and gap.min(axis=0).max() <= tol, (P.tolist(), V.tolist(), want.tolist())
+    # counterclockwise with no edge of length 0: every edge turns left of the one before it
+    e = np.roll(V, -1, axis=0) - V
+    f = np.roll(e, -1, axis=0)
+    assert np.all(e[:, 0] * f[:, 1] - e[:, 1] * f[:, 0] > 0)
+    return rel, want[np.any(want != np.roll(want, 1, axis=0), axis=1)]
+
+
+@given(st.integers(0, 2 ** 31), st.floats(-11, 2), st.floats(0, 6))
+@settings(max_examples=200, deadline=None, derandomize=True)
+def test_polygon_vertices_match_exact_rationals(seed, scale, stretch):
+    gen = RngStream(seed, 12).generator()
+    P = gen.standard_normal((int(gen.integers(2, 9)), 2)) * [1.0, 10.0 ** -stretch]
+    assert_polygon_vertices_exact(10.0 ** scale * P @ _rotation(float(gen.uniform(0, 2 * math.pi))).T)
+
+
+DEGENERATE_POLYGONS = {
+    "repeated column": [[0.3, 0.8], [1.0, -0.2], [0.3, 0.8]],
+    "negated column": [[0.3, 0.8], [1.0, -0.2], [-0.3, -0.8]],
+    "shorter multiple": [[0.3, 0.8], [1.0, -0.2], [0.15, 0.4]],
+    "longer multiple": [[0.3, 0.8], [1.0, -0.2], [-0.9, -2.4]],
+    "farthest point repeated": [[2.0, 1.0], [0.5, 0.5], [2.0, 1.0], [-2.0, -1.0]],
+    "lattice points on edges": [[1.0, 0.0], [0.0, 1.0], [1.0, 1.0], [1.0, -1.0]],
+    # in floats the scan keeps a collinear point, and two K° vertices round to one
+    "lattice vertices that round together": [[0.0, 1.0], [2.0, -3.0], [-1.0, 3.0]],
+    "thin parallelogram 1e-3": [[1.0, 0.0], [1.0, 1e-3]],
+    "thin parallelogram 1e-9": [[1.0, 0.0], [1.0, 1e-9]],
+    "thin rotated parallelogram": [[0.6, 0.8], [0.6 + 1e-7, 0.8]],
+}
+
+
+@pytest.mark.parametrize("name", sorted(DEGENERATE_POLYGONS))
+@pytest.mark.parametrize("scale", [1e-11, 0.1, 1.0, 49.43222798044387, 1e2])
+def test_polygon_vertices_of_degenerate_point_sets(name, scale):
+    P = scale * np.array(DEGENERATE_POLYGONS[name])
+    rel, want = assert_polygon_vertices_exact(P)
+    for m in POLYGON_MEASURES:
+        assert exact(P, m) == pytest.approx(polygon_measure(m, want), rel=rel, abs=0), (name, m)
+
+
+def test_polygon_batch_sends_point_sets_that_do_not_span_to_monte_carlo():
+    # N = 1, a repeated column, collinear columns, a zero set and rank 1 at 1e-11
+    # of the largest singular value; mixed with spanning sets of the same N
+    sets = [[[0.4, 0.7]], [[1.0, 0.0], [0.5, 0.5]], [[0.3, 0.8], [0.3, 0.8]], [[1.0, 0.0], [0.0, 1.0]],
+            [[0.5, -1.0], [-1.0, 2.0], [0.25, -0.5]], [[0.0, 0.0], [0.0, 0.0]], [[1.0, 1.0], [1.0, 1.0 + 1e-11]],
+            [[-2.0, 0.0]]]
+    spans = {N: volume._planar_polar_vertices(np.array([p for p in sets if len(p) == N]))[0].tolist() for N in (1, 2, 3)}
+    assert spans == {1: [False, False], 2: [True, False, True, False, False], 3: [False]}
+    g = measure.GaussianLike(1.0, 2)
+    rngs = [RngStream(8, k) for k in range(len(sets))]
+    batch = volume.polar_measures([cross_image(p) for p in sets], g, 70_000, rngs, threads=2)
+    assert [e.samples for e in batch] == [70_000, 0, 70_000, 0, 70_000, 70_000, 70_000, 70_000]
+    for p, rng, est in zip(sets, rngs, batch):
+        if est.samples:
+            assert est == volume.mc_polar_measure(cross_image(p), g, 70_000, rng, threads=2)
 
 
 def test_polygon_batch_runs_every_other_body_on_its_own_stream():
