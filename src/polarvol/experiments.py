@@ -20,7 +20,6 @@ from scipy.spatial import ConvexHull, QhullError
 from .geom import (
     Body,
     BallBody,
-    DirectionGrid,
     GeometryError,
     HPolytopeBody,
     LqBall,
@@ -228,7 +227,7 @@ def convergence_experiment(
         values.append(exact_polar_volume_crosspoly(sub))
         body = MatrixImageBody(sub.T, LqBall(1.0, N), 0.0)
         if prev_body is not None:
-            dists.append(hausdorff_estimate(prev_body, body, DirectionGrid.default(n)))
+            dists.append(hausdorff_estimate(prev_body, body))
         prev_body = body
     target = unit_ball_volume(n) ** 2
     monotone = all(values[i + 1] <= values[i] + 1e-12 for i in range(len(values) - 1))

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property
 from typing import Callable, Union
 
 import numpy as np
@@ -29,7 +29,8 @@ __all__ = [
     "HPolytopeBody",
     "SupportOracleBody",
     "Body",
-    "DirectionGrid",
+    "spans",
+    "sphere_directions",
     "dual_exponent",
     "row_norms",
     "gauge_support",
@@ -40,8 +41,6 @@ __all__ = [
     "hausdorff_estimate",
     "unit_ball_volume",
 ]
-
-DEGENERATE_TOL = 1e-12
 
 
 class GeometryError(ValueError):
@@ -239,16 +238,19 @@ def halfspace_vertices(A: np.ndarray, b: np.ndarray) -> np.ndarray:
         raise GeometryError("qhull vertex enumeration needs n >= 2")
     interior = np.zeros(n)
     if not (b > 0).all():
-        # Chebyshev centre c: maximise r subject to <a_i, c> + r|a_i| <= b_i, r >= 0
-        res = linprog(np.r_[np.zeros(n), -1.0], A_ub=np.column_stack([A, np.linalg.norm(A, axis=1)]), b_ub=b,
-                      bounds=[(None, None)] * n + [(0.0, None)], method="highs")
+        # Chebyshev centre c: maximise r subject to <a_i, c> + r|a_i| <= b_i, r >= 0.
+        # The LP sees b scaled by 2^-e to unit size, exactly, so HiGHS's absolute
+        # tolerances and the flat test act at the polytope's own scale
+        e = math.frexp(float(np.abs(b).max()))[1]
+        res = linprog(np.r_[np.zeros(n), -1.0], A_ub=np.column_stack([A, np.linalg.norm(A, axis=1)]),
+                      b_ub=np.ldexp(b, -e), bounds=[(None, None)] * n + [(0.0, None)], method="highs")
         if res.status == 3:
             raise UnboundedBody("halfspace intersection is unbounded")
         if res.status not in (0, 2):
             raise GeometryError(f"Chebyshev centre: {res.message}")
-        if res.status == 2 or res.x[n] <= DEGENERATE_TOL * (1.0 + float(np.linalg.norm(res.x[:n]))):
+        if res.status == 2 or res.x[n] <= 1e-12 * (1.0 + float(np.linalg.norm(res.x[:n]))):
             return np.empty((0, n))  # empty, or flat
-        interior = res.x[:n]
+        interior = np.ldexp(res.x[:n], e)
     try:
         facets = ConvexHull(A / (b - A @ interior)[:, None]).equations
     except QhullError as e:
@@ -298,79 +300,78 @@ def polar_contains(body: Body, Y: np.ndarray) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# direction grids
+# boundedness of K° and radii that hold it
 
 
-@dataclass(frozen=True)
-class DirectionGrid:
-    directions: np.ndarray  # (m, n), unit rows
+def _spanning_sigma(P: np.ndarray) -> np.ndarray:
+    """σ_n of each point set in a (..., N, n) stack, or 0.0 where the set does not span R^n.
 
-    def __post_init__(self):
-        D = np.atleast_2d(np.asarray(self.directions, dtype=float))
-        if D.shape[0] == 0:
-            raise GeometryError("direction grid must be nonempty")
-        norms = np.linalg.norm(D, axis=1)
-        if np.any(np.abs(norms - 1.0) > 1e-12):
-            raise GeometryError("direction grid entries must be unit vectors")
-        object.__setattr__(self, "directions", D)
+    A set spans when N >= n and σ_n > 1e-10·σ_1: a relative test, so λP gets
+    the same answer at every scale λ > 0.  The SVD runs on the (n, N) matrix
+    whose columns are the points, the matrix of a MatrixImageBody.
+    """
+    P = np.asarray(P, dtype=float)
+    N, n = P.shape[-2:]
+    if N < n:
+        return np.zeros(P.shape[:-2])
+    s = np.linalg.svd(np.swapaxes(P, -1, -2), compute_uv=False)  # descending
+    return np.where(s[..., -1] > 1e-10 * s[..., 0], s[..., -1], 0.0)
 
-    @property
-    def dim(self) -> int:
-        return self.directions.shape[1]
 
-    @classmethod
-    def lattice(cls, n: int, resolution: int = 720) -> "DirectionGrid":
-        """Deterministic lattice on S^{n-1}, n <= 3."""
-        if n == 1:
-            return cls(np.array([[1.0], [-1.0]]))
-        if n == 2:
-            ang = np.linspace(0.0, 2 * math.pi, resolution, endpoint=False)
-            return cls(np.column_stack([np.cos(ang), np.sin(ang)]))
-        if n == 3:
-            # Fibonacci sphere
-            k = np.arange(resolution)
-            z = 1.0 - (2 * k + 1.0) / resolution
-            phi = k * math.pi * (3.0 - math.sqrt(5.0))
-            s = np.sqrt(np.maximum(0.0, 1.0 - z * z))
-            D = np.column_stack([s * np.cos(phi), s * np.sin(phi), z])
-            D /= np.linalg.norm(D, axis=1)[:, None]
-            return cls(D)
-        raise GeometryError("deterministic lattice only available for n <= 3")
+def spans(P: np.ndarray) -> np.ndarray:
+    """Whether each point set in a (..., N, n) stack spans R^n, so that
+    conv{±x_i} has a bounded polar; False when N < n.
+    """
+    return _spanning_sigma(P) > 0
 
-    @classmethod
-    def sampled(cls, n: int, count: int, rng: np.random.Generator) -> "DirectionGrid":
-        """Seeded uniform sphere sample, any dimension."""
-        D = rng.standard_normal((count, n))
+
+@cache
+def sphere_directions(n: int) -> np.ndarray:
+    """The fixed direction set on S^{n-1} of the grid estimates, read-only.
+
+    ±1 for n = 1, 720 equal angles for n = 2, a 2048-point Fibonacci sphere
+    for n = 3 and 4096 seeded Gaussian directions for n >= 4.
+    """
+    if n == 1:
+        D = np.array([[1.0], [-1.0]])
+    elif n == 2:
+        ang = np.linspace(0.0, 2 * math.pi, 720, endpoint=False)
+        D = np.column_stack([np.cos(ang), np.sin(ang)])
+    elif n == 3:
+        k = np.arange(2048)
+        z = 1.0 - (2 * k + 1.0) / 2048
+        phi = k * math.pi * (3.0 - math.sqrt(5.0))
+        s = np.sqrt(np.maximum(0.0, 1.0 - z * z))
+        D = np.column_stack([s * np.cos(phi), s * np.sin(phi), z])
         D /= np.linalg.norm(D, axis=1)[:, None]
-        return cls(D)
-
-    @classmethod
-    def default(cls, n: int) -> "DirectionGrid":
-        if n <= 3:
-            return cls.lattice(n, 720 if n < 3 else 2048)
-        rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(11, spawn_key=(n,))))
-        return cls.sampled(n, 4096, rng)
+    else:
+        gen = np.random.Generator(np.random.Philox(np.random.SeedSequence(11, spawn_key=(n,))))
+        D = gen.standard_normal((4096, n))
+        D /= np.linalg.norm(D, axis=1)[:, None]
+    D.flags.writeable = False
+    return D
 
 
-def polar_bounding_radius(body: Body, grid: DirectionGrid):
-    """Radius of a ball containing K°, or math.inf when degenerate.
+def _support_floor(body: Body, D: np.ndarray) -> float:
+    """min of h_K over the rows of D, or 0.0 unless it exceeds 1e-10 of the max."""
+    h = support_values(body, D)
+    hmin = float(h.min())
+    return hmin if hmin > 1e-10 * float(h.max()) else 0.0
+
+
+def polar_bounding_radius(body: Body):
+    """Radius of a ball containing K°, or math.inf when K° is unbounded.
 
     If the body carries a Euclidean-ball summand of radius r > 0 the
-    answer is exactly 1/r; otherwise 1/min_grid h_K.  A minimum below
-    1e-12 is classified as unbounded rather than returned as a huge
-    radius.
+    answer is exactly 1/r; otherwise 1/min h_K over `sphere_directions`,
+    with a minimum at most 1e-10 of the maximum taken as unbounded.
     """
     if isinstance(body, BallBody):
-        if body.R < DEGENERATE_TOL:
-            return math.inf
-        return 1.0 / body.R
+        return 1.0 / body.R if body.R > 0 else math.inf
     if isinstance(body, MatrixImageBody) and body.rball > 0:
         return 1.0 / body.rball
-    h = support_values(body, grid.directions)
-    hmin = float(h.min())
-    if hmin < DEGENERATE_TOL:
-        return math.inf
-    return 1.0 / hmin
+    hmin = _support_floor(body, sphere_directions(body.dim))
+    return 1.0 / hmin if hmin > 0 else math.inf
 
 
 def polar_sampling_radius(body: Body) -> float:
@@ -379,49 +380,47 @@ def polar_sampling_radius(body: Body) -> float:
     Unlike :func:`polar_bounding_radius` this never undershoots: for
     matrix-image bodies it uses
     h_K(θ) >= σ_min(A)·min(1, N^{1/q'-1/2}) + r; for H-polytopes the
-    inradius bound; elsewhere the minimum over a direction grid and the
-    coordinate axes ±e_i, with a safety factor.
-    Raises UnboundedBody when no finite radius can be certified.
+    inradius bound; elsewhere the minimum over `sphere_directions` and the
+    coordinate axes ±e_i, with a safety factor.  Whether K° is bounded is
+    decided without a scale: R > 0 for a ball, r > 0 or `spans` for a matrix
+    image, every b_i > 0 for an H-polytope, and a support minimum above
+    1e-10 of the maximum elsewhere.  Raises UnboundedBody when K° is not.
     """
     if isinstance(body, BallBody):
-        if body.R < DEGENERATE_TOL:
+        if not body.R > 0:
             raise UnboundedBody("polar of a degenerate ball is unbounded")
         return 1.0 / body.R
     if isinstance(body, MatrixImageBody):
-        s = np.linalg.svd(body.matrix, compute_uv=False)
-        # fewer columns than rows means A^T has a kernel: h_C(A^T y) can vanish
-        sigma_min = float(s.min()) if body.matrix.shape[1] >= body.dim else 0.0
         qp = dual_exponent(body.gauge.q)
         N = body.gauge.dim
         # q' = inf gives N^{-1/2}: ||u||_inf >= ||u||_2 / sqrt(N)
         factor = min(1.0, N ** (1.0 / qp - 0.5))
-        lower = sigma_min * factor + body.rball
-        if lower < DEGENERATE_TOL:
-            raise UnboundedBody("rank-deficient matrix image with r = 0 has unbounded polar")
+        lower = float(_spanning_sigma(body.matrix.T)) * factor + body.rball
+        if lower == 0:
+            raise UnboundedBody("matrix image with r = 0 whose columns do not span has unbounded polar")
         return 1.0 / lower
     if isinstance(body, HPolytopeBody):
-        scale = body.offsets / np.linalg.norm(body.normals, axis=1)
-        if np.any(scale < DEGENERATE_TOL):
+        if not (body.offsets > 0).all():
             raise UnboundedBody("H-polytope does not contain 0 in its interior")
         # K ⊇ ball of radius min_i b_i/|a_i| only if that ball satisfies all
         # constraints; it does since <a_i, y> <= |a_i||y| <= b_i.
-        return 1.0 / float(scale.min())
+        return 1.0 / float((body.offsets / np.linalg.norm(body.normals, axis=1)).min())
     # the axes as well: the grid misses them for n >= 4, and there the cube's
     # Z_p has its smallest support for p > 2
     axes = np.eye(body.dim)
-    h = support_values(body, np.vstack([DirectionGrid.default(body.dim).directions, axes, -axes]))
-    hmin = float(h.min())
-    if hmin < DEGENERATE_TOL:
+    hmin = _support_floor(body, np.vstack([sphere_directions(body.dim), axes, -axes]))
+    if hmin == 0:
         raise UnboundedBody("support minimum degenerate; polar unbounded")
     return 1.0 / (0.95 * hmin)
 
 
-def hausdorff_estimate(a: Body, b: Body, grid: DirectionGrid) -> float:
-    """Grid estimate max_θ |h_a − h_b|; a lower bound of the true δ^H."""
-    if a.dim != b.dim or grid.dim != a.dim:
-        raise DimensionMismatch("bodies and grid must share a dimension")
-    ha = support_values(a, grid.directions)
-    hb = support_values(b, grid.directions)
+def hausdorff_estimate(a: Body, b: Body) -> float:
+    """Estimate max_θ |h_a − h_b| over `sphere_directions`; a lower bound of the true δ^H."""
+    if a.dim != b.dim:
+        raise DimensionMismatch("bodies must share a dimension")
+    D = sphere_directions(a.dim)
+    ha = support_values(a, D)
+    hb = support_values(b, D)
     if not (np.all(np.isfinite(ha)) and np.all(np.isfinite(hb))):
         raise UnboundedBody("hausdorff_estimate requires bounded bodies")
     return float(np.abs(ha - hb).max())

@@ -33,6 +33,7 @@ from .geom import (
     polar_contains,
     polar_sampling_radius,
     row_norms,
+    spans,
     unit_ball_volume,
 )
 from .measure import GaussianLike, LebesgueRestricted, RadialMeasure, rho_eval, total_mass
@@ -124,10 +125,14 @@ def mc_polar_measure(
 ) -> "Estimate":
     """Monte Carlo estimate of ν(K°) with its standard error.
 
-    Bounded polar: sample uniformly in a certified bounding ball and
-    average ρ(|Y|)·1{Y ∈ K°} times the ball volume.  Unbounded polar
-    with finite-mass ν: sample Y ~ ν/ν(R^n) and average the membership
-    indicator times the total mass.  Refuses when neither applies.
+    R* is the certified radius of `polar_sampling_radius`, inf when K° is
+    unbounded.  When ν(R^n) is finite and ρ(0)·|R*·B| >= ν(R^n), sample
+    Y ~ ν/ν(R^n) and average the membership indicator times the total mass;
+    otherwise sample uniformly in R*·B and average ρ(|Y|)·1{Y ∈ K°} times
+    the ball volume.  Both are unbiased, and the rule picks the smaller
+    second-moment bound: ν(R^n)·ν(K°) against ρ(0)·|R*·B|·ν(K°).  A ball
+    volume that overflows counts as >= ν(R^n); with infinite mass as well
+    no estimator applies, and the call refuses.
     """
     if body.dim != m.dim:
         raise EstimationError("body and measure dimensions differ")
@@ -138,19 +143,22 @@ def mc_polar_measure(
         rstar = polar_sampling_radius(body)
     except UnboundedBody:
         rstar = math.inf
-    if math.isfinite(rstar):
+    try:
         vol_box = unit_ball_volume(n) * rstar ** n
+    except OverflowError:
+        vol_box = math.inf
+    mass = total_mass(m)
+    if math.isfinite(mass) and float(rho_eval(m, 0.0)) * vol_box >= mass:
+        draw = measure.radial_sampler(m)
+        weight = lambda Y: mass
+    elif math.isfinite(vol_box):
         draw = lambda gen, size: measure.ball_points(gen, size, n, rstar)
         weight = lambda Y: vol_box * rho_eval(m, row_norms(Y))
     else:
-        mass = total_mass(m)
-        if math.isinf(mass):
-            raise EstimationError(
-                "polar is unbounded and the measure has infinite mass: "
-                "no rigorous estimator applies to this configuration"
-            )
-        draw = measure.radial_sampler(m)
-        weight = lambda Y: mass
+        raise EstimationError(
+            "polar has no finite sampling ball and the measure has infinite mass: "
+            "no rigorous estimator applies to this configuration"
+        )
 
     def worker(k: int, size: int):
         Y = draw(rng.chunk_generator(k), size)
@@ -206,8 +214,8 @@ def polar_measures(
             groups.setdefault(body.matrix.shape[1], []).append(i)
     exact, polygons, counts = [], [], []
     for batch in groups.values():
-        spans, V, c = _planar_polar_vertices(np.stack([bodies[i].matrix.T for i in batch]))
-        exact += [i for i, s in zip(batch, spans.tolist()) if s]
+        spanning, V, c = _planar_polar_vertices(np.stack([bodies[i].matrix.T for i in batch]))
+        exact += [i for i, s in zip(batch, spanning.tolist()) if s]
         polygons.append(V)
         counts.append(c)
     if exact:
@@ -223,9 +231,8 @@ def polar_measures(
 def _planar_polar_vertices(P: np.ndarray):
     """Vertices of K° for each K = conv{±x_1, ..., ±x_N} in a (T, N, 2) stack of point sets.
 
-    Returns (spans, V, counts).  spans[t] is False where row t's points do
-    not span R², by the rank test of the exact oracles (smallest singular
-    value at most 1e-10 of the largest): K° is then a slab.  V holds the
+    Returns (spanning, V, counts).  spanning[t] is False where row t's
+    points do not span R² by `geom.spans`: K° is then a slab.  V holds the
     K° vertices of the spanning rows one polygon after the other, counts[k]
     of them for the k-th, each polygon counterclockwise.
 
@@ -239,12 +246,8 @@ def _planar_polar_vertices(P: np.ndarray):
     <a, y> = 1 and <b, y> = 1; a vertex that rounds onto the one after it
     is dropped, so no edge of K° has length 0.
     """
-    T, N, _ = P.shape
-    spans = np.zeros(T, dtype=bool)
-    if N >= 2:
-        sigma = np.linalg.svd(P, compute_uv=False)  # descending
-        spans = sigma[:, 1] > 1e-10 * sigma[:, 0]
-    Q = np.concatenate([P[spans], -P[spans]], axis=1)
+    spanning = spans(P)
+    Q = np.concatenate([P[spanning], -P[spanning]], axis=1)
     x, y = Q[..., 0], Q[..., 1]
     r2 = x * x + y * y
     angle = np.arctan2(y, x)
@@ -280,7 +283,7 @@ def _planar_polar_vertices(P: np.ndarray):
     V = np.column_stack([(by - ay) / cross, (ax - bx) / cross])
     repeat = np.all(V == V[following], axis=1)
     group = np.repeat(np.arange(len(Q)), counts)
-    return spans, V[~repeat], counts - np.bincount(group[repeat], minlength=len(Q))
+    return spanning, V[~repeat], counts - np.bincount(group[repeat], minlength=len(Q))
 
 
 def _polygon_measures(m: RadialMeasure, V: np.ndarray, counts: np.ndarray) -> list[float]:
@@ -413,23 +416,12 @@ def halfspace_volume(normals: np.ndarray, offsets: np.ndarray) -> float:
     return float(ConvexHull(V).volume) if len(V) else 0.0
 
 
-def _crosspoly_polar_vertices(points: np.ndarray) -> np.ndarray:
-    """Vertices of K° for K = conv{±x_1, ..., ±x_N} in R^n, n >= 2.
-
-    K° = {y : |<x_i, y>| <= 1 for all i} holds the origin, so qhull needs
-    no LP.  Points whose smallest singular value is at most 1e-10 of their
-    largest, or that are flat to qhull, make K° a slab: UnboundedBody.
-    """
-    sigma = np.linalg.svd(points, compute_uv=False)  # descending
-    if len(sigma) < points.shape[1] or sigma[-1] <= 1e-10 * sigma[0]:
-        raise UnboundedBody("points do not span; polar volume is infinite")
-    A = np.concatenate([points, -points])
-    return halfspace_vertices(A, np.ones(A.shape[0]))
-
-
 def exact_polar_volume_crosspoly(points: np.ndarray) -> float:
-    """Exact |K°| for K = conv{±x_1, ..., ±x_N} in R^n, n >= 2: the hull
-    volume of its vertices.  Raises UnboundedBody when K° is a slab.
+    """Exact |K°| for K = conv{±x_1, ..., ±x_N} in R^n, n >= 2: K° is
+    {y : |<x_i, y>| <= 1}, whose volume `halfspace_volume` gives.  Raises
+    UnboundedBody when the points do not span R^n (`geom.spans`): K° is a slab.
     """
     P = np.atleast_2d(np.asarray(points, dtype=float))
-    return float(ConvexHull(_crosspoly_polar_vertices(P)).volume)
+    if not spans(P):
+        raise UnboundedBody("points do not span; polar volume is infinite")
+    return halfspace_volume(np.concatenate([P, -P]), np.ones(2 * len(P)))

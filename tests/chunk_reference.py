@@ -71,14 +71,17 @@ def mc_polar_measure(body, m, budget, rng):
         rstar = geom.polar_sampling_radius(body)
     except geom.UnboundedBody:
         rstar = math.inf
-    if math.isfinite(rstar):
+    try:
         vol_box = geom.unit_ball_volume(n) * rstar ** n
-        draw = lambda gen, size: ball_points(gen, size, n, rstar)
-        weight = lambda Y: vol_box * measure.rho_eval(m, np.linalg.norm(Y, axis=1))
-    else:
-        mass = measure.total_mass(m)
+    except OverflowError:
+        vol_box = math.inf
+    mass = measure.total_mass(m)
+    if math.isfinite(mass) and float(measure.rho_eval(m, 0.0)) * vol_box >= mass:
         draw = radial_sampler(m)
         weight = lambda Y: mass
+    else:
+        draw = lambda gen, size: ball_points(gen, size, n, rstar)
+        weight = lambda Y: vol_box * measure.rho_eval(m, np.linalg.norm(Y, axis=1))
 
     def worker(k, size):
         Y = draw(rng.chunk_generator(k), size)

@@ -71,33 +71,35 @@ def test_hpolytope_support_matches_vertices():
 
 
 def test_direction_grid_rows_are_unit():
-    for n in (1, 2, 3):
-        g = geom.DirectionGrid.default(n)
-        assert g.directions.shape[1] == n
-        assert np.allclose(np.linalg.norm(g.directions, axis=1), 1.0)
+    for n, count in ((1, 2), (2, 720), (3, 2048), (4, 4096), (6, 4096)):
+        D = geom.sphere_directions(n)
+        assert D.shape == (count, n) and not D.flags.writeable
+        assert np.allclose(np.linalg.norm(D, axis=1), 1.0, rtol=0, atol=1e-15)
+        assert geom.sphere_directions(n) is D
 
 
 def test_polar_bounding_radius_ball():
-    grid = geom.DirectionGrid.default(2)
-    assert geom.polar_bounding_radius(geom.BallBody(4.0, 2), grid) == pytest.approx(0.25)
+    assert geom.polar_bounding_radius(geom.BallBody(4.0, 2)) == pytest.approx(0.25)
+    assert geom.polar_bounding_radius(geom.BallBody(0.0, 2)) == math.inf
 
 
 def test_polar_bounding_radius_degenerate_is_infinite():
     # segment conv(+-e1) has zero support in e2, polar unbounded
     body = geom.MatrixImageBody(np.array([[1.0], [0.0]]), geom.LqBall(1.0, 1), 0.0)
-    grid = geom.DirectionGrid.lattice(2, 360)
-    assert geom.polar_bounding_radius(body, grid) == math.inf
+    assert geom.polar_bounding_radius(body) == math.inf
 
 
 def test_polar_sampling_radius_covers_polar():
     # polar of the cross-polytope image is the cube; circumradius sqrt(2)
     body = geom.MatrixImageBody(np.eye(2), geom.LqBall(1.0, 2), 0.0)
     assert geom.polar_sampling_radius(body) >= math.sqrt(2) - 1e-9
+    # the cube 1e-13·[-1, 1]^3 holds 0 inside at any scale: its polar is the cross-polytope 1e13·B_1^3
+    cube = geom.HPolytopeBody(np.vstack([np.eye(3), -np.eye(3)]), np.full(6, 1e-13))
+    assert geom.polar_sampling_radius(cube) == pytest.approx(1e13, rel=1e-15)
 
 
 def test_hausdorff_estimate_balls():
-    grid = geom.DirectionGrid.default(2)
-    d = geom.hausdorff_estimate(geom.BallBody(1.0, 2), geom.BallBody(2.5, 2), grid)
+    d = geom.hausdorff_estimate(geom.BallBody(1.0, 2), geom.BallBody(2.5, 2))
     assert d == pytest.approx(1.5)
 
 

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy import integrate
 
@@ -48,6 +48,11 @@ def test_mc_thread_count_does_not_change_result():
 @given(st.integers(0, 2 ** 31), st.floats(0.25, 4.0), st.sampled_from([1.0, 2.0, math.inf]),
        st.sampled_from([0.0, 0.25]))
 @settings(max_examples=40, deadline=None, derandomize=True)
+# far scales: whether K° is bounded must not depend on λ
+@example(0, 1e-13, 1.0, 0.0)
+@example(1, 1e-13, math.inf, 0.25)
+@example(2, 1e13, 2.0, 0.0)
+@example(3, 1e13, 1.0, 0.25)
 def test_mc_lebesgue_scale_law(seed, lam, q, r):
     # |(λK)°| = λ⁻ⁿ|K°|.  With the seed shared, λK's sampling ball is K's scaled by
     # 1/λ up to rounding, so both runs draw the same points up to rounding and the
@@ -61,6 +66,18 @@ def test_mc_lebesgue_scale_law(seed, lam, q, r):
     est_scaled = volume.mc_polar_measure(scaled, m, 3000, RngStream(seed, 9))
     assert est_scaled.value * lam ** n == pytest.approx(est.value, rel=1e-12, abs=0)
     assert est_scaled.stderr * lam ** n == pytest.approx(est.stderr, rel=1e-12, abs=0)
+
+
+SHRINK_POINTS = np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0], [0.6, 0.6, 0.2]])
+
+
+@pytest.mark.parametrize("lam", [1e-2, 1e-4, 1e-13])
+def test_mc_gaussian_shrink_law(lam):
+    # every |x_i| <= 1, so (λK)° holds the ball of radius 1/λ >= 100 and
+    # ν((λK)°) is ν(R³) = (2π)^{3/2} to rounding
+    body = geom.MatrixImageBody(lam * SHRINK_POINTS.T, geom.LqBall(1.0, 4), 0.0)
+    est = volume.polar_measure(body, measure.GaussianLike(1.0, 3), 200_000, RngStream(1, 0))
+    assert est.value == pytest.approx((2 * math.pi) ** 1.5, rel=1e-12, abs=0)
 
 
 def test_one_chunk_runs_without_a_pool(monkeypatch):
@@ -124,6 +141,9 @@ def test_halfspace_volume_3d_chebyshev_and_empty():
     assert volume.halfspace_volume(cube, np.array([3.0, 3.0, 3.0, -1.0, -1.0, -1.0])) == pytest.approx(8.0, rel=1e-14)
     assert volume.halfspace_volume(cube, np.array([1.0, 1.0, 1.0, -2.0, 1.0, 1.0])) == 0.0  # x <= 1 and x >= 2
     assert volume.halfspace_volume(cube, np.array([1.0, 1.0, 1.0, -1.0, 1.0, 1.0])) == 0.0  # the flat x = 1
+    # [1e-13, 3e-13]^3 is small, not flat: the LP sees it at unit size
+    tiny = volume.halfspace_volume(cube, np.array([3e-13, 3e-13, 3e-13, -1e-13, -1e-13, -1e-13]))
+    assert tiny == pytest.approx(8e-39, rel=1e-12, abs=0)
 
 
 # The five 3-D cross-polytopes were bit pins of the facet-tuple enumerator;
@@ -162,6 +182,19 @@ def test_exact_polar_volume_inclusion_monotone(seed, n):
     for before, after in zip(vols, vols[1:]):
         assert after <= before * (1 + 1e-9)
     assert vols[-1] == pytest.approx(vols[-2], rel=1e-9)
+
+
+def test_exact_oracle_agrees_with_monte_carlo_in_four_dimensions():
+    # the qhull oracle at n = 4, held to the Lebesgue estimate of the same polar
+    m = measure.LebesgueRestricted(math.inf, 4)
+    gen = RngStream(2025, 0).generator()
+    for case in range(12):
+        N = int(gen.integers(5, 9))
+        P = gen.standard_normal((N, 4))
+        exact = volume.exact_polar_volume_crosspoly(P)
+        est = volume.mc_polar_measure(geom.MatrixImageBody(P.T, geom.LqBall(1.0, N), 0.0), m, 200_000,
+                                      RngStream(2025, case + 1))
+        assert abs(est.value - exact) <= 4 * est.stderr, (case, exact, est)
 
 
 def test_exact_polar_volume_known_cases():
@@ -376,7 +409,7 @@ def test_polar_measure_agrees_with_monte_carlo():
     for seed in (31, 32, 33):
         P = RngStream(seed, 0).generator().uniform(-1.0, 1.0, (4, 2))
         body = cross_image(P)
-        edges = polar_polygon_edges(volume._crosspoly_polar_vertices(P))
+        edges = polar_polygon_edges(geom.halfspace_vertices(np.vstack([P, -P]), np.ones(8)))
         for k, m in enumerate(PLANAR_MEASURES):
             if isinstance(m, measure.LebesgueRestricted) and math.isfinite(m.R):
                 far = [max(d * d + s0 * s0, d * d + s1 * s1) for d, s0, s1 in edges]
@@ -385,7 +418,10 @@ def test_polar_measure_agrees_with_monte_carlo():
                 seen |= {"inside"} if max(far) <= m.R ** 2 else set()
             est = volume.polar_measure(body, m, 1, RngStream(seed, 1))
             mc = volume.mc_polar_measure(body, m, 200_000, RngStream(seed, 2 + k))
-            assert abs(est.value - mc.value) <= 4 * mc.stderr, (seed, m, est.value, mc.value, mc.stderr)
+            # the floor of 64 ulps, as in experiments._ball_comparison: a draw that lands
+            # in K° every time has stderr 0 and a mean within rounding of the exact value
+            floor = 64 * np.finfo(float).eps * est.value
+            assert abs(est.value - mc.value) <= 4 * max(mc.stderr, floor), (seed, m, est.value, mc.value, mc.stderr)
     assert seen == {"outside", "cut", "inside"}
 
 
