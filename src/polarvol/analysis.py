@@ -441,74 +441,92 @@ def rearrange_step1d(g: Step1D) -> Step1D:
     return Step1D(breaks, values)
 
 
-def _clip_polygon(poly: np.ndarray, a: np.ndarray, b: float, tol: float) -> np.ndarray:
-    """Sutherland-Hodgman clip of a convex polygon by {<a, y> <= b}.
+def _clip_polygons(verts: np.ndarray, count: np.ndarray, a: np.ndarray, b, tol):
+    """Sutherland-Hodgman clip of a stack of convex polygons, row r by {<a_r, y> <= b}.
 
-    A vertex within `tol` of the line counts as on it.
-
-    A half-plane that cuts nothing returns `poly` itself (the clip would
-    copy every vertex).  Otherwise the walk runs on plain floats: the
-    polygons have a handful of vertices, where per-element numpy
-    indexing costs more than the arithmetic, which is the same either way.
+    `verts` is (M, W, 2), row r's polygon in its first count[r] slots; `a`
+    is (M, 2), and `b` and `tol` are one per row or one for all.  A vertex
+    within tol of the line counts as on it.  Each row's walk emits, in
+    order, every vertex on the kept side and the crossing point of every
+    edge whose ends lie strictly on opposite sides; a cumulative sum of
+    those flags gives each emitted point its slot.  Returns the clipped
+    (verts, count).  The offsets come from one stacked matmul, which gives
+    each row the bits of its own `poly @ a`; an elementwise x·a0 + y·a1
+    does not, since BLAS uses FMA.
     """
-    if poly.shape[0] == 0:
-        return poly
-    d = (poly @ a - b).tolist()
-    if all(di <= tol for di in d):
-        return poly
-    pts = poly.tolist()
-    out = []
-    k = len(pts)
-    for i in range(k):
-        j = (i + 1) % k
-        (xi, yi), (xj, yj) = pts[i], pts[j]
-        di, dj = d[i], d[j]
-        if di <= tol:
-            out.append((xi, yi))
-        if (di < -tol and dj > tol) or (di > tol and dj < -tol):
-            t = di / (di - dj)
-            out.append((xi + t * (xj - xi), yi + t * (yj - yi)))
-    return np.array(out) if out else np.empty((0, 2))
+    M, W, _ = verts.shape
+    d = np.matmul(verts, a[:, :, None])[:, :, 0] - np.reshape(b, (-1, 1))
+    tol = np.reshape(tol, (-1, 1))
+    j = np.arange(W)
+    nxt = np.where(j + 1 < count[:, None], j + 1, 0)
+    dn = np.take_along_axis(d, nxt, axis=1)
+    valid = j < count[:, None]
+    keep = valid & (d <= tol)
+    cross = valid & (((d < -tol) & (dn > tol)) | ((d > tol) & (dn < -tol)))
+    emitted = keep.astype(np.intp) + cross
+    end = np.cumsum(emitted, axis=1)
+    out = np.zeros((M, max(int(end[:, -1].max(initial=0)), 1), 2))
+    rows, cols = np.nonzero(keep)
+    out[rows, end[rows, cols] - emitted[rows, cols]] = verts[rows, cols]
+    rows, cols = np.nonzero(cross)
+    di, dj = d[rows, cols], dn[rows, cols]
+    vi, vj = verts[rows, cols], verts[rows, nxt[rows, cols]]
+    out[rows, end[rows, cols] - 1] = vi + (di / (di - dj))[:, None] * (vj - vi)
+    return out, end[:, -1]
 
 
-def _shoelace(poly: np.ndarray) -> float:
-    if poly.shape[0] < 3:
-        return 0.0
-    x, y = poly[:, 0], poly[:, 1]
-    # np.roll(v, -1), without its general-axis bookkeeping
-    x1, y1 = np.concatenate((x[1:], x[:1])), np.concatenate((y[1:], y[:1]))
-    return 0.5 * abs(float(np.dot(x, y1) - np.dot(y, x1)))
+def _shoelace_areas(verts: np.ndarray, count: np.ndarray) -> np.ndarray:
+    """Shoelace area of each row's polygon; 0 below three vertices.
+
+    Rows go in groups of equal vertex count, so each row's two dot
+    products are BLAS calls of its own length and strides, as for a lone
+    polygon: zero padding would regroup OpenBLAS's partial sums.
+    """
+    area = np.zeros(count.shape)
+    for m in np.unique(count[count >= 3]).tolist():
+        rows = np.flatnonzero(count == m)
+        v = verts[rows, :m]
+        x, y = v[:, :, 0], v[:, :, 1]
+        x1 = np.concatenate((x[:, 1:], x[:, :1]), axis=1)
+        y1 = np.concatenate((y[:, 1:], y[:, :1]), axis=1)
+        twice = np.matmul(x[:, None, :], y1[:, :, None]) - np.matmul(y[:, None, :], x1[:, :, None])
+        area[rows] = 0.5 * np.abs(twice[:, 0, 0])
+    return area
 
 
-def _slab_box_volume(constraints, coeffs: np.ndarray, box_halfwidth: float) -> float:
-    """Exact area of {s in [-L, L]^2 : <c_i, s> in [lo_i, hi_i)}.
+def _slab_box_areas(constraints, coeffs: np.ndarray, box_halfwidth: float) -> np.ndarray:
+    """Exact area of {s in [-L, L]^2 : <c_i, s> in [lo_i, hi_i)} for each
+    (k, 2) matrix c of the stack `coeffs`, one cell for the whole stack.
 
     Clips the square by each slab's two half-planes, with a tolerance of
-    1e-12·L·|c|_1, the scale of <c, s> on the box.  Zero coefficient rows
-    reduce to the point condition 0 in [lo, hi), checked exactly: the
-    clip's tolerance would keep a slab that ends at 0.
+    1e-12·L·|c_i|_1 per row, the scale of <c_i, s> on the box.  A zero
+    coefficient row reduces to the point condition 0 in [lo, hi), checked
+    exactly: the clip's tolerance would keep a slab that ends at 0.  When
+    the condition holds, the clip keeps the whole polygon (offsets -hi < 0
+    and lo <= 0 against a tolerance of 0), so those rows need no mask.
     """
     L = box_halfwidth
-    poly = np.array([[-L, -L], [L, -L], [L, L], [-L, L]])
-    for (lo, hi), c in zip(constraints, coeffs):
-        cx, cy = c.tolist()  # plain floats: numpy calls on two elements cost more than the arithmetic
-        if cx == 0.0 and cy == 0.0:
-            if not (lo <= 0.0 < hi):
-                return 0.0
-            continue
-        tol = 1e-12 * L * (abs(cx) + abs(cy))
-        poly = _clip_polygon(_clip_polygon(poly, c, hi, tol), -c, -lo, tol)
-    return _shoelace(poly)
+    verts = np.tile(np.array([[-L, -L], [L, -L], [L, L], [-L, L]]), (coeffs.shape[0], 1, 1))
+    count = np.full(coeffs.shape[0], 4)
+    for i, (lo, hi) in enumerate(constraints):
+        c = coeffs[:, i]
+        if not lo <= 0.0 < hi:
+            count[~c.any(axis=1)] = 0
+        tol = 1e-12 * L * (np.abs(c[:, 0]) + np.abs(c[:, 1]))
+        verts, count = _clip_polygons(verts, count, c, hi, tol)
+        verts, count = _clip_polygons(verts, count, -c, -lo, tol)
+    return _shoelace_areas(verts, count)
 
 
-def _layered_integral(per_fn_layers, coeffs: np.ndarray, box_halfwidth: float) -> float:
-    """∫_{[-L,L]^2} Π_i g_i(<c_i, s>) ds by exact cell decomposition, from
-    the layer-cake decompositions of the g_i; a g_i with no layers gives 0."""
-    total = 0.0
+def _layered_integral(per_fn_layers, coeffs: np.ndarray, box_halfwidth: float) -> np.ndarray:
+    """∫_{[-L,L]^2} Π_i g_i(<c_i, s>) ds for each matrix c of the stack, by
+    exact cell decomposition from the layer-cake decompositions of the
+    g_i; a g_i with no layers gives 0."""
+    total = np.zeros(coeffs.shape[0])
     for combo in product(*per_fn_layers):
         weight = math.prod(w for w, _ in combo)
         for choice in product(*[intervals for _, intervals in combo]):
-            total += weight * _slab_box_volume(list(choice), coeffs, box_halfwidth)
+            total += weight * _slab_box_areas(choice, coeffs, box_halfwidth)
     return total
 
 
@@ -539,6 +557,6 @@ def rbll_check_1d(
     layers = [g.layers() for g in gs]
     star_layers = [rearrange_step1d(g).layers() for g in gs]
     return {
-        "lhs": [_layered_integral(layers, c, box_halfwidth) for c in coeffs],
-        "rhs": [_layered_integral(star_layers, c, box_halfwidth) for c in coeffs],
+        "lhs": _layered_integral(layers, coeffs, box_halfwidth).tolist(),
+        "rhs": _layered_integral(star_layers, coeffs, box_halfwidth).tolist(),
     }

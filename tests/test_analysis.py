@@ -233,6 +233,21 @@ def test_rbll_rearranges_once_for_a_stack(monkeypatch):
 SQUARE = np.array([[-1.0, -1.0], [1.0, -1.0], [1.0, 1.0], [-1.0, 1.0]])
 
 
+def _clip_stack(polys, a, b, tol):
+    """Clip a list of polygons, each by its own half-plane, as one stack; returns the clipped polygons."""
+    count = np.array([len(p) for p in polys])
+    verts = np.zeros((len(polys), max(count.max(), 1), 2))
+    for r, p in enumerate(polys):
+        verts[r, :len(p)] = p
+    verts, count = analysis._clip_polygons(verts, count, np.asarray(a, dtype=float), np.asarray(b, dtype=float), tol)
+    return [verts[r, :m] for r, m in enumerate(count.tolist())]
+
+
+def _slab_box_volume(constraints, coeffs, L):
+    """The area of one cell for one coefficient matrix: a stack of one row."""
+    return float(analysis._slab_box_areas(constraints, np.asarray(coeffs, dtype=float)[None], L)[0])
+
+
 @pytest.mark.parametrize("a,b,want", [
     ((1.0, 0.0), 2.0, SQUARE.tolist()),  # cuts nothing
     ((1.0, 1.0), 2.0, SQUARE.tolist()),  # touches the vertex (1, 1) only
@@ -241,15 +256,16 @@ SQUARE = np.array([[-1.0, -1.0], [1.0, -1.0], [1.0, 1.0], [-1.0, 1.0]])
     ((1.0, 0.0), -2.0, []),  # empties the square
 ])
 def test_clip_polygon_edge_cases(a, b, want):
-    clipped = analysis._clip_polygon(SQUARE, np.array(a), b, 1e-12)
+    (clipped,) = _clip_stack([SQUARE], [a], [b], 1e-12)
     assert clipped.shape == (len(want), 2) and clipped.tolist() == want
     normals = np.vstack([[1.0, 0.0], [-1.0, 0.0], [0.0, 1.0], [0.0, -1.0], a])
     area = volume.halfspace_volume(normals, np.array([1.0, 1.0, 1.0, 1.0, b]))
-    assert area == pytest.approx(analysis._shoelace(clipped), abs=1e-12)
+    shoelace = analysis._shoelace_areas(clipped[None], np.array([len(clipped)]))[0]
+    assert area == pytest.approx(shoelace, abs=1e-12)
 
 
 def _clip_polygon_numpy(poly, a, b):
-    """The clip before the plain-float walk: numpy rows throughout."""
+    """One polygon's clip walk, a numpy row at a time: the reference for each row of the stack."""
     d = poly @ a - b
     out = []
     for i in range(poly.shape[0]):
@@ -263,14 +279,20 @@ def _clip_polygon_numpy(poly, a, b):
 
 def test_clip_polygon_matches_the_numpy_walk_bit_for_bit():
     gen = RngStream(8, 0).generator()
+    polys, normals, offsets = [], [], []
     for _ in range(300):
         ang = np.sort(gen.uniform(0, 2 * math.pi, int(gen.integers(3, 9))))
         poly = np.column_stack([np.cos(ang), np.sin(ang)]) * gen.uniform(0.5, 3.0)
         a = gen.standard_normal(2)
         # offsets that cut, miss, empty, or pass through a vertex
         for b in (float(gen.uniform(-1.0, 1.0)), 10.0, -10.0, float(poly[0] @ a)):
-            want = _clip_polygon_numpy(poly, a, b)
-            assert analysis._clip_polygon(poly, a, b, 1e-12).tobytes() == want.tobytes()
+            polys.append(poly)
+            normals.append(a)
+            offsets.append(b)
+    # one stack of polygons with 3 to 8 vertices, each clipped by its own half-plane
+    for clipped, poly, a, b in zip(_clip_stack(polys, normals, offsets, 1e-12), polys, normals, offsets):
+        want = _clip_polygon_numpy(poly, a, b)
+        assert clipped.tobytes() == want.tobytes()
 
 
 def _qhull_slab_box(constraints, coeffs, L):
@@ -292,29 +314,55 @@ def test_slab_box_volume_matches_qhull():
         constraints = list(zip(lo.tolist(), (lo + gen.uniform(0.2, 2.0 * L, k)).tolist()))
         without_origin += any(lo_i > 0 or hi_i <= 0 for lo_i, hi_i in constraints)
         want = _qhull_slab_box(constraints, coeffs, L)
-        assert analysis._slab_box_volume(constraints, coeffs, L) == pytest.approx(want, rel=1e-12, abs=0)
+        assert _slab_box_volume(constraints, coeffs, L) == pytest.approx(want, rel=1e-12, abs=0)
     assert without_origin > 50  # the qhull side starts from a Chebyshev centre there
 
 
 @pytest.mark.parametrize("L", [1.0, 1e-6, 1e-11, 1e-13])
 def test_slab_box_volume_tolerance_scales_with_the_box(L):
     # the slab 0 <= s_1 < 10 covers half the box whatever its size
-    assert analysis._slab_box_volume([(0.0, 10.0)], np.array([[1.0, 0.0]]), L) == pytest.approx(2 * L * L, rel=1e-12, abs=0)
+    assert _slab_box_volume([(0.0, 10.0)], np.array([[1.0, 0.0]]), L) == pytest.approx(2 * L * L, rel=1e-12, abs=0)
 
 
 def test_slab_box_volume_empty_cells_and_zero_rows():
     c = np.array([[1.0, 1.0], [1.0, 1.0]])
     # two disjoint slabs along the same normal
-    assert analysis._slab_box_volume([(0.0, 1.0), (2.0, 3.0)], c, 4.0) == 0.0
+    assert _slab_box_volume([(0.0, 1.0), (2.0, 3.0)], c, 4.0) == 0.0
     assert _qhull_slab_box([(0.0, 1.0), (2.0, 3.0)], c, 4.0) == 0.0
     # a slab that misses the box
-    assert analysis._slab_box_volume([(9.0, 10.0)], c[:1], 4.0) == 0.0
+    assert _slab_box_volume([(9.0, 10.0)], c[:1], 4.0) == 0.0
     # a zero row holds iff 0 is in [lo, hi): it drops out or empties the cell
     z = np.array([[0.0, 0.0], [1.0, -1.0]])
     cell = [(-0.5, 1.5)]
     want = _qhull_slab_box(cell, z[1:], 4.0)
     assert want > 0
-    assert analysis._slab_box_volume([(-1.0, 1.0)] + cell, z, 4.0) == pytest.approx(want, rel=1e-12, abs=0)
-    assert analysis._slab_box_volume([(0.0, 1.0)] + cell, z, 4.0) == pytest.approx(want, rel=1e-12, abs=0)
-    assert analysis._slab_box_volume([(-1.0, 0.0)] + cell, z, 4.0) == 0.0  # ends at 0
-    assert analysis._slab_box_volume([(1.0, 2.0)] + cell, z, 4.0) == 0.0
+    assert _slab_box_volume([(-1.0, 1.0)] + cell, z, 4.0) == pytest.approx(want, rel=1e-12, abs=0)
+    assert _slab_box_volume([(0.0, 1.0)] + cell, z, 4.0) == pytest.approx(want, rel=1e-12, abs=0)
+    assert _slab_box_volume([(-1.0, 0.0)] + cell, z, 4.0) == 0.0  # ends at 0
+    assert _slab_box_volume([(1.0, 2.0)] + cell, z, 4.0) == 0.0
+
+
+def test_slab_box_areas_rows_equal_the_one_row_calls():
+    # a mixed stack: cells that are empty or miss the box, zero rows that drop out or empty the cell,
+    # lines through the box's corners (<(1, 1), s> = 0 and <(1, -1), s> = 0 at lo = 0), and
+    # random rows whose polygons keep 3 to 9 vertices, so short rows share the stack with long ones
+    stack = np.array([
+        [[1.0, 1.0], [1.0, 1.0], [1.0, 2.0]],
+        [[1.0, 0.0], [0.0, 1.0], [0.0, 0.0]],
+        [[0.0, 0.0], [1.0, -1.0], [0.5, 0.5]],
+        [[1.0, -1.0], [0.0, 0.0], [-1.0, 0.0]],
+        [[0.0, 0.0], [0.0, 0.0], [0.0, 0.0]],
+        [[-0.0, 0.0], [2.0, -1.0], [1.0, 1.0]],
+        [[0.25, 0.25], [-1.0, 1.0], [0.0, 1.0]],
+        [[0.1, 0.0], [0.3, -0.7], [0.9, 0.1]],
+        [[0.7, 0.2], [-0.4, 0.9], [0.6, -0.6]],
+    ])
+    stack = np.concatenate([stack, RngStream(10, 0).generator().standard_normal((60, 3, 2))])
+    seen = []
+    for cell in ([(-0.5, 1.5), (0.0, 2.0), (-2.0, 2.0)], [(0.0, 1.0), (-1.0, 0.0), (-1.0, 3.0)],
+                 [(9.0, 10.0), (-1.0, 1.0), (-5.0, 5.0)], [(-2.0, 2.0), (-1.5, 2.5), (-2.5, 1.0)]):
+        areas = analysis._slab_box_areas(cell, stack, 4.0)
+        one = [analysis._slab_box_areas(cell, c[None], 4.0)[0] for c in stack]
+        assert areas.tobytes() == np.array(one).tobytes(), cell
+        seen.extend(areas.tolist())
+    assert 0.0 in seen and max(seen) > 0

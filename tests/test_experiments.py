@@ -195,6 +195,18 @@ def test_newsan_ball_is_equality():
     assert rep.summary["lhs"] == pytest.approx(rep.summary["rhs"], abs=3 * rep.summary["lhs_stderr"] + 1e-9)
 
 
+def test_body_volume_exact_is_0_for_flat_bodies():
+    # conv{±(1, 0), ±(1, 1e-11)} fails the spanning test that calls K° unbounded, so |K| is 0, not 2e-11
+    flat = np.array([[1.0, 1.0], [0.0, 1e-11]])
+    assert not geom.spans(flat.T)
+    assert experiments.body_volume_exact(geom.MatrixImageBody(flat, geom.LqBall(1.0, 2), 0.0)) == 0.0
+    with pytest.raises(geom.GeometryError):
+        experiments.newsan_experiment(geom.MatrixImageBody(flat, geom.LqBall(1.0, 2), 0.0), measure.GaussianLike(1.0, 2),
+                                      budget=100, seed=1)
+    thin = np.array([[1.0, 1.0], [0.0, 1e-9]])
+    assert experiments.body_volume_exact(geom.MatrixImageBody(thin, geom.LqBall(1.0, 2), 0.0)) == pytest.approx(2e-9, rel=1e-12)
+
+
 def _step_law(n=2):
     # density 0.1 on the inner ball and 1 on the shell out to b, so its values rise outward
     a = 0.3

@@ -489,12 +489,16 @@ def _rotation(angle):
 
 
 @given(st.integers(0, 2 ** 31), st.sampled_from(PLANAR_MEASURES))
+@example(715079, measure.LebesgueRestricted(1.5, 2))  # singular values 1.61 and 1.25e-4: a gap of 2.06e-12
 @settings(max_examples=40, deadline=None)
 def test_polar_measure_rotation_invariance(seed, m):
+    # the rounding of K°'s vertices grows with the conditioning of P, as in assert_polygon_vertices_exact
     gen = RngStream(seed, 5).generator()
     P = gen.standard_normal((int(gen.integers(2, 7)), 2))
     Q = _rotation(float(gen.uniform(0, 2 * math.pi)))
-    assert exact(P @ Q.T, m) == pytest.approx(exact(P, m), rel=1e-12, abs=0)
+    sigma = np.linalg.svd(P, compute_uv=False)
+    rel = 64 * sigma[0] / sigma[-1] * np.finfo(float).eps
+    assert exact(P @ Q.T, m) == pytest.approx(exact(P, m), rel=rel, abs=0)
 
 
 @given(st.integers(0, 2 ** 31), st.floats(0.25, 4.0), st.sampled_from([0.5, 1.5, 5.0, math.inf]))
