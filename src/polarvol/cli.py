@@ -166,7 +166,7 @@ def run_santalo(obj: dict, threads: int):
 
 
 def run_dominance(obj: dict, threads: int):
-    """Survival-curve (stochastic dominance) comparison."""
+    """Stochastic dominance against the uniform-ball extremizer: one exact one-sided Smirnov test."""
     return _experiment(obj, threads, "dominance", experiments.stochastic_dominance_experiment)
 
 

@@ -1,10 +1,9 @@
 """Reproducible statistical experiments on measures of random polars.
 
 Every experiment is driven by a single seed; X-side and Z-side trials
-use disjoint streams but shared grids, and verdicts use one-sided
-3-sigma margins: the underlying statements are inequalities in
-expectation/distribution, so Monte Carlo can only certify them up to
-noise.
+use disjoint streams.  The statements are inequalities in expectation or
+in distribution, certified up to noise: a one-sided 3-sigma margin on the
+means, and an exact one-sided two-sample Smirnov test at level `ALPHA`.
 """
 
 from __future__ import annotations
@@ -57,8 +56,8 @@ __all__ = [
     "body_volume_exact",
 ]
 
-# levels of the shared grid on which dominance compares survival curves
-SURVIVAL_LEVELS = 50
+# level of the one-sided two-sample Smirnov test behind the dominance verdict
+ALPHA = 0.01
 # the cube's Z_p costs 2^(n-1) terms a direction; past p = 1e15, |x|^p rounds to 0 at |x| = 1 - ulp
 CUBE_MAX_DIM, CUBE_MAX_P = 8, 1e15
 # e_i of log(sinh s / s) = Σ_i e_i s^2i, the log-MGF of the uniform law on [-1, 1] (`_taylor_factor`)
@@ -138,10 +137,12 @@ def santalo_expectation_experiment(cfg: ExperimentConfig, threads: int = 1) -> E
 
     PASS iff mean_Z - mean_X >= -3·(combined stderr of the two means).
     The stderr of a mean is read from the spread of the trials, so one
-    trial is refused.
+    trial is refused; so is a ρ that is not decreasing.
     """
     if cfg.trials < 2:
         raise ConfigError("trials: the expectation comparison needs >= 2 trials for a spread")
+    if not check_condnu2(cfg.m)["decreasing"]:
+        raise ConfigError("measure: the expectation comparison needs a decreasing rho")
     vx, vz = _trial_values(cfg, threads)
     ax = np.array([v for v, _ in vx])
     az = np.array([v for v, _ in vz])
@@ -166,38 +167,33 @@ def santalo_expectation_experiment(cfg: ExperimentConfig, threads: int = 1) -> E
     )
 
 
-def stochastic_dominance_experiment(
-    cfg: ExperimentConfig, threads: int = 1
-) -> ExperimentReport:
-    """Survival-curve ordering S_X(t) <= S_Z(t) on a shared level grid.
+def _smirnov_pvalue(k: int, T: int) -> float:
+    """P(D⁺ >= k/T) for two samples of T values each, equal in law: C(2T, T - k)/C(2T, T)."""
+    return math.prod((T - i + 1) / (T + i) for i in range(1, k + 1))
 
-    PASS iff S_X(t) <= S_Z(t) + 3·(combined binomial SE) at every grid
-    point.  The measure must satisfy condν2 (checked before any trial).
+
+def stochastic_dominance_experiment(cfg: ExperimentConfig, threads: int = 1) -> ExperimentReport:
+    """ν(K_X°) stochastically below ν(K_Z°), by one exact one-sided Smirnov test.
+
+    k = max_t (#{X >= t} - #{Z >= t}) over the pooled trial values, and
+    PASS iff P(D⁺ >= k/T) >= ALPHA under X = Z in law (Gnedenko & Korolyuk
+    1951).  T trials reach p = 1/C(2T, T) at the least, so a T whose least
+    p is not below ALPHA could never FAIL and is refused.  The measure must
+    be decreasing and meet condν2 (checked before any trial).
     """
-    flags = check_condnu2(cfg.m, np.linspace(1e-6, 10.0, 64))
+    T = cfg.trials
+    if _smirnov_pvalue(T, T) >= ALPHA:
+        raise ConfigError(f"trials: {T} trials cannot reach a p-value below {ALPHA}")
+    flags = check_condnu2(cfg.m)
     if not (flags["decreasing"] and flags["condnu2"]):
         raise ConfigError("measure: dominance needs a decreasing rho with convex rho^(-1/(n+1))")
     vx, vz = _trial_values(cfg, threads)
-    ax = np.array([v for v, _ in vx])
-    az = np.array([v for v, _ in vz])
-    pooled = np.concatenate([ax, az])
-    tgrid = np.linspace(float(pooled.min()), float(pooled.max()), SURVIVAL_LEVELS)
-    T = len(ax)
-    s_x = np.array([(ax >= t).mean() for t in tgrid])
-    s_z = np.array([(az >= t).mean() for t in tgrid])
-    se = np.sqrt(s_x * (1 - s_x) / T + s_z * (1 - s_z) / T)
-    gaps = s_x - s_z - 3.0 * se
-    verdict = bool(np.all(gaps <= 1e-12))
-    return ExperimentReport(
-        verdict=verdict,
-        summary={
-            "levels": SURVIVAL_LEVELS,
-            "worst_gap": float(gaps.max()),
-            "trials": cfg.trials,
-        },
-        trials_x=vx,
-        trials_z=vz,
-    )
+    xs = np.sort([v for v, _ in vx])
+    zs = np.sort([v for v, _ in vz])
+    pooled = np.concatenate([xs, zs])
+    k = max(0, int((np.searchsorted(zs, pooled) - np.searchsorted(xs, pooled)).max()))
+    p = _smirnov_pvalue(k, T)
+    return ExperimentReport(p >= ALPHA, {"statistic": k / T, "pvalue": p, "trials": T}, vx, vz)
 
 
 def convergence_experiment(

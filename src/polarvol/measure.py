@@ -93,12 +93,13 @@ class GaussianLike:
 
 @dataclass(frozen=True)
 class PowerKernel:
-    """ρ = k(t)^{-(n+1)} for a convex increasing k given as a linear table.
+    """ρ = k(t)^{-(n+1)} for a piecewise linear k given as a table.
 
     `k_table` is a (m, 2) array of (t, k(t)) pairs with increasing t;
     k is extended linearly beyond the last knot.  k(t) <= 0 would make
     ρ infinite, so a knot with k <= 0, a slope that overflows and a
-    falling last piece are refused.
+    falling last piece are refused.  `check_condnu2` decides the rest:
+    `santalo` refuses a k that falls on [0, ∞), `dominance` also a non-convex k.
     """
 
     k_table: np.ndarray
@@ -125,7 +126,7 @@ class PowerKernel:
 
     def k_eval(self, t: np.ndarray) -> np.ndarray:
         ts, ks = self.k_table[:, 0], self.k_table[:, 1]
-        # linear extrapolation on the right keeps k convex increasing
+        # past the last knot k keeps its last slope
         slope = (ks[-1] - ks[-2]) / (ts[-1] - ts[-2])
         return np.interp(t, ts, ks) + slope * np.maximum(t - ts[-1], 0.0)
 
@@ -147,24 +148,23 @@ def rho_eval(m: RadialMeasure, t) -> np.ndarray:
     raise TypeError(f"unknown measure type {type(m)!r}")
 
 
-def check_condnu2(m: RadialMeasure, grid: np.ndarray) -> dict:
-    """Grid checks of the two measure classes the theorems use.
+def check_condnu2(m: RadialMeasure) -> dict:
+    """The two measure classes the theorems use, decided from the measure itself.
 
-    `decreasing`: ρ nonincreasing on the grid.  `condnu2`: midpoint
-    convexity of ρ^{-1/(n+1)} with ρ = 0 treated as +inf (absorbing:
-    any finite midpoint below +inf endpoints passes).
+    `decreasing`: ρ nonincreasing on [0, ∞).  `condnu2`: ρ^{-1/(n+1)} convex
+    there.  Lebesgue and Gaussian meet both by their form.  A PowerKernel has
+    ρ^{-1/(n+1)} = k: flat before a first knot above 0 (`np.interp`), then
+    linear between knots and on past the last.  ρ decreases iff every slope of
+    k on [0, ∞) is >= 0, and condν2 holds iff those slopes never fall, both up
+    to 1e-10 of the steepest slope (rounding of the table).
     """
-    grid = np.asarray(grid, dtype=float)
-    if grid.size < 3 or np.any(np.diff(grid) <= 0):
-        raise MeasureError("grid must be increasing with >= 3 points")
-    rho = rho_eval(m, grid)
-    decreasing = bool(np.all(np.diff(rho) <= 1e-10 * (1.0 + np.abs(rho[:-1]))))
-    with np.errstate(divide="ignore"):
-        k = np.where(rho > 0, rho ** (-1.0 / (m.dim + 1.0)), np.inf)
-    finite = np.isfinite(k[:-2]) & np.isfinite(k[2:])  # +inf endpoints absorb any midpoint
-    mid = 0.5 * (k[:-2][finite] + k[2:][finite])
-    condnu2 = bool(np.all(k[1:-1][finite] <= mid + 1e-10 * (1.0 + np.abs(mid))))
-    return {"decreasing": decreasing, "condnu2": condnu2}
+    if not isinstance(m, PowerKernel):
+        return {"decreasing": True, "condnu2": True}
+    ts, ks = m.k_table.T
+    slopes = np.diff(ks) / np.diff(ts)
+    s = np.concatenate([np.zeros(int(ts[0] > 0)), slopes[ts[1:] > 0], slopes[-1:]])
+    slack = 1e-10 * np.abs(s).max()
+    return {"decreasing": bool(s.min() >= -slack), "condnu2": bool(np.all(np.diff(s) >= -slack))}
 
 
 def total_mass(m: RadialMeasure) -> float:

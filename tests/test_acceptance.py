@@ -75,7 +75,8 @@ def test_criterion_03_expectation_desk_scale():
 def test_criterion_04_stochastic_dominance():
     cfg = _theorem_config(measure.LebesgueRestricted(5.0, 2), 2000, 10 ** 5, 101)
     rep = experiments.stochastic_dominance_experiment(cfg, threads=4)
-    report(4, rep.verdict, f"worst survival gap={rep.summary['worst_gap']:.3e} over {rep.summary['levels']} levels")
+    s = rep.summary
+    report(4, rep.verdict, f"D+={s['statistic']:.4f} p={s['pvalue']:.4f} over {s['trials']} trials (PASS iff p >= 0.01)")
 
 
 def test_criterion_05_shadow_profile_exact_convexity():
@@ -218,3 +219,19 @@ def test_criterion_11_null_calibration():
         if not rep.verdict:
             fails += 1
     report(11, fails <= 1, f"false-FAIL rate {fails}/100 under X = Z in law (allow <= 1)")
+
+
+def test_criterion_12_dominance_null_calibration():
+    # the bound is the binomial tail at the test's level, fixed before the run: P(Bin(100, 0.01) >= 5) = 0.34%
+    fails = 0
+    for seed in range(100):
+        cfg = ExperimentConfig(
+            n=2, N=4, gauge=geom.LqBall(1.0, 4), rball=0.0,
+            law_x=measure.UniformBodyDensity("Dn", 2),
+            m=measure.GaussianLike(1.0, 2),
+            trials=200, budget_per_trial=4000, seed=seed,
+        )
+        rep = experiments.stochastic_dominance_experiment(cfg, threads=4)
+        if not rep.verdict:
+            fails += 1
+    report(12, fails <= 4, f"false-FAIL rate {fails}/100 under X = Z in law at alpha 0.01 (allow <= 4)")

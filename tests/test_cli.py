@@ -2,6 +2,9 @@ import copy
 import dataclasses
 import json
 import math
+import os
+import subprocess
+import sys
 import tempfile
 import warnings
 from functools import reduce
@@ -14,6 +17,7 @@ from click.testing import CliRunner
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import polarvol
 from polarvol import analysis, cli, experiments, volume
 from polarvol.cli import main, parse_experiment_config
 from polarvol.experiments import ConfigError
@@ -62,17 +66,26 @@ def test_parse_rejects_small_q_with_field_path():
 
 def test_parse_accepts_gaussian_dominance():
     cfg = parse_experiment_config(dict(BASE, mode="dominance", measure={"kind": "gaussian", "sigma": 1.0}))
-    rep = experiments.stochastic_dominance_experiment(dataclasses.replace(cfg, trials=4, budget_per_trial=500))
-    assert rep.summary["trials"] == 4
+    rep = experiments.stochastic_dominance_experiment(dataclasses.replace(cfg, trials=5, budget_per_trial=500))
+    assert rep.summary["trials"] == 5
 
 
 def test_config_without_mode_runs_and_echoes_it(tmp_path):
-    cfg = {k: v for k, v in dict(BASE, trials=4, budget=500).items() if k != "mode"}
+    cfg = {k: v for k, v in dict(BASE, trials=5, budget=500).items() if k != "mode"}
     for command, mode in (("santalo", "expectation"), ("dominance", "dominance")):
         out = tmp_path / command
         res = invoke([command, "--config", write_cfg(tmp_path, cfg), "--out", str(out)])
         assert res.exit_code in (0, 1), res.output
         assert json.loads((out / "report.json").read_text())["config"] == dict(cfg, mode=mode)
+
+
+def test_importing_the_cli_leaves_scipy_stats_out():
+    # importing scipy.stats costs about 0.5 s, paid again by every fresh process that runs a command
+    src = str(Path(polarvol.__file__).parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    code = "import sys, polarvol.cli; print('scipy.stats' in sys.modules)"
+    res = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert res.stdout.strip() == "False"
 
 
 def test_cli_exit_code_config_error(tmp_path):
@@ -293,6 +306,16 @@ BAD_VALUES = [
     # a flat K has |K| = 0 by the same spanning test that calls K° unbounded; qhull gave 2e-11 and a PASS
     ("newsan", dict(PV_BALL, body={"kind": "matrix_image", "columns": [[1.0, 0.0], [1.0, 1e-11]],
                                    "gauge": {"type": "lq", "q": 1.0}})),
+    # k tables the old 64-point grid on [1e-6, 10] passed: a slope that falls from 2 to 1.5
+    # at t = 20 (not condnu2), and a k that falls on [12, 15] (rho rises)
+    ("dominance", dict(BASE, mode="dominance",
+                       measure={"kind": "power_kernel", "k_table": [[0, 1], [5, 6], [20, 36], [30, 51]]})),
+    ("dominance", dict(BASE, mode="dominance",
+                       measure={"kind": "power_kernel", "k_table": [[0, 1], [12, 13], [15, 12], [20, 30]]})),
+    # the expectation statement assumes a decreasing density too
+    ("santalo", dict(BASE, measure={"kind": "power_kernel", "k_table": [[0, 1], [12, 13], [15, 12], [20, 30]]})),
+    # 4 trials a side reach p >= 1/C(8, 4) = 1/70 > ALPHA: that dominance verdict could never FAIL
+    ("dominance", dict(BASE, mode="dominance", measure={"kind": "gaussian", "sigma": 1.0}, trials=4)),
 ]
 
 

@@ -80,7 +80,45 @@ def test_dominance_small_run_passes():
     cfg = small_config(m=measure.GaussianLike(1.0, 2), trials=60)
     rep = experiments.stochastic_dominance_experiment(cfg)
     assert rep.verdict
-    assert rep.summary["levels"] == 50
+    s = rep.summary
+    assert set(s) == {"statistic", "pvalue", "trials"} and s["trials"] == 60
+    assert s["pvalue"] == experiments._smirnov_pvalue(round(60 * s["statistic"]), 60) >= experiments.ALPHA
+
+
+@pytest.mark.parametrize("T", [5, 60, 200, 2000])
+def test_dominance_pvalue_is_the_exact_smirnov_test(monkeypatch, T):
+    from scipy import stats
+
+    gen = np.random.default_rng(T)
+    for shift in np.linspace(-0.6, 0.6, 9):
+        x, z = gen.standard_normal(T) + shift, gen.standard_normal(T)
+        sides = ([(v, 0.0) for v in x], [(v, 0.0) for v in z])
+        monkeypatch.setattr(experiments, "_trial_values", lambda cfg, threads: sides)
+        rep = experiments.stochastic_dominance_experiment(small_config(trials=T))
+        want = stats.ks_2samp(x, z, alternative="less", method="exact")
+        assert rep.summary["statistic"] == want.statistic
+        assert rep.summary["pvalue"] == pytest.approx(want.pvalue, rel=1e-12, abs=1e-300)
+        assert rep.verdict == (want.pvalue >= experiments.ALPHA)
+
+
+def shrunken_ball_law(lam, n=2):
+    """Uniform on λ·r_n·B: sup f = λ^(-n) > 1 puts it outside P_n, so RadialStepDensity refuses it."""
+    law = object.__new__(measure.RadialStepDensity)
+    for name, value in (("breaks", np.array([lam * measure.dn_radius(n)])), ("values", np.array([lam ** -n])),
+                        ("dim", n)):
+        object.__setattr__(law, name, value)
+    return law
+
+
+@pytest.mark.parametrize("experiment,lam,m", [
+    (experiments.stochastic_dominance_experiment, 0.95, measure.GaussianLike(1.0, 2)),
+    (experiments.santalo_expectation_experiment, 0.8, measure.LebesgueRestricted(5.0, 2)),
+])
+def test_verdict_fails_a_law_outside_pn(experiment, lam, m):
+    # negative control: a law more concentrated than D_n has larger polars, so each verdict must FAIL
+    configs = [small_config(m=m, trials=200, budget=4000, seed=seed) for seed in range(20)]
+    fails = sum(not experiment(dataclasses.replace(cfg, law_x=shrunken_ball_law(lam))).verdict for cfg in configs)
+    assert fails == 20
 
 
 def test_report_self_containment(tmp_path):

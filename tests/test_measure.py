@@ -49,16 +49,33 @@ def test_level_radius_power_kernel_by_bisection():
 
 
 def test_check_condnu2_verdicts():
-    grid = np.linspace(1e-6, 10.0, 64)
-    res = measure.check_condnu2(measure.GaussianLike(1.0, 2), grid)
-    assert res["decreasing"] and res["condnu2"]
-    res = measure.check_condnu2(measure.LebesgueRestricted(5.0, 2), grid)
-    assert res["decreasing"] and res["condnu2"]
+    for m in (measure.GaussianLike(1.0, 2), measure.LebesgueRestricted(5.0, 2)):
+        assert measure.check_condnu2(m) == {"decreasing": True, "condnu2": True}
+
+
+KNOTS_40 = np.linspace(0.0, 10.0, 40)
+
+
+@pytest.mark.parametrize("table,want", [
     # concave increasing k: rho decreasing but rho^{-1/(n+1)} not convex
-    t = np.linspace(0.0, 10.0, 40)
-    concave_k = np.column_stack([t, np.sqrt(1.0 + t)])
-    res = measure.check_condnu2(measure.PowerKernel(concave_k, 2), np.linspace(1e-6, 9.0, 64))
-    assert res["decreasing"] and not res["condnu2"]
+    (np.column_stack([KNOTS_40, np.sqrt(1.0 + KNOTS_40)]), {"decreasing": True, "condnu2": False}),
+    # a straight line: its 40 slopes spread by rounding only
+    (np.column_stack([KNOTS_40, 1.0 + 0.1 * KNOTS_40]), {"decreasing": True, "condnu2": True}),
+    # the slope falls from 2 to 1.5 at t = 20, past the reach of a grid on [0, 10]
+    ([[0, 1], [5, 6], [20, 36], [30, 51]], {"decreasing": True, "condnu2": False}),
+    # k falls on [12, 15], so rho rises there
+    ([[0, 1], [12, 13], [15, 12], [20, 30]], {"decreasing": False, "condnu2": False}),
+    # np.interp holds k flat before a first knot above 0: a first slope of -1 falls from 0
+    ([[1, 2], [2, 1], [3, 5]], {"decreasing": False, "condnu2": False}),
+    ([[1, 2], [2, 3], [3, 5]], {"decreasing": True, "condnu2": True}),
+    # only [0, inf) counts: a fall at t < 0, and a table whose every knot is <= 0
+    ([[-2, 3], [-1, 1], [1, 2], [2, 4]], {"decreasing": True, "condnu2": True}),
+    ([[-2, 1], [0, 1.5]], {"decreasing": True, "condnu2": True}),
+    # the last slope carries k past the last knot, so it must not fall below the slopes before it
+    ([[0, 1], [1, 3], [2, 4]], {"decreasing": True, "condnu2": False}),
+])
+def test_check_condnu2_reads_the_table(table, want):
+    assert measure.check_condnu2(measure.PowerKernel(np.array(table, dtype=float), 2)) == want
 
 
 def test_radial_step_integral_and_levels():
@@ -242,22 +259,21 @@ def test_power_kernel_draws_reach_the_tail():
     assert abs(frac - p) <= 4 * math.sqrt(p * (1 - p) / size)
 
 
-def condnu2_by_loop(k):
-    """The triple-by-triple midpoint-convexity scan that check_condnu2 vectorises."""
-    for a, b, c in zip(k, k[1:], k[2:]):
-        if math.isinf(a) or math.isinf(c):
-            continue  # +inf endpoints absorb any midpoint
-        mid_bound = 0.5 * (a + c)
-        if math.isinf(b) or b > mid_bound + 1e-10 * (1.0 + abs(mid_bound)):
+def condnu2_by_loop(t, k):
+    """Convexity by a triple-by-triple scan: each k lies on or below the chord of its neighbours."""
+    for (ta, a), (tb, b), (tc, c) in zip(zip(t, k), zip(t[1:], k[1:]), zip(t[2:], k[2:])):
+        chord = a + (c - a) * (tb - ta) / (tc - ta)
+        if b > chord + 1e-10 * (1.0 + abs(chord)):
             return False
     return True
 
 
-@given(st.one_of(power_kernels(), st.builds(measure.LebesgueRestricted, st.floats(0.1, 30.0), st.integers(1, 4))),
-       st.sampled_from([1.0, 5.0, 40.0]))
+@given(power_kernels())
 @settings(max_examples=60, deadline=None)
-def test_check_condnu2_matches_the_loop(m, top):
-    grid = np.linspace(1e-6, top, 50)
-    with np.errstate(divide="ignore"):
-        k = np.where(measure.rho_eval(m, grid) > 0, measure.rho_eval(m, grid) ** (-1.0 / (m.dim + 1.0)), np.inf)
-    assert measure.check_condnu2(m, grid)["condnu2"] == condnu2_by_loop(k.tolist())
+def test_check_condnu2_matches_the_loop(m):
+    # k at 0 and every knot above it, at the midpoints between them, and at two points past the last
+    ts = m.k_table[:, 0]
+    knots = np.append(0.0, ts[ts > 0])
+    step = max(knots[-1], 1.0)
+    t = np.sort(np.concatenate([knots, 0.5 * (knots[1:] + knots[:-1]), knots[-1] + step * np.array([1.0, 2.0])]))
+    assert measure.check_condnu2(m)["condnu2"] == condnu2_by_loop(t.tolist(), m.k_eval(t).tolist())
