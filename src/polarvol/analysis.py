@@ -23,7 +23,14 @@ from .geom import (
     MatrixImageBody,
     UnboundedBody,
 )
-from .measure import LebesgueRestricted, MeasureError, RadialMeasure, nu_plus_hyperplane, psi_values
+from .measure import (
+    LebesgueRestricted,
+    MeasureError,
+    RadialMeasure,
+    _gauss_kronrod,
+    nu_plus_hyperplane,
+    psi_values,
+)
 from .rng import RngStream
 from .volume import EstimationError, exact_polar_volume_crosspoly, mc_polar_measure
 
@@ -215,19 +222,22 @@ def busemann_gauge(
     psi: Callable[[np.ndarray], np.ndarray],
     z: np.ndarray,
     support_radius: float = 50.0,
-) -> float:
-    """Gauge z -> |z| / ∫_{z⊥} ψ for an even, -1/n-concave density ψ.
+) -> np.ndarray:
+    """Gauge z -> |z| / ∫_{z⊥} ψ at each row of a (K, n) stack z, for an even, -1/n-concave ψ.
 
-    ψ maps an (m, n) batch to shape (m,), as in `nu_plus_hyperplane`.
-    Returns 0 at z = 0 by convention.
+    ψ maps an (m, n) batch to shape (m,), as in `nu_plus_hyperplane`, which
+    integrates every nonzero row in one call.  A zero row gets 0 by convention.
     """
-    z = np.asarray(z, dtype=float)
-    if np.linalg.norm(z) == 0:
-        return 0.0
-    mass = nu_plus_hyperplane(psi, z, support_radius=support_radius)
-    if mass <= 0 or not math.isfinite(mass):
-        raise MeasureError("hyperplane mass is zero or non-finite")
-    return float(np.linalg.norm(z)) / mass
+    z = np.atleast_2d(np.asarray(z, dtype=float))
+    norms = np.sqrt(np.vecdot(z, z))  # the dot kernel of np.linalg.norm on one row
+    out = np.zeros(len(z))
+    some = norms != 0
+    if some.any():
+        mass = nu_plus_hyperplane(psi, z[some], support_radius=support_radius)
+        if np.any(mass <= 0):
+            raise MeasureError("hyperplane mass is zero")
+        out[some] = norms[some] / mass
+    return out
 
 
 def spot_check_neg_recip_concavity(
@@ -259,21 +269,54 @@ def spot_check_neg_recip_concavity(
 
 
 def ball_bobkov_gauge(
-    f: Callable[[np.ndarray], float],
+    psi: Callable[[np.ndarray], np.ndarray],
     p: float,
     x: np.ndarray,
-    upper: float = math.inf,
-) -> float:
-    """F(x) = (∫_0^∞ f(rx) r^{p-1} dr)^{-1/p} by adaptive quadrature."""
-    x = np.asarray(x, dtype=float)
+    upper,
+    scale: float = 1.0,
+) -> np.ndarray:
+    """F(x) = (∫_0^upper ψ(rx) r^{p-1} dr)^{-1/p} at each row of a (K, n) stack x.
+
+    ψ maps an (m, n) batch to shape (m,); `upper` is a finite bound on r,
+    one for all rows or one per row.  With r = r0·t and r0 = min(scale/|x|,
+    upper), the integral is r0^p times ∫_0^1 in u = t^p/p, where the weight
+    t^{p-1} is absorbed, plus ∫_1^{upper/r0} ψ(t·r0·x) t^{p-1} dt in t.  No
+    fixed substitution serves every p: in r alone small p does not converge,
+    and in u alone large p puts every node past the mass of ψ, so `scale`
+    should be the radius where ψ falls off.  All 2K integrals run in one
+    `_gauss_kronrod` to 1e-13 relative.  MeasureError unless every F is
+    finite and > 0.
+    """
+    x = np.atleast_2d(np.asarray(x, dtype=float))
+    K = len(x)
     if not 0 < p < math.inf:
         raise ValueError("p must be finite and > 0")
-    if np.linalg.norm(x) == 0:
+    norms = np.sqrt(np.vecdot(x, x))
+    if np.any(norms == 0):
         raise ValueError("x must be nonzero")
-    val, _ = integrate.quad(lambda r: f(r * x) * r ** (p - 1.0), 0.0, upper, limit=400)
-    if val <= 0 or not math.isfinite(val):
-        raise MeasureError("radial integral is zero or divergent")
-    return val ** (-1.0 / p)
+    upper = np.broadcast_to(np.asarray(upper, dtype=float), (K,))
+    if not np.all((upper > 0) & (upper < math.inf)):
+        raise ValueError("upper must be finite and > 0")
+    r0 = np.minimum(scale / norms, upper)
+    y = r0[:, None] * x  # ψ(rx) = ψ(t·y)
+    ends = upper / r0
+    breaks = [np.array([0.0, 1.0 / p])] * K + [np.array([1.0, e]) for e in ends]
+
+    def g(k, s):
+        # integral k < K is the u half of row k, integral K + k its t half
+        u_half = k < K
+        t, weight = s.copy(), np.ones_like(s)
+        t[u_half] = (p * s[u_half]) ** (1.0 / p)
+        weight[~u_half] = s[~u_half] ** (p - 1.0)
+        points = t[:, :, None] * y[k % K][:, None, :]
+        return psi_values(psi, points.reshape(-1, x.shape[1])).reshape(s.shape) * weight
+
+    J = _gauss_kronrod(g, breaks, epsabs=0.0, epsrel=1e-13)
+    with np.errstate(divide="ignore", over="ignore"):
+        F = (J[:K] + J[K:]) ** (-1.0 / p) / r0
+    if not np.all((F > 0) & (F < math.inf)):
+        raise MeasureError("radial integral is zero or divergent, or F is not a positive float")
+    return F
 
 
 def milman_pajor_gauge(

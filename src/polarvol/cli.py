@@ -125,9 +125,10 @@ def named_density(name: str, sigma: float = 1.0):
     `math.exp` per row, because `np.exp` rounds differently.
     """
     if name == "gaussian":
-        if not (math.isfinite(sigma) and sigma > 0):
-            raise ConfigError("sigma: must be a finite number > 0")
         c = 2 * sigma * sigma
+        if not (sigma > 0 and sys.float_info.min <= c < math.inf):
+            # a subnormal 2σ² loses bits, and one that underflows divides by 0
+            raise ConfigError("sigma: must be > 0 with 2·sigma² a normal float")
         return lambda X: np.array([math.exp(-d / c) for d in np.vecdot(X, X).tolist()]), 12.0 * sigma
     if name == "uniform_square":
         return lambda X: np.all(np.abs(X) <= 1.0, axis=1).astype(float), 2.0
@@ -222,55 +223,57 @@ def run_busemann(obj: dict, threads: int):
         raise ConfigError("pairs: must be >= 1")
     seed = int(obj.get("seed", 0))
     gen = RngStream(seed, 0).generator()
-    worst = -math.inf
     hypothesis_ok = analysis.spot_check_neg_recip_concavity(psi, 2, RngStream(seed, 1))
+    kept = []
     for _ in range(pairs):
         z1 = gen.uniform(-1.0, 1.0, size=2)
         z2 = gen.uniform(-1.0, 1.0, size=2)
         if np.linalg.norm(z1) < 1e-6 or np.linalg.norm(z2) < 1e-6 or np.linalg.norm(z1 + z2) < 1e-6:
             continue
-        f1 = analysis.busemann_gauge(psi, z1, radius)
-        f2 = analysis.busemann_gauge(psi, z2, radius)
-        f12 = analysis.busemann_gauge(psi, z1 + z2, radius)
-        worst = max(worst, f12 - f1 - f2)
+        kept.append((z1, z2))
+    z1, z2 = np.array(kept).reshape(-1, 2, 2).transpose(1, 0, 2)
+    f1, f2, f12 = analysis.busemann_gauge(psi, np.concatenate([z1, z2, z1 + z2]), radius).reshape(3, -1)
+    worst = float(np.max(f12 - f1 - f2, initial=-math.inf))
     summary = {"worst_violation": worst, "pairs": pairs, "hypothesis_verified": hypothesis_ok}
     return obj, worst <= 1e-6, summary, "", f"worst={worst:.3g}"
 
 
 def radial_gauge(density: str, sigma: float, p: float):
-    """x -> F(x) of `ball_bobkov_gauge`, integrated over the r where f(r x) > 0.
+    """x -> F at each row of a stack x, by one `ball_bobkov_gauge` call.
 
-    An indicator ends at its jump, r = 1/|x|_inf (square) or 1/|x| (ball),
-    which quad cannot locate; the Gaussian goes out to |r x| = 10 support
-    radii, r = 10·radius/|x|.
+    The integral runs over the r where f(r x) > 0.  An indicator ends at
+    its jump, r = 1/|x|_inf (square) or 1/|x| (ball); the Gaussian goes out
+    to |r x| = 10 support radii, r = 10·radius/|x|, and switches variables
+    at its scale |r x| = sigma.
     """
     psi, radius = named_density(density, sigma)
-    f = lambda y: float(psi(y[None, :])[0])  # ball_bobkov_gauge evaluates one point at a time
     ends = {
-        "uniform_square": lambda x: 1.0 / float(np.abs(x).max()),
-        "uniform_ball": lambda x: 1.0 / float(np.linalg.norm(x)),
+        "uniform_square": lambda x: 1.0 / np.abs(x).max(axis=1),
+        "uniform_ball": lambda x: 1.0 / np.sqrt(np.vecdot(x, x)),
     }
-    end = ends.get(density, lambda x: 10.0 * radius / float(np.linalg.norm(x)))
-    return lambda x: analysis.ball_bobkov_gauge(f, p, x, upper=end(x))
+    end = ends.get(density, lambda x: 10.0 * radius / np.sqrt(np.vecdot(x, x)))
+    scale = 1.0 if density in ends else sigma
+    return lambda x: analysis.ball_bobkov_gauge(psi, p, x, end(x), scale)
 
 
 def run_gauge(obj: dict, threads: int):
-    """Homogeneity battery for the radial-integral gauges."""
+    """Homogeneity battery for the radial-integral gauges: max |F(λx) − λF(x)| / λF(x)."""
     p = float(obj.get("p", 1.0))
     gauge = radial_gauge(_require(obj, "density", "config"), float(obj.get("sigma", 1.0)), p)
     checks = int(obj.get("checks", 100))
     if checks < 1:
         raise ConfigError("checks: must be >= 1")
     gen = RngStream(int(obj.get("seed", 0)), 0).generator()
-    worst = 0.0
+    xs, lams = [], []
     for _ in range(checks):
         x = gen.uniform(-1.0, 1.0, size=2)
         if np.linalg.norm(x) < 1e-3:
             continue
-        lam = float(gen.uniform(0.5, 3.0))
-        fx = gauge(x)
-        flx = gauge(lam * x)
-        worst = max(worst, abs(flx - lam * fx) / max(1e-12, lam * fx))
+        xs.append(x)
+        lams.append(float(gen.uniform(0.5, 3.0)))
+    x, lam = np.array(xs).reshape(-1, 2), np.array(lams)
+    fx, flx = gauge(np.concatenate([x, lam[:, None] * x])).reshape(2, -1)
+    worst = float(np.max(np.abs(flx - lam * fx) / (lam * fx), initial=0.0))
     return obj, worst <= 1e-9, {"worst_relative_error": worst, "p": p}, "", f"worst={worst:.3g}"
 
 

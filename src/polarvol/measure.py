@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from typing import Callable, Union
 
 import numpy as np
-from scipy import integrate, special
+from scipy import special
 
 from .geom import row_norms, unit_ball_volume
 from .rng import RngStream
@@ -475,66 +475,176 @@ def psi_values(psi: Callable[[np.ndarray], np.ndarray], P: np.ndarray) -> np.nda
     return vals
 
 
+# G10K21, QUADPACK's qk21: the Kronrod abscissae from the largest down to the
+# centre, with their weights; abscissae 1, 3, ..., 9 are the 10-point Gauss ones
+_XGK = np.array([
+    0.995657163025808080735527280689003, 0.973906528517171720077964012084452,
+    0.930157491355708226001207180059508, 0.865063366688984510732096688423493,
+    0.780817726586416897063717578345042, 0.679409568299024406234327365114874,
+    0.562757134668604683339000099272694, 0.433395394129247190799265943165784,
+    0.294392862701460198131126603103866, 0.148874338981631210884826001129720,
+    0.0,
+])
+_WGK = np.array([
+    0.011694638867371874278064396062192, 0.032558162307964727478818972459390,
+    0.054755896574351996031381300244580, 0.075039674810919952767043140916190,
+    0.093125454583697605535065465083366, 0.109387158802297641899210590325805,
+    0.123491976262065851077208980972294, 0.134709217311473325928054001771707,
+    0.142775938577060080797094273138717, 0.147739104901338491374841515972068,
+    0.149445554002916905664936468389821,
+])
+_WG = np.array([
+    0.066671344308688137593568809893332, 0.149451349150580593145776339657697,
+    0.219086362515982043995534934228163, 0.269266719309996355091226921569469,
+    0.295524224714752870173892994651338,
+])
+# the 21 nodes of a panel as multiples of its half-length: the centre, then c - h·x_j, then c + h·x_j
+_NODES = np.concatenate([[0.0], -_XGK[:10], _XGK[:10]])
+
+
+def _kronrod_panels(fv: np.ndarray, half: np.ndarray):
+    """qk21's integral and error estimate of each panel from its (m, 21) node values and half-length.
+
+    The sums run node by node over whole columns, in qk21's order, so each
+    panel's bits depend on its own values only (a gemv would regroup them).
+    Also returns which estimates sit at qk21's round-off floor, 50·eps·∫|f|,
+    where halving the panel cannot lower them.
+    """
+    fc, minus, plus = fv[:, 0], fv[:, 1:11], fv[:, 11:]
+    resg = np.zeros(len(fv))
+    resk = _WGK[10] * fc
+    resabs = np.abs(resk)
+    for j in (*range(1, 10, 2), *range(0, 10, 2)):
+        fsum = minus[:, j] + plus[:, j]
+        if j % 2:
+            resg = resg + _WG[j // 2] * fsum
+        resk = resk + _WGK[j] * fsum
+        resabs = resabs + _WGK[j] * (np.abs(minus[:, j]) + np.abs(plus[:, j]))
+    reskh = resk * 0.5
+    resasc = _WGK[10] * np.abs(fc - reskh)
+    for j in range(10):
+        resasc = resasc + _WGK[j] * (np.abs(minus[:, j] - reskh) + np.abs(plus[:, j] - reskh))
+    resabs, resasc = resabs * half, resasc * half
+    err = np.abs((resk - resg) * half)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        scaled = resasc * np.minimum(1.0, (200.0 * err / resasc) ** 1.5)
+    err = np.where((resasc != 0) & (err != 0), scaled, err)
+    floor = 50.0 * np.finfo(float).eps * resabs
+    return resk * half, np.maximum(err, floor), err <= floor
+
+
+def _gauss_kronrod(g, breaks, epsabs: float, epsrel: float) -> np.ndarray:
+    """K integrals at once by adaptive G10K21 (QUADPACK's default panel rule).
+
+    `breaks[k]` is integral k's interval in ascending order, with any
+    breakpoints inside it.  g(index, x) gets the integral index of each of
+    m panels and their (m, 21) abscissae, and returns the (m, 21) integrand
+    values: one call a round, for every panel made in that round.  A panel
+    is bisected while its integral's error estimate is over
+    tol = max(epsabs, epsrel·|value|) and its own estimate is over its
+    length's share of tol and above the round-off floor.  Each integral's
+    panels stay in ascending order and are summed in that order, so its
+    bits do not depend on which other integrals share the batch.
+    MeasureError if an integral would need more than 400 panels.
+    """
+    K = len(breaks)
+    edges = [np.asarray(b, dtype=float) for b in breaks]
+    owner = np.repeat(np.arange(K), [len(b) - 1 for b in edges])
+    lo = np.concatenate([np.zeros(0), *(b[:-1] for b in edges)])
+    hi = np.concatenate([np.zeros(0), *(b[1:] for b in edges)])
+    length = np.array([b[-1] - b[0] for b in edges])
+    keep = hi > lo
+    owner, lo, hi = owner[keep], lo[keep], hi[keep]
+    res, err, settled = np.zeros(len(lo)), np.zeros(len(lo)), np.zeros(len(lo), dtype=bool)
+    fresh = np.ones(len(lo), dtype=bool)
+    while True:
+        if fresh.any():
+            centre, half = 0.5 * (lo[fresh] + hi[fresh]), 0.5 * (hi[fresh] - lo[fresh])
+            fv = np.asarray(g(owner[fresh], centre[:, None] + half[:, None] * _NODES), dtype=float)
+            res[fresh], err[fresh], settled[fresh] = _kronrod_panels(fv, half)
+        value = np.bincount(owner, weights=res, minlength=K)
+        tol = np.maximum(epsabs, epsrel * np.abs(value))
+        over = np.bincount(owner, weights=err, minlength=K) > tol
+        split = over[owner] & ~settled & (err > tol[owner] * (hi - lo) / length[owner])
+        if not split.any():
+            return value
+        # each split panel becomes its two halves, in its place
+        at = np.repeat(np.arange(len(lo)), 1 + split)
+        first = (np.cumsum(1 + split) - 1 - split)[split]
+        mid = 0.5 * (lo[split] + hi[split])
+        owner, lo, hi, res, err, settled = owner[at], lo[at], hi[at], res[at], err[at], settled[at]
+        hi[first], lo[first + 1] = mid, mid
+        if np.bincount(owner).max() > 400:
+            raise MeasureError("quadrature did not converge within 400 panels")
+        fresh = np.zeros(len(lo), dtype=bool)
+        fresh[first], fresh[first + 1] = True, True
+
+
 def nu_plus_hyperplane(
     psi: Callable[[np.ndarray], np.ndarray],
     z: np.ndarray,
     support_radius: float = 50.0,
     tol: float = 1e-9,
-) -> float:
-    """ν⁺(z⊥) = ∫_{z⊥} ψ, by quadrature over the hyperplane (n in {2, 3}).
+) -> np.ndarray:
+    """ν⁺(z⊥) = ∫_{z⊥} ψ for each row of a (K, n) stack z, n in {2, 3}.
 
     `psi` maps an (m, n) batch of points to their m densities; anything
-    but shape (m,) raises MeasureError.  The jump scan is one batch; the
-    bisection and the quadrature integrand evaluate one-row batches.
-    `support_radius` bounds the integration domain; ψ must be
-    negligible beyond it.
+    but shape (m,) raises MeasureError.  `support_radius` bounds the
+    integration domain; ψ must be negligible beyond it.  One `_gauss_kronrod`
+    runs for the whole stack; n = 3 nests it, the inner rule over s taking
+    every outer node t at once.
     """
-    z = np.asarray(z, dtype=float)
-    n = z.size
-    if np.linalg.norm(z) == 0:
-        raise MeasureError("z must be nonzero")
+    z = np.atleast_2d(np.asarray(z, dtype=float))
+    K, n = z.shape
     if n not in (2, 3):
         raise MeasureError("hyperplane quadrature implemented for n in {2, 3}")
-    zhat = z / np.linalg.norm(z)
+    norms = np.sqrt(np.vecdot(z, z))  # the dot kernel of np.linalg.norm on one row
+    if np.any(norms == 0):
+        raise MeasureError("z must be nonzero")
+    zhat = z / norms[:, None]
+    S = support_radius
     if n == 2:
-        u = np.array([-zhat[1], zhat[0]])
-        g = lambda s: float(psi_values(psi, (s * u)[None, :])[0])
-        # adaptive quad silently mis-integrates jump densities (indicators);
-        # locate the jumps by bisection and hand them to quad as breakpoints
-        S = support_radius
+        u = np.stack([-zhat[:, 1], zhat[:, 0]], axis=1)
+        # adaptive quadrature silently mis-integrates jump densities
+        # (indicators): locate the jumps and make them breakpoints.  The scan
+        # runs one line at a time (4097 rows each), the bisection for every
+        # jump at once
         grid = np.linspace(-S, S, 4097)
-        gv = psi_values(psi, grid[:, None] * u[None, :])
-        spread = float(gv.max() - gv.min())
-        jumps = []
-        if spread > 0:
-            for j in np.flatnonzero(np.abs(np.diff(gv)) > 0.05 * spread):
-                lo, hi = grid[j], grid[j + 1]
-                glo = gv[j]
-                for _ in range(60):
-                    mid = 0.5 * (lo + hi)
-                    if abs(g(mid) - glo) <= 0.05 * spread:
-                        lo = mid
-                    else:
-                        hi = mid
-                jumps.append(0.5 * (lo + hi))
-        val, err = integrate.quad(
-            g, -S, S, limit=400, epsabs=tol, epsrel=1e-10, points=jumps or None
-        )
+        found = []  # (line, grid cell, ψ left of the jump, 5% of the line's spread)
+        for k in range(K):
+            gv = psi_values(psi, grid[:, None] * u[k][None, :])
+            slack = 0.05 * float(gv.max() - gv.min())
+            found += [(k, j, gv[j], slack) for j in np.flatnonzero(np.abs(np.diff(gv)) > slack)]
+        line, cell, glo, slack = np.array(found, dtype=float).reshape(-1, 4).T
+        line, cell = line.astype(np.intp), cell.astype(np.intp)
+        lo, hi = grid[cell], grid[cell + 1]
+        if len(line):
+            for _ in range(60):
+                mid = 0.5 * (lo + hi)
+                same = np.abs(psi_values(psi, mid[:, None] * u[line]) - glo) <= slack
+                lo, hi = np.where(same, mid, lo), np.where(same, hi, mid)
+        jumps = 0.5 * (lo + hi)
+        breaks = [np.concatenate([[-S], jumps[line == k], [S]]) for k in range(K)]
+        g = lambda k, s: psi_values(psi, (s[:, :, None] * u[k][:, None, :]).reshape(-1, 2)).reshape(s.shape)
+        val = _gauss_kronrod(g, breaks, epsabs=tol, epsrel=1e-10)
     else:
-        # orthonormal basis of z⊥
-        a = np.array([1.0, 0.0, 0.0]) if abs(zhat[0]) < 0.9 else np.array([0.0, 1.0, 0.0])
+        # orthonormal basis u, v of each z⊥
+        a = np.where(np.abs(zhat[:, :1]) < 0.9, [1.0, 0.0, 0.0], [0.0, 1.0, 0.0])
         u = np.cross(zhat, a)
-        u /= np.linalg.norm(u)
+        u /= np.sqrt(np.vecdot(u, u))[:, None]
         v = np.cross(zhat, u)
-        val, err = integrate.dblquad(
-            lambda s, t: float(psi_values(psi, (s * u + t * v)[None, :])[0]),
-            -support_radius,
-            support_radius,
-            -support_radius,
-            support_radius,
-            epsabs=tol,
-            epsrel=1e-8,
-        )
-    if not math.isfinite(val):
+        whole = [np.array([-S, S])]
+
+        def outer(k, t):
+            # one inner integral over s for each outer node (k, t)
+            k, t = np.repeat(k, t.shape[1]), t.ravel()
+            base = t[:, None] * v[k]
+            inner = lambda i, s: psi_values(
+                psi, (s[:, :, None] * u[k[i]][:, None, :] + base[i][:, None, :]).reshape(-1, 3)
+            ).reshape(s.shape)
+            return _gauss_kronrod(inner, whole * len(t), epsabs=tol, epsrel=1e-8).reshape(-1, 21)
+
+        val = _gauss_kronrod(outer, whole * K, epsabs=tol, epsrel=1e-8)
+    if not np.all(np.isfinite(val)):
         raise MeasureError("hyperplane quadrature diverged")
-    return float(val)
+    return val

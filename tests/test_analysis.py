@@ -89,22 +89,23 @@ def test_shadow_config_requires_orthogonal_base():
 
 def test_busemann_gauge_gaussian_closed_form():
     psi = lambda X: np.exp(-np.sum(X * X, axis=1) / 2.0)
-    for z in (np.array([1.0, 0.0]), np.array([0.6, -0.8]), np.array([2.0, 1.0])):
-        expected = np.linalg.norm(z) / math.sqrt(2 * math.pi)
-        assert analysis.busemann_gauge(psi, z) == pytest.approx(expected, abs=1e-6)
+    z = np.array([[1.0, 0.0], [0.6, -0.8], [2.0, 1.0]])
+    expected = np.linalg.norm(z, axis=1) / math.sqrt(2 * math.pi)
+    assert analysis.busemann_gauge(psi, z) == pytest.approx(expected, abs=1e-6)
 
 
 def test_busemann_triangle_inequality_battery():
     psi = lambda X: np.all(np.abs(X) <= 1.0, axis=1).astype(float)
     gen = RngStream(9, 0).generator()
+    pairs = []
     for _ in range(40):
         z1, z2 = gen.uniform(-1, 1, 2), gen.uniform(-1, 1, 2)
         if min(np.linalg.norm(z1), np.linalg.norm(z2), np.linalg.norm(z1 + z2)) < 1e-3:
             continue
-        f1 = analysis.busemann_gauge(psi, z1, 2.0)
-        f2 = analysis.busemann_gauge(psi, z2, 2.0)
-        f12 = analysis.busemann_gauge(psi, z1 + z2, 2.0)
-        assert f12 <= f1 + f2 + 1e-6
+        pairs.append((z1, z2))
+    z1, z2 = np.array(pairs).transpose(1, 0, 2)
+    f1, f2, f12 = analysis.busemann_gauge(psi, np.concatenate([z1, z2, z1 + z2]), 2.0).reshape(3, -1)
+    assert np.all(f12 <= f1 + f2 + 1e-6)
 
 
 def test_neg_recip_concavity_spot_check_gaussian():
@@ -114,20 +115,60 @@ def test_neg_recip_concavity_spot_check_gaussian():
 
 def test_ball_bobkov_gauge_indicator_closed_form():
     # f = 1_{B_2^2}: F(x) = (|x|^{-p}/p)^{-1/p} = p^{1/p} |x|
-    f = lambda y: 1.0 if float(np.dot(y, y)) <= 1.0 else 0.0
+    f = lambda Y: (np.sum(Y * Y, axis=1) <= 1.0).astype(float)
     for p in (1.0, 2.0, 3.0):
-        x = np.array([0.6, 0.8])
-        assert analysis.ball_bobkov_gauge(f, p, x, upper=10.0) == pytest.approx(
-            p ** (1.0 / p), abs=1e-8
-        )
+        x = np.array([[0.6, 0.8]])
+        assert analysis.ball_bobkov_gauge(f, p, x, upper=10.0) == pytest.approx(p ** (1.0 / p), abs=1e-8)
 
 
 def test_ball_bobkov_gauge_homogeneous():
-    f = lambda y: math.exp(-float(np.abs(y).sum()))
+    f = lambda Y: np.exp(-np.abs(Y).sum(axis=1))
     x = np.array([0.3, -0.7])
-    v = analysis.ball_bobkov_gauge(f, 2.0, x, upper=200.0)
-    v3 = analysis.ball_bobkov_gauge(f, 2.0, 3.0 * x, upper=200.0)
+    v, v3 = analysis.ball_bobkov_gauge(f, 2.0, np.array([x, 3.0 * x]), upper=200.0)
     assert v3 == pytest.approx(3.0 * v, rel=1e-8)
+
+
+GAUSS_PSI = lambda sigma: (lambda Y: np.exp(-np.sum(Y * Y, axis=1) / (2 * sigma * sigma)))
+SQUARE_PSI = lambda Y: np.all(np.abs(Y) <= 1.0, axis=1).astype(float)
+BALL_PSI = lambda Y: (np.sum(Y * Y, axis=1) <= 1.0).astype(float)
+XS = np.random.default_rng(21).uniform(-1.0, 1.0, (12, 2))
+
+
+@pytest.mark.parametrize("p", [0.01, 0.1, 0.5, 1.0, 2.0, 3.0, 7.0])
+def test_ball_bobkov_gauge_gaussian_radial_integral(p):
+    # ∫_0^∞ exp(-r²|x|²/2σ²) r^{p-1} dr = Γ(p/2)/2 · (2σ²/|x|²)^{p/2}; the rule splits at |rx| = σ
+    sigma = 0.7
+    norms = np.linalg.norm(XS, axis=1)
+    F = analysis.ball_bobkov_gauge(GAUSS_PSI(sigma), p, XS, upper=120.0 * sigma / norms, scale=sigma)
+    want = 0.5 * math.gamma(p / 2) * (2 * sigma * sigma / norms ** 2) ** (p / 2)
+    assert F ** -p == pytest.approx(want, rel=1e-12, abs=0)
+
+
+@pytest.mark.parametrize("p", [0.1, 1.0, 2.0, 7.0])
+def test_ball_bobkov_gauge_indicators_are_scaled_norms(p):
+    # ∫_0^{1/|x|} r^{p-1} dr = |x|^{-p}/p: F = p^{1/p}|x| on the disc, p^{1/p}|x|_inf on the square
+    ball = analysis.ball_bobkov_gauge(BALL_PSI, p, XS, upper=1.0 / np.linalg.norm(XS, axis=1))
+    square = analysis.ball_bobkov_gauge(SQUARE_PSI, p, XS, upper=1.0 / np.abs(XS).max(axis=1))
+    assert ball == pytest.approx(p ** (1 / p) * np.linalg.norm(XS, axis=1), rel=1e-12, abs=0)
+    assert square == pytest.approx(p ** (1 / p) * np.abs(XS).max(axis=1), rel=1e-12, abs=0)
+
+
+def test_busemann_gauge_closed_forms():
+    # the line z⊥ meets the square in length 2|z|/|z|_inf; the Gaussian's line integral is √(2π)
+    assert analysis.busemann_gauge(SQUARE_PSI, XS, 2.0) == pytest.approx(np.abs(XS).max(axis=1) / 2, rel=1e-12, abs=0)
+    gauss = analysis.busemann_gauge(GAUSS_PSI(1.0), XS, 12.0)
+    assert gauss == pytest.approx(np.linalg.norm(XS, axis=1) / math.sqrt(2 * math.pi), rel=1e-9, abs=0)
+
+
+@pytest.mark.parametrize("psi", [GAUSS_PSI(1.0), SQUARE_PSI, BALL_PSI], ids=["gaussian", "square", "ball"])
+def test_gauges_do_not_depend_on_the_rest_of_the_battery(psi):
+    # each integral refines its own panels and sums them in its own order
+    upper = 1.0 / np.abs(XS).max(axis=1)
+    F = analysis.ball_bobkov_gauge(psi, 2.0, XS, upper)
+    B = analysis.busemann_gauge(psi, XS, 12.0)
+    for i in range(len(XS)):
+        assert analysis.ball_bobkov_gauge(psi, 2.0, XS[i:i + 1], upper[i]).tobytes() == F[i:i + 1].tobytes()
+        assert analysis.busemann_gauge(psi, XS[i:i + 1], 12.0).tobytes() == B[i:i + 1].tobytes()
 
 
 def test_milman_pajor_gauge_gaussian_halfplane():

@@ -316,6 +316,12 @@ BAD_VALUES = [
     ("santalo", dict(BASE, measure={"kind": "power_kernel", "k_table": [[0, 1], [12, 13], [15, 12], [20, 30]]})),
     # 4 trials a side reach p >= 1/C(8, 4) = 1/70 > ALPHA: that dominance verdict could never FAIL
     ("dominance", dict(BASE, mode="dominance", measure={"kind": "gaussian", "sigma": 1.0}, trials=4)),
+    # 2σ² underflowed to 0 (ZeroDivisionError, exit 1) or went subnormal (a correct gauge FAILed)
+    ("busemann", {"density": "gaussian", "sigma": 1e-300, "pairs": 3}),
+    ("gauge", {"density": "gaussian", "sigma": 1e-300, "checks": 3}),
+    ("gauge", {"density": "gaussian", "sigma": 1e-160, "checks": 3}),
+    # F = J^(-1/p) underflows to 0 at p = 0.001: the report read worst 0.0 and PASS
+    ("gauge", {"density": "gaussian", "p": 0.001, "checks": 3}),
 ]
 
 
@@ -436,7 +442,7 @@ def test_busemann_uniform_square_is_pinned():
     for name, want in (("uniform_square", [0.405, 0.45999999999999996, 0.22499999999999995]),
                        ("uniform_ball", [0.44525273721786374, 0.46456969337226467, 0.24622144504490262])):
         psi, radius = cli.named_density(name)
-        assert [analysis.busemann_gauge(psi, z, radius) for z in zs] == want, name
+        assert analysis.busemann_gauge(psi, np.array(zs), radius).tolist() == want, name
 
 
 def test_converge_command(tmp_path):
@@ -496,7 +502,29 @@ def test_radial_gauge_is_homogeneous_near_the_origin():
     # the radial integral must reach |r x| = 120 also when |x| is small
     gauge = cli.radial_gauge("gaussian", 1.0, 2.0)
     x = np.array([0.012, -0.016])  # |x| = 0.02
-    assert gauge(2.0 * x) == pytest.approx(2.0 * gauge(x), rel=1e-9)
+    fx, f2x = gauge(np.array([x, 2.0 * x]))
+    assert f2x == pytest.approx(2.0 * fx, rel=1e-9)
+
+
+def test_gauge_reports_the_plain_relative_error():
+    # at p = 0.01, F is about 1e-200: an absolute floor of 1e-12 under the
+    # error divided it away (the report read 2.5e-197)
+    cfg = {"density": "gaussian", "sigma": 1.0, "p": 0.01, "checks": 20, "seed": 4}
+    _, _, summary, _, _ = cli.run_gauge(dict(cfg), 1)
+    gen = polarvol.RngStream(4, 0).generator()
+    xs, lams = [], []
+    for _ in range(20):
+        x = gen.uniform(-1.0, 1.0, size=2)
+        if np.linalg.norm(x) >= 1e-3:
+            xs.append(x)
+            lams.append(float(gen.uniform(0.5, 3.0)))
+    gauge = cli.radial_gauge("gaussian", 1.0, 0.01)
+    errors = []
+    for x, lam in zip(xs, lams):
+        fx, flx = gauge(np.array([x, lam * x])).tolist()
+        assert 0 < fx < 1e-150
+        errors.append(abs(flx - lam * fx) / (lam * fx))
+    assert summary["worst_relative_error"] == max(errors) > 0
 
 
 def field_paths(node, prefix=()):

@@ -156,6 +156,40 @@ def test_nu_plus_hyperplane_gaussian_line():
     assert val == pytest.approx(math.sqrt(2 * math.pi), abs=1e-8)
 
 
+def test_nu_plus_hyperplane_gaussian_plane_in_three_dimensions():
+    # ∫_{z⊥} exp(-|y|²/2) = 2π for every z; the inner rule takes every outer node at once
+    psi = lambda X: np.exp(-np.sum(X * X, axis=1) / 2.0)
+    z = np.array([[0.3, 0.7, -0.2], [0.0, 0.0, 1.0], [1.0, 0.0, 0.0], [-0.5, 0.2, 0.9]])
+    val = measure.nu_plus_hyperplane(psi, z)
+    assert val == pytest.approx(2 * math.pi, rel=1e-8, abs=0)
+    assert measure.nu_plus_hyperplane(psi, z[2:3]).tobytes() == val[2:3].tobytes()
+
+
+def test_gauss_kronrod_panel_is_quadpack_qk21():
+    # a panel that converges at once is quad's first qk21 step, bit for bit
+    for f, a, b in ((np.cos, 0.0, 1.0), (lambda x: np.exp(-x * x), -2.0, 3.0), (lambda x: 1 / (1 + x * x), 0.0, 0.3)):
+        want, _ = integrate.quad(lambda x: float(f(np.array(x))), a, b, epsabs=1e-9, epsrel=1e-10)
+        assert measure._gauss_kronrod(lambda k, x: f(x), [np.array([a, b])], 1e-9, 1e-10).tolist() == [want]
+
+
+def test_gauss_kronrod_integrals_keep_their_bits_in_any_batch():
+    # ∫_0^b x^{c-1} dx = b^c/c: each integral refines on its own tolerance
+    c = np.array([1.5, 1.0, 2.5, 6.0])
+    breaks = [np.array([0.0, 0.7, 2.0])] * 2 + [np.array([0.0, 2.0])] * 2
+    g = lambda k, x: x ** (c[k][:, None] - 1.0)
+    val = measure._gauss_kronrod(g, breaks, 0.0, 1e-13)
+    assert val == pytest.approx(2.0 ** c / c, rel=1e-12, abs=0)
+    for k in range(4):
+        alone = measure._gauss_kronrod(lambda i, x: g(i + k, x), breaks[k:k + 1], 0.0, 1e-13)
+        assert alone.tobytes() == val[k:k + 1].tobytes()
+
+
+def test_gauss_kronrod_refuses_to_return_an_unconverged_integral():
+    # ∫_0^1 dx/x diverges: bisecting towards 0 never meets the tolerance
+    with pytest.raises(measure.MeasureError, match="converge"):
+        measure._gauss_kronrod(lambda k, x: 1.0 / x, [np.array([0.0, 1.0])], 0.0, 1e-13)
+
+
 @pytest.mark.parametrize("z", [np.array([0.3, 0.7]), np.array([0.3, 0.7, -0.2])])
 def test_nu_plus_hyperplane_refuses_a_one_point_psi(z):
     # a one-point indicator answers a whole batch with one number

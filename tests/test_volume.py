@@ -170,7 +170,7 @@ def test_exact_volumes_match_reference(n):
         assert volume.halfspace_volume(A, b) == pytest.approx(want, rel=1e-14, abs=0)
 
 
-@given(st.integers(0, 2 ** 31), st.sampled_from([2, 3, 4]))
+@given(st.integers(0, 2 ** 31), st.sampled_from([2, 3, 4, 5]))
 @settings(max_examples=25, deadline=None)
 def test_exact_polar_volume_inclusion_monotone(seed, n):
     # adding a point can only grow K = conv{±x_i}, so |K°| never increases;
@@ -194,6 +194,19 @@ def test_exact_oracle_agrees_with_monte_carlo_in_four_dimensions():
         exact = volume.exact_polar_volume_crosspoly(P)
         est = volume.mc_polar_measure(geom.MatrixImageBody(P.T, geom.LqBall(1.0, N), 0.0), m, 200_000,
                                       RngStream(2025, case + 1))
+        assert abs(est.value - exact) <= 4 * est.stderr, (case, exact, est)
+
+
+def test_exact_oracle_agrees_with_monte_carlo_in_five_dimensions():
+    # `converge` runs the qhull oracle up to n = 5
+    m = measure.LebesgueRestricted(math.inf, 5)
+    gen = RngStream(2026, 0).generator()
+    for case in range(12):
+        N = int(gen.integers(6, 10))
+        P = gen.standard_normal((N, 5))
+        exact = volume.exact_polar_volume_crosspoly(P)
+        est = volume.mc_polar_measure(geom.MatrixImageBody(P.T, geom.LqBall(1.0, N), 0.0), m, 200_000,
+                                      RngStream(2026, case + 1))
         assert abs(est.value - exact) <= 4 * est.stderr, (case, exact, est)
 
 
