@@ -15,7 +15,6 @@ from itertools import product
 from typing import Callable, Optional, Sequence
 
 import numpy as np
-from scipy import integrate
 
 from .geom import (
     GeometryError,
@@ -343,6 +342,8 @@ def milman_pajor_gauge(
         raise ValueError("quadrature limited to total dimension <= 3")
     vhat = v / vn
     S = support_radius
+    from scipy import integrate  # local: a 0.05 s import, and no command runs this gauge
+
 
     if k == 0:
         integrand = lambda s: phi(s * vhat) * (s * vn) ** (p - 1.0)
@@ -387,6 +388,8 @@ def brunn_profile(
     t_grid = np.asarray(sorted(t_grid), dtype=float)
     if not np.isfinite(t_grid).all():
         raise ValueError("t grid must be finite")
+    from scipy import integrate  # local: a 0.05 s import that only `brunn` needs
+
     L = domain_radius
     lo, hi = (-L, L) if math.isfinite(L) else (-math.inf, math.inf)
     vals = np.zeros_like(t_grid)

@@ -8,6 +8,7 @@ byte-identical across reruns (wall-clock time is printed, not stored).
 
 from __future__ import annotations
 
+import gc
 import json
 import math
 import sys
@@ -423,6 +424,14 @@ def main():
 
 for _command, _run in COMMANDS.items():
     main.command(_command, help=_run.__doc__)(common_options(partial(run_command, _command)))
+
+# The import heap (numpy, scipy, click: about 46 000 tracked objects) lives as
+# long as the process.  Moving it to the permanent generation keeps full
+# collections from rescanning it, so whether one lands inside a command no
+# longer depends on how much was imported.  Once, here: a freeze per command
+# would also pin each earlier command's uncollected garbage in a host that
+# runs many.
+gc.freeze()
 
 
 if __name__ == "__main__":

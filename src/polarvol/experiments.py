@@ -29,6 +29,7 @@ from .geom import (
     unit_ball_volume,
 )
 from .measure import (
+    LebesgueRestricted,
     PnDensity,
     RadialMeasure,
     RadialStepDensity,
@@ -137,12 +138,17 @@ def santalo_expectation_experiment(cfg: ExperimentConfig, threads: int = 1) -> E
 
     PASS iff mean_Z - mean_X >= -3·(combined stderr of the two means).
     The stderr of a mean is read from the spread of the trials, so one
-    trial is refused; so is a ρ that is not decreasing.
+    trial is refused; so is a ρ that is not decreasing.  So is N <= n under
+    Lebesgue measure on all of R^n with r = 0: there E|K_N°| is infinite,
+    on the D_n side too (with N = n, |K°| = |C°|/|det X|), and the trial
+    means estimate nothing.
     """
     if cfg.trials < 2:
         raise ConfigError("trials: the expectation comparison needs >= 2 trials for a spread")
     if not check_condnu2(cfg.m)["decreasing"]:
         raise ConfigError("measure: the expectation comparison needs a decreasing rho")
+    if isinstance(cfg.m, LebesgueRestricted) and cfg.m.R == math.inf and cfg.rball == 0 and cfg.N <= cfg.n:
+        raise ConfigError("N: under Lebesgue measure with R = inf and r = 0, E nu(K°) is infinite for N <= n")
     vx, vz = _trial_values(cfg, threads)
     ax = np.array([v for v, _ in vx])
     az = np.array([v for v, _ in vz])

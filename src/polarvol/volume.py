@@ -376,7 +376,12 @@ def layer_cake_measure(
     r_box = min(r_polar, float(radii.max()))
     if math.isinf(r_box):
         raise EstimationError("both the polar and the top superlevel ball are unbounded")
-    vol_box = unit_ball_volume(n) * r_box ** n
+    try:
+        vol_box = unit_ball_volume(n) * r_box ** n
+    except OverflowError:
+        vol_box = math.inf
+    if math.isinf(vol_box):
+        raise EstimationError("the sampling ball's volume overflows a float")
 
     # trapezoid weights over [0, top], approximating the head
     # [0, levels[0]] by the value at levels[0]

@@ -75,3 +75,14 @@ def test_gauge_support_matches_the_reference_and_leaves_its_argument(q):
     got = geom.gauge_support(geom.LqBall(q, 9), U)
     assert got.tobytes() == ref.gauge_support(geom.LqBall(q, 9), before).tobytes()
     assert U.tobytes() == before.tobytes()
+
+
+def test_row_max_equals_the_max_reduction_at_every_width():
+    # `_row_max` walks columns up to ROW_MAX_COLUMNS and hands wider matrices to numpy;
+    # both sides of the switch must give the reduction's bytes, NaN rows included
+    g = np.random.default_rng(35)
+    for width in range(1, 601):
+        M = g.standard_normal((9, width))
+        M[1, -1] = M[2, 0] = M[3, width // 2] = math.nan
+        M[4] = math.nan
+        assert geom._row_max(M).tobytes() == M.max(axis=1).tobytes(), width

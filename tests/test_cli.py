@@ -79,13 +79,71 @@ def test_config_without_mode_runs_and_echoes_it(tmp_path):
         assert json.loads((out / "report.json").read_text())["config"] == dict(cfg, mode=mode)
 
 
-def test_importing_the_cli_leaves_scipy_stats_out():
-    # importing scipy.stats costs about 0.5 s, paid again by every fresh process that runs a command
+def fresh_python(code: str, *args) -> str:
+    """Run `code` in a new interpreter that imports this checkout's polarvol; returns its stdout."""
     src = str(Path(polarvol.__file__).parent.parent)
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-    code = "import sys, polarvol.cli; print('scipy.stats' in sys.modules)"
-    res = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
-    assert res.stdout.strip() == "False"
+    res = subprocess.run([sys.executable, "-c", code, *args], env=env, capture_output=True, text=True)
+    assert res.returncode == 0, res.stderr
+    return res.stdout
+
+
+LAZY = ("scipy.stats", "scipy.optimize", "scipy.integrate")
+# the benchmark's warm-up op: an H-polytope newsan under the Gaussian
+WARMUP_NEWSAN = {
+    "body": {"kind": "hpolytope", "normals": [[1, 1, 1], [1, 1, -1], [1, -1, 1], [1, -1, -1],
+                                              [-1, 1, 1], [-1, 1, -1], [-1, -1, 1], [-1, -1, -1]],
+             "offsets": [1.0] * 8},
+    "measure": {"kind": "gaussian", "sigma": 1.0}, "budget": 512, "seed": 0,
+}
+
+
+def test_importing_the_cli_leaves_scipy_stats_out(tmp_path):
+    # every fresh process that runs a command pays these imports again: about 0.5 s for
+    # scipy.stats, 0.13 s for scipy.optimize and 0.05 s for scipy.integrate
+    code = (
+        "import gc, json, sys\n"
+        "import polarvol.cli\n"
+        f"lazy = {LAZY!r}\n"
+        "print(json.dumps([m for m in lazy if m in sys.modules]))\n"
+        "try:\n"
+        "    polarvol.cli.main(['newsan', '--config', sys.argv[1], '--out', sys.argv[2]], standalone_mode=False)\n"
+        "except SystemExit as e:\n"
+        "    assert e.code == 0, e.code\n"
+        "print(json.dumps([m for m in lazy if m in sys.modules]))\n"
+        "print(gc.get_freeze_count())\n"
+    )
+    out = fresh_python(code, write_cfg(tmp_path, WARMUP_NEWSAN), str(tmp_path / "o")).splitlines()
+    assert json.loads(out[0]) == [] and json.loads(out[-2]) == []
+    assert int(out[-1]) > 0  # the import heap is frozen out of the collector
+
+
+def test_halfspace_vertices_imports_linprog_where_it_needs_it():
+    # an offset <= 0 puts the origin outside the open polytope, so the Chebyshev centre runs
+    code = (
+        "import sys, numpy as np\n"
+        "from polarvol import geom\n"
+        "assert 'scipy.optimize' not in sys.modules\n"
+        "A = np.array([[1.0, 0.0], [-1.0, 0.0], [0.0, 1.0], [0.0, -1.0]])\n"
+        "V = geom.halfspace_vertices(A, np.array([2.0, 0.0, 1.0, 1.0]))\n"
+        "print(sorted(map(tuple, np.round(V, 12).tolist())), 'scipy.optimize' in sys.modules)\n"
+    )
+    assert fresh_python(code).strip() == "[(0.0, -1.0), (0.0, 1.0), (2.0, -1.0), (2.0, 1.0)] True"
+
+
+def test_brunn_imports_integrate_where_it_needs_it(tmp_path):
+    cfg = {"phi": "sqrt_quadratic", "alpha": 3.0, "n": 1, "t_grid": [-1.0, 0.0, 1.0], "domain_radius": 30.0}
+    code = (
+        "import sys, polarvol.cli\n"
+        "assert 'scipy.integrate' not in sys.modules\n"
+        "try:\n"
+        "    polarvol.cli.main(['brunn', '--config', sys.argv[1], '--out', sys.argv[2]], standalone_mode=False)\n"
+        "except SystemExit as e:\n"
+        "    print(e.code, 'scipy.integrate' in sys.modules)\n"
+    )
+    out = fresh_python(code, write_cfg(tmp_path, cfg), str(tmp_path / "o"))
+    assert out.splitlines()[-1] == "0 True"
+    assert json.loads((tmp_path / "o" / "report.json").read_text())["verdict"] == "PASS"
 
 
 def test_cli_exit_code_config_error(tmp_path):
@@ -322,6 +380,9 @@ BAD_VALUES = [
     ("gauge", {"density": "gaussian", "sigma": 1e-160, "checks": 3}),
     # F = J^(-1/p) underflows to 0 at p = 0.001: the report read worst 0.0 and PASS
     ("gauge", {"density": "gaussian", "p": 0.001, "checks": 3}),
+    # Lebesgue R = inf, r = 0: E nu(K°) is infinite for N <= n, so the means would estimate nothing
+    ("santalo", dict(BASE, N=2, law={"kind": "uniform_Dn"}, measure={"kind": "lebesgue_ball", "R": "inf"},
+                     trials=2000, seed=3)),
 ]
 
 

@@ -98,6 +98,14 @@ def test_layer_cake_agrees_with_direct_mc():
     assert lc.value == pytest.approx(target, abs=0.01)
 
 
+def test_layer_cake_refuses_an_overflowing_sampling_ball():
+    # K° = 1e9·B in R^40: its certified radius to the 40th power overflows a float
+    body = geom.MatrixImageBody(1e-9 * np.eye(40), geom.LqBall(2.0, 40), 0.0)
+    with pytest.raises(volume.EstimationError):
+        volume.layer_cake_measure(body, measure.LebesgueRestricted(math.inf, 40), np.array([0.5, 1.0]),
+                                  1000, RngStream(7, 0))
+
+
 def test_mc_rejects_doubly_infinite_problem():
     # unbounded polar and infinite-mass measure: no finite reduction
     body = geom.MatrixImageBody(np.array([[1.0], [0.0]]), geom.LqBall(1.0, 1), 0.0)
