@@ -225,7 +225,10 @@ def busemann_gauge(
     """Gauge z -> |z| / ∫_{z⊥} ψ at each row of a (K, n) stack z, for an even, -1/n-concave ψ.
 
     ψ maps an (m, n) batch to shape (m,), as in `nu_plus_hyperplane`, which
-    integrates every nonzero row in one call.  A zero row gets 0 by convention.
+    integrates every nonzero row in one call.  ψ(0) must be > 0
+    (MeasureError otherwise); a -1/n-concave ψ is then positive and
+    continuous on a convex set holding 0 and zero outside it.  A zero row
+    gets 0 by convention.
     """
     z = np.atleast_2d(np.asarray(z, dtype=float))
     norms = np.sqrt(np.vecdot(z, z))  # the dot kernel of np.linalg.norm on one row
@@ -249,7 +252,9 @@ def spot_check_neg_recip_concavity(
     """Midpoint check of ψ^{-1/n} convexity on random segments.
 
     ψ maps an (m, n) batch to shape (m,); the endpoints and midpoints of
-    all segments go to it in one batch.  A violation does not raise:
+    all segments go to it in one batch.  The segments are drawn in
+    [-radius, radius]^n, and one counts only if ψ > 0 at both ends; False
+    when none counts, as nothing was checked.  A violation does not raise:
     callers demote the run to hypothesis-unverified status instead.
     """
     # the draws of segment k are a_k then b_k, as in one draw per endpoint
@@ -258,13 +263,15 @@ def spot_check_neg_recip_concavity(
     vals = psi_values(psi, np.concatenate([a, b, 0.5 * (a + b)]))
     def inv(v):
         return math.inf if v <= 0 else v ** (-1.0 / n)
+    checked = False
     for va, vb, vm in zip(*vals.reshape(3, segments).tolist()):
         ka, kb, km = inv(va), inv(vb), inv(vm)
         if math.isinf(ka) or math.isinf(kb):
             continue
         if km > 0.5 * (ka + kb) + 1e-9 * (1 + abs(ka) + abs(kb)):
             return False
-    return True
+        checked = True
+    return checked
 
 
 def ball_bobkov_gauge(

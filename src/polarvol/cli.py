@@ -119,7 +119,10 @@ def parse_experiment_config(obj: dict) -> ExperimentConfig:
 
 
 def named_density(name: str, sigma: float = 1.0):
-    """(ψ, support radius): ψ maps an (m, n) batch of points to shape (m,).
+    """(ψ, support radius, scale): ψ maps an (m, n) batch of points to shape (m,).
+
+    The scale is the radius where ψ falls off: σ for the Gaussian, 1 for
+    the indicators.
 
     Each row gets the arithmetic of a one-point evaluation: `np.vecdot`
     runs the same dot kernel as `np.dot(x, x)`, and the Gaussian takes
@@ -130,11 +133,11 @@ def named_density(name: str, sigma: float = 1.0):
         if not (sigma > 0 and sys.float_info.min <= c < math.inf):
             # a subnormal 2σ² loses bits, and one that underflows divides by 0
             raise ConfigError("sigma: must be > 0 with 2·sigma² a normal float")
-        return lambda X: np.array([math.exp(-d / c) for d in np.vecdot(X, X).tolist()]), 12.0 * sigma
+        return lambda X: np.array([math.exp(-d / c) for d in np.vecdot(X, X).tolist()]), 12.0 * sigma, sigma
     if name == "uniform_square":
-        return lambda X: np.all(np.abs(X) <= 1.0, axis=1).astype(float), 2.0
+        return lambda X: np.all(np.abs(X) <= 1.0, axis=1).astype(float), 2.0, 1.0
     if name == "uniform_ball":
-        return lambda X: (np.vecdot(X, X) <= 1.0).astype(float), 2.0
+        return lambda X: (np.vecdot(X, X) <= 1.0).astype(float), 2.0, 1.0
     raise ConfigError(f"density: unknown named density {name!r}")
 
 
@@ -218,13 +221,13 @@ def run_shadow(obj: dict, threads: int):
 
 def run_busemann(obj: dict, threads: int):
     """Triangle-inequality battery for the hyperplane-mass gauge."""
-    psi, radius = named_density(_require(obj, "density", "config"), float(obj.get("sigma", 1.0)))
+    psi, radius, scale = named_density(_require(obj, "density", "config"), float(obj.get("sigma", 1.0)))
     pairs = int(obj.get("pairs", 200))
     if pairs < 1:
         raise ConfigError("pairs: must be >= 1")
     seed = int(obj.get("seed", 0))
     gen = RngStream(seed, 0).generator()
-    hypothesis_ok = analysis.spot_check_neg_recip_concavity(psi, 2, RngStream(seed, 1))
+    hypothesis_ok = analysis.spot_check_neg_recip_concavity(psi, 2, RngStream(seed, 1), radius=scale)
     kept = []
     for _ in range(pairs):
         z1 = gen.uniform(-1.0, 1.0, size=2)
@@ -244,16 +247,15 @@ def radial_gauge(density: str, sigma: float, p: float):
 
     The integral runs over the r where f(r x) > 0.  An indicator ends at
     its jump, r = 1/|x|_inf (square) or 1/|x| (ball); the Gaussian goes out
-    to |r x| = 10 support radii, r = 10·radius/|x|, and switches variables
-    at its scale |r x| = sigma.
+    to |r x| = 10 support radii, r = 10·radius/|x|.  Each switches
+    variables at its scale from `named_density`.
     """
-    psi, radius = named_density(density, sigma)
+    psi, radius, scale = named_density(density, sigma)
     ends = {
         "uniform_square": lambda x: 1.0 / np.abs(x).max(axis=1),
         "uniform_ball": lambda x: 1.0 / np.sqrt(np.vecdot(x, x)),
     }
     end = ends.get(density, lambda x: 10.0 * radius / np.sqrt(np.vecdot(x, x)))
-    scale = 1.0 if density in ends else sigma
     return lambda x: analysis.ball_bobkov_gauge(psi, p, x, end(x), scale)
 
 

@@ -362,33 +362,18 @@ def sphere_directions(n: int) -> np.ndarray:
     return D
 
 
-def _support_floor(body: Body, D: np.ndarray) -> float:
-    """min of h_K over the rows of D, or 0.0 unless it exceeds 1e-10 of the max."""
-    h = support_values(body, D)
-    hmin = float(h.min())
-    return hmin if hmin > 1e-10 * float(h.max()) else 0.0
-
-
 def polar_bounding_radius(body: Body):
-    """Radius of a ball containing K°, or math.inf when K° is unbounded.
-
-    If the body carries a Euclidean-ball summand of radius r > 0 the
-    answer is exactly 1/r; otherwise 1/min h_K over `sphere_directions`,
-    with a minimum at most 1e-10 of the maximum taken as unbounded.
-    """
-    if isinstance(body, BallBody):
-        return 1.0 / body.R if body.R > 0 else math.inf
-    if isinstance(body, MatrixImageBody) and body.rball > 0:
-        return 1.0 / body.rball
-    hmin = _support_floor(body, sphere_directions(body.dim))
-    return 1.0 / hmin if hmin > 0 else math.inf
+    """Radius of a ball containing K°: :func:`polar_sampling_radius`, or math.inf when K° is unbounded."""
+    try:
+        return polar_sampling_radius(body)
+    except UnboundedBody:
+        return math.inf
 
 
 def polar_sampling_radius(body: Body) -> float:
     """Rigorous (conservative) radius of a ball containing K°.
 
-    Unlike :func:`polar_bounding_radius` this never undershoots: for
-    matrix-image bodies it uses
+    This never undershoots: for matrix-image bodies it uses
     h_K(θ) >= σ_min(A)·min(1, N^{1/q'-1/2}) + r; for H-polytopes the
     inradius bound; elsewhere the minimum over `sphere_directions` and the
     coordinate axes ±e_i, with a safety factor.  Whether K° is bounded is
@@ -418,8 +403,9 @@ def polar_sampling_radius(body: Body) -> float:
     # the axes as well: the grid misses them for n >= 4, and there the cube's
     # Z_p has its smallest support for p > 2
     axes = np.eye(body.dim)
-    hmin = _support_floor(body, np.vstack([sphere_directions(body.dim), axes, -axes]))
-    if hmin == 0:
+    h = support_values(body, np.vstack([sphere_directions(body.dim), axes, -axes]))
+    hmin = float(h.min())
+    if not hmin > 1e-10 * float(h.max()):
         raise UnboundedBody("support minimum degenerate; polar unbounded")
     return 1.0 / (0.95 * hmin)
 

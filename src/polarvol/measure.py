@@ -537,7 +537,8 @@ def _gauss_kronrod(g, breaks, epsabs: float, epsrel: float) -> np.ndarray:
     """K integrals at once by adaptive G10K21 (QUADPACK's default panel rule).
 
     `breaks[k]` is integral k's interval in ascending order, with any
-    breakpoints inside it.  g(index, x) gets the integral index of each of
+    breakpoints inside it; a repeated breakpoint makes an empty panel,
+    which is dropped.  g(index, x) gets the integral index of each of
     m panels and their (m, 21) abscissae, and returns the (m, 21) integrand
     values: one call a round, for every panel made in that round.  A panel
     is bisected while its integral's error estimate is over
@@ -584,15 +585,17 @@ def nu_plus_hyperplane(
     psi: Callable[[np.ndarray], np.ndarray],
     z: np.ndarray,
     support_radius: float = 50.0,
-    tol: float = 1e-9,
 ) -> np.ndarray:
     """ν⁺(z⊥) = ∫_{z⊥} ψ for each row of a (K, n) stack z, n in {2, 3}.
 
     `psi` maps an (m, n) batch of points to their m densities; anything
     but shape (m,) raises MeasureError.  `support_radius` bounds the
-    integration domain; ψ must be negligible beyond it.  One `_gauss_kronrod`
-    runs for the whole stack; n = 3 nests it, the inner rule over s taking
-    every outer node t at once.
+    integration domain; ψ must be negligible beyond it.  ψ must be
+    -1/n-concave with ψ(0) > 0 (MeasureError otherwise): then on each line
+    through 0 it is positive and continuous on an interval holding 0 and
+    zero outside it, so for n = 2 the two ends of that interval are the
+    only breakpoints.  One `_gauss_kronrod` runs for the whole stack; n = 3
+    nests it, the inner rule over s taking every outer node t at once.
     """
     z = np.atleast_2d(np.asarray(z, dtype=float))
     K, n = z.shape
@@ -601,32 +604,29 @@ def nu_plus_hyperplane(
     norms = np.sqrt(np.vecdot(z, z))  # the dot kernel of np.linalg.norm on one row
     if np.any(norms == 0):
         raise MeasureError("z must be nonzero")
+    if not psi_values(psi, np.zeros((1, n)))[0] > 0:
+        raise MeasureError("psi(0) must be > 0")
     zhat = z / norms[:, None]
     S = support_radius
     if n == 2:
         u = np.stack([-zhat[:, 1], zhat[:, 0]], axis=1)
-        # adaptive quadrature silently mis-integrates jump densities
-        # (indicators): locate the jumps and make them breakpoints.  The scan
-        # runs one line at a time (4097 rows each), the bisection for every
-        # jump at once
-        grid = np.linspace(-S, S, 4097)
-        found = []  # (line, grid cell, ψ left of the jump, 5% of the line's spread)
-        for k in range(K):
-            gv = psi_values(psi, grid[:, None] * u[k][None, :])
-            slack = 0.05 * float(gv.max() - gv.min())
-            found += [(k, j, gv[j], slack) for j in np.flatnonzero(np.abs(np.diff(gv)) > slack)]
-        line, cell, glo, slack = np.array(found, dtype=float).reshape(-1, 4).T
-        line, cell = line.astype(np.intp), cell.astype(np.intp)
-        lo, hi = grid[cell], grid[cell + 1]
-        if len(line):
-            for _ in range(60):
-                mid = 0.5 * (lo + hi)
-                same = np.abs(psi_values(psi, mid[:, None] * u[line]) - glo) <= slack
-                lo, hi = np.where(same, mid, lo), np.where(same, hi, mid)
-        jumps = 0.5 * (lo + hi)
-        breaks = [np.concatenate([[-S], jumps[line == k], [S]]) for k in range(K)]
+        # the end of ψ's support on each ray ±u_k, by one bisection for all
+        # rays until each bracket is two adjacent floats; ψ > 0 at lo, and
+        # a ray still inside the support at S ends there
+        rays = np.concatenate([u, -u])
+        lo = np.where(psi_values(psi, S * rays) > 0, S, 0.0)
+        hi = np.full(2 * K, S)
+        while True:
+            mid = 0.5 * (lo + hi)
+            if np.all((mid == lo) | (mid == hi)):
+                break
+            inside = psi_values(psi, mid[:, None] * rays) > 0
+            lo, hi = np.where(inside, mid, lo), np.where(inside, hi, mid)
+        # each ray's end is its last mid, one of its two adjacent floats; an
+        # end at S makes an empty panel, which `_gauss_kronrod` drops
+        breaks = np.stack([np.full(K, -S), -mid[K:], mid[:K], np.full(K, S)], axis=1)
         g = lambda k, s: psi_values(psi, (s[:, :, None] * u[k][:, None, :]).reshape(-1, 2)).reshape(s.shape)
-        val = _gauss_kronrod(g, breaks, epsabs=tol, epsrel=1e-10)
+        val = _gauss_kronrod(g, breaks, epsabs=1e-9, epsrel=1e-10)
     else:
         # orthonormal basis u, v of each z⊥
         a = np.where(np.abs(zhat[:, :1]) < 0.9, [1.0, 0.0, 0.0], [0.0, 1.0, 0.0])
@@ -642,9 +642,9 @@ def nu_plus_hyperplane(
             inner = lambda i, s: psi_values(
                 psi, (s[:, :, None] * u[k[i]][:, None, :] + base[i][:, None, :]).reshape(-1, 3)
             ).reshape(s.shape)
-            return _gauss_kronrod(inner, whole * len(t), epsabs=tol, epsrel=1e-8).reshape(-1, 21)
+            return _gauss_kronrod(inner, whole * len(t), epsabs=1e-9, epsrel=1e-8).reshape(-1, 21)
 
-        val = _gauss_kronrod(outer, whole * K, epsabs=tol, epsrel=1e-8)
+        val = _gauss_kronrod(outer, whole * K, epsabs=1e-9, epsrel=1e-8)
     if not np.all(np.isfinite(val)):
         raise MeasureError("hyperplane quadrature diverged")
     return val

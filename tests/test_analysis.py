@@ -113,6 +113,12 @@ def test_neg_recip_concavity_spot_check_gaussian():
     assert analysis.spot_check_neg_recip_concavity(psi, 2, RngStream(1, 0))
 
 
+def test_neg_recip_concavity_spot_check_that_checked_nothing_is_false():
+    # the disc of radius 1 about (3, 0) misses [-1, 1]², where the segments are drawn
+    psi = lambda X: (np.sum((X - [3.0, 0.0]) ** 2, axis=1) <= 1.0).astype(float)
+    assert not analysis.spot_check_neg_recip_concavity(psi, 2, RngStream(1, 0))
+
+
 def test_ball_bobkov_gauge_indicator_closed_form():
     # f = 1_{B_2^2}: F(x) = (|x|^{-p}/p)^{-1/p} = p^{1/p} |x|
     f = lambda Y: (np.sum(Y * Y, axis=1) <= 1.0).astype(float)
@@ -131,6 +137,8 @@ def test_ball_bobkov_gauge_homogeneous():
 GAUSS_PSI = lambda sigma: (lambda Y: np.exp(-np.sum(Y * Y, axis=1) / (2 * sigma * sigma)))
 SQUARE_PSI = lambda Y: np.all(np.abs(Y) <= 1.0, axis=1).astype(float)
 BALL_PSI = lambda Y: (np.sum(Y * Y, axis=1) <= 1.0).astype(float)
+# holds 0 but is not even: the two ends of a line's chord lie at different distances from 0
+OFF_BOX_PSI = lambda Y: np.all((Y >= [-1.0, -1.0]) & (Y <= [2.0, 1.0]), axis=1).astype(float)
 XS = np.random.default_rng(21).uniform(-1.0, 1.0, (12, 2))
 
 
@@ -160,7 +168,9 @@ def test_busemann_gauge_closed_forms():
     assert gauss == pytest.approx(np.linalg.norm(XS, axis=1) / math.sqrt(2 * math.pi), rel=1e-9, abs=0)
 
 
-@pytest.mark.parametrize("psi", [GAUSS_PSI(1.0), SQUARE_PSI, BALL_PSI], ids=["gaussian", "square", "ball"])
+@pytest.mark.parametrize(
+    "psi", [GAUSS_PSI(1.0), SQUARE_PSI, BALL_PSI, OFF_BOX_PSI], ids=["gaussian", "square", "ball", "off_box"]
+)
 def test_gauges_do_not_depend_on_the_rest_of_the_battery(psi):
     # each integral refines its own panels and sums them in its own order
     upper = 1.0 / np.abs(XS).max(axis=1)

@@ -489,20 +489,20 @@ def test_named_densities_match_one_point_evaluation_bit_for_bit():
         "uniform_ball": lambda x: 1.0 if float(np.dot(x, x)) <= 1.0 else 0.0,
     }
     for name, f in one_point.items():
-        psi, _ = cli.named_density(name, 0.7)
+        psi, _, _ = cli.named_density(name, 0.7)
         assert psi(X).tobytes() == np.array([f(x) for x in X]).tobytes(), name
 
 
 # Exact values recorded before the densities took batches of points; no
-# golden covers the indicator densities, and busemann on uniform_square is
-# a benchmark op.
+# golden covers uniform_ball, and busemann on uniform_square is a benchmark
+# op.
 def test_busemann_uniform_square_is_pinned():
     _, verdict, summary, _, _ = cli.run_busemann({"density": "uniform_square", "pairs": 10, "seed": 5}, 1)
     assert verdict and summary == {"worst_violation": 2.7755575615628914e-16, "pairs": 10, "hypothesis_verified": True}
     zs = [np.array([0.37, -0.81]), np.array([0.92, 0.13]), np.array([-0.2, 0.45])]
     for name, want in (("uniform_square", [0.405, 0.45999999999999996, 0.22499999999999995]),
                        ("uniform_ball", [0.44525273721786374, 0.46456969337226467, 0.24622144504490262])):
-        psi, radius = cli.named_density(name)
+        psi, radius, _ = cli.named_density(name)
         assert analysis.busemann_gauge(psi, np.array(zs), radius).tolist() == want, name
 
 

@@ -89,6 +89,15 @@ def test_polar_bounding_radius_degenerate_is_infinite():
     assert geom.polar_bounding_radius(body) == math.inf
 
 
+def test_polar_bounding_radius_covers_a_rotated_square_polar():
+    # K = conv{±Re1, ±Re2} with R a 0.25° rotation: K° is a square of circumradius √2,
+    # whose vertex directions the 720-direction grid misses
+    a = math.radians(0.25)
+    R = np.array([[math.cos(a), -math.sin(a)], [math.sin(a), math.cos(a)]])
+    body = geom.MatrixImageBody(R, geom.LqBall(1.0, 2), 0.0)
+    assert geom.polar_bounding_radius(body) >= math.sqrt(2) - 4 * math.ulp(math.sqrt(2))
+
+
 def test_polar_sampling_radius_covers_polar():
     # polar of the cross-polytope image is the cube; circumradius sqrt(2)
     body = geom.MatrixImageBody(np.eye(2), geom.LqBall(1.0, 2), 0.0)

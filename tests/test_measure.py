@@ -165,6 +165,25 @@ def test_nu_plus_hyperplane_gaussian_plane_in_three_dimensions():
     assert measure.nu_plus_hyperplane(psi, z[2:3]).tobytes() == val[2:3].tobytes()
 
 
+def test_nu_plus_hyperplane_off_centre_box_chords():
+    # the lines through 0 meet [-1, 2] x [-1, 1] in chords whose two ends differ
+    lo, hi = np.array([-1.0, -1.0]), np.array([2.0, 1.0])
+    psi = lambda X: np.all((X >= lo) & (X <= hi), axis=1).astype(float)
+    z = np.random.default_rng(21).uniform(-1.0, 1.0, (12, 2))
+    u = np.stack([-z[:, 1], z[:, 0]], axis=1) / np.linalg.norm(z, axis=1)[:, None]
+    ends = np.stack([lo / u, hi / u])  # where t·u leaves each coordinate's range
+    chord = ends.max(axis=0).min(axis=1) - ends.min(axis=0).max(axis=1)
+    assert measure.nu_plus_hyperplane(psi, z, support_radius=3.0) == pytest.approx(chord, rel=1e-12, abs=0)
+
+
+@pytest.mark.parametrize("z", [np.array([0.3, 0.7]), np.array([0.3, 0.7, -0.2])])
+def test_nu_plus_hyperplane_refuses_psi_zero_at_the_origin(z):
+    # [0.5, 2] x [-1, 1] (times R in three dimensions) does not hold 0, so ψ(0) = 0
+    psi = lambda X: np.all((X[:, :2] >= [0.5, -1.0]) & (X[:, :2] <= [2.0, 1.0]), axis=1).astype(float)
+    with pytest.raises(measure.MeasureError, match="psi\\(0\\)"):
+        measure.nu_plus_hyperplane(psi, z, support_radius=3.0)
+
+
 def test_gauss_kronrod_panel_is_quadpack_qk21():
     # a panel that converges at once is quad's first qk21 step, bit for bit
     for f, a, b in ((np.cos, 0.0, 1.0), (lambda x: np.exp(-x * x), -2.0, 3.0), (lambda x: 1 / (1 + x * x), 0.0, 0.3)):
