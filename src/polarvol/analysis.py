@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import product
+from itertools import pairwise, product
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -432,6 +432,8 @@ class Step1D:
         v = np.asarray(self.values, dtype=float)
         if b.ndim != 1 or v.ndim != 1 or b.size != v.size + 1:
             raise ValueError("need m+1 breaks for m values")
+        if not (np.isfinite(b).all() and np.isfinite(v).all()):
+            raise ValueError("breaks and values must be finite")
         if np.any(np.diff(b) <= 0):
             raise ValueError("breaks must be strictly increasing")
         if np.any(v < 0):
@@ -447,31 +449,6 @@ class Step1D:
 
     def integral(self) -> float:
         return float(np.dot(self.values, np.diff(self.breaks)))
-
-    def layers(self):
-        """Layer-cake decomposition: list of (weight, list of (lo, hi)).
-
-        g = Σ_k w_k 1_{U_k} with U_k = {g >= v_k} for the distinct
-        positive values v_1 > v_2 > ... ; exact.
-        """
-        vals = self.values
-        distinct = sorted({float(v) for v in vals if v > 0}, reverse=True)
-        out = []
-        for idx, v in enumerate(distinct):
-            w = v - (distinct[idx + 1] if idx + 1 < len(distinct) else 0.0)
-            intervals = []
-            j = 0
-            m = vals.size
-            while j < m:
-                if vals[j] >= v:
-                    lo = self.breaks[j]
-                    while j < m and vals[j] >= v:
-                        j += 1
-                    intervals.append((float(lo), float(self.breaks[j])))
-                else:
-                    j += 1
-            out.append((w, intervals))
-        return out
 
 
 def rearrange_step1d(g: Step1D) -> Step1D:
@@ -571,15 +548,16 @@ def _slab_box_areas(constraints, coeffs: np.ndarray, box_halfwidth: float) -> np
     return _shoelace_areas(verts, count)
 
 
-def _layered_integral(per_fn_layers, coeffs: np.ndarray, box_halfwidth: float) -> np.ndarray:
-    """∫_{[-L,L]^2} Π_i g_i(<c_i, s>) ds for each matrix c of the stack, by
-    exact cell decomposition from the layer-cake decompositions of the
-    g_i; a g_i with no layers gives 0."""
+def _cell_integral(gs: Sequence[Step1D], coeffs: np.ndarray, box_halfwidth: float) -> np.ndarray:
+    """∫_{[-L,L]^2} Π_i g_i(<c_i, s>) ds for each matrix c of the stack, as
+    a sum over step cells: each choice of one step [b_j, b_{j+1}) with
+    value v_j > 0 from every g_i adds Π v_j times the area of its cell.
+    Exact; a g_i with no positive step gives 0."""
+    steps = [[(v, cell) for v, cell in zip(g.values.tolist(), pairwise(g.breaks.tolist())) if v > 0] for g in gs]
     total = np.zeros(coeffs.shape[0])
-    for combo in product(*per_fn_layers):
-        weight = math.prod(w for w, _ in combo)
-        for choice in product(*[intervals for _, intervals in combo]):
-            total += weight * _slab_box_areas(choice, coeffs, box_halfwidth)
+    for choice in product(*steps):
+        weight = math.prod(v for v, _ in choice)
+        total += weight * _slab_box_areas([cell for _, cell in choice], coeffs, box_halfwidth)
     return total
 
 
@@ -607,9 +585,7 @@ def rbll_check_1d(
         raise ValueError("exact oracle limited to k <= 3")
     if not (math.isfinite(box_halfwidth) and box_halfwidth > 0):
         raise ValueError("box_halfwidth must be a finite number > 0")
-    layers = [g.layers() for g in gs]
-    star_layers = [rearrange_step1d(g).layers() for g in gs]
     return {
-        "lhs": _layered_integral(layers, coeffs, box_halfwidth).tolist(),
-        "rhs": _layered_integral(star_layers, coeffs, box_halfwidth).tolist(),
+        "lhs": _cell_integral(gs, coeffs, box_halfwidth).tolist(),
+        "rhs": _cell_integral([rearrange_step1d(g) for g in gs], coeffs, box_halfwidth).tolist(),
     }

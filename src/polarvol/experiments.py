@@ -42,7 +42,7 @@ from .measure import (
     sample_uniform_ball,
 )
 from .rng import RngStream
-from .volume import exact_polar_volume_crosspoly, halfspace_volume, polar_measure, polar_measures
+from .volume import exact_polar_volume_crosspoly, polar_measure, polar_measures
 
 __all__ = [
     "ExperimentConfig",
@@ -285,7 +285,7 @@ def centroid_body_oracle(mu: PnDensity, p: float) -> Body:
     if not (math.isfinite(p) and p >= 1):
         raise ConfigError("p: must be a finite number >= 1")
     if isinstance(mu, RadialStepDensity):
-        return BallBody(_radial_centroid_radius(mu.as_step(), p), mu.dim)
+        return BallBody(_radial_centroid_radius(mu, p), mu.dim)
     if mu.shape == "Dn":
         step = RadialStepFn(np.array([dn_radius(mu.dim)]), np.array([1.0]), mu.dim)
         return BallBody(_radial_centroid_radius(step, p), mu.dim)
@@ -402,11 +402,12 @@ def centroid_polar_experiment(
 
 
 def body_volume_exact(body: Body) -> float:
-    """|K| for the body kinds with a closed-form or qhull exact volume; 0 for a flat K."""
+    """|K| for the body kinds with a closed-form or qhull exact volume: 0 for a flat
+    cross-polytope image; a flat H-polytope's cached `vertices` raise GeometryError."""
     if isinstance(body, BallBody):
         return unit_ball_volume(body.dim) * body.R ** body.dim
     if isinstance(body, HPolytopeBody):
-        return halfspace_volume(body.normals, body.offsets)
+        return float(ConvexHull(body.vertices).volume)
     if isinstance(body, MatrixImageBody):
         if not (body.gauge.q == 1.0 and body.rball == 0.0):
             raise GeometryError("exact |K| available for cross-polytope images only")

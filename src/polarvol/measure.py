@@ -1,8 +1,9 @@
 """Radial measures, bounded densities, rearrangement, and samplers.
 
-The canonical discretization everywhere is the radial step function:
-rearrangement and layer-cake manipulations are exact on steps, which
-keeps quadrature error out of the core inequality checks.
+The canonical discretization everywhere is the radial step function
+(`RadialStepFn`, and the radial P_n law `RadialStepDensity` is one): its
+rearrangement and level sets are exact, which keeps quadrature error out
+of the core inequality checks.
 
 Every random point of a law or a measure is drawn in this module,
 including the Monte Carlo samples of `volume`.
@@ -306,24 +307,15 @@ class UniformBodyDensity:
 
 
 @dataclass(frozen=True)
-class RadialStepDensity:
+class RadialStepDensity(RadialStepFn):
     """Radial step density in P_n: 0 <= f <= 1 and ∫ f = 1."""
 
-    breaks: np.ndarray
-    values: np.ndarray
-    dim: int
-
     def __post_init__(self):
-        step = RadialStepFn(self.breaks, self.values, self.dim)
-        object.__setattr__(self, "breaks", step.breaks)
-        object.__setattr__(self, "values", step.values)
-        if np.any(step.values > 1.0 + 1e-12):
+        super().__post_init__()
+        if np.any(self.values > 1.0 + 1e-12):
             raise MeasureError("P_n density must be bounded by 1")
-        if abs(step.integral() - 1.0) > 1e-9:
-            raise MeasureError(f"density integrates to {step.integral():.12g}, not 1")
-
-    def as_step(self) -> RadialStepFn:
-        return RadialStepFn(self.breaks, self.values, self.dim)
+        if abs(self.integral() - 1.0) > 1e-9:
+            raise MeasureError(f"density integrates to {self.integral():.12g}, not 1")
 
 
 PnDensity = Union[UniformBodyDensity, RadialStepDensity]
@@ -342,33 +334,18 @@ def rearrange_density(f: Union[PnDensity, RadialStepFn]) -> RadialStepFn:
     if isinstance(f, UniformBodyDensity):
         # |body| = 1, so the rearrangement is the indicator of D_n
         return RadialStepFn(np.array([dn_radius(f.dim)]), np.array([1.0]), f.dim)
-    if isinstance(f, RadialStepDensity):
-        f = f.as_step()
     if not isinstance(f, RadialStepFn):
         raise TypeError(f"cannot rearrange {type(f)!r}")
     if not math.isfinite(f.integral()):
         raise MeasureError("rearrangement requires a finite integral")
     n = f.dim
-    w = unit_ball_volume(n)
-    cells = f.annulus_volumes()
     pos = f.values > 0
-    vals = f.values[pos]
-    vols = cells[pos]
-    if vals.size == 0:
+    if not pos.any():
         return RadialStepFn(np.array([1.0]), np.array([0.0]), n)
-    order = np.argsort(-vals, kind="stable")
-    vals, vols = vals[order], vols[order]
-    # merge equal values
-    distinct, merged = [], []
-    for v, a in zip(vals, vols):
-        if distinct and math.isclose(v, distinct[-1], rel_tol=0, abs_tol=0):
-            merged[-1] += a
-        else:
-            distinct.append(v)
-            merged.append(a)
-    cum = np.cumsum(merged)
-    radii = (cum / w) ** (1.0 / n)
-    return RadialStepFn(radii, np.array(distinct), n)
+    # one cell per distinct value, largest first; its annuli add up in radial order
+    neg, cell = np.unique(-f.values[pos], return_inverse=True)
+    merged = np.bincount(cell, weights=f.annulus_volumes()[pos])
+    return RadialStepFn((np.cumsum(merged) / unit_ball_volume(n)) ** (1.0 / n), -neg, n)
 
 
 # ---------------------------------------------------------------------------
@@ -440,7 +417,6 @@ def sample_density(f: PnDensity, rng: RngStream, size: int) -> np.ndarray:
         return c * (e[:, :n] / e.sum(axis=1)[:, None])
     # radial step: rejection with envelope 1 on the support's ball
     Rs = float(f.breaks[-1])
-    step = f.as_step()
     out = np.empty((size, n))
     filled = 0
     iters = 0
@@ -448,7 +424,7 @@ def sample_density(f: PnDensity, rng: RngStream, size: int) -> np.ndarray:
         batch = max(4 * (size - filled), 1024)
         cand = ball_points(gen, batch, n, Rs)
         u = gen.random(batch)
-        accept = u < step.eval_radius(row_norms(cand))
+        accept = u < f.eval_radius(row_norms(cand))
         take = cand[accept][: size - filled]
         out[filled : filled + take.shape[0]] = take
         filled += take.shape[0]
@@ -595,7 +571,9 @@ def nu_plus_hyperplane(
     through 0 it is positive and continuous on an interval holding 0 and
     zero outside it, so for n = 2 the two ends of that interval are the
     only breakpoints.  One `_gauss_kronrod` runs for the whole stack; n = 3
-    nests it, the inner rule over s taking every outer node t at once.
+    nests it, the inner rule over s taking every outer node t at once, with
+    no breakpoints: an open defect, as an indicator ψ (cube or ball) in n = 3
+    exhausts the 400-panel cap after 16-35 s.  No CLI path runs n = 3.
     """
     z = np.atleast_2d(np.asarray(z, dtype=float))
     K, n = z.shape

@@ -208,13 +208,23 @@ def test_brunn_profile_constant_slab_is_flat():
     assert rep.values == pytest.approx([0.5, 0.5, 0.5], abs=1e-9)
 
 
-def test_step1d_eval_integral_layers():
+def test_step1d_eval_integral():
     g = analysis.Step1D(np.array([0.0, 1.0, 2.0, 3.0]), np.array([2.0, 1.0, 3.0]))
     assert g(0.5) == 2.0 and g(1.5) == 1.0 and g(2.5) == 3.0 and g(5.0) == 0.0
     assert g.integral() == pytest.approx(6.0)
-    layers = g.layers()
-    total = sum(w * sum(hi - lo for lo, hi in cells) for w, cells in layers)
-    assert total == pytest.approx(6.0)
+
+
+@pytest.mark.parametrize("breaks,values", [
+    ([math.nan, 1.0], [1.0]),
+    ([0.0, 1.0], [math.nan]),
+    ([0.0, math.inf], [1.0]),
+    ([-math.inf, 0.0], [1.0]),
+    ([0.0, 1.0], [math.inf]),
+], ids=["nan_break", "nan_value", "inf_break", "neg_inf_break", "inf_value"])
+def test_step1d_refuses_non_finite_input(breaks, values):
+    # a nan break slips past the increasing test, a nan value past the >= 0 test
+    with pytest.raises(ValueError, match="finite"):
+        analysis.Step1D(np.array(breaks), np.array(values))
 
 
 def test_rearrange_step1d_known_example():
@@ -260,6 +270,24 @@ def test_rbll_random_two_function_cases(seed):
     coeffs = gen.integers(-1, 2, size=(1, 2, 2)).astype(float)
     res = analysis.rbll_check_1d(gs, coeffs, 8.0)
     assert res["lhs"][0] <= res["rhs"][0] + 1e-9
+
+
+def test_rbll_values_on_multi_step_functions():
+    # each g has an interior zero step; g1 reaches past the box, so the box cuts one of its steps
+    L = 6.0
+    g1 = analysis.Step1D(np.array([-7.0, -2.0, -1.0, 0.5, 3.0]), np.array([0.5, 0.0, 2.0, 1.5]))
+    g2 = analysis.Step1D(np.array([-1.5, -0.25, 0.75, 1.0, 2.5]), np.array([1.0, 3.0, 0.0, 0.25]))
+    stack = np.array([np.eye(2), [[1.0, 0.0], [0.0, 0.0]]])
+    res = analysis.rbll_check_1d([g1, g2], stack, L)
+
+    def box_integral(g):
+        return float(np.dot(g.values, np.diff(np.clip(g.breaks, -L, L))))
+
+    for side, (f1, f2) in (("lhs", (g1, g2)), ("rhs", map(analysis.rearrange_step1d, (g1, g2)))):
+        # c = I factors over the two coordinates; the zero row reads g2 at 0 on the whole box
+        want = [box_integral(f1) * box_integral(f2), 2.0 * L * f2(0.0) * box_integral(f1)]
+        assert res[side] == pytest.approx(want, rel=1e-12, abs=0)
+    assert res["lhs"][0] < res["rhs"][0]
 
 
 def test_rbll_works_in_the_plane_only():

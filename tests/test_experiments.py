@@ -245,6 +245,28 @@ def test_body_volume_exact_is_0_for_flat_bodies():
     assert experiments.body_volume_exact(geom.MatrixImageBody(thin, geom.LqBall(1.0, 2), 0.0)) == pytest.approx(2e-9, rel=1e-12)
 
 
+def test_newsan_of_a_flat_hpolytope_is_refused():
+    # the segment [-1, 1] x {0}: its vertices raise, where the volume used to read 0
+    square = np.array([[1.0, 0.0], [-1.0, 0.0], [0.0, 1.0], [0.0, -1.0]])
+    body = geom.HPolytopeBody(square, np.array([1.0, 1.0, 0.0, 0.0]))
+    with pytest.raises(geom.GeometryError):
+        experiments.body_volume_exact(body)
+    with pytest.raises(geom.GeometryError):
+        experiments.newsan_experiment(body, measure.GaussianLike(1.0, 2), budget=100, seed=1)
+
+
+def test_newsan_enumerates_hpolytope_vertices_once(monkeypatch):
+    # the volume and the support function share the body's cached vertices: one dual hull, not two
+    calls = []
+    hull = geom.ConvexHull
+    monkeypatch.setattr(geom, "ConvexHull", lambda *a, **k: calls.append(1) or hull(*a, **k))
+    normals = np.array([[1.0, 0.0], [-1.0, 0.0], [0.0, 1.0], [0.0, -1.0], [1.0, 1.0]])
+    body = geom.HPolytopeBody(normals, np.array([1.0, 1.0, 1.0, 1.0, 1.5]))
+    assert experiments.body_volume_exact(body) == pytest.approx(4.0 - 0.125, rel=1e-14)
+    experiments.newsan_experiment(body, measure.GaussianLike(1.0, 2), budget=1000, seed=1)
+    assert len(calls) == 1
+
+
 def _step_law(n=2):
     # density 0.1 on the inner ball and 1 on the shell out to b, so its values rise outward
     a = 0.3
@@ -383,7 +405,7 @@ def _radial_moment(step, p):
 def test_centroid_of_a_radial_law_is_a_ball(n):
     # c_p^p = E|θ_1|^p · E|X|^p, with E|θ_1|^p = Γ(n/2)Γ((p+1)/2)/(√π Γ((n+p)/2)) on the sphere
     laws = [measure.UniformBodyDensity("Dn", n), _step_law(n)]
-    steps = [_dn_step(n), laws[1].as_step()]
+    steps = [_dn_step(n), laws[1]]
     for p in (1.0, 2.0, 3.0, 5.5):
         sphere = math.gamma(n / 2) * math.gamma((p + 1) / 2) / (math.sqrt(math.pi) * math.gamma((n + p) / 2))
         for mu, step in zip(laws, steps):
@@ -398,7 +420,7 @@ def test_centroid_radius_matches_quad_in_the_plane(p):
     # c_p^p = ∫_0^{2π} |cos θ|^p dθ · ∫_0^∞ f(t) t^{p+1} dt, each by quad with its kink as a breakpoint
     angular = integrate.quad(lambda t: abs(math.cos(t)) ** p, 0.0, math.pi, points=[math.pi / 2], epsabs=0, epsrel=2e-14)[0]
     for mu in (measure.UniformBodyDensity("Dn", 2), _step_law()):
-        step = mu.as_step() if isinstance(mu, measure.RadialStepDensity) else _dn_step(2)
+        step = mu if isinstance(mu, measure.RadialStepDensity) else _dn_step(2)
         radial = integrate.quad(lambda t: float(step.eval_radius(t)) * t ** (p + 1), 0.0, step.breaks[-1],
                                 points=step.breaks[:-1], epsabs=0, epsrel=2e-14)[0]
         want = (2.0 * angular * radial) ** (1 / p)

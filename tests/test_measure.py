@@ -118,6 +118,14 @@ def test_rearrangement_equimeasurable_and_norm_preserving():
     assert np.all(np.diff(star.values) < 0)
 
 
+def test_rearrangement_merges_equal_values():
+    # the two 0.5 annuli (volumes π and 5π) become one cell, the zero step drops out
+    f = measure.RadialStepFn(np.array([1.0, 2.0, 3.0, 4.0]), np.array([0.5, 0.0, 0.5, 1.0]), 2)
+    star = measure.rearrange_density(f)
+    assert star.values.tolist() == [1.0, 0.5]
+    assert star.breaks == pytest.approx([math.sqrt(7.0), math.sqrt(13.0)], rel=1e-15, abs=0)
+
+
 def test_rearrangement_idempotent():
     f = measure.RadialStepFn(np.array([0.5, 1.5]), np.array([0.8, 0.2]), 2)
     once = measure.rearrange_density(f)
