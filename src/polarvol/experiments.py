@@ -35,13 +35,14 @@ from .measure import (
     RadialStepDensity,
     RadialStepFn,
     UniformBodyDensity,
+    ball_points,
     check_condnu2,
+    density_points,
     dn_radius,
     radial_mass_in_ball,
-    sample_density,
     sample_uniform_ball,
 )
-from .rng import RngStream
+from .rng import RngStream, generators
 from .volume import exact_polar_volume_crosspoly, polar_measure, polar_measures
 
 __all__ = [
@@ -116,14 +117,14 @@ def _trial_values(cfg: ExperimentConfig, threads: int = 1):
 
     Stream layout: trial i uses streams 4i..4i+3 (X points, X
     estimator, Z points, Z estimator), so the two sides and any subset
-    of trials are reproducible in isolation.  Each side's bodies go
+    of trials are reproducible in isolation.  Each side's points come
+    from one stacked sampler call over its streams, and its bodies go
     through one `polar_measures` call; an exact value leaves its
     estimator stream unused and reports stderr 0.
     """
     seed, trials = cfg.seed, range(cfg.trials)
-    rn = dn_radius(cfg.n)
-    pts_x = [sample_density(cfg.law_x, RngStream(seed, 4 * i), cfg.N) for i in trials]
-    pts_z = [sample_uniform_ball(cfg.n, rn, RngStream(seed, 4 * i + 2), cfg.N) for i in trials]
+    pts_x = density_points(cfg.law_x, generators(seed, range(0, 4 * cfg.trials, 4)), cfg.N)
+    pts_z = ball_points(generators(seed, range(2, 4 * cfg.trials, 4)), cfg.N, cfg.n, dn_radius(cfg.n))
 
     def side(points, stream):
         bodies = [MatrixImageBody(P.T, cfg.gauge, cfg.rball) for P in points]

@@ -109,7 +109,7 @@ def _row_max(M: np.ndarray) -> np.ndarray:
 
 
 def row_norms(Y: np.ndarray) -> np.ndarray:
-    """Euclidean norms of the rows of an (m, n) array, as a new (m,) array.
+    """Euclidean norms of the rows of an (..., n) array, as a new (...) array.
 
     The squares are summed column by column into one buffer, left to
     right.  For n <= 7 this is the order of numpy's row reduction, so the
@@ -117,9 +117,9 @@ def row_norms(Y: np.ndarray) -> np.ndarray:
     8 columns on numpy sums pairwise and the last bit can differ.  On the
     2 to 6 columns of the sampling kernels it is several times faster.
     """
-    out = Y[:, 0] * Y[:, 0]
-    for j in range(1, Y.shape[1]):
-        out += Y[:, j] * Y[:, j]
+    out = Y[..., 0] * Y[..., 0]
+    for j in range(1, Y.shape[-1]):
+        out += Y[..., j] * Y[..., j]
     return np.sqrt(out, out=out)
 
 

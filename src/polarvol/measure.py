@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Union
+from typing import Callable, Iterable, Union
 
 import numpy as np
 from scipy import special
@@ -42,6 +42,7 @@ __all__ = [
     "radial_sampler",
     "sample_uniform_ball",
     "sample_density",
+    "density_points",
     "sample_radial_measure",
     "psi_values",
     "nu_plus_hyperplane",
@@ -352,11 +353,29 @@ def rearrange_density(f: Union[PnDensity, RadialStepFn]) -> RadialStepFn:
 # samplers
 
 
-def ball_points(gen: np.random.Generator, size: int, n: int, R: float) -> np.ndarray:
-    """`size` points uniform in R·B_2^n: a Gaussian direction, then radius R·U^{1/n}."""
-    dirs = gen.standard_normal((size, n))
-    dirs /= row_norms(dirs)[:, None]
-    dirs *= (R * gen.random(size) ** (1.0 / n))[:, None]
+def _stacked(gens: Iterable[np.random.Generator], draw) -> list:
+    """`draw(gen)`'s arrays for each generator in turn, each stacked over the generators.
+
+    One generator's arrays gain a leading axis of 1 without a copy: the
+    chunk kernels draw 2^16 points a call.
+    """
+    draws = [draw(gen) for gen in gens]
+    if len(draws) == 1:
+        return [a[None] for a in draws[0]]
+    return [np.stack(a) for a in zip(*draws)]
+
+
+def ball_points(gens: Iterable[np.random.Generator], size: int, n: int, R: float) -> np.ndarray:
+    """`size` points uniform in R·B_2^n from each generator, shape (T, size, n).
+
+    Each generator draws `size` Gaussian directions, then `size` uniforms
+    U for the radii R·U^{1/n}; the transform runs once on the stack.
+    """
+    dirs, u = _stacked(gens, lambda gen: (gen.standard_normal((size, n)), gen.random(size)))
+    dirs /= row_norms(dirs)[..., None]
+    u **= 1.0 / n
+    u *= R
+    dirs *= u[..., None]
     return dirs
 
 
@@ -374,7 +393,7 @@ def radial_sampler(m: RadialMeasure) -> Callable[[np.random.Generator, int], np.
     if math.isinf(total):
         raise InfiniteMass("cannot sample a measure of infinite total mass")
     if isinstance(m, LebesgueRestricted):
-        return lambda gen, size: ball_points(gen, size, n, m.R)
+        return lambda gen, size: ball_points([gen], size, n, m.R)[0]
     if isinstance(m, GaussianLike):
         return lambda gen, size: gen.normal(scale=m.sigma, size=(size, n))
     c = (total / (unit_ball_volume(n) * float(rho_eval(m, 0.0)))) ** (1.0 / n)
@@ -395,34 +414,47 @@ def sample_uniform_ball(n: int, R: float, rng: RngStream, size: int) -> np.ndarr
     """Uniform law on R·B_2^n, shape (size, n)."""
     if n < 1 or R <= 0:
         raise MeasureError("need n >= 1 and R > 0")
-    return ball_points(rng.generator(), size, n, R)
+    return ball_points([rng.generator()], size, n, R)[0]
 
 
 def sample_density(f: PnDensity, rng: RngStream, size: int) -> np.ndarray:
-    """Exact sampling from a P_n density, shape (size, n).
+    """Exact sampling from a P_n density, shape (size, n): `density_points` on one stream."""
+    return density_points(f, [rng.generator()], size)[0]
 
-    Direct for the uniform-body kinds; rejection from the support's
-    bounding ball with envelope ||f||_inf <= 1 for radial steps.
+
+def density_points(f: PnDensity, gens: Iterable[np.random.Generator], size: int) -> np.ndarray:
+    """`size` points of the P_n law f from each generator, shape (T, size, n).
+
+    Direct for the uniform-body kinds, each generator making its raw draws
+    before the transform runs once on the stack; rejection from the
+    support's bounding ball with envelope ||f||_inf <= 1 for radial steps,
+    one stream at a time, since a stream's draw count depends on its draws.
     """
-    gen = rng.generator()
     n = f.dim
     if isinstance(f, UniformBodyDensity):
-        if f.shape == "cube":
-            return gen.random((size, n)) - 0.5
         if f.shape == "Dn":
-            return ball_points(gen, size, n, dn_radius(n))
+            return ball_points(gens, size, n, dn_radius(n))
+        if f.shape == "cube":
+            (u,) = _stacked(gens, lambda gen: (gen.random((size, n)),))
+            u -= 0.5
+            return u
         # simplex: ordered uniform spacings scaled to volume one
-        c = math.factorial(n) ** (1.0 / n)
-        e = -np.log(gen.random((size, n + 1)))
-        return c * (e[:, :n] / e.sum(axis=1)[:, None])
-    # radial step: rejection with envelope 1 on the support's ball
+        (e,) = _stacked(gens, lambda gen: (gen.random((size, n + 1)),))
+        e = -np.log(e)
+        return math.factorial(n) ** (1.0 / n) * (e[..., :n] / e.sum(axis=-1)[..., None])
+    return np.stack([_step_rejection(f, gen, size) for gen in gens])
+
+
+def _step_rejection(f: RadialStepDensity, gen: np.random.Generator, size: int) -> np.ndarray:
+    """`size` points of a radial step law: rejection with envelope 1 on the support's ball."""
+    n = f.dim
     Rs = float(f.breaks[-1])
     out = np.empty((size, n))
     filled = 0
     iters = 0
     while filled < size:
         batch = max(4 * (size - filled), 1024)
-        cand = ball_points(gen, batch, n, Rs)
+        cand = ball_points([gen], batch, n, Rs)[0]
         u = gen.random(batch)
         accept = u < f.eval_radius(row_norms(cand))
         take = cand[accept][: size - filled]

@@ -152,7 +152,7 @@ def mc_polar_measure(
         draw = measure.radial_sampler(m)
         weight = lambda Y: mass
     elif math.isfinite(vol_box):
-        draw = lambda gen, size: measure.ball_points(gen, size, n, rstar)
+        draw = lambda gen, size: measure.ball_points([gen], size, n, rstar)[0]
         weight = lambda Y: vol_box * rho_eval(m, row_norms(Y))
     else:
         raise EstimationError(
@@ -394,7 +394,7 @@ def layer_cake_measure(
         weights[j + 1] += 0.5 * h
 
     def worker(k: int, size: int):
-        Y = measure.ball_points(rng.chunk_generator(k), size, n, r_box)
+        Y = measure.ball_points([rng.chunk_generator(k)], size, n, r_box)[0]
         inside = polar_contains(body, Y)
         rY = row_norms(Y)
         # tau(s) = quadrature weight of {t : R(t) >= s}

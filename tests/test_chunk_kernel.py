@@ -58,7 +58,7 @@ def test_draws_and_supports_match_the_reference_kernels(name):
     size = volume.CHUNK - 3
     radius = _polar_radius(body)
     if radius < math.inf:
-        draws = (lambda gen: measure.ball_points(gen, size, body.dim, radius),
+        draws = (lambda gen: measure.ball_points([gen], size, body.dim, radius)[0],
                  lambda gen: ref.ball_points(gen, size, body.dim, radius))
     else:
         lib, old = measure.radial_sampler(m), ref.radial_sampler(m)

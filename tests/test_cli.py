@@ -383,6 +383,9 @@ BAD_VALUES = [
     # Lebesgue R = inf, r = 0: E nu(K°) is infinite for N <= n, so the means would estimate nothing
     ("santalo", dict(BASE, N=2, law={"kind": "uniform_Dn"}, measure={"kind": "lebesgue_ball", "R": "inf"},
                      trials=2000, seed=3)),
+    # a negative seed is refused where its stream is built, though these two exact runs draw nothing
+    ("polar-volume", dict(PV_BALL, measure={"kind": "lebesgue_ball", "R": "inf"}, seed=-1)),
+    ("shadow", dict(SHADOW, seed=-1)),
 ]
 
 

@@ -8,7 +8,7 @@ from scipy import integrate
 
 from polarvol import measure
 from polarvol.geom import unit_ball_volume
-from polarvol.rng import RngStream
+from polarvol.rng import RngStream, generators
 
 
 def test_dn_radius_gives_unit_volume():
@@ -149,6 +149,71 @@ def test_sample_density_supports():
     c = math.sqrt(2.0)  # (n!)^{1/n} for n = 2
     assert np.all(simp >= -1e-12)
     assert np.all(simp.sum(axis=1) <= c + 1e-9)
+
+
+def _fresh(seed, stream):
+    return np.random.Generator(np.random.Philox(np.random.SeedSequence(seed, spawn_key=(stream,))))
+
+
+def _per_stream_reference(f, gen, size):
+    """One stream's points of the law f by the per-stream expressions the stacked samplers replaced."""
+    n = f.dim
+    if isinstance(f, measure.RadialStepDensity):
+        out, filled = np.empty((size, n)), 0
+        while filled < size:
+            batch = max(4 * (size - filled), 1024)
+            dirs = gen.standard_normal((batch, n))
+            dirs /= np.linalg.norm(dirs, axis=1)[:, None]
+            cand = dirs * (float(f.breaks[-1]) * gen.random(batch) ** (1.0 / n))[:, None]
+            take = cand[gen.random(batch) < f.eval_radius(np.linalg.norm(cand, axis=1))][: size - filled]
+            out[filled : filled + len(take)] = take
+            filled += len(take)
+        return out
+    if f.shape == "cube":
+        return gen.random((size, n)) - 0.5
+    if f.shape == "simplex":
+        e = -np.log(gen.random((size, n + 1)))
+        return math.factorial(n) ** (1.0 / n) * (e[:, :n] / e.sum(axis=1)[:, None])
+    dirs = gen.standard_normal((size, n))
+    dirs /= np.linalg.norm(dirs, axis=1)[:, None]
+    return dirs * (measure.dn_radius(n) * gen.random(size) ** (1.0 / n))[:, None]
+
+
+STEP_LAW = measure.RadialStepDensity(
+    np.array([0.5, math.sqrt(0.25 + (1 - math.pi / 4) / (0.5 * math.pi))]), np.array([1.0, 0.5]), 2)
+LAWS = {
+    "cube": measure.UniformBodyDensity("cube", 3),
+    "Dn": measure.UniformBodyDensity("Dn", 3),
+    "simplex": measure.UniformBodyDensity("simplex", 3),
+    "radial_step": STEP_LAW,
+}
+
+
+@pytest.mark.parametrize("T", [1, 3, 200])
+@pytest.mark.parametrize("law", LAWS)
+def test_stacked_law_samplers_equal_the_per_stream_draws(law, T):
+    # the trial layout of `_trial_values`: trial i draws its points from stream 4i;
+    # trial i of the batch is trial i drawn alone, and both are the per-stream draws
+    f, seed, size = LAWS[law], 23, 5
+    stack = measure.density_points(f, generators(seed, range(0, 4 * T, 4)), size)
+    assert stack.shape == (T, size, f.dim)
+    for i in range(T):
+        want = _per_stream_reference(f, _fresh(seed, 4 * i), size).tobytes()
+        assert stack[i].tobytes() == want
+        assert measure.density_points(f, generators(seed, [4 * i]), size)[0].tobytes() == want
+        if i < 3:
+            assert measure.sample_density(f, RngStream(seed, 4 * i), size).tobytes() == want
+
+
+@pytest.mark.parametrize("T", [1, 3, 200])
+def test_stacked_ball_points_equal_the_per_stream_draws(T):
+    n, size, R = 3, 4, measure.dn_radius(3)
+    stack = measure.ball_points(generators(29, range(2, 4 * T, 4)), size, n, R)
+    assert stack.shape == (T, size, n)
+    for i in range(T):
+        want = _per_stream_reference(LAWS["Dn"], _fresh(29, 4 * i + 2), size).tobytes()
+        assert stack[i].tobytes() == want
+        assert measure.ball_points([_fresh(29, 4 * i + 2)], size, n, R)[0].tobytes() == want
 
 
 def test_sample_radial_measure_rayleigh_mean():
