@@ -146,6 +146,8 @@ class ShadowConfig:
             raise GeometryError("base positions must be orthogonal to theta")
         if Y.shape[0] != self.gauge.dim:
             raise GeometryError("need one base position per gauge coordinate")
+        if self.m.dim != th.size:
+            raise GeometryError("the measure must live in the same R^n as theta")
         object.__setattr__(self, "theta", th)
         object.__setattr__(self, "base_positions", Y)
 

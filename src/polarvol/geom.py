@@ -18,6 +18,8 @@ from typing import Callable, Union
 import numpy as np
 from scipy.spatial import ConvexHull, QhullError
 
+from .rng import RngStream
+
 __all__ = [
     "GeometryError",
     "DimensionMismatch",
@@ -166,7 +168,7 @@ class MatrixImageBody:
             )
         if not 0 <= self.rball < math.inf:
             raise GeometryError("rball must be finite and >= 0")
-        if not np.all(np.isfinite(A)):
+        if not np.isfinite(A).all():
             raise GeometryError("matrix entries must be finite")
 
     @property
@@ -203,7 +205,7 @@ class HPolytopeBody:
         b = np.asarray(self.offsets, dtype=float)
         if b.shape != (A.shape[0],):
             raise DimensionMismatch("offsets: need one number per normal")
-        if not (np.all(np.isfinite(A)) and np.all(np.isfinite(b))):
+        if not (np.isfinite(A).all() and np.isfinite(b).all()):
             raise GeometryError("normals and offsets must be finite")
         object.__setattr__(self, "normals", A)
         object.__setattr__(self, "offsets", b)
@@ -355,7 +357,7 @@ def sphere_directions(n: int) -> np.ndarray:
         D = np.column_stack([s * np.cos(phi), s * np.sin(phi), z])
         D /= np.linalg.norm(D, axis=1)[:, None]
     else:
-        gen = np.random.Generator(np.random.Philox(np.random.SeedSequence(11, spawn_key=(n,))))
+        gen = RngStream(11, n).generator()
         D = gen.standard_normal((4096, n))
         D /= np.linalg.norm(D, axis=1)[:, None]
     D.flags.writeable = False

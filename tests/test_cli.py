@@ -386,6 +386,8 @@ BAD_VALUES = [
     # a negative seed is refused where its stream is built, though these two exact runs draw nothing
     ("polar-volume", dict(PV_BALL, measure={"kind": "lebesgue_ball", "R": "inf"}, seed=-1)),
     ("shadow", dict(SHADOW, seed=-1)),
+    # the exact branch never read n: a measure on R^3 with theta in R^2 PASSed
+    ("shadow", dict(SHADOW, n=3)),
 ]
 
 

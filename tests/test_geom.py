@@ -78,6 +78,14 @@ def test_direction_grid_rows_are_unit():
         assert geom.sphere_directions(n) is D
 
 
+@pytest.mark.parametrize("n", [4, 5, 6])
+def test_seeded_direction_grid_is_stream_n_of_seed_11(n):
+    gen = np.random.Generator(np.random.Philox(np.random.SeedSequence(11, spawn_key=(n,))))
+    D = gen.standard_normal((4096, n))
+    D /= np.linalg.norm(D, axis=1)[:, None]
+    assert geom.sphere_directions(n).tobytes() == D.tobytes()
+
+
 def test_polar_bounding_radius_ball():
     assert geom.polar_bounding_radius(geom.BallBody(4.0, 2)) == pytest.approx(0.25)
     assert geom.polar_bounding_radius(geom.BallBody(0.0, 2)) == math.inf
