@@ -337,12 +337,23 @@ def spans(P: np.ndarray) -> np.ndarray:
     return _spanning_sigma(P) > 0
 
 
+# Covering chord ε of `sphere_directions(n)`: every unit θ lies within ε of a
+# grid direction.  ±1 is the whole of S^0; 720 equal angles give 2·sin(π/1440)
+# = 0.00436332; for the Fibonacci set, scipy's SphericalVoronoi puts the
+# farthest Voronoi vertex at 0.0602766 from its direction.  Both rounded up.
+# The seeded grid of n >= 4 has no certified ε.
+GRID_CHORD = {1: 0.0, 2: 0.0043634, 3: 0.0603}
+
+
 @cache
 def sphere_directions(n: int) -> np.ndarray:
     """The fixed direction set on S^{n-1} of the grid estimates, read-only.
 
     ±1 for n = 1, 720 equal angles for n = 2, a 2048-point Fibonacci sphere
-    for n = 3 and 4096 seeded Gaussian directions for n >= 4.
+    for n = 3 and 4096 seeded Gaussian directions for n >= 4.  For n <= 3
+    every unit vector lies within the chord `GRID_CHORD[n]` of the set;
+    the random set of n >= 4 has no such certificate (one of 200 000
+    random unit vectors lay 0.235 rad from it).
     """
     if n == 1:
         D = np.array([[1.0], [-1.0]])
@@ -373,15 +384,24 @@ def polar_bounding_radius(body: Body):
 
 
 def polar_sampling_radius(body: Body) -> float:
-    """Rigorous (conservative) radius of a ball containing K°.
+    """Radius of a ball containing K°, for the sampler of `mc_polar_measure`.
 
-    This never undershoots: for matrix-image bodies it uses
-    h_K(θ) >= σ_min(A)·min(1, N^{1/q'-1/2}) + r; for H-polytopes the
-    inradius bound; elsewhere the minimum over `sphere_directions` and the
-    coordinate axes ±e_i, with a safety factor.  Whether K° is bounded is
-    decided without a scale: R > 0 for a ball, r > 0 or `spans` for a matrix
-    image, every b_i > 0 for an H-polytope, and a support minimum above
-    1e-10 of the maximum elsewhere.  Raises UnboundedBody when K° is not.
+    Exact for a ball (1/R).  Certified for a matrix image, by
+    h_K(θ) >= σ_min(A)·min(1, N^{1/q'-1/2}) + r, and for an H-polytope, by
+    its inradius bound.  For a support oracle in n <= 3 it is certified
+    too: h is sublinear, so a unit θ within chord ε = `GRID_CHORD[n]` of a
+    grid direction d has h(θ) >= h(d) - h(d - θ) >= g_min - ε·h_max, where
+    g_min and g_max are h's extremes over `sphere_directions` and the axes
+    ±e_i, and h_max <= g_max + ε·h_max gives h_max <= g_max/(1 - ε).  The
+    radius is 1/(g_min - ε·g_max/(1 - ε)).  An oracle in n >= 4 is not
+    certified: its grid has no covering chord, so it gets 1/(0.95·g_min),
+    a guess that can undershoot an elongated body.
+
+    Whether K° is bounded is decided without a scale: R > 0 for a ball,
+    r > 0 or `spans` for a matrix image, every b_i > 0 for an H-polytope,
+    and for an oracle a lower bound on h above 1e-10 of g_max.  Raises
+    UnboundedBody when K° is not bounded, or when the grid cannot certify
+    an oracle's bound (an n <= 3 body elongated beyond about 1:(1/ε)).
     """
     if isinstance(body, BallBody):
         if not body.R > 0:
@@ -406,10 +426,12 @@ def polar_sampling_radius(body: Body) -> float:
     # Z_p has its smallest support for p > 2
     axes = np.eye(body.dim)
     h = support_values(body, np.vstack([sphere_directions(body.dim), axes, -axes]))
-    hmin = float(h.min())
-    if not hmin > 1e-10 * float(h.max()):
-        raise UnboundedBody("support minimum degenerate; polar unbounded")
-    return 1.0 / (0.95 * hmin)
+    gmin, gmax = float(h.min()), float(h.max())
+    eps = GRID_CHORD.get(body.dim)
+    lower = 0.95 * gmin if eps is None else gmin - eps * gmax / (1.0 - eps)
+    if not lower > 1e-10 * gmax:
+        raise UnboundedBody("support minimum degenerate or not certified by the grid; polar unbounded")
+    return 1.0 / lower
 
 
 def hausdorff_estimate(a: Body, b: Body) -> float:

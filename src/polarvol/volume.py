@@ -125,14 +125,19 @@ def mc_polar_measure(
 ) -> "Estimate":
     """Monte Carlo estimate of ν(K°) with its standard error.
 
-    R* is the certified radius of `polar_sampling_radius`, inf when K° is
-    unbounded.  When ν(R^n) is finite and ρ(0)·|R*·B| >= ν(R^n), sample
-    Y ~ ν/ν(R^n) and average the membership indicator times the total mass;
-    otherwise sample uniformly in R*·B and average ρ(|Y|)·1{Y ∈ K°} times
-    the ball volume.  Both are unbiased, and the rule picks the smaller
-    second-moment bound: ν(R^n)·ν(K°) against ρ(0)·|R*·B|·ν(K°).  A ball
-    volume that overflows counts as >= ν(R^n); with infinite mass as well
-    no estimator applies, and the call refuses.
+    R* is the radius of `polar_sampling_radius`, inf when K° is unbounded
+    or when the direction grid cannot certify a support oracle's radius.
+    R* is exact for a ball and certified for every other body but a
+    support oracle in n >= 4, where it is a guess: a ball that misses part
+    of K° biases the ball branch low.  When ν(R^n) is finite and
+    ρ(0)·|R*·B| >= ν(R^n), sample Y ~ ν/ν(R^n) and average the membership
+    indicator times the total mass; otherwise sample uniformly in R*·B
+    and average ρ(|Y|)·1{Y ∈ K°} times the ball volume (ρ(|Y|) = 1, not
+    evaluated, under Lebesgue measure with R above R*).  Both are
+    unbiased, and the rule picks the smaller second-moment bound:
+    ν(R^n)·ν(K°) against ρ(0)·|R*·B|·ν(K°).  A ball volume that overflows
+    counts as >= ν(R^n); with infinite mass as well no estimator applies,
+    and the call refuses.
     """
     if body.dim != m.dim:
         raise EstimationError("body and measure dimensions differ")
@@ -153,7 +158,11 @@ def mc_polar_measure(
         weight = lambda Y: mass
     elif math.isfinite(vol_box):
         draw = lambda gen, size: measure.ball_points([gen], size, n, rstar)[0]
-        weight = lambda Y: vol_box * rho_eval(m, row_norms(Y))
+        if isinstance(m, LebesgueRestricted) and m.R > rstar * (1.0 + 1e-12):
+            # |Y| <= R* up to a few ulps, so ρ(|Y|) = 1 at every draw
+            weight = lambda Y: vol_box
+        else:
+            weight = lambda Y: vol_box * rho_eval(m, row_norms(Y))
     else:
         raise EstimationError(
             "polar has no finite sampling ball and the measure has infinite mass: "

@@ -389,6 +389,29 @@ def test_centroid_cube_sampling_ball_holds_the_polar_on_the_axes(n):
     assert np.all(1.0 / body.evaluator(axes) <= geom.polar_sampling_radius(body))
 
 
+def _gaussian_ball_mass(n, r):
+    """∫_{|y| <= r} exp(-|y|²/2) dy in closed form, n = 2 or 3."""
+    if n == 2:
+        return 2 * math.pi * -math.expm1(-r * r / 2)
+    return (2 * math.pi) ** 1.5 * (math.erf(r / math.sqrt(2)) - math.sqrt(2 / math.pi) * r * math.exp(-r * r / 2))
+
+
+@pytest.mark.parametrize("n", [2, 3])
+@pytest.mark.parametrize("kind", ["lebesgue", "gaussian"])
+def test_centroid_cube_z2_estimate_is_unbiased(n, kind):
+    # Z_2 of the cube is (1/√12)·B, so ν(Z_2°) = ν(√12·B) in closed form; the estimate
+    # samples through the support oracle, inside its certified radius under Lebesgue
+    r = math.sqrt(12.0)
+    if kind == "lebesgue":
+        m, exact = measure.LebesgueRestricted(math.inf, n), geom.unit_ball_volume(n) * r**n
+    else:
+        m, exact = measure.GaussianLike(1.0, n), _gaussian_ball_mass(n, r)
+    cube = measure.UniformBodyDensity("cube", n)
+    for seed in range(4):
+        summary = experiments.centroid_polar_experiment(cube, 2.0, m, 100_000, seed).summary
+        assert abs(summary["lhs"] - exact) <= 4 * summary["lhs_stderr"], (seed, summary, exact)
+
+
 def _dn_step(n):
     return measure.RadialStepFn(np.array([measure.dn_radius(n)]), np.array([1.0]), n)
 

@@ -6,9 +6,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.spatial import HalfspaceIntersection
+from scipy.spatial import HalfspaceIntersection, SphericalVoronoi
 
-from polarvol import geom
+from polarvol import geom, measure, volume
 from polarvol.rng import RngStream
 from polytope_reference import loop_vertices
 
@@ -113,6 +113,55 @@ def test_polar_sampling_radius_covers_polar():
     # the cube 1e-13·[-1, 1]^3 holds 0 inside at any scale: its polar is the cross-polytope 1e13·B_1^3
     cube = geom.HPolytopeBody(np.vstack([np.eye(3), -np.eye(3)]), np.full(6, 1e-13))
     assert geom.polar_sampling_radius(cube) == pytest.approx(1e13, rel=1e-15)
+
+
+def _ellipsoid_oracle(n, ratio, seed):
+    """h(y) = √(yᵀMy) for semi-axes (1, ratio, ..., ratio) under a seeded rotation,
+    and the circumradius 1/√λ_min(M) = 1 of its polar."""
+    q, r = np.linalg.qr(np.random.default_rng([n, seed]).standard_normal((n, n)))
+    Q = q * np.sign(np.diag(r))
+    M = Q @ np.diag([1.0] + [ratio**2] * (n - 1)) @ Q.T
+    body = geom.SupportOracleBody(lambda Y: np.sqrt(np.einsum("ij,jk,ik->i", Y, M, Y)), n)
+    return body, 1.0 / math.sqrt(np.linalg.eigvalsh(M)[0])
+
+
+@pytest.mark.parametrize("n,ratio", [(2, 10.0), (2, 50.0), (2, 100.0), (3, 3.0), (3, 10.0)])
+def test_oracle_sampling_radius_holds_an_elongated_polar(n, ratio):
+    # a radius of 1/(0.95·grid minimum) read up to 3.5% short at (2, 100) and 1.8%
+    # short at (3, 10) over these rotations; a grid too coarse for the body must
+    # say so rather than undershoot
+    for seed in range(20):
+        body, circumradius = _ellipsoid_oracle(n, ratio, seed)
+        try:
+            radius = geom.polar_sampling_radius(body)
+        except geom.UnboundedBody:
+            continue
+        assert radius >= circumradius, (seed, radius, circumradius)
+
+
+def test_grid_chords_cover_the_sphere():
+    assert geom.GRID_CHORD[2] >= 2 * math.sin(math.pi / 1440)
+    # the point of S² farthest from the Fibonacci set is a vertex of its Voronoi diagram
+    D = geom.sphere_directions(3)
+    sv = SphericalVoronoi(D)
+    chord = max(np.linalg.norm(sv.vertices[region] - d, axis=1).max() for d, region in zip(D, sv.regions))
+    assert chord <= geom.GRID_CHORD[3] < chord + 1e-4
+
+
+def test_uncertified_oracle_takes_the_mass_branch_or_refuses(monkeypatch):
+    # semi-axes 1:20 in R³: the grid's chord cannot certify a lower bound on h
+    body, _ = _ellipsoid_oracle(3, 20.0, 0)
+    with pytest.raises(geom.UnboundedBody):
+        geom.polar_sampling_radius(body)
+
+    def no_ball(*args):
+        raise AssertionError("the ball branch ran")
+
+    monkeypatch.setattr(measure, "ball_points", no_ball)
+    est = volume.mc_polar_measure(body, measure.GaussianLike(1.0, 3), 5000, RngStream(3, 0))
+    assert 0 < est.value < (2 * math.pi) ** 1.5 and est.stderr > 0
+    with pytest.raises(volume.EstimationError, match="infinite mass"):
+        volume.mc_polar_measure(body, measure.LebesgueRestricted(math.inf, 3), 5000, RngStream(3, 0))
 
 
 def test_hausdorff_estimate_balls():
