@@ -43,7 +43,7 @@ from .measure import (
     sample_uniform_ball,
 )
 from .rng import RngStream, generators
-from .volume import exact_polar_volume_crosspoly, polar_measure, polar_measures
+from .volume import ROUNDING_FLOOR, exact_polar_volume_crosspoly, polar_measure, polar_measures
 
 __all__ = [
     "ExperimentConfig",
@@ -65,8 +65,6 @@ CUBE_MAX_DIM, CUBE_MAX_P = 8, 1e15
 # e_i of log(sinh s / s) = Σ_i e_i s^2i, the log-MGF of the uniform law on [-1, 1] (`_taylor_factor`)
 _LOG_SINHC = [1 / 6, -1 / 180, 1 / 2835, -1 / 37800, 1 / 467775, -691 / 3831077250, 2 / 127702575, -3617 / 2605132530000]
 TAYLOR_TERMS = len(_LOG_SINHC)
-# least sigma of a ball comparison, relative to its right side: 64 ulps
-ROUNDING_FLOOR = 64 * np.finfo(float).eps
 
 
 class ConfigError(ValueError):

@@ -39,6 +39,8 @@ __all__ = [
     "polar_contains",
     "polar_bounding_radius",
     "polar_sampling_radius",
+    "Parallelepiped",
+    "polar_parallelepiped",
     "hausdorff_estimate",
     "unit_ball_volume",
 ]
@@ -114,14 +116,16 @@ def row_norms(Y: np.ndarray) -> np.ndarray:
     """Euclidean norms of the rows of an (..., n) array, as a new (...) array.
 
     The squares are summed column by column into one buffer, left to
-    right.  For n <= 7 this is the order of numpy's row reduction, so the
-    result equals np.linalg.norm(Y, axis=1) bit for bit (numpy 2.4.6); from
-    8 columns on numpy sums pairwise and the last bit can differ.  On the
-    2 to 6 columns of the sampling kernels it is several times faster.
+    right, each column squared into one scratch buffer.  For n <= 7 this is
+    the order of numpy's row reduction, so the result equals
+    np.linalg.norm(Y, axis=1) bit for bit (numpy 2.4.6); from 8 columns on
+    numpy sums pairwise and the last bit can differ.  On the 2 to 6 columns
+    of the sampling kernels it is several times faster.
     """
     out = Y[..., 0] * Y[..., 0]
+    square = np.empty_like(out)
     for j in range(1, Y.shape[-1]):
-        out += Y[..., j] * Y[..., j]
+        out += np.multiply(Y[..., j], Y[..., j], out=square)
     return np.sqrt(out, out=out)
 
 
@@ -386,6 +390,12 @@ def polar_bounding_radius(body: Body):
 def polar_sampling_radius(body: Body) -> float:
     """Radius of a ball containing K°, for the sampler of `mc_polar_measure`.
 
+    The ball is one of its two sampling regions, the other being the
+    `polar_parallelepiped` of a matrix image or an H-polytope, which is
+    often much smaller (the ball of a σ_min bound is loose for a polytope
+    polar).  K° ⊂ R*·B holds whichever region is drawn from, so it also
+    bounds |Y| on K° for the sampler's Lebesgue shortcut.
+
     Exact for a ball (1/R).  Certified for a matrix image, by
     h_K(θ) >= σ_min(A)·min(1, N^{1/q'-1/2}) + r, and for an H-polytope, by
     its inradius bound.  For a support oracle in n <= 3 it is certified
@@ -432,6 +442,87 @@ def polar_sampling_radius(body: Body) -> float:
     if not lower > 1e-10 * gmax:
         raise UnboundedBody("support minimum degenerate or not certified by the grid; polar unbounded")
     return 1.0 / lower
+
+
+@dataclass(frozen=True)
+class Parallelepiped:
+    """P = {y : lo_j <= <v_j, y> <= lo_j + width_j, j = 1..n}, the v_j the rows of `normals`.
+
+    P = origin + edges·[0, 1)^n, and `volume` is |P| = Π width_j / |det V|.
+    """
+
+    normals: np.ndarray  # (n, n)
+    lo: np.ndarray
+    width: np.ndarray
+    origin: np.ndarray
+    edges: np.ndarray  # (n, n), the edge vectors in its columns
+    volume: float
+
+
+def _pivoted_rows(U: np.ndarray):
+    """n rows of U by greedy pivoted Gram–Schmidt, as (picks, L, Q) with U[picks] = L·Q.
+
+    Each step takes the row farthest from the span of those taken before
+    (the first on a tie) and adds its unit residual to Q's orthonormal
+    rows; L is lower triangular, and its diagonal, the distances taken, has
+    the product |det U[picks]|.  None when a step finds no row farther
+    than 1e-10 of U's longest: the rows do not span R^n, by a test that does
+    not depend on their scale.
+    """
+    R = U.copy()
+    n = U.shape[1]
+    floor = 1e-10 * float(row_norms(U).max())
+    picks, C, Q = [], np.empty((len(U), n)), np.empty((n, n))
+    for k in range(n):
+        d = row_norms(R)
+        j = int(d.argmax())
+        if not d[j] > floor:
+            return None
+        picks.append(j)
+        Q[k] = R[j] / d[j]
+        C[:, k] = (R * Q[k]).sum(axis=1)
+        R -= np.outer(C[:, k], Q[k])
+    return picks, np.tril(C[picks]), Q
+
+
+def polar_parallelepiped(body: Body):
+    """A parallelepiped P ⊇ K° cut from n of the body's own slabs, or None.
+
+    - A matrix image, any q and r: h_K(y) = |Xᵀy|_{q'} + r|y| >= |<x_i, y>|,
+      so K° lies in every slab -1 <= <x_i, y> <= 1.
+    - An H-polytope with 0 inside: for a vertex v, h_K(y) >= <v, y> and,
+      with c_v·(-v) the point where the ray along -v leaves K, h_K(y) >=
+      -c_v·<v, y>; so K° lies in -1/c_v <= <v, y> <= 1.  1/c_v is the gauge
+      max_i <a_i, -v>/b_i of K at -v, one pass over the facets.
+    Of the candidate slabs, one greedy pivoted Gram–Schmidt over the normals
+    divided by their widths (`_pivoted_rows`) picks n with a large |det|,
+    hence a small |P|, without enumerating subsets.  Its factors L·Q give
+    the edges Qᵀ·L⁻¹ by back substitution, with no LAPACK call (the first
+    `np.linalg.inv` maps 0.4 MB of code and buffers).  None for the other
+    bodies, for a matrix image whose columns do not span R^n and for an
+    H-polytope without 0 in its interior: their K° has no such P.
+    """
+    if isinstance(body, MatrixImageBody):
+        V = body.matrix.T
+        g = np.ones(len(V))
+    elif isinstance(body, HPolytopeBody) and (body.offsets > 0).all():
+        V = body.vertices
+        g = _row_max(-V @ (body.normals / body.offsets[:, None]).T)
+    else:
+        return None
+    width = 1.0 + g
+    pivoted = _pivoted_rows(V / width[:, None])
+    if pivoted is None:
+        return None
+    picks, L, Q = pivoted
+    # the rescaled rows u_j = v_j/width_j cut P as lo_j/width_j <= <u_j, y> <= lo_j/width_j + 1,
+    # and their matrix L·Q has the inverse edges = Qᵀ·L⁻¹, which solves Lᵀ·edgesᵀ = Q
+    edges_t = np.empty_like(Q)
+    for k in reversed(range(len(Q))):
+        edges_t[k] = (Q[k] - L[k + 1 :, k] @ edges_t[k + 1 :]) / L[k, k]
+    edges = edges_t.T
+    lo, width = -g[picks], width[picks]
+    return Parallelepiped(V[picks], lo, width, edges @ (lo / width), edges, 1.0 / float(np.prod(np.diag(L))))
 
 
 def hausdorff_estimate(a: Body, b: Body) -> float:

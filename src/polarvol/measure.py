@@ -39,6 +39,7 @@ __all__ = [
     "level_radius",
     "rearrange_density",
     "ball_points",
+    "parallelepiped_points",
     "radial_sampler",
     "sample_uniform_ball",
     "sample_density",
@@ -50,6 +51,8 @@ __all__ = [
 ]
 
 REJECTION_CAP = 10 ** 6
+# rows of a parallelepiped draw mapped at a time: the copied block stays in cache
+PARALLELEPIPED_BLOCK = 8192
 
 
 class MeasureError(ValueError):
@@ -377,6 +380,33 @@ def ball_points(gens: Iterable[np.random.Generator], size: int, n: int, R: float
     u *= R
     dirs *= u[..., None]
     return dirs
+
+
+def parallelepiped_points(gen: np.random.Generator, size: int, origin: np.ndarray, edges: np.ndarray) -> np.ndarray:
+    """`size` points uniform in origin + edges·[0, 1)^n, shape (size, n).
+
+    Row k of the result holds point k's n uniforms U, drawn in place, and
+    becomes origin + edges·U.  The map runs in blocks of PARALLELEPIPED_BLOCK
+    rows: a block's uniforms are copied out, and column i is
+    Σ_j edges[i, j]·U_j + origin_i, summed in j order through one scratch
+    column.  So a chunk needs no second (size, n) buffer, and no BLAS call
+    touches the draws, which do not depend on the BLAS build or its threads.
+    """
+    n = len(origin)
+    Y = gen.random((size, n))
+    U = np.empty((min(size, PARALLELEPIPED_BLOCK), n))
+    term = np.empty(len(U))
+    for start in range(0, size, PARALLELEPIPED_BLOCK):
+        rows = Y[start : start + PARALLELEPIPED_BLOCK]
+        u, t = U[: len(rows)], term[: len(rows)]
+        np.copyto(u, rows)
+        for i in range(n):
+            col = rows[:, i]
+            np.multiply(u[:, 0], edges[i, 0], out=col)
+            for j in range(1, n):
+                col += np.multiply(u[:, j], edges[i, j], out=t)
+            col += origin[i]
+    return Y
 
 
 def radial_sampler(m: RadialMeasure) -> Callable[[np.random.Generator, int], np.ndarray]:

@@ -31,6 +31,7 @@ from .geom import (
     UnboundedBody,
     halfspace_vertices,
     polar_contains,
+    polar_parallelepiped,
     polar_sampling_radius,
     row_norms,
     spans,
@@ -52,6 +53,10 @@ __all__ = [
 ]
 
 CHUNK = 1 << 16
+# least stderr of a Monte Carlo estimate, relative to its value: 64 ulps.  A
+# region that equals K° under a measure constant on it gives a constant
+# estimator, exact up to rounding, whose sample variance is 0
+ROUNDING_FLOOR = 64 * np.finfo(float).eps
 # Gauss–Legendre rule on [-1, 1] for the part of a polar edge inside radius σ:
 # 12 nodes integrate its (1 - e^(-x))/x, x <= 1/2, to rounding
 GAUSS_NODES, GAUSS_WEIGHTS = (a.tolist() for a in np.polynomial.legendre.leggauss(12))
@@ -113,7 +118,7 @@ def _run_chunks(budget: int, worker, threads: int = 1):
     count, mean, m2 = _merge_chunks(results)
     var = m2 / (count - 1) if count > 1 else 0.0
     stderr = math.sqrt(var / count) if count > 0 else math.inf
-    return mean, stderr, count
+    return mean, max(stderr, ROUNDING_FLOOR * abs(mean)), count
 
 
 def mc_polar_measure(
@@ -125,19 +130,26 @@ def mc_polar_measure(
 ) -> "Estimate":
     """Monte Carlo estimate of ν(K°) with its standard error.
 
-    R* is the radius of `polar_sampling_radius`, inf when K° is unbounded
-    or when the direction grid cannot certify a support oracle's radius.
-    R* is exact for a ball and certified for every other body but a
-    support oracle in n >= 4, where it is a guess: a ball that misses part
-    of K° biases the ball branch low.  When ν(R^n) is finite and
-    ρ(0)·|R*·B| >= ν(R^n), sample Y ~ ν/ν(R^n) and average the membership
-    indicator times the total mass; otherwise sample uniformly in R*·B
-    and average ρ(|Y|)·1{Y ∈ K°} times the ball volume (ρ(|Y|) = 1, not
-    evaluated, under Lebesgue measure with R above R*).  Both are
-    unbiased, and the rule picks the smaller second-moment bound:
-    ν(R^n)·ν(K°) against ρ(0)·|R*·B|·ν(K°).  A ball volume that overflows
-    counts as >= ν(R^n); with infinite mass as well no estimator applies,
-    and the call refuses.
+    Two regions can hold K°.  One is the ball R*·B, R* the radius of
+    `polar_sampling_radius`, inf when K° is unbounded or when the direction
+    grid cannot certify a support oracle's radius.  R* is exact for a ball
+    and certified for every other body but a support oracle in n >= 4,
+    where it is a guess: a ball that misses part of K° biases the ball
+    branch low.  The other is the parallelepiped P of
+    `polar_parallelepiped`, cut from n of the body's own slabs, for a
+    matrix image whose columns span R^n and for an H-polytope with 0
+    inside; the region of the two with the smaller volume V is the one
+    sampled (the ball on a tie).  When ν(R^n) is finite and ρ(0)·V >=
+    ν(R^n), sample Y ~ ν/ν(R^n) and average the membership indicator times
+    the total mass; otherwise sample Y uniformly in the region and average
+    ρ(|Y|)·1{Y ∈ K°} times V (ρ(|Y|) = 1, not evaluated, under Lebesgue
+    measure with R above R*, since K° ⊂ R*·B).  Both are unbiased, and the
+    rule picks the smaller second-moment bound: ν(R^n)·ν(K°) against
+    ρ(0)·V·ν(K°).  A ball volume that overflows counts as >= ν(R^n); with
+    infinite mass as well no estimator applies, and the call refuses.
+    The stderr is at least 64 ulps of the value (`ROUNDING_FLOOR`): where
+    P is K° and the weight is constant, the estimate is exact up to
+    rounding.
     """
     if body.dim != m.dim:
         raise EstimationError("body and measure dimensions differ")
@@ -152,14 +164,19 @@ def mc_polar_measure(
         vol_box = unit_ball_volume(n) * rstar ** n
     except OverflowError:
         vol_box = math.inf
+    region = polar_parallelepiped(body)
+    if region is not None and region.volume < vol_box:
+        vol_box = region.volume
+        draw = lambda gen, size: measure.parallelepiped_points(gen, size, region.origin, region.edges)
+    else:
+        draw = lambda gen, size: measure.ball_points([gen], size, n, rstar)[0]
     mass = total_mass(m)
     if math.isfinite(mass) and float(rho_eval(m, 0.0)) * vol_box >= mass:
         draw = measure.radial_sampler(m)
         weight = lambda Y: mass
     elif math.isfinite(vol_box):
-        draw = lambda gen, size: measure.ball_points([gen], size, n, rstar)[0]
         if isinstance(m, LebesgueRestricted) and m.R > rstar * (1.0 + 1e-12):
-            # |Y| <= R* up to a few ulps, so ρ(|Y|) = 1 at every draw
+            # every Y in K° has |Y| <= R* up to a few ulps, so ρ(|Y|) = 1 where the indicator is not 0
             weight = lambda Y: vol_box
         else:
             weight = lambda Y: vol_box * rho_eval(m, row_norms(Y))

@@ -1,11 +1,13 @@
 """Reference Monte Carlo chunk kernels for the tests: the library's earlier expressions.
 
 Row norms are numpy's `np.linalg.norm(Y, axis=1)`, points are scaled
-out of place, and the matrix-image support goes through `gauge_support`
-on a fresh `|Y @ A|`.  The library's chunk kernels must reproduce these
-estimates bit for bit; chunking, merging, radii and masses (which give
-the radial inverse-CDF table its node values) are the library's own,
-since they are not what the kernels change.
+out of place, a parallelepiped's points are one broadcast product summed
+over its edges, and the matrix-image support goes through
+`gauge_support` on a fresh `|Y @ A|`.  The library's chunk kernels must
+reproduce these estimates bit for bit; chunking, merging, radii,
+parallelepipeds and masses (which give the radial inverse-CDF table its
+node values) are the library's own, since they are not what the kernels
+change.
 """
 
 import math
@@ -19,6 +21,11 @@ def ball_points(gen, size, n, R):
     dirs = gen.standard_normal((size, n))
     dirs /= np.linalg.norm(dirs, axis=1)[:, None]
     return dirs * (R * gen.random(size) ** (1.0 / n))[:, None]
+
+
+def parallelepiped_points(gen, size, origin, edges):
+    U = gen.random((size, len(origin)))
+    return (U[:, :, None] * edges.T[None, :, :]).sum(axis=1) + origin
 
 
 def radial_sampler(m):
@@ -75,12 +82,17 @@ def mc_polar_measure(body, m, budget, rng):
         vol_box = geom.unit_ball_volume(n) * rstar ** n
     except OverflowError:
         vol_box = math.inf
+    region = geom.polar_parallelepiped(body)
+    if region is not None and region.volume < vol_box:
+        vol_box = region.volume
+        draw = lambda gen, size: parallelepiped_points(gen, size, region.origin, region.edges)
+    else:
+        draw = lambda gen, size: ball_points(gen, size, n, rstar)
     mass = measure.total_mass(m)
     if math.isfinite(mass) and float(measure.rho_eval(m, 0.0)) * vol_box >= mass:
         draw = radial_sampler(m)
         weight = lambda Y: mass
     else:
-        draw = lambda gen, size: ball_points(gen, size, n, rstar)
         weight = lambda Y: vol_box * measure.rho_eval(m, np.linalg.norm(Y, axis=1))
 
     def worker(k, size):

@@ -68,6 +68,14 @@ def test_draws_and_supports_match_the_reference_kernels(name):
     assert geom.support_values(body, Y).tobytes() == ref.support_values(body, Y).tobytes()
 
 
+@pytest.mark.parametrize("name", ["q1_six_columns", "q2_ball_summand", "hpolytope"])
+def test_parallelepiped_draws_match_the_reference_kernel(name):
+    box = geom.polar_parallelepiped(CASES[name][0])
+    Y, Y_ref = (draw(RngStream(33, 1).chunk_generator(2), volume.CHUNK - 3, box.origin, box.edges)
+                for draw in (measure.parallelepiped_points, ref.parallelepiped_points))
+    assert Y.tobytes() == Y_ref.tobytes()
+
+
 @pytest.mark.parametrize("q", [1.0, 1.5, 2.0, 3.0, math.inf])
 def test_gauge_support_matches_the_reference_and_leaves_its_argument(q):
     U = np.random.default_rng(34).standard_normal((3001, 9))

@@ -7,9 +7,11 @@ whose estimates span more than one chunk, and the exact ball polar.
 import json
 from pathlib import Path
 
+import numpy as np
 import pytest
 from click.testing import CliRunner
 
+from polarvol import measure, volume
 from polarvol.cli import main
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -39,3 +41,12 @@ def test_report_matches_golden(tmp_path, name):
 @pytest.mark.parametrize("name", ONE_THREAD)
 def test_report_matches_golden_at_one_thread(tmp_path, name):
     check_golden(tmp_path, name, "1")
+
+
+def test_newsan_box_golden_is_within_4_stderr_of_the_exact_measure():
+    # K = [-1, 1] x [-1/2, 1/2] has the diamond conv{±e_1, ±2e_2} for its polar, whose
+    # Gaussian measure `_polygon_measures` gives exactly
+    summary = json.loads((GOLDEN / "newsan_box.report.json").read_bytes())["summary"]
+    diamond = np.array([[1.0, 0.0], [0.0, 2.0], [-1.0, 0.0], [0.0, -2.0]])
+    want = volume._polygon_measures(measure.GaussianLike(1.0, 2), diamond, np.array([4]))[0]
+    assert abs(summary["lhs"] - want) <= 4 * summary["lhs_stderr"]

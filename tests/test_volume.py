@@ -1,10 +1,12 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy import integrate
+from scipy.spatial import ConvexHull
 
 from polarvol import geom, measure, volume
 from polarvol.rng import RngStream
@@ -439,10 +441,9 @@ def test_polar_measure_agrees_with_monte_carlo():
                 seen |= {"inside"} if max(far) <= m.R ** 2 else set()
             est = volume.polar_measure(body, m, 1, RngStream(seed, 1))
             mc = volume.mc_polar_measure(body, m, 200_000, RngStream(seed, 2 + k))
-            # the floor of 64 ulps, as in experiments._ball_comparison: a draw that lands
-            # in K° every time has stderr 0 and a mean within rounding of the exact value
-            floor = 64 * np.finfo(float).eps * est.value
-            assert abs(est.value - mc.value) <= 4 * max(mc.stderr, floor), (seed, m, est.value, mc.value, mc.stderr)
+            # a draw that lands in K° every time has a mean within rounding of the exact
+            # value, and the stderr floor of 64 ulps (`volume.ROUNDING_FLOOR`)
+            assert abs(est.value - mc.value) <= 4 * mc.stderr, (seed, m, est.value, mc.value, mc.stderr)
     assert seen == {"outside", "cut", "inside"}
 
 
@@ -697,3 +698,173 @@ def test_monte_carlo_inclusion_monotone(seed, n, q, r):
     est_K, est_L = (volume.mc_polar_measure(geom.MatrixImageBody(A[:, :N], geom.LqBall(q, N), r), m, 20_000,
                                             RngStream(seed, 15)) for N in (n + 1, n + 2))
     assert est_L.value <= est_K.value + 4 * (est_K.stderr + est_L.stderr), (est_K, est_L)
+
+
+# ---------------------------------------------------------------------------
+# the parallelepiped P ⊇ K° cut from a matrix image's or an H-polytope's own slabs
+
+
+def assert_in_parallelepiped(box, Y):
+    """Every row of Y lies in P to 1e-12 of the size of its slab coordinates."""
+    t = Y @ box.normals.T
+    tol = 1e-12 * (geom.row_norms(Y)[:, None] * geom.row_norms(box.normals) + np.abs(box.lo) + box.width)
+    assert np.all(t >= box.lo - tol) and np.all(t <= box.lo + box.width + tol)
+
+
+def assert_parallelepiped_is_consistent(box):
+    # origin + edges·[0, 1]^n: its corners lie on the slab bounds, and |det edges| is the volume
+    n = len(box.lo)
+    corners = np.array(np.meshgrid(*[[0.0, 1.0]] * n, indexing="ij")).reshape(n, -1).T
+    assert_in_parallelepiped(box, box.origin + corners @ box.edges.T)
+    assert box.volume == pytest.approx(abs(np.linalg.det(box.edges)), rel=1e-9)
+
+
+def boundary_points(body, gen):
+    """θ/h_K(θ) on 64 rays: points of ∂K°."""
+    theta = gen.standard_normal((64, body.dim))
+    theta /= geom.row_norms(theta)[:, None]
+    return theta / geom.support_values(body, theta)[:, None]
+
+
+@given(st.integers(0, 2 ** 31), st.sampled_from([2, 3, 4]), st.sampled_from([1.0, 2.0, math.inf]),
+       st.sampled_from([0.0, 0.3]))
+@settings(max_examples=60, deadline=None, derandomize=True)
+def test_parallelepiped_holds_a_matrix_image_polar(seed, n, q, r):
+    # K° lies in {|<x_i, y>| <= 1 for all i}, the polar of conv{±x_i}, whose vertices qhull gives
+    gen = RngStream(seed, 16).generator()
+    N = int(gen.integers(n, 3 * n + 1))
+    X = gen.standard_normal((n, N))
+    body = geom.MatrixImageBody(X, geom.LqBall(q, N), r)
+    box = geom.polar_parallelepiped(body)
+    assert np.all(box.lo == -1.0) and np.all(box.width == 2.0)
+    assert_parallelepiped_is_consistent(box)
+    assert_in_parallelepiped(box, geom.halfspace_vertices(np.vstack([X.T, -X.T]), np.ones(2 * N)))
+    assert_in_parallelepiped(box, boundary_points(body, gen))
+
+
+def random_hpolytope(gen, n, symmetric):
+    """K = {y : <a_i, y> <= b_i} with 0 inside: the last normal is minus the sum of the others,
+    so 0 is a positive combination of normals that span R^n, and K is bounded."""
+    A = gen.standard_normal((int(gen.integers(n, 3 * n)), n))
+    A = np.vstack([A, -A.sum(axis=0)])
+    b = gen.uniform(0.2, 2.0, len(A))
+    if symmetric:
+        A, b = np.vstack([A, -A]), np.concatenate([b, b])
+    return geom.HPolytopeBody(A, b)
+
+
+@given(st.integers(0, 2 ** 31), st.sampled_from([2, 3, 4]), st.booleans())
+@settings(max_examples=60, deadline=None, derandomize=True)
+def test_parallelepiped_holds_an_hpolytope_polar(seed, n, symmetric):
+    # K° = conv{a_i/b_i}; a vertex v of K bounds it by -1/c_v <= <v, y> <= 1
+    gen = RngStream(seed, 17).generator()
+    body = random_hpolytope(gen, n, symmetric)
+    box = geom.polar_parallelepiped(body)
+    if symmetric:  # c_v = 1: -v is a vertex too
+        assert box.lo == pytest.approx(-np.ones(n), rel=1e-12)
+    assert_parallelepiped_is_consistent(box)
+    assert_in_parallelepiped(box, body.normals / body.offsets[:, None])
+    assert_in_parallelepiped(box, boundary_points(body, gen))
+
+
+def test_nonsymmetric_hpolytope_slabs_are_not_symmetric():
+    # K = {y : y_1 <= 1, y_2 <= 1, -y_1 - y_2 <= 1} has the vertices (1, 1), (1, -2) and (-2, 1).
+    # The ray along -(1, 1) leaves K at (-1/2, -1/2), so c_v = 1/2 and -2 <= <v, y> <= 1 on K°, and
+    # likewise for the other two; any two of the slabs cut a P of area 3 around the triangle
+    # K° = conv{(1, 0), (0, 1), (-1, -1)} of area 3/2
+    body = geom.HPolytopeBody(np.array([[1.0, 0.0], [0.0, 1.0], [-1.0, -1.0]]), np.ones(3))
+    box = geom.polar_parallelepiped(body)
+    assert box.lo == pytest.approx([-2.0, -2.0], rel=1e-15) and box.width == pytest.approx([3.0, 3.0], rel=1e-15)
+    assert box.volume == pytest.approx(3.0, rel=1e-14)
+    assert_in_parallelepiped(box, body.normals)
+
+
+def test_parallelepiped_is_none_where_the_slabs_do_not_span():
+    rank1 = geom.MatrixImageBody(np.array([[1.0, 2.0], [0.5, 1.0]]), geom.LqBall(1.0, 2), 0.3)
+    assert geom.polar_parallelepiped(rank1) is None
+    assert geom.polar_parallelepiped(geom.BallBody(1.0, 2)) is None
+    # 0 on the boundary of K: K° is unbounded
+    corner = geom.HPolytopeBody(np.vstack([np.eye(2), -np.eye(2)]), np.array([1.0, 1.0, 0.0, 1.0]))
+    assert geom.polar_parallelepiped(corner) is None
+
+
+def takes_the_parallelepiped(body, m):
+    """Whether `mc_polar_measure` samples P: smaller than the R*-ball, and below ν(R^n)/ρ(0)."""
+    box = geom.polar_parallelepiped(body)
+    ball = geom.unit_ball_volume(body.dim) * geom.polar_sampling_radius(body) ** body.dim
+    return box.volume < ball and float(measure.rho_eval(m, 0.0)) * box.volume < measure.total_mass(m)
+
+
+def estimate_at_both_thread_counts(body, m, budget, rng_key):
+    one, two = (volume.mc_polar_measure(body, m, budget, RngStream(*rng_key), threads) for threads in (1, 2))
+    assert one == two
+    return one
+
+
+@pytest.mark.parametrize("n", [3, 4])
+def test_parallelepiped_estimate_of_a_cross_polytope_polar_is_unbiased(n):
+    P = RngStream(n, 18).generator().standard_normal((2 * n, n))
+    body = geom.MatrixImageBody(P.T, geom.LqBall(1.0, 2 * n), 0.0)
+    m = measure.LebesgueRestricted(math.inf, n)
+    assert takes_the_parallelepiped(body, m)
+    est = estimate_at_both_thread_counts(body, m, 200_000, (n, 19))
+    assert abs(est.value - volume.exact_polar_volume_crosspoly(P)) <= 4 * est.stderr
+
+
+def test_parallelepiped_estimate_of_an_hpolytope_polar_is_unbiased():
+    body = random_hpolytope(RngStream(3, 20).generator(), 3, symmetric=False)
+    m = measure.LebesgueRestricted(math.inf, 3)
+    assert takes_the_parallelepiped(body, m)
+    assert not np.allclose(geom.polar_parallelepiped(body).lo, -1.0)
+    est = estimate_at_both_thread_counts(body, m, 200_000, (3, 21))
+    want = ConvexHull(body.normals / body.offsets[:, None]).volume
+    assert abs(est.value - want) <= 4 * est.stderr
+
+
+def test_parallelepiped_estimate_of_a_planar_polar_under_a_gaussian_is_unbiased():
+    body = random_hpolytope(RngStream(2, 22).generator(), 2, symmetric=False)
+    m = measure.GaussianLike(1.0, 2)
+    assert takes_the_parallelepiped(body, m)
+    dual = body.normals / body.offsets[:, None]
+    V = dual[ConvexHull(dual).vertices]  # counterclockwise
+    want = volume._polygon_measures(m, V, np.array([len(V)]))[0]
+    est = estimate_at_both_thread_counts(body, m, 200_000, (2, 23))
+    assert abs(est.value - want) <= 4 * est.stderr
+
+
+@pytest.mark.parametrize("body,m,value,stderr", [
+    (geom.MatrixImageBody(np.array([[1.0, 2.0], [0.5, 1.0]]), geom.LqBall(1.0, 2), 0.3), LEB2,
+     2.9321531433504737, 0.03659728138874313),
+    (geom.MatrixImageBody(np.outer([1.0, -0.5, 2.0], [1.0, 0.5, -1.5]), geom.LqBall(2.0, 3), 0.3),
+     measure.GaussianLike(1.0, 3), 1.790730650828639, 0.018897070862918242),
+])
+def test_rank_deficient_image_with_a_ball_summand_keeps_the_ball(body, m, value, stderr):
+    # columns of rank 1 and r > 0: K° is bounded but no n slabs cut it, so the R*-ball is sampled,
+    # with the bits it had before P existed (and no 0/0 on the way: RuntimeWarnings are errors)
+    assert geom.polar_parallelepiped(body) is None
+    est = estimate_at_both_thread_counts(body, m, 70_000, (7, 0))
+    assert (est.value, est.stderr) == (value, stderr)
+
+
+def exact_determinant(X):
+    """det of a float matrix in exact arithmetic, by cofactors along the first row."""
+    rows = [[Fraction(x) for x in row] for row in np.asarray(X, dtype=float).tolist()]
+
+    def det(M):
+        if len(M) == 1:
+            return M[0][0]
+        return sum((-1) ** j * M[0][j] * det([row[:j] + row[j + 1:] for row in M[1:]]) for j in range(len(M)))
+
+    return det(rows)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_parallelotope_polar_is_exact_up_to_the_stderr_floor(n):
+    # N = n, q = 1: K° = {|Xᵀy|_∞ <= 1} is P itself, and under Lebesgue measure on R^n every
+    # draw weighs |P|.  The estimate is 2^n/|det X| to rounding, and the sample variance 0
+    X = RngStream(n, 24).generator().standard_normal((n, n))
+    est = volume.mc_polar_measure(geom.MatrixImageBody(X, geom.LqBall(1.0, n), 0.0),
+                                  measure.LebesgueRestricted(math.inf, n), 100_000, RngStream(n, 25))
+    want = float(Fraction(2 ** n) / abs(exact_determinant(X)))
+    assert abs(est.value - want) <= 4 * math.ulp(want)
+    assert est.stderr == volume.ROUNDING_FLOOR * est.value
