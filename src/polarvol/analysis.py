@@ -224,13 +224,13 @@ def busemann_gauge(
     z: np.ndarray,
     support_radius: float = 50.0,
 ) -> np.ndarray:
-    """Gauge z -> |z| / ∫_{z⊥} ψ at each row of a (K, n) stack z, for an even, -1/n-concave ψ.
+    """Gauge z -> |z| / ∫_{z⊥} ψ at each row of a (K, 2) stack z, for an even, -1/2-concave ψ.
 
-    ψ maps an (m, n) batch to shape (m,), as in `nu_plus_hyperplane`, which
-    integrates every nonzero row in one call.  ψ(0) must be > 0
-    (MeasureError otherwise); a -1/n-concave ψ is then positive and
-    continuous on a convex set holding 0 and zero outside it.  A zero row
-    gets 0 by convention.
+    ψ maps an (m, 2) batch to shape (m,), as in `nu_plus_hyperplane`, which
+    integrates every nonzero row in one call and refuses n != 2
+    (MeasureError).  ψ(0) must be > 0 (MeasureError otherwise); a
+    -1/2-concave ψ is then positive and continuous on a convex set holding
+    0 and zero outside it.  A zero row gets 0 by convention.
     """
     z = np.atleast_2d(np.asarray(z, dtype=float))
     norms = np.sqrt(np.vecdot(z, z))  # the dot kernel of np.linalg.norm on one row

@@ -50,7 +50,6 @@ __all__ = [
     "dn_radius",
 ]
 
-REJECTION_CAP = 10 ** 6
 # rows of a parallelepiped draw mapped at a time: the copied block stays in cache
 PARALLELEPIPED_BLOCK = 8192
 
@@ -368,18 +367,22 @@ def _stacked(gens: Iterable[np.random.Generator], draw) -> list:
     return [np.stack(a) for a in zip(*draws)]
 
 
-def ball_points(gens: Iterable[np.random.Generator], size: int, n: int, R: float) -> np.ndarray:
-    """`size` points uniform in R·B_2^n from each generator, shape (T, size, n).
+def _radial_points(gens: Iterable[np.random.Generator], size: int, n: int, radius) -> np.ndarray:
+    """`size` points from each generator, shape (T, size, n): unit directions times `radius(U)`.
 
     Each generator draws `size` Gaussian directions, then `size` uniforms
-    U for the radii R·U^{1/n}; the transform runs once on the stack.
+    U; `radius` maps the (T, size) stack of U to radii, in place if it
+    likes, and the transform runs once on the stack.
     """
     dirs, u = _stacked(gens, lambda gen: (gen.standard_normal((size, n)), gen.random(size)))
     dirs /= row_norms(dirs)[..., None]
-    u **= 1.0 / n
-    u *= R
-    dirs *= u[..., None]
+    dirs *= radius(u)[..., None]
     return dirs
+
+
+def ball_points(gens: Iterable[np.random.Generator], size: int, n: int, R: float) -> np.ndarray:
+    """`size` points uniform in R·B_2^n from each generator, shape (T, size, n): radii R·U^{1/n}."""
+    return _radial_points(gens, size, n, lambda u: np.multiply(np.power(u, 1.0 / n, out=u), R, out=u))
 
 
 def parallelepiped_points(gen: np.random.Generator, size: int, origin: np.ndarray, edges: np.ndarray) -> np.ndarray:
@@ -455,10 +458,13 @@ def sample_density(f: PnDensity, rng: RngStream, size: int) -> np.ndarray:
 def density_points(f: PnDensity, gens: Iterable[np.random.Generator], size: int) -> np.ndarray:
     """`size` points of the P_n law f from each generator, shape (T, size, n).
 
-    Direct for the uniform-body kinds, each generator making its raw draws
-    before the transform runs once on the stack; rejection from the
-    support's bounding ball with envelope ||f||_inf <= 1 for radial steps,
-    one stream at a time, since a stream's draw count depends on its draws.
+    Each generator makes its raw draws, a fixed number per point, before
+    the transform runs once on the stack.  A radial step law draws what
+    D_n draws, a direction and a uniform U, and takes its radius by exact
+    inverse CDF: inside cell j, r^n is linear in the mass, so with F the
+    normalised cumulative cell masses and b the breaks,
+    r^n = b_{j-1}^n + (U - F_{j-1})/(F_j - F_{j-1})·(b_j^n - b_{j-1}^n).
+    A cell of value 0 has F_j = F_{j-1} and is never picked.
     """
     n = f.dim
     if isinstance(f, UniformBodyDensity):
@@ -472,28 +478,15 @@ def density_points(f: PnDensity, gens: Iterable[np.random.Generator], size: int)
         (e,) = _stacked(gens, lambda gen: (gen.random((size, n + 1)),))
         e = -np.log(e)
         return math.factorial(n) ** (1.0 / n) * (e[..., :n] / e.sum(axis=-1)[..., None])
-    return np.stack([_step_rejection(f, gen, size) for gen in gens])
+    bn = np.append(0.0, f.breaks ** n)
+    F = np.append(0.0, np.cumsum(f.values * np.diff(bn)))
+    F /= F[-1]
 
+    def radius(u):
+        j = np.searchsorted(F, u, side="right")
+        return (bn[j - 1] + (u - F[j - 1]) / (F[j] - F[j - 1]) * (bn[j] - bn[j - 1])) ** (1.0 / n)
 
-def _step_rejection(f: RadialStepDensity, gen: np.random.Generator, size: int) -> np.ndarray:
-    """`size` points of a radial step law: rejection with envelope 1 on the support's ball."""
-    n = f.dim
-    Rs = float(f.breaks[-1])
-    out = np.empty((size, n))
-    filled = 0
-    iters = 0
-    while filled < size:
-        batch = max(4 * (size - filled), 1024)
-        cand = ball_points([gen], batch, n, Rs)[0]
-        u = gen.random(batch)
-        accept = u < f.eval_radius(row_norms(cand))
-        take = cand[accept][: size - filled]
-        out[filled : filled + take.shape[0]] = take
-        filled += take.shape[0]
-        iters += batch
-        if iters > REJECTION_CAP * size:
-            raise MeasureError("rejection sampler exceeded iteration cap; density mis-specified?")
-    return out
+    return _radial_points(gens, size, n, radius)
 
 
 def sample_radial_measure(m: RadialMeasure, rng: RngStream, size: int):
@@ -624,23 +617,23 @@ def nu_plus_hyperplane(
     z: np.ndarray,
     support_radius: float = 50.0,
 ) -> np.ndarray:
-    """ν⁺(z⊥) = ∫_{z⊥} ψ for each row of a (K, n) stack z, n in {2, 3}.
+    """ν⁺(z⊥) = ∫_{z⊥} ψ for each row of a (K, 2) stack z: the planar lines z⊥.
 
-    `psi` maps an (m, n) batch of points to their m densities; anything
+    `psi` maps an (m, 2) batch of points to their m densities; anything
     but shape (m,) raises MeasureError.  `support_radius` bounds the
     integration domain; ψ must be negligible beyond it.  ψ must be
-    -1/n-concave with ψ(0) > 0 (MeasureError otherwise): then on each line
+    -1/2-concave with ψ(0) > 0 (MeasureError otherwise): then on each line
     through 0 it is positive and continuous on an interval holding 0 and
-    zero outside it, so for n = 2 the two ends of that interval are the
-    only breakpoints.  One `_gauss_kronrod` runs for the whole stack; n = 3
-    nests it, the inner rule over s taking every outer node t at once, with
-    no breakpoints: an open defect, as an indicator ψ (cube or ball) in n = 3
-    exhausts the 400-panel cap after 16-35 s.  No CLI path runs n = 3.
+    zero outside it, so the two ends of that interval are the only
+    breakpoints.  One `_gauss_kronrod` runs for the whole stack.  A stack
+    in n != 2 raises MeasureError: there z⊥ is a hyperplane, and a rule
+    without the kinks of ψ's sections as breakpoints cannot integrate an
+    indicator ψ.
     """
     z = np.atleast_2d(np.asarray(z, dtype=float))
     K, n = z.shape
-    if n not in (2, 3):
-        raise MeasureError("hyperplane quadrature implemented for n in {2, 3}")
+    if n != 2:
+        raise MeasureError("hyperplane quadrature implemented for n = 2 only")
     norms = np.sqrt(np.vecdot(z, z))  # the dot kernel of np.linalg.norm on one row
     if np.any(norms == 0):
         raise MeasureError("z must be nonzero")
@@ -648,43 +641,24 @@ def nu_plus_hyperplane(
         raise MeasureError("psi(0) must be > 0")
     zhat = z / norms[:, None]
     S = support_radius
-    if n == 2:
-        u = np.stack([-zhat[:, 1], zhat[:, 0]], axis=1)
-        # the end of ψ's support on each ray ±u_k, by one bisection for all
-        # rays until each bracket is two adjacent floats; ψ > 0 at lo, and
-        # a ray still inside the support at S ends there
-        rays = np.concatenate([u, -u])
-        lo = np.where(psi_values(psi, S * rays) > 0, S, 0.0)
-        hi = np.full(2 * K, S)
-        while True:
-            mid = 0.5 * (lo + hi)
-            if np.all((mid == lo) | (mid == hi)):
-                break
-            inside = psi_values(psi, mid[:, None] * rays) > 0
-            lo, hi = np.where(inside, mid, lo), np.where(inside, hi, mid)
-        # each ray's end is its last mid, one of its two adjacent floats; an
-        # end at S makes an empty panel, which `_gauss_kronrod` drops
-        breaks = np.stack([np.full(K, -S), -mid[K:], mid[:K], np.full(K, S)], axis=1)
-        g = lambda k, s: psi_values(psi, (s[:, :, None] * u[k][:, None, :]).reshape(-1, 2)).reshape(s.shape)
-        val = _gauss_kronrod(g, breaks, epsabs=1e-9, epsrel=1e-10)
-    else:
-        # orthonormal basis u, v of each z⊥
-        a = np.where(np.abs(zhat[:, :1]) < 0.9, [1.0, 0.0, 0.0], [0.0, 1.0, 0.0])
-        u = np.cross(zhat, a)
-        u /= np.sqrt(np.vecdot(u, u))[:, None]
-        v = np.cross(zhat, u)
-        whole = [np.array([-S, S])]
-
-        def outer(k, t):
-            # one inner integral over s for each outer node (k, t)
-            k, t = np.repeat(k, t.shape[1]), t.ravel()
-            base = t[:, None] * v[k]
-            inner = lambda i, s: psi_values(
-                psi, (s[:, :, None] * u[k[i]][:, None, :] + base[i][:, None, :]).reshape(-1, 3)
-            ).reshape(s.shape)
-            return _gauss_kronrod(inner, whole * len(t), epsabs=1e-9, epsrel=1e-8).reshape(-1, 21)
-
-        val = _gauss_kronrod(outer, whole * K, epsabs=1e-9, epsrel=1e-8)
+    u = np.stack([-zhat[:, 1], zhat[:, 0]], axis=1)
+    # the end of ψ's support on each ray ±u_k, by one bisection for all
+    # rays until each bracket is two adjacent floats; ψ > 0 at lo, and
+    # a ray still inside the support at S ends there
+    rays = np.concatenate([u, -u])
+    lo = np.where(psi_values(psi, S * rays) > 0, S, 0.0)
+    hi = np.full(2 * K, S)
+    while True:
+        mid = 0.5 * (lo + hi)
+        if np.all((mid == lo) | (mid == hi)):
+            break
+        inside = psi_values(psi, mid[:, None] * rays) > 0
+        lo, hi = np.where(inside, mid, lo), np.where(inside, hi, mid)
+    # each ray's end is its last mid, one of its two adjacent floats; an
+    # end at S makes an empty panel, which `_gauss_kronrod` drops
+    breaks = np.stack([np.full(K, -S), -mid[K:], mid[:K], np.full(K, S)], axis=1)
+    g = lambda k, s: psi_values(psi, (s[:, :, None] * u[k][:, None, :]).reshape(-1, 2)).reshape(s.shape)
+    val = _gauss_kronrod(g, breaks, epsabs=1e-9, epsrel=1e-10)
     if not np.all(np.isfinite(val)):
         raise MeasureError("hyperplane quadrature diverged")
     return val

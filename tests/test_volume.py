@@ -277,8 +277,8 @@ def test_mc_rejects_empty_budget():
 
 
 # Exact values of the unbounded-polar branch, whose draws come from
-# measure.radial_sampler.  No configs/*.json reaches that branch or the
-# radial-step rejection, so these pins are what holds those draws fixed.
+# measure.radial_sampler.  No configs/*.json reaches that branch, so these
+# pins are what holds those draws fixed.
 RANK1 = geom.MatrixImageBody(np.array([[1.0], [0.5]]), geom.LqBall(1.0, 1), 0.0)
 
 
@@ -346,7 +346,7 @@ def test_sampler_draws_are_pinned():
     b2 = math.sqrt(0.25 + (1 - math.pi / 4) / (0.5 * math.pi))
     step = measure.RadialStepDensity(np.array([0.5, b2]), np.array([1.0, 0.5]), 2)
     assert _fingerprint(measure.sample_density(step, RngStream(13, 1), 300)) == (
-        1.7702307617331106, [-0.4612169543427602, -0.1626043174067375], [0.06423594775770453, -0.3422869792740142])
+        0.6870489833062052, [-0.28150551230349563, -0.09924616006272445], [0.06158393217226266, -0.47417677807145026])
     dn = measure.sample_density(measure.UniformBodyDensity("Dn", 3), RngStream(15, 0), 300)
     assert _fingerprint(dn) == (
         -7.966709115955147, [-0.005945677635821051, -0.20904467399602542, 0.5043026131709145],
