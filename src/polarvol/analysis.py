@@ -183,9 +183,10 @@ def shadow_profile(
     """Profile g(t) = 1 / nu(body(t·direction)°) along a line in R^N.
 
     Uses the exact qhull oracle when the configuration is a cross-polytope
-    under Lebesgue measure, with a verdict tolerance of 1e-9·max g (g scales
-    as s^n with the system); Monte Carlo otherwise, with 3x the propagated stderr.
-    An unbounded polar under Lebesgue measure contributes g = 0.
+    under Lebesgue measure with R = inf, with a verdict tolerance of
+    1e-9·max g (g scales as s^n with the system); Monte Carlo otherwise,
+    with 3x the propagated stderr.  On the exact branch an unbounded polar
+    contributes g = 0.
     """
     d = np.asarray(direction, dtype=float)
     t_grid = np.asarray(sorted(t_grid), dtype=float)

@@ -279,7 +279,10 @@ def centroid_body_oracle(mu: PnDensity, p: float) -> Body:
     """The moment body Z_p(μ), h(y) = (∫ |<x,y>|^p dμ)^{1/p}.
 
     For D_n and radial step laws it is the ball of radius
-    `_radial_centroid_radius`; for the cube, `_cube_support` in closed form.
+    `_radial_centroid_radius`; for the cube, `_cube_support` in closed form,
+    with the exact inradius min(h(e_1), h((1, ..., 1)/√n)): over unit θ,
+    E|<U, θ>|^p is smallest on an axis for p >= 2 and on the diagonal for
+    p <= 2 (Latała and Oleszkiewicz, Colloq. Math. 68, 1995).
     """
     if not (math.isfinite(p) and p >= 1):
         raise ConfigError("p: must be a finite number >= 1")
@@ -292,8 +295,9 @@ def centroid_body_oracle(mu: PnDensity, p: float) -> Body:
         raise ConfigError("centroid oracle supports cube, Dn and radial_step laws")
     if mu.dim > CUBE_MAX_DIM or p > CUBE_MAX_P:
         raise ConfigError(f"n, p: the cube's centroid body needs n <= {CUBE_MAX_DIM} and p <= {CUBE_MAX_P:g}")
-
-    return SupportOracleBody(lambda Y: _cube_support(np.atleast_2d(np.asarray(Y, dtype=float)), p), mu.dim)
+    n = mu.dim
+    inradius = float(_cube_support(np.vstack([np.eye(1, n), np.full((1, n), 1.0 / math.sqrt(n))]), p).min())
+    return SupportOracleBody(lambda Y: _cube_support(np.atleast_2d(np.asarray(Y, dtype=float)), p), n, inradius)
 
 
 def _cube_support(Y: np.ndarray, p: float) -> np.ndarray:

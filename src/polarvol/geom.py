@@ -228,10 +228,19 @@ class HPolytopeBody:
 
 @dataclass(frozen=True)
 class SupportOracleBody:
-    """Body known only through a (vectorized) support function oracle."""
+    """Body known only through a (vectorized) support function oracle.
+
+    `inradius` is a certified c >= 0 with h(y) >= c·|y| for every y, so K
+    holds c·B and K° lies in (1/c)·B; 0 when no such bound is known.
+    """
 
     evaluator: Callable[[np.ndarray], np.ndarray]  # (m, n) -> (m,)
     dim: int
+    inradius: float
+
+    def __post_init__(self):
+        if not 0 <= self.inradius < math.inf:
+            raise GeometryError("inradius must be finite and >= 0")
 
 
 Body = Union[MatrixImageBody, BallBody, HPolytopeBody, SupportOracleBody]
@@ -341,23 +350,12 @@ def spans(P: np.ndarray) -> np.ndarray:
     return _spanning_sigma(P) > 0
 
 
-# Covering chord ε of `sphere_directions(n)`: every unit θ lies within ε of a
-# grid direction.  ±1 is the whole of S^0; 720 equal angles give 2·sin(π/1440)
-# = 0.00436332; for the Fibonacci set, scipy's SphericalVoronoi puts the
-# farthest Voronoi vertex at 0.0602766 from its direction.  Both rounded up.
-# The seeded grid of n >= 4 has no certified ε.
-GRID_CHORD = {1: 0.0, 2: 0.0043634, 3: 0.0603}
-
-
 @cache
 def sphere_directions(n: int) -> np.ndarray:
     """The fixed direction set on S^{n-1} of the grid estimates, read-only.
 
     ±1 for n = 1, 720 equal angles for n = 2, a 2048-point Fibonacci sphere
-    for n = 3 and 4096 seeded Gaussian directions for n >= 4.  For n <= 3
-    every unit vector lies within the chord `GRID_CHORD[n]` of the set;
-    the random set of n >= 4 has no such certificate (one of 200 000
-    random unit vectors lay 0.235 rad from it).
+    for n = 3 and 4096 seeded Gaussian directions for n >= 4.
     """
     if n == 1:
         D = np.array([[1.0], [-1.0]])
@@ -397,21 +395,14 @@ def polar_sampling_radius(body: Body) -> float:
     bounds |Y| on K° for the sampler's Lebesgue shortcut.
 
     Exact for a ball (1/R).  Certified for a matrix image, by
-    h_K(θ) >= σ_min(A)·min(1, N^{1/q'-1/2}) + r, and for an H-polytope, by
-    its inradius bound.  For a support oracle in n <= 3 it is certified
-    too: h is sublinear, so a unit θ within chord ε = `GRID_CHORD[n]` of a
-    grid direction d has h(θ) >= h(d) - h(d - θ) >= g_min - ε·h_max, where
-    g_min and g_max are h's extremes over `sphere_directions` and the axes
-    ±e_i, and h_max <= g_max + ε·h_max gives h_max <= g_max/(1 - ε).  The
-    radius is 1/(g_min - ε·g_max/(1 - ε)).  An oracle in n >= 4 is not
-    certified: its grid has no covering chord, so it gets 1/(0.95·g_min),
-    a guess that can undershoot an elongated body.
+    h_K(θ) >= σ_min(A)·min(1, N^{1/q'-1/2}) + r, for an H-polytope, by
+    its inradius bound, and for a support oracle, by the inradius c it
+    carries: 1/c.
 
     Whether K° is bounded is decided without a scale: R > 0 for a ball,
-    r > 0 or `spans` for a matrix image, every b_i > 0 for an H-polytope,
-    and for an oracle a lower bound on h above 1e-10 of g_max.  Raises
-    UnboundedBody when K° is not bounded, or when the grid cannot certify
-    an oracle's bound (an n <= 3 body elongated beyond about 1:(1/ε)).
+    r > 0 or `spans` for a matrix image, every b_i > 0 for an H-polytope
+    and c > 0 for an oracle.  Raises UnboundedBody when K° is not known
+    to be bounded.
     """
     if isinstance(body, BallBody):
         if not body.R > 0:
@@ -432,16 +423,9 @@ def polar_sampling_radius(body: Body) -> float:
         # K ⊇ ball of radius min_i b_i/|a_i| only if that ball satisfies all
         # constraints; it does since <a_i, y> <= |a_i||y| <= b_i.
         return 1.0 / float((body.offsets / np.linalg.norm(body.normals, axis=1)).min())
-    # the axes as well: the grid misses them for n >= 4, and there the cube's
-    # Z_p has its smallest support for p > 2
-    axes = np.eye(body.dim)
-    h = support_values(body, np.vstack([sphere_directions(body.dim), axes, -axes]))
-    gmin, gmax = float(h.min()), float(h.max())
-    eps = GRID_CHORD.get(body.dim)
-    lower = 0.95 * gmin if eps is None else gmin - eps * gmax / (1.0 - eps)
-    if not lower > 1e-10 * gmax:
-        raise UnboundedBody("support minimum degenerate or not certified by the grid; polar unbounded")
-    return 1.0 / lower
+    if not body.inradius > 0:
+        raise UnboundedBody("support oracle without a certified inradius; polar not known to be bounded")
+    return 1.0 / body.inradius
 
 
 @dataclass(frozen=True)
@@ -488,8 +472,9 @@ def _pivoted_rows(U: np.ndarray):
 def polar_parallelepiped(body: Body):
     """A parallelepiped P ⊇ K° cut from n of the body's own slabs, or None.
 
-    - A matrix image, any q and r: h_K(y) = |Xᵀy|_{q'} + r|y| >= |<x_i, y>|,
-      so K° lies in every slab -1 <= <x_i, y> <= 1.
+    - A matrix image, any q and r: h_K(y) >= |<x_i, y>| + r|y| >= |<x_i', y>|
+      with x_i' = (1 + r/|x_i|)·x_i, so K° lies in every slab -1 <= <x_i', y>
+      <= 1.  A zero column stays zero and cuts no slab.
     - An H-polytope with 0 inside: for a vertex v, h_K(y) >= <v, y> and,
       with c_v·(-v) the point where the ray along -v leaves K, h_K(y) >=
       -c_v·<v, y>; so K° lies in -1/c_v <= <v, y> <= 1.  1/c_v is the gauge
@@ -504,6 +489,9 @@ def polar_parallelepiped(body: Body):
     """
     if isinstance(body, MatrixImageBody):
         V = body.matrix.T
+        if body.rball > 0:
+            norms = np.hypot.reduce(V, axis=1)[:, None]  # hypot: no square overflows
+            V = V + body.rball * (V / np.where(norms > 0, norms, 1.0))
         g = np.ones(len(V))
     elif isinstance(body, HPolytopeBody) and (body.offsets > 0).all():
         V = body.vertices
@@ -511,18 +499,24 @@ def polar_parallelepiped(body: Body):
     else:
         return None
     width = 1.0 + g
-    pivoted = _pivoted_rows(V / width[:, None])
+    U = V / width[:, None]
+    e = math.frexp(float(np.abs(U).max()))[1]  # 2^-e·U is of unit scale, exactly: no square overflows
+    pivoted = _pivoted_rows(np.ldexp(U, -e))
     if pivoted is None:
         return None
     picks, L, Q = pivoted
-    # the rescaled rows u_j = v_j/width_j cut P as lo_j/width_j <= <u_j, y> <= lo_j/width_j + 1,
-    # and their matrix L·Q has the inverse edges = Qᵀ·L⁻¹, which solves Lᵀ·edgesᵀ = Q
+    # the rescaled rows u_j = v_j/width_j cut P as lo_j/width_j <= <u_j, y> <= lo_j/width_j + 1, and
+    # their matrix 2^e·L·Q has the inverse edges = 2^-e·Qᵀ·L⁻¹, where Qᵀ·L⁻¹ solves Lᵀ·Xᵀ = Q
     edges_t = np.empty_like(Q)
     for k in reversed(range(len(Q))):
         edges_t[k] = (Q[k] - L[k + 1 :, k] @ edges_t[k + 1 :]) / L[k, k]
-    edges = edges_t.T
+    edges = np.ldexp(edges_t.T, -e)
+    try:
+        volume = math.ldexp(1.0 / float(np.prod(np.diag(L))), -e * len(Q))
+    except OverflowError:
+        volume = math.inf
     lo, width = -g[picks], width[picks]
-    return Parallelepiped(V[picks], lo, width, edges @ (lo / width), edges, 1.0 / float(np.prod(np.diag(L))))
+    return Parallelepiped(V[picks], lo, width, edges @ (lo / width), edges, volume)
 
 
 def hausdorff_estimate(a: Body, b: Body) -> float:

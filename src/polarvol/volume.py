@@ -131,11 +131,9 @@ def mc_polar_measure(
     """Monte Carlo estimate of ν(K°) with its standard error.
 
     Two regions can hold K°.  One is the ball R*·B, R* the radius of
-    `polar_sampling_radius`, inf when K° is unbounded or when the direction
-    grid cannot certify a support oracle's radius.  R* is exact for a ball
-    and certified for every other body but a support oracle in n >= 4,
-    where it is a guess: a ball that misses part of K° biases the ball
-    branch low.  The other is the parallelepiped P of
+    `polar_sampling_radius`, inf when K° is unbounded or a support oracle
+    carries no inradius; R* is exact for a ball and certified for every
+    other body.  The other is the parallelepiped P of
     `polar_parallelepiped`, cut from n of the body's own slabs, for a
     matrix image whose columns span R^n and for an H-polytope with 0
     inside; the region of the two with the smaller volume V is the one
@@ -148,8 +146,8 @@ def mc_polar_measure(
     ρ(0)·V·ν(K°).  A ball volume that overflows counts as >= ν(R^n); with
     infinite mass as well no estimator applies, and the call refuses.
     The stderr is at least 64 ulps of the value (`ROUNDING_FLOOR`): where
-    P is K° and the weight is constant, the estimate is exact up to
-    rounding.
+    the region is K° and the weight is constant, the estimate is exact up
+    to rounding.
     """
     if body.dim != m.dim:
         raise EstimationError("body and measure dimensions differ")

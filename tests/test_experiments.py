@@ -7,6 +7,8 @@ from fractions import Fraction
 import numpy as np
 import pytest
 from click.testing import CliRunner
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import integrate
 
 from polarvol import experiments, geom, measure
@@ -380,10 +382,26 @@ def test_centroid_cube_bounds_are_refused():
         experiments.centroid_body_oracle(measure.UniformBodyDensity("cube", 2), 1e16)
 
 
+@given(n=st.integers(1, experiments.CUBE_MAX_DIM), log_p=st.floats(0.0, 6.0), seed=st.integers(0, 2**31))
+@settings(max_examples=80, deadline=None, derandomize=True)
+def test_centroid_cube_inradius_holds_its_support(n, log_p, seed):
+    # the smallest support lies on an axis (p >= 2) or the diagonal (p <= 2), so check h·R* >= 1
+    # on random unit θ and on θ near both, each sign-flipped at random (a symmetry of the cube)
+    p = 10.0**log_p
+    body = experiments.centroid_body_oracle(measure.UniformBodyDensity("cube", n), p)
+    gen = np.random.default_rng(seed)
+    ends = np.vstack([np.eye(1, n), np.full((1, n), 1 / math.sqrt(n))])
+    near = ends[:, None, :] + np.array([0.0, 1e-10, 1e-7, 1e-4, 1e-2])[:, None] * gen.standard_normal((2, 5, n))
+    theta = np.vstack([gen.standard_normal((200, n)), near.reshape(-1, n)])
+    theta *= gen.choice([-1.0, 1.0], size=theta.shape) / geom.row_norms(theta)[:, None]
+    assert np.all(body.evaluator(theta) * geom.polar_sampling_radius(body) >= 1 - 1e-13)
+    assert body.inradius in body.evaluator(ends).tolist()
+
+
 @pytest.mark.parametrize("n", [5, 6, 8])
 def test_centroid_cube_sampling_ball_holds_the_polar_on_the_axes(n):
-    # at p = 100 the cube's Z_p has its smallest support on the axes, which the
-    # random direction grid of n >= 4 misses: K° reaches e_i/h(e_i) there
+    # at p = 100 the cube's Z_p has its smallest support on the axes: K° reaches e_i/h(e_i)
+    # there, and the sampling ball must hold those points
     body = experiments.centroid_body_oracle(measure.UniformBodyDensity("cube", n), 100.0)
     axes = np.vstack([np.eye(n), -np.eye(n)])
     assert np.all(1.0 / body.evaluator(axes) <= geom.polar_sampling_radius(body))

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.spatial import HalfspaceIntersection, SphericalVoronoi
+from scipy.spatial import HalfspaceIntersection
 
 from polarvol import geom, measure, volume
 from polarvol.rng import RngStream
@@ -115,42 +115,51 @@ def test_polar_sampling_radius_covers_polar():
     assert geom.polar_sampling_radius(cube) == pytest.approx(1e13, rel=1e-15)
 
 
-def _ellipsoid_oracle(n, ratio, seed):
-    """h(y) = √(yᵀMy) for semi-axes (1, ratio, ..., ratio) under a seeded rotation,
-    and the circumradius 1/√λ_min(M) = 1 of its polar."""
+def _ellipsoid_oracle(n, ratio, seed, certified=True):
+    """h(y) = √(yᵀMy) for semi-axes (1, ratio, ..., ratio) under a seeded rotation, with its
+    inradius √λ_min(M) = 1 (or 0, no bound known), and the circumradius 1/√λ_min(M) of its polar."""
     q, r = np.linalg.qr(np.random.default_rng([n, seed]).standard_normal((n, n)))
     Q = q * np.sign(np.diag(r))
     M = Q @ np.diag([1.0] + [ratio**2] * (n - 1)) @ Q.T
-    body = geom.SupportOracleBody(lambda Y: np.sqrt(np.einsum("ij,jk,ik->i", Y, M, Y)), n)
-    return body, 1.0 / math.sqrt(np.linalg.eigvalsh(M)[0])
+    inradius = math.sqrt(np.linalg.eigvalsh(M)[0])
+    body = geom.SupportOracleBody(lambda Y: np.sqrt(np.einsum("ij,jk,ik->i", Y, M, Y)), n,
+                                  inradius if certified else 0.0)
+    return body, 1.0 / inradius
 
 
 @pytest.mark.parametrize("n,ratio", [(2, 10.0), (2, 50.0), (2, 100.0), (3, 3.0), (3, 10.0)])
 def test_oracle_sampling_radius_holds_an_elongated_polar(n, ratio):
-    # a radius of 1/(0.95·grid minimum) read up to 3.5% short at (2, 100) and 1.8%
-    # short at (3, 10) over these rotations; a grid too coarse for the body must
-    # say so rather than undershoot
+    # the radius is 1/inradius, the circumradius of K°: it holds the boundary points θ/h(θ)
+    # of K°, and the one on the short axis reaches it
     for seed in range(20):
         body, circumradius = _ellipsoid_oracle(n, ratio, seed)
-        try:
-            radius = geom.polar_sampling_radius(body)
-        except geom.UnboundedBody:
-            continue
-        assert radius >= circumradius, (seed, radius, circumradius)
+        radius = geom.polar_sampling_radius(body)
+        assert radius == pytest.approx(circumradius, rel=1e-12), seed
+        theta = np.random.default_rng([n, seed, 1]).standard_normal((200, n))
+        theta /= geom.row_norms(theta)[:, None]
+        assert np.all(geom.row_norms(theta / body.evaluator(theta)[:, None]) <= radius * (1 + 1e-12)), seed
 
 
-def test_grid_chords_cover_the_sphere():
-    assert geom.GRID_CHORD[2] >= 2 * math.sin(math.pi / 1440)
-    # the point of S² farthest from the Fibonacci set is a vertex of its Voronoi diagram
-    D = geom.sphere_directions(3)
-    sv = SphericalVoronoi(D)
-    chord = max(np.linalg.norm(sv.vertices[region] - d, axis=1).max() for d, region in zip(D, sv.regions))
-    assert chord <= geom.GRID_CHORD[3] < chord + 1e-4
+def test_oracle_inradius_is_finite_and_nonnegative():
+    for bad in (-1e-3, math.nan, math.inf):
+        with pytest.raises(geom.GeometryError, match="inradius"):
+            geom.SupportOracleBody(lambda Y: geom.row_norms(Y), 2, bad)
+
+
+def test_elongated_oracle_estimate_in_four_dimensions_is_unbiased():
+    # semi-axes 1:20 in R⁴: |K°| = ω_4/20³ under Lebesgue ∞.  A radius of 1/(0.95·grid minimum)
+    # read 0.495–0.778 against the circumradius 1, and these estimates 5.1 and 9.0 stderr low at
+    # seeds 0 and 3
+    want = geom.unit_ball_volume(4) / 20.0**3
+    for seed in range(5):
+        body, _ = _ellipsoid_oracle(4, 20.0, seed)
+        est = volume.mc_polar_measure(body, measure.LebesgueRestricted(math.inf, 4), 500_000, RngStream(seed, 0))
+        assert abs(est.value - want) <= 4 * est.stderr, (seed, est, want)
 
 
 def test_uncertified_oracle_takes_the_mass_branch_or_refuses(monkeypatch):
-    # semi-axes 1:20 in R³: the grid's chord cannot certify a lower bound on h
-    body, _ = _ellipsoid_oracle(3, 20.0, 0)
+    # semi-axes 1:20 in R³, with no inradius given: no ball is known to hold K°
+    body, _ = _ellipsoid_oracle(3, 20.0, 0, certified=False)
     with pytest.raises(geom.UnboundedBody):
         geom.polar_sampling_radius(body)
 

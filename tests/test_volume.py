@@ -730,7 +730,8 @@ def boundary_points(body, gen):
        st.sampled_from([0.0, 0.3]))
 @settings(max_examples=60, deadline=None, derandomize=True)
 def test_parallelepiped_holds_a_matrix_image_polar(seed, n, q, r):
-    # K° lies in {|<x_i, y>| <= 1 for all i}, the polar of conv{±x_i}, whose vertices qhull gives
+    # K holds conv{±x_i'}, x_i' = (1 + r/|x_i|)·x_i, so K° lies in {|<x_i', y>| <= 1 for all i},
+    # the polar of conv{±x_i'}, whose vertices qhull gives
     gen = RngStream(seed, 16).generator()
     N = int(gen.integers(n, 3 * n + 1))
     X = gen.standard_normal((n, N))
@@ -738,8 +739,31 @@ def test_parallelepiped_holds_a_matrix_image_polar(seed, n, q, r):
     box = geom.polar_parallelepiped(body)
     assert np.all(box.lo == -1.0) and np.all(box.width == 2.0)
     assert_parallelepiped_is_consistent(box)
-    assert_in_parallelepiped(box, geom.halfspace_vertices(np.vstack([X.T, -X.T]), np.ones(2 * N)))
+    Xs = X * (1 + r / np.linalg.norm(X, axis=0))
+    assert_in_parallelepiped(box, geom.halfspace_vertices(np.vstack([Xs.T, -Xs.T]), np.ones(2 * N)))
     assert_in_parallelepiped(box, boundary_points(body, gen))
+
+
+def test_a_ball_summand_narrows_the_slabs():
+    # K = [e_1 e_2 0]·B_1^3 + r·B: h_K(y) >= (1 + r)|y_i| cuts the square |y_i| <= 1/(1 + r),
+    # and K° touches it at e_i/(1 + r); the zero column cuts no slab
+    for r in (0.0, 0.5, 3.0):
+        body = geom.MatrixImageBody(np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]]), geom.LqBall(1.0, 3), r)
+        box = geom.polar_parallelepiped(body)
+        assert box.volume == pytest.approx(4 / (1 + r) ** 2, rel=1e-15)
+        assert_in_parallelepiped(box, boundary_points(body, RngStream(0, 24).generator()))
+        assert geom.support_values(body, np.eye(2) / (1 + r)) == pytest.approx([1.0, 1.0], rel=1e-15)
+
+
+@pytest.mark.parametrize("scale,r,volume", [(1e-100, 0.0, 8e300), (1e-120, 0.0, math.inf), (1e100, 0.0, 8e-300),
+                                             (1e200, 0.0, 0.0), (1e200, 1.0, 0.0), (1.0, 1e300, 0.0)])
+def test_parallelepiped_of_a_body_at_an_extreme_scale(scale, r, volume):
+    # Gram–Schmidt runs at unit scale, so no square overflows (RuntimeWarnings are errors):
+    # |P| = 8/scale³ (or 8/r³), or 0 and inf out of the float range
+    body = geom.MatrixImageBody(scale * np.eye(3), geom.LqBall(1.0, 3), r)
+    box = geom.polar_parallelepiped(body)
+    assert box.volume == pytest.approx(volume, rel=1e-14)
+    assert box.edges == pytest.approx(np.diag(box.width) / scale / (1 + r / scale), rel=1e-14)
 
 
 def random_hpolytope(gen, n, symmetric):
