@@ -31,7 +31,7 @@ from .measure import (
     psi_values,
 )
 from .rng import RngStream
-from .volume import EstimationError, exact_polar_volume_crosspoly, mc_polar_measure
+from .volume import EstimationError, exact_polar_volume_crosspoly, polar_measures
 
 __all__ = [
     "ShadowConfig",
@@ -82,12 +82,17 @@ def convexity_even_check(p: ProfileReport, tol: float, check_even: bool = True) 
 
     For every pair of grid points whose midpoint is itself a grid
     point: g(mid) <= (g(a) + g(c))/2 + tol.  Evenness: |g(t) - g(-t)|
-    <= tol wherever -t is on the grid.  Reports the worst violation.
+    <= tol wherever -t is on the grid.  Reports the worst violation; a
+    profile with a non-finite value fails both checks, with worst
+    violation inf.
     """
     t = np.asarray(p.grid, dtype=float)
     g = np.asarray(p.values, dtype=float)
-    if np.any(np.diff(t) <= 0):
-        raise ValueError("profile grid must be sorted increasing")
+    if not (np.isfinite(t).all() and np.all(np.diff(t) > 0)):
+        raise ValueError("profile grid must be finite and sorted increasing")
+    if not np.isfinite(g).all():  # a gap with a NaN or an inf in it compares as no violation
+        p.even, p.midpoint_convex, p.worst_violation = (False if check_even else None), False, math.inf
+        return {"even": p.even, "midpoint_convex": False, "worst_violation": math.inf}
     worst = 0.0
     convex = True
     m = len(t)
@@ -162,16 +167,6 @@ class ShadowConfig:
         return MatrixImageBody(cols.T, self.gauge, self.rball)
 
 
-def _exact_oracle_eligible(cfg: ShadowConfig) -> bool:
-    return (
-        cfg.n >= 2
-        and cfg.rball == 0.0
-        and cfg.gauge.q == 1.0
-        and isinstance(cfg.m, LebesgueRestricted)
-        and math.isinf(cfg.m.R)
-    )
-
-
 def shadow_profile(
     cfg: ShadowConfig,
     direction: np.ndarray,
@@ -182,35 +177,36 @@ def shadow_profile(
 ) -> ProfileReport:
     """Profile g(t) = 1 / nu(body(t·direction)°) along a line in R^N.
 
-    Uses the exact qhull oracle when the configuration is a cross-polytope
-    under Lebesgue measure with R = inf, with a verdict tolerance of
-    1e-9·max g (g scales as s^n with the system); Monte Carlo otherwise,
-    with 3x the propagated stderr.  On the exact branch an unbounded polar
-    contributes g = 0.
+    A cross-polytope (q = 1, r = 0) under Lebesgue measure with R = inf, n >= 2,
+    takes exact volumes from the qhull oracle; an unbounded polar gives g = 0.
+    Any other line sends its grid through one `polar_measures` call, point i
+    on stream `rng.stream + i`: exact where that dispatcher is (a spanning
+    planar q = 1, r = 0 line under a Gaussian or a Lebesgue R < inf), Monte
+    Carlo elsewhere, as at a t where the points lie on theta-perp.  The
+    verdict tolerance is max(1e-9·max g, 3·max stderr): g scales as s^n with
+    the system, and a sampled g carries its propagated stderr.
     """
     d = np.asarray(direction, dtype=float)
     t_grid = np.asarray(sorted(t_grid), dtype=float)
     if t_grid.size < 5:
         raise ValueError("t grid needs >= 5 points")
-    exact = _exact_oracle_eligible(cfg)
-    values = np.zeros_like(t_grid)
-    stderrs = np.zeros_like(t_grid)
-    for i, t in enumerate(t_grid):
-        body = cfg.body_at(t * d)
-        if exact:
+    bodies = [cfg.body_at(t * d) for t in t_grid]
+    lebesgue_inf = isinstance(cfg.m, LebesgueRestricted) and math.isinf(cfg.m.R)
+    if lebesgue_inf and cfg.n >= 2 and cfg.gauge.q == 1.0 and cfg.rball == 0.0:
+        values, stderrs = np.zeros_like(t_grid), np.zeros_like(t_grid)
+        for i, body in enumerate(bodies):
             try:
-                vol = exact_polar_volume_crosspoly(body.matrix.T)
+                values[i] = 1.0 / exact_polar_volume_crosspoly(body.matrix.T)
             except UnboundedBody:
-                vol = math.inf
-            values[i] = 0.0 if math.isinf(vol) else 1.0 / vol
-            stderrs[i] = 0.0
-        else:
-            est = mc_polar_measure(body, cfg.m, budget, RngStream(rng.seed, rng.stream + i), threads)
-            if est.value == 0:
-                raise EstimationError(f"no sample fell in the polar at t = {t:g}: raise the budget")
-            values[i] = 1.0 / est.value
-            stderrs[i] = est.stderr / est.value ** 2
-    tol = 1e-9 * float(values.max()) if exact else 3.0 * float(stderrs.max(initial=0.0))
+                pass  # g = 0
+    else:
+        rngs = [RngStream(rng.seed, rng.stream + i) for i in range(len(bodies))]
+        ests = polar_measures(bodies, cfg.m, budget, rngs, threads)
+        nu = np.array([est.value for est in ests])
+        if not nu.all():
+            raise EstimationError(f"no sample fell in the polar at t = {t_grid[nu == 0][0]:g}: raise the budget")
+        values, stderrs = 1.0 / nu, np.array([est.stderr for est in ests]) / nu ** 2
+    tol = max(1e-9 * float(values.max()), 3.0 * float(stderrs.max()))
     report = ProfileReport(t_grid, values, stderrs, tol=tol)
     convexity_even_check(report, tol, check_even=True)
     return report
@@ -353,7 +349,6 @@ def milman_pajor_gauge(
     vhat = v / vn
     S = support_radius
     from scipy import integrate  # local: a 0.05 s import, and no command runs this gauge
-
 
     if k == 0:
         integrand = lambda s: phi(s * vhat) * (s * vn) ** (p - 1.0)

@@ -14,7 +14,6 @@ from typing import Sequence
 
 import numpy as np
 from scipy import special
-from scipy.spatial import ConvexHull
 
 from .geom import (
     Body,
@@ -43,7 +42,7 @@ from .measure import (
     sample_uniform_ball,
 )
 from .rng import RngStream, generators
-from .volume import ROUNDING_FLOOR, exact_polar_volume_crosspoly, polar_measure, polar_measures
+from .volume import ROUNDING_FLOOR, exact_polar_volume_crosspoly, hull_volume, polar_measure, polar_measures
 
 __all__ = [
     "ExperimentConfig",
@@ -410,14 +409,14 @@ def body_volume_exact(body: Body) -> float:
     if isinstance(body, BallBody):
         return unit_ball_volume(body.dim) * body.R ** body.dim
     if isinstance(body, HPolytopeBody):
-        return float(ConvexHull(body.vertices).volume)
+        return hull_volume(body.vertices)
     if isinstance(body, MatrixImageBody):
         if not (body.gauge.q == 1.0 and body.rball == 0.0):
             raise GeometryError("exact |K| available for cross-polytope images only")
         pts = body.matrix.T
         if not spans(pts):  # flat: the test that calls K° unbounded everywhere else
             return 0.0
-        return float(ConvexHull(np.vstack([pts, -pts])).volume)
+        return hull_volume(np.vstack([pts, -pts]))
     raise GeometryError(f"no exact volume for {type(body)!r}")
 
 

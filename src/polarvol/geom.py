@@ -246,6 +246,13 @@ class SupportOracleBody:
 Body = Union[MatrixImageBody, BallBody, HPolytopeBody, SupportOracleBody]
 
 
+def qhull_failure(e: QhullError) -> GeometryError:
+    """GeometryError for a qhull failure on nearly degenerate input: qhull's
+    first error line (QH6xxx), not the precision warnings that may precede it."""
+    lines = str(e).splitlines() or ["qhull failed"]
+    return GeometryError(next((line for line in lines if line.startswith("QH6")), lines[0]))
+
+
 def halfspace_vertices(A: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Vertices of the polytope {y : Ay <= b}, n >= 2, from qhull's dual hull.
 
@@ -254,7 +261,8 @@ def halfspace_vertices(A: np.ndarray, b: np.ndarray) -> np.ndarray:
     c lies strictly inside the hull of the dual points a_i/(b_i - <a_i, c>),
     and each facet <u, x> = -h of that hull gives the vertex c + u/h.  An
     empty or flat polytope gives a (0, n) array; an unbounded one raises
-    UnboundedBody.
+    UnboundedBody, and a qhull failure on a nearly degenerate dual set
+    `qhull_failure`.
     """
     n = A.shape[1]
     if n < 2:
@@ -276,10 +284,14 @@ def halfspace_vertices(A: np.ndarray, b: np.ndarray) -> np.ndarray:
         if res.status == 2 or res.x[n] <= 1e-12 * (1.0 + float(np.linalg.norm(res.x[:n]))):
             return np.empty((0, n))  # empty, or flat
         interior = np.ldexp(res.x[:n], e)
+    D = A / (b - A @ interior)[:, None]
     try:
-        facets = ConvexHull(A / (b - A @ interior)[:, None]).equations
+        facets = ConvexHull(D).equations
     except QhullError as e:
-        raise UnboundedBody("halfspace normals do not span; polytope unbounded") from e
+        # a flat dual set cannot hold c inside; a full one failed on qhull's precision
+        if not spans(D[1:] - D[0]):
+            raise UnboundedBody("halfspace normals do not span; polytope unbounded") from e
+        raise qhull_failure(e) from e
     # the dual hull must hold the origin strictly inside: offsets < 0
     if not (facets[:, -1] < 0).all():
         raise UnboundedBody("halfspace intersection is unbounded")

@@ -1,10 +1,10 @@
-"""Estimators of ν(K°): Monte Carlo with honest error bars, a
-layer-cake reduction to balls, exact polytope volumes in any
-dimension n >= 2 (qhull), and exact radial measures of ball polars and
-of planar polygon polars, which `polar_measures` picks whenever they
-apply.  The planar polars take their vertices from one hull scan batched
-across bodies, not from qhull; qhull serves the exact volumes, which
-`converge` and exact `shadow` use in every n >= 2, n >= 3 included.
+"""Estimators of ν(K°): Monte Carlo with honest error bars, a layer-cake
+reduction to balls, exact polytope volumes in any dimension n >= 2 (qhull),
+and exact radial measures of ball polars and of planar polygon polars, which
+`polar_measures` picks whenever they apply; planar polars take their
+vertices from one hull scan batched across bodies.  `shadow` sends its grid
+through `polar_measures`, except under Lebesgue R = inf, where it and
+`converge` take qhull's volumes in every n >= 2.
 
 Monte Carlo runs are chunked into fixed 2^16-sample blocks, chunk k
 drawing from stream sub-key k, and merged in chunk order; the result is
@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-from scipy.spatial import ConvexHull
+from scipy.spatial import ConvexHull, QhullError
 from scipy.special import owens_t
 
 from . import measure
@@ -33,6 +33,7 @@ from .geom import (
     polar_contains,
     polar_parallelepiped,
     polar_sampling_radius,
+    qhull_failure,
     row_norms,
     spans,
     unit_ball_volume,
@@ -434,15 +435,25 @@ def layer_cake_measure(
 # exact polytope volumes
 
 
+def hull_volume(points: np.ndarray) -> float:
+    """Volume of the convex hull of the rows of `points`, from qhull; where qhull
+    fails on nearly degenerate input, `geom.qhull_failure`'s GeometryError."""
+    try:
+        return float(ConvexHull(points).volume)
+    except QhullError as e:
+        raise qhull_failure(e) from e
+
+
 def halfspace_volume(normals: np.ndarray, offsets: np.ndarray) -> float:
     """Exact volume of {y : <a_i, y> <= b_i} in R^n, n >= 2: the hull of its
     qhull vertices, 0.0 when the set is empty or flat.
 
-    Raises GeometryError when the set is unbounded or n = 1.
+    Raises GeometryError when the set is unbounded, when n = 1, or when
+    qhull fails on nearly degenerate input (`geom.qhull_failure`).
     """
     A = np.atleast_2d(np.asarray(normals, dtype=float))
     V = halfspace_vertices(A, np.asarray(offsets, dtype=float))
-    return float(ConvexHull(V).volume) if len(V) else 0.0
+    return hull_volume(V) if len(V) else 0.0
 
 
 def exact_polar_volume_crosspoly(points: np.ndarray) -> float:

@@ -40,6 +40,15 @@ def test_evenness_check_flags_odd_part():
     assert not res["even"]
 
 
+@pytest.mark.parametrize("values", [[4.0, 1.0, math.nan, 1.0, 4.0], [math.inf, 1.0, 0.0, 1.0, math.inf]])
+def test_non_finite_profile_fails_both_checks(values):
+    # a NaN value, or inf at both ends, used to read even, convex and worst 0.0
+    rep = _report(np.linspace(-2, 2, 5), values)
+    res = analysis.convexity_even_check(rep, 1e-9)
+    assert res == {"even": False, "midpoint_convex": False, "worst_violation": math.inf}
+    assert rep.worst_violation == math.inf
+
+
 def test_shadow_profile_exact_parallelogram():
     # columns (+-1, t): K is the rectangle [-1,1] x [-|t|,|t|], so
     # K° is a cross-polytope of volume 2/|t| and g(t) = |t|/2
@@ -74,6 +83,43 @@ def test_shadow_profile_mc_branch_matches_geometry():
     )
     assert rep.even and rep.midpoint_convex
     assert rep.values[0] == pytest.approx(rep.values[4], abs=6 * max(rep.stderrs))
+
+
+# the configs/shadow_exact.json line; every point spans the plane at t != 0, none at t = 0
+SHADOW_BASE = np.array([[1.0, 0.0], [-1.0, 0.0], [0.5, 0.0]])
+SHADOW_DIRECTION = np.array([1.0, 1.0, -1.0])
+
+
+def _shadow_line(m):
+    return analysis.ShadowConfig(np.array([0.0, 1.0]), SHADOW_BASE, geom.LqBall(1.0, 3), 0.0, m)
+
+
+@pytest.mark.parametrize("m", [measure.GaussianLike(0.3, 2), measure.GaussianLike(1.0, 2),
+                               measure.LebesgueRestricted(0.5, 2), measure.LebesgueRestricted(1.0, 2)])
+def test_planar_shadow_profile_is_exact_through_the_dispatcher(m):
+    cfg = _shadow_line(m)
+    t_grid = np.array([-3.0, -2.0, -1.25, -0.5, 0.5, 1.25, 2.0, 3.0])
+    rep = analysis.shadow_profile(cfg, SHADOW_DIRECTION, t_grid, 1000, RngStream(4, 0))
+    for i, t in enumerate(t_grid):
+        est = volume.polar_measure(cfg.body_at(t * SHADOW_DIRECTION), m, 1000, RngStream(4, i))
+        assert rep.values[i] == 1.0 / est.value
+    assert not rep.stderrs.any()
+    assert rep.tol == 1e-9 * rep.values.max()
+    assert rep.even and rep.midpoint_convex
+
+
+def test_flat_shadow_point_samples_on_its_own_stream():
+    # at t = 0 the points lie on theta-perp: K° is a slab, which only Monte Carlo measures
+    m = measure.GaussianLike(1.0, 2)
+    cfg = _shadow_line(m)
+    t_grid = np.linspace(-1.0, 1.0, 5)
+    rep = analysis.shadow_profile(cfg, SHADOW_DIRECTION, t_grid, 5000, RngStream(6, 3))
+    est = volume.mc_polar_measure(cfg.body_at(0.0 * SHADOW_DIRECTION), m, 5000, RngStream(6, 3 + 2))
+    assert rep.values[2] == 1.0 / est.value
+    assert rep.stderrs[2] == est.stderr / est.value ** 2
+    assert np.count_nonzero(rep.stderrs) == 1
+    assert rep.tol == 3.0 * rep.stderrs[2]
+    assert rep.even and rep.midpoint_convex
 
 
 def test_shadow_config_requires_orthogonal_base():

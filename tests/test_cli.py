@@ -428,6 +428,18 @@ def test_non_finite_polar_volume_estimate_fails(tmp_path, monkeypatch):
     assert json.loads((out / "report.json").read_text())["verdict"] == "FAIL"
 
 
+def test_qhull_failure_exits_2_with_one_error_line(tmp_path):
+    # an n = 5 path whose N = 40 set meets qhull's "wide merge" error: it used to exit 1
+    # (the FAIL code) through a QhullError traceback
+    cfg = {"n": 5, "seed": 10, "schedule": [10, 20, 40], "band": 1.0}
+    res = invoke(["converge", "--config", write_cfg(tmp_path, cfg), "--out", str(tmp_path / "o")])
+    assert res.exit_code == 2, res.output
+    assert isinstance(res.exception, SystemExit)
+    lines = res.output.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: GeometryError: QH"), res.output
+    assert not (tmp_path / "o" / "report.json").exists()
+
+
 def test_malformed_json_exits_2(tmp_path):
     path = tmp_path / "c.json"
     path.write_text("{not json")

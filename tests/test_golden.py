@@ -1,6 +1,6 @@
 """Every configs/*.json run at --threads 2 reproduces its committed report.json byte for byte.
 
-Four configs also run at --threads 1 against the same bytes: the three
+Five configs also run at --threads 1 against the same bytes: the four
 whose estimates span more than one chunk, and the exact ball polar.
 """
 
@@ -17,7 +17,7 @@ from polarvol.cli import main
 GOLDEN = Path(__file__).parent / "golden"
 CONFIGS = Path(__file__).parent.parent / "configs"
 NAMES = sorted(p.stem for p in CONFIGS.glob("*.json"))
-ONE_THREAD = ["centroid_cube", "centroid_cube_n4", "newsan_box", "polar_volume_ball"]
+ONE_THREAD = ["centroid_cube", "centroid_cube_n4", "newsan_box", "polar_volume_ball", "shadow_gaussian"]
 
 
 def check_golden(tmp_path, name, threads):

@@ -194,6 +194,24 @@ def test_exact_polar_volume_inclusion_monotone(seed, n):
     assert vols[-1] == pytest.approx(vols[-2], rel=1e-9)
 
 
+def test_qhull_failure_raises_geometry_error():
+    # the seed-1500, n = 5 set of the test above: qhull's second hull meets a "wide merge"
+    # error at N = 8, which used to escape as QhullError, a RuntimeError
+    pts = RngStream(1500, 2).generator().standard_normal((8, 5))
+    with pytest.raises(geom.GeometryError, match="^QH6271 qhull topology error"):
+        volume.exact_polar_volume_crosspoly(pts)
+
+
+def test_qhull_failure_in_the_dual_hull_is_not_unbounded():
+    # the vertices of that K° as the normals of {y : <v, y> <= 1}: the dual hull now meets
+    # the failure, and the normals span, so it is no UnboundedBody (which shadow reads as g = 0)
+    pts = RngStream(1500, 2).generator().standard_normal((8, 5))
+    V = geom.halfspace_vertices(np.vstack([pts, -pts]), np.ones(16))
+    with pytest.raises(geom.GeometryError, match="^QH6") as info:
+        geom.halfspace_vertices(V, np.ones(len(V)))
+    assert not isinstance(info.value, geom.UnboundedBody)
+
+
 def test_exact_oracle_agrees_with_monte_carlo_in_four_dimensions():
     # the qhull oracle at n = 4, held to the Lebesgue estimate of the same polar
     m = measure.LebesgueRestricted(math.inf, 4)
