@@ -14,6 +14,7 @@ from typing import Sequence
 
 import numpy as np
 from scipy import special
+from scipy.spatial import ConvexHull, QhullError
 
 from .geom import (
     Body,
@@ -24,6 +25,7 @@ from .geom import (
     MatrixImageBody,
     SupportOracleBody,
     hausdorff_estimate,
+    qhull_failure,
     spans,
     unit_ball_volume,
 )
@@ -42,7 +44,7 @@ from .measure import (
     sample_uniform_ball,
 )
 from .rng import RngStream, generators
-from .volume import ROUNDING_FLOOR, exact_polar_volume_crosspoly, hull_volume, polar_measure, polar_measures
+from .volume import ROUNDING_FLOOR, exact_polar_volume_crosspoly, flag_volume, polar_measure, polar_measures
 
 __all__ = [
     "ExperimentConfig",
@@ -212,7 +214,8 @@ def convergence_experiment(
     (set inclusion) and approaches |D_n°| = ω_n²; PASS iff both hold,
     the limit within the given relative band at the final N.
     """
-    # qhull's cost grows fast with n: n = 5 at N = 256 takes seconds
+    # the flag sum pays n! chambers a facet: 0.34-0.51 s a volume at n = 5, N = 256, and
+    # already 70-125 ms at n = 6, N = 8 (README, "Exact oracles")
     if not 2 <= n <= 5:
         raise ConfigError("n: exact convergence oracle needs 2 <= n <= 5")
     if not (math.isfinite(band) and band >= 0):
@@ -405,18 +408,23 @@ def centroid_polar_experiment(
 
 def body_volume_exact(body: Body) -> float:
     """|K| for the body kinds with a closed-form or qhull exact volume: 0 for a flat
-    cross-polytope image; a flat H-polytope's cached `vertices` raise GeometryError."""
+    cross-polytope image.  An H-polytope's is the flag sum over its cached
+    `dual_hull`, which its vertices share, and which raises GeometryError
+    when it is flat or empty."""
     if isinstance(body, BallBody):
         return unit_ball_volume(body.dim) * body.R ** body.dim
     if isinstance(body, HPolytopeBody):
-        return hull_volume(body.vertices)
+        return flag_volume(*body.dual_hull)
     if isinstance(body, MatrixImageBody):
         if not (body.gauge.q == 1.0 and body.rball == 0.0):
             raise GeometryError("exact |K| available for cross-polytope images only")
         pts = body.matrix.T
         if not spans(pts):  # flat: the test that calls K° unbounded everywhere else
             return 0.0
-        return hull_volume(np.vstack([pts, -pts]))
+        try:
+            return float(ConvexHull(np.vstack([pts, -pts])).volume)
+        except QhullError as e:
+            raise qhull_failure(e) from e
     raise GeometryError(f"no exact volume for {type(body)!r}")
 
 

@@ -5,7 +5,7 @@ function.  The canonical form is the matrix image of a coefficient
 gauge plus a Euclidean ball; the support function then splits as
 h(y) = h_C(Aᵀy) + r|y|, which makes polar membership an O(nN) test in
 any dimension.  H-polytopes are supported in any n >= 2 through their
-vertices, which qhull enumerates once per body.
+vertices, read off the one qhull dual hull that each body caches.
 """
 
 from __future__ import annotations
@@ -196,9 +196,9 @@ class BallBody:
 class HPolytopeBody:
     """Intersection of halfspaces <a_i, y> <= b_i in n >= 2 dimensions.
 
-    The vertices are enumerated on the first support call, not here, so an
-    empty, flat or unbounded polytope constructs and raises only when it
-    is used.
+    Its dual hull, and the vertices read off it, are built on first use (a
+    support call or its volume), not here, so an empty, flat or unbounded
+    polytope constructs and raises only when it is used.
     """
 
     normals: np.ndarray  # (m, n)
@@ -217,6 +217,17 @@ class HPolytopeBody:
     @property
     def dim(self) -> int:
         return self.normals.shape[1]
+
+    @cached_property
+    def dual_hull(self) -> tuple:
+        """`_dual_hull` of the halfspaces, built on first use and kept read-only;
+        GeometryError when the polytope is empty or flat."""
+        hull = _dual_hull(self.normals, self.offsets)
+        if len(hull[1]) == 0:
+            raise GeometryError("H-polytope is empty or degenerate")
+        for a in hull:
+            a.flags.writeable = False
+        return hull
 
     @cached_property
     def vertices(self) -> np.ndarray:
@@ -253,16 +264,19 @@ def qhull_failure(e: QhullError) -> GeometryError:
     return GeometryError(next((line for line in lines if line.startswith("QH6")), lines[0]))
 
 
-def halfspace_vertices(A: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Vertices of the polytope {y : Ay <= b}, n >= 2, from qhull's dual hull.
+def _dual_hull(A: np.ndarray, b: np.ndarray):
+    """qhull's dual hull of the polytope {y : Ay <= b}, n >= 2, as (c, simplices, Y).
 
     qhull needs a point c strictly inside: the origin when every b_i > 0,
     otherwise the Chebyshev centre.  The polytope is bounded exactly when
-    c lies strictly inside the hull of the dual points a_i/(b_i - <a_i, c>),
-    and each facet <u, x> = -h of that hull gives the vertex c + u/h.  An
-    empty or flat polytope gives a (0, n) array; an unbounded one raises
-    UnboundedBody, and a qhull failure on a nearly degenerate dual set
-    `qhull_failure`.
+    c lies strictly inside the hull of the dual points a_i/(b_i - <a_i, c>).
+    That hull comes triangulated (qhull's Qt): `simplices` holds each
+    facet's n dual-point indices, which are rows of A, and each facet
+    <u, x> = -h gives the polytope vertex Y = c + u/h, where those n
+    halfspaces meet.  A dual facet with more than n vertices repeats its
+    equation, hence its vertex, once per simplex.  An empty or flat
+    polytope gives no facets; an unbounded one raises UnboundedBody, and a
+    qhull failure on a nearly degenerate dual set `qhull_failure`.
     """
     n = A.shape[1]
     if n < 2:
@@ -282,33 +296,44 @@ def halfspace_vertices(A: np.ndarray, b: np.ndarray) -> np.ndarray:
         if res.status not in (0, 2):
             raise GeometryError(f"Chebyshev centre: {res.message}")
         if res.status == 2 or res.x[n] <= 1e-12 * (1.0 + float(np.linalg.norm(res.x[:n]))):
-            return np.empty((0, n))  # empty, or flat
+            return interior, np.empty((0, n), dtype=np.intc), np.empty((0, n))  # empty, or flat
         interior = np.ldexp(res.x[:n], e)
     D = A / (b - A @ interior)[:, None]
     try:
-        facets = ConvexHull(D).equations
+        hull = ConvexHull(D)
     except QhullError as e:
         # a flat dual set cannot hold c inside; a full one failed on qhull's precision
         if not spans(D[1:] - D[0]):
             raise UnboundedBody("halfspace normals do not span; polytope unbounded") from e
         raise qhull_failure(e) from e
+    facets = hull.equations
     # the dual hull must hold the origin strictly inside: offsets < 0
     if not (facets[:, -1] < 0).all():
         raise UnboundedBody("halfspace intersection is unbounded")
-    V = facets[:, :-1] / -facets[:, -1:] + interior
-    if n > 2:
-        # ConvexHull triangulates (qhull's Qt), so a dual facet with more than n
-        # vertices repeats its equation once per simplex; plane facets are segments
+    return interior, hull.simplices, facets[:, :-1] / -facets[:, -1:] + interior
+
+
+def _distinct_vertices(V: np.ndarray) -> np.ndarray:
+    """The rows of a `_dual_hull`'s vertices V, each once, in facet order."""
+    if V.shape[1] > 2 and len(V):
+        # plane facets are segments, so only n > 2 repeats a vertex
         V = np.array(list(dict.fromkeys(map(tuple, V.tolist()))))
     return V
 
 
+def halfspace_vertices(A: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Vertices of the polytope {y : Ay <= b}, n >= 2, one per distinct facet of
+    its `_dual_hull`: a (0, n) array when it is empty or flat.  Raises
+    UnboundedBody when it is unbounded, and `qhull_failure` when qhull fails on
+    a nearly degenerate dual set.
+    """
+    return _distinct_vertices(_dual_hull(A, b)[2])
+
+
 def hpolytope_vertices(body: HPolytopeBody) -> np.ndarray:
-    """Vertices of an H-polytope; GeometryError when it is empty, flat or unbounded."""
-    V = halfspace_vertices(body.normals, body.offsets)
-    if V.shape[0] == 0:
-        raise GeometryError("H-polytope is empty or degenerate")
-    return V
+    """Vertices of an H-polytope, from its cached `dual_hull`; GeometryError when
+    it is empty, flat or unbounded."""
+    return _distinct_vertices(body.dual_hull[2])
 
 
 def support_values(body: Body, Y: np.ndarray) -> np.ndarray:

@@ -1,10 +1,11 @@
 """Estimators of ν(K°): Monte Carlo with honest error bars, a layer-cake
-reduction to balls, exact polytope volumes in any dimension n >= 2 (qhull),
-and exact radial measures of ball polars and of planar polygon polars, which
+reduction to balls, exact polytope volumes in any dimension n >= 2 (a flag
+sum over qhull's one dual hull), and exact radial measures of ball polars
+and of planar polygon polars, which
 `polar_measures` picks whenever they apply; planar polars take their
 vertices from one hull scan batched across bodies.  `shadow` sends its grid
 through `polar_measures`, except under Lebesgue R = inf, where it and
-`converge` take qhull's volumes in every n >= 2.
+`converge` take those polytope volumes in every n >= 2.
 
 Monte Carlo runs are chunked into fixed 2^16-sample blocks, chunk k
 drawing from stream sub-key k, and merged in chunk order; the result is
@@ -14,13 +15,14 @@ workers execute the chunks.
 
 from __future__ import annotations
 
+import itertools
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from functools import cache
 from typing import Sequence
 
 import numpy as np
-from scipy.spatial import ConvexHull, QhullError
 from scipy.special import owens_t
 
 from . import measure
@@ -29,11 +31,10 @@ from .geom import (
     Body,
     MatrixImageBody,
     UnboundedBody,
-    halfspace_vertices,
+    _dual_hull,
     polar_contains,
     polar_parallelepiped,
     polar_sampling_radius,
-    qhull_failure,
     row_norms,
     spans,
     unit_ball_volume,
@@ -435,31 +436,96 @@ def layer_cake_measure(
 # exact polytope volumes
 
 
-def hull_volume(points: np.ndarray) -> float:
-    """Volume of the convex hull of the rows of `points`, from qhull; where qhull
-    fails on nearly degenerate input, `geom.qhull_failure`'s GeometryError."""
-    try:
-        return float(ConvexHull(points).volume)
-    except QhullError as e:
-        raise qhull_failure(e) from e
+# rows of chamber matrices per np.linalg.det call of `flag_volume`: at n = 5 a
+# block holds 136 facets' 120 orderings, 3.3 MB of 5 x 5 matrices
+FLAG_BLOCK = 1 << 14
+
+
+@cache
+def _flag_tables(n: int):
+    """Index tables for the flags of the positions 0..n-1 of a simplex's vertices.
+
+    Returns n! and, for k = 1..n-1, (last, prefix, first): the last position
+    of each sorted k-subset, the index of its first k - 1 among the sorted
+    (k-1)-subsets (the empty set for k = 1, index 0), and for each ordering
+    of the n positions the index of the set of its first k.
+    """
+    orderings = list(itertools.permutations(range(n)))
+    levels, shorter = [], [()]
+    for k in range(1, n):
+        subsets = list(itertools.combinations(range(n), k))
+        last = np.array([s[-1] for s in subsets])
+        prefix = np.array([shorter.index(s[:-1]) for s in subsets])
+        first = np.array([subsets.index(tuple(sorted(o[:k]))) for o in orderings])
+        levels.append((last, prefix, first))
+        shorter = subsets
+    return len(orderings), levels
+
+
+def flag_volume(interior: np.ndarray, simplices: np.ndarray, Y: np.ndarray) -> float:
+    """Exact volume of a polytope from its triangulated dual hull, `geom._dual_hull`'s
+    (c, simplices, Y): 0.0 when there are no facets (an empty or flat polytope).
+
+    A dual facet F, n halfspace indices, has the polytope vertex y_F.  For a
+    set S of halfspaces within some facet, c_S is the mean of y_G over the
+    facets G ⊇ S: a point of the face where the halfspaces of S meet.  Each
+    ordering of F, with S_k its first k indices, gives the chamber simplex
+    (c, c_{S_1}, ..., c_{S_{n-1}}, y_F), and
+
+        |K| = Σ_F Σ_{orderings of F} |det(c_{S_1} - c, ..., c_{S_{n-1}} - c, y_F - c)| / n!.
+
+    A chamber whose S_k meet in a face of dimension below n - k is flat and
+    adds 0; the others run once through each flag facet ⊃ ridge ⊃ ... ⊃
+    vertex and tile K by cones from c, however qhull splits a facet that
+    has more than n vertices.  Each k-subset of a
+    facet is keyed by the group of its first k - 1 and its last index, so
+    one `np.unique` per k groups every subset once; one `np.linalg.det`
+    runs per `FLAG_BLOCK` rows of (facet, ordering), whose |det| sums add
+    up by `math.fsum`.
+    """
+    count, n = simplices.shape
+    if count == 0:
+        return 0.0
+    Y = Y - interior
+    S = np.sort(simplices, axis=1).astype(np.int64)
+    m = int(S[:, -1].max()) + 1
+    orderings, levels = _flag_tables(n)
+    group = np.zeros((count, 1), dtype=np.int64)
+    chains = []  # per k: (c_S for each group S of k-subsets, the group of each facet's k-subsets, first)
+    for last, prefix, first in levels:
+        _, inverse = np.unique((group[:, prefix] * m + S[:, last]).ravel(), return_inverse=True)
+        group = inverse.reshape(count, len(last))
+        totals = np.bincount((inverse[:, None] * n + np.arange(n)).ravel(), weights=np.repeat(Y, len(last), axis=0).ravel())
+        chains.append((totals.reshape(-1, n) / np.bincount(inverse)[:, None], group, first))
+    step = max(1, FLAG_BLOCK // orderings)
+    sums = []
+    for s in range(0, count, step):
+        block = slice(s, s + step)
+        M = np.empty((len(Y[block]), orderings, n, n))
+        for k, (centres, group, first) in enumerate(chains):
+            M[:, :, k] = centres[group[block][:, first]]
+        M[:, :, -1] = Y[block, None]
+        sums.append(float(np.abs(np.linalg.det(M)).sum()))
+    return math.fsum(sums) / math.factorial(n)
 
 
 def halfspace_volume(normals: np.ndarray, offsets: np.ndarray) -> float:
-    """Exact volume of {y : <a_i, y> <= b_i} in R^n, n >= 2: the hull of its
-    qhull vertices, 0.0 when the set is empty or flat.
+    """Exact volume of {y : <a_i, y> <= b_i} in R^n, n >= 2: `flag_volume` of
+    its one qhull dual hull, 0.0 when the set is empty or flat.
 
     Raises GeometryError when the set is unbounded, when n = 1, or when
-    qhull fails on nearly degenerate input (`geom.qhull_failure`).
+    qhull fails on a nearly degenerate dual set (`geom.qhull_failure`).
     """
     A = np.atleast_2d(np.asarray(normals, dtype=float))
-    V = halfspace_vertices(A, np.asarray(offsets, dtype=float))
-    return hull_volume(V) if len(V) else 0.0
+    return flag_volume(*_dual_hull(A, np.asarray(offsets, dtype=float)))
 
 
 def exact_polar_volume_crosspoly(points: np.ndarray) -> float:
     """Exact |K°| for K = conv{±x_1, ..., ±x_N} in R^n, n >= 2: K° is
-    {y : |<x_i, y>| <= 1}, whose volume `halfspace_volume` gives.  Raises
-    UnboundedBody when the points do not span R^n (`geom.spans`): K° is a slab.
+    {y : |<x_i, y>| <= 1}, whose volume `halfspace_volume` gives from one
+    qhull hull, that of the 2N points ±x_i.  Raises UnboundedBody when the
+    points do not span R^n (`geom.spans`): K° is a slab.  A point inside K
+    adds no facet, so it leaves |K°| unchanged.
     """
     P = np.atleast_2d(np.asarray(points, dtype=float))
     if not spans(P):

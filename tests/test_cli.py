@@ -18,9 +18,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import polarvol
-from polarvol import analysis, cli, experiments, volume
+from polarvol import analysis, cli, experiments, geom, volume
 from polarvol.cli import main, parse_experiment_config
 from polarvol.experiments import ConfigError
+from polarvol.rng import RngStream
 from polarvol.volume import Estimate
 
 BASE = {
@@ -429,15 +430,34 @@ def test_non_finite_polar_volume_estimate_fails(tmp_path, monkeypatch):
 
 
 def test_qhull_failure_exits_2_with_one_error_line(tmp_path):
-    # an n = 5 path whose N = 40 set meets qhull's "wide merge" error: it used to exit 1
-    # (the FAIL code) through a QhullError traceback
-    cfg = {"n": 5, "seed": 10, "schedule": [10, 20, 40], "band": 1.0}
-    res = invoke(["converge", "--config", write_cfg(tmp_path, cfg), "--out", str(tmp_path / "o")])
+    # an H-polytope whose dual hull meets qhull's "wide merge" error: the K° vertices of a
+    # nearly degenerate n = 5 set as normals, offsets 1.  Exit 2 (config error) with one
+    # line, never 1 (the FAIL code) through a QhullError traceback
+    pts = RngStream(1500, 2).generator().standard_normal((8, 5))
+    V = geom.halfspace_vertices(np.vstack([pts, -pts]), np.ones(16))
+    cfg = {"body": {"kind": "hpolytope", "normals": V.tolist(), "offsets": [1.0] * len(V)},
+           "measure": {"kind": "gaussian", "sigma": 1.0}, "budget": 1000, "seed": 1}
+    res = invoke(["newsan", "--config", write_cfg(tmp_path, cfg), "--out", str(tmp_path / "o")])
     assert res.exit_code == 2, res.output
     assert isinstance(res.exception, SystemExit)
     lines = res.output.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error: GeometryError: QH"), res.output
     assert not (tmp_path / "o" / "report.json").exists()
+
+
+def test_converge_n5_path_that_met_qhull_writes_a_report(tmp_path):
+    # this path's N = 40 set made a second qhull hull, over K°'s vertices, fail ("wide merge"),
+    # so it exited 2; the flag sum gives finite, decreasing values, and at band 1.0 the
+    # final relative error 2.41 FAILs
+    cfg = {"n": 5, "seed": 10, "schedule": [10, 20, 40], "band": 1.0}
+    out = tmp_path / "o"
+    res = invoke(["converge", "--config", write_cfg(tmp_path, cfg), "--out", str(out)])
+    assert res.exit_code == 1, res.output
+    report = json.loads((out / "report.json").read_text())
+    values = report["summary"]["values"]
+    assert report["verdict"] == "FAIL" and len(values) == 3
+    assert all(math.isfinite(v) for v in values) and values[0] > values[1] > values[2]
+    assert report["summary"]["relative_error"] == pytest.approx(2.41, abs=0.005)
 
 
 def test_malformed_json_exits_2(tmp_path):

@@ -257,16 +257,26 @@ def test_newsan_of_a_flat_hpolytope_is_refused():
         experiments.newsan_experiment(body, measure.GaussianLike(1.0, 2), budget=100, seed=1)
 
 
-def test_newsan_enumerates_hpolytope_vertices_once(monkeypatch):
-    # the volume and the support function share the body's cached vertices: one dual hull, not two
-    calls = []
-    hull = geom.ConvexHull
-    monkeypatch.setattr(geom, "ConvexHull", lambda *a, **k: calls.append(1) or hull(*a, **k))
+def test_newsan_enumerates_hpolytope_vertices_once(qhull_hulls):
+    # the volume and the support function share the body's cached dual hull: a newsan run
+    # builds one qhull hull in all, its volume included
     normals = np.array([[1.0, 0.0], [-1.0, 0.0], [0.0, 1.0], [0.0, -1.0], [1.0, 1.0]])
     body = geom.HPolytopeBody(normals, np.array([1.0, 1.0, 1.0, 1.0, 1.5]))
     assert experiments.body_volume_exact(body) == pytest.approx(4.0 - 0.125, rel=1e-14)
     experiments.newsan_experiment(body, measure.GaussianLike(1.0, 2), budget=1000, seed=1)
-    assert len(calls) == 1
+    assert len(qhull_hulls) == 1
+    # a fresh body in n = 3 through the whole run: still one hull
+    cube = geom.HPolytopeBody(np.vstack([np.eye(3), -np.eye(3), [[1.0, 1.0, 1.0]]]), np.r_[np.ones(6), 2.0])
+    experiments.newsan_experiment(cube, measure.GaussianLike(1.0, 3), budget=1000, seed=1)
+    assert len(qhull_hulls) == 2
+    assert experiments.body_volume_exact(cube) == pytest.approx(8.0 - 1.0 / 6.0, rel=1e-14)
+
+
+def test_body_volume_exact_builds_one_hull(qhull_hulls):
+    # the matrix image's |conv{±x_i}| is one ConvexHull volume
+    X = RngStream(31, 0).generator().standard_normal((3, 6))
+    experiments.body_volume_exact(geom.MatrixImageBody(X, geom.LqBall(1.0, 6), 0.0))
+    assert len(qhull_hulls) == 1
 
 
 def _step_law(n=2):

@@ -1,4 +1,6 @@
+import itertools
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -182,6 +184,10 @@ def test_exact_volumes_match_reference(n):
 
 @given(st.integers(0, 2 ** 31), st.sampled_from([2, 3, 4, 5]))
 @settings(max_examples=25, deadline=None)
+# the n = 5 sets on which a second qhull hull, over K°'s vertices, met a "wide merge" error
+@example(1500, 5)
+@example(1932, 5)
+@example(2733, 5)
 def test_exact_polar_volume_inclusion_monotone(seed, n):
     # adding a point can only grow K = conv{±x_i}, so |K°| never increases;
     # the last point lies inside K and must leave |K°| unchanged
@@ -195,11 +201,68 @@ def test_exact_polar_volume_inclusion_monotone(seed, n):
 
 
 def test_qhull_failure_raises_geometry_error():
-    # the seed-1500, n = 5 set of the test above: qhull's second hull meets a "wide merge"
-    # error at N = 8, which used to escape as QhullError, a RuntimeError
+    # the seed-1500, n = 5 set of the test above at N = 8: a second hull, over K°'s vertices,
+    # met qhull's "wide merge" error there; the flag sum builds no such hull and returns |K°|
     pts = RngStream(1500, 2).generator().standard_normal((8, 5))
-    with pytest.raises(geom.GeometryError, match="^QH6271 qhull topology error"):
-        volume.exact_polar_volume_crosspoly(pts)
+    exact = volume.exact_polar_volume_crosspoly(pts)
+    est = volume.mc_polar_measure(geom.MatrixImageBody(pts.T, geom.LqBall(1.0, 8), 0.0),
+                                  measure.LebesgueRestricted(math.inf, 5), 200_000, RngStream(1500, 3))
+    assert abs(est.value - exact) <= 4 * est.stderr, (exact, est)
+    # the one hull left fails on those vertices taken as normals, and says so
+    V = geom.halfspace_vertices(np.vstack([pts, -pts]), np.ones(16))
+    with pytest.raises(geom.GeometryError, match="^QH6"):
+        volume.halfspace_volume(V, np.ones(len(V)))
+
+
+def test_seed_2733_set_reads_its_pinned_volume():
+    # the third failing set: its N = 8 polar, pinned from this flag sum, and the point
+    # 0.5·(p_0 - p_1) inside K leaves it unchanged
+    pts = RngStream(2733, 2).generator().standard_normal((8, 5))
+    assert volume.exact_polar_volume_crosspoly(pts) == pytest.approx(0.29198891963549, rel=1e-13, abs=0)
+    inside = np.vstack([pts, 0.5 * (pts[0] - pts[1])])
+    assert volume.exact_polar_volume_crosspoly(inside) == volume.exact_polar_volume_crosspoly(pts)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+def test_flag_sum_is_exact_where_qhull_splits_facets(n):
+    # the H-polytope cube [-1, 1]^n has 2^n
+    cube = np.vstack([np.eye(n), -np.eye(n)])
+    assert volume.halfspace_volume(cube, np.ones(2 * n)) == pytest.approx(2.0 ** n, rel=1e-14, abs=0)
+    if n <= 5:
+        # the cube's vertex set as ±x_i: K is the cube, whose square dual facets qhull splits,
+        # and K° the cross-polytope of volume 2^n/n! (at n = 6, a million chambers)
+        half = np.array([(1.0,) + v for v in itertools.product([-1.0, 1.0], repeat=n - 1)])
+        assert volume.exact_polar_volume_crosspoly(half) == pytest.approx(2.0 ** n / math.factorial(n), rel=1e-14, abs=0)
+    if n <= 4:
+        # lattice points make many facets with more than n vertices; the loop reference is slow beyond n = 4
+        gen = RngStream(24, n).generator()
+        for _ in range(3):
+            P = gen.integers(-2, 3, (n + 3, n)).astype(float)
+            if geom.spans(P):
+                A, b = np.vstack([P, -P]), np.ones(2 * len(P))
+                assert volume.halfspace_volume(A, b) == pytest.approx(face_volume(A, b), rel=1e-14, abs=0)
+
+
+def test_flag_sum_memory_stays_bounded():
+    # one np.linalg.det per fixed block of chambers: 256 D_5 points give about 5700 facets
+    # and 690 000 chambers, whose 5 x 5 matrices alone would take 138 MB in one stack
+    P = measure.sample_uniform_ball(5, measure.dn_radius(5), RngStream(3, 0), 256)
+    tracemalloc.start()
+    try:
+        volume.exact_polar_volume_crosspoly(P)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 32e6
+
+
+def test_polytope_volumes_build_one_hull(qhull_hulls):
+    # one qhull hull per call, the dual hull: none over the polytope's vertices
+    P = RngStream(23, 0).generator().standard_normal((7, 4))
+    volume.exact_polar_volume_crosspoly(P)
+    assert len(qhull_hulls) == 1
+    volume.halfspace_volume(np.vstack([P, -P]), np.full(14, 2.0))
+    assert len(qhull_hulls) == 2
 
 
 def test_qhull_failure_in_the_dual_hull_is_not_unbounded():
