@@ -8,6 +8,7 @@ byte-identical across reruns (wall-clock time is printed, not stored).
 
 from __future__ import annotations
 
+import dataclasses
 import gc
 import json
 import math
@@ -182,7 +183,7 @@ def run_polar_volume(obj: dict, threads: int):
     rng = RngStream(int(obj.get("seed", 0)), 0)
     est = polar_measure(body, m, int(obj.get("budget", 10 ** 6)), rng, threads)
     verdict = math.isfinite(est.value) and math.isfinite(est.stderr)
-    return obj, verdict, est.to_dict(), "", f"value={est.value:.6g} stderr={est.stderr:.3g}"
+    return obj, verdict, dataclasses.asdict(est), "", f"value={est.value:.6g} stderr={est.stderr:.3g}"
 
 
 def run_converge(obj: dict, threads: int):
@@ -408,7 +409,7 @@ def run_command(command: str, config_path, out_dir, seed, budget, threads) -> No
 
 
 def common_options(f):
-    f = click.option("--threads", default=1, type=int, help="speed only; never affects results")(f)
+    f = click.option("--threads", default=1, type=click.IntRange(min=1), help="speed only; never affects results")(f)
     f = click.option("--budget", default=None, type=int, help="override config budget")(f)
     f = click.option("--seed", default=None, type=int, help="override config seed")(f)
     f = click.option("--out", "out_dir", default="out", type=click.Path())(f)

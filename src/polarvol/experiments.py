@@ -36,12 +36,11 @@ from .measure import (
     RadialStepDensity,
     RadialStepFn,
     UniformBodyDensity,
-    ball_points,
     check_condnu2,
     density_points,
-    dn_radius,
     radial_mass_in_ball,
-    sample_uniform_ball,
+    rearrange_density,
+    sample_density,
 )
 from .rng import RngStream, generators
 from .volume import ROUNDING_FLOOR, exact_polar_volume_crosspoly, flag_volume, polar_measure, polar_measures
@@ -123,7 +122,7 @@ def _trial_values(cfg: ExperimentConfig, threads: int = 1):
     """
     seed, trials = cfg.seed, range(cfg.trials)
     pts_x = density_points(cfg.law_x, generators(seed, range(0, 4 * cfg.trials, 4)), cfg.N)
-    pts_z = ball_points(generators(seed, range(2, 4 * cfg.trials, 4)), cfg.N, cfg.n, dn_radius(cfg.n))
+    pts_z = density_points(UniformBodyDensity("Dn", cfg.n), generators(seed, range(2, 4 * cfg.trials, 4)), cfg.N)
 
     def side(points, stream):
         bodies = [MatrixImageBody(P.T, cfg.gauge, cfg.rball) for P in points]
@@ -138,17 +137,18 @@ def santalo_expectation_experiment(cfg: ExperimentConfig, threads: int = 1) -> E
 
     PASS iff mean_Z - mean_X >= -3·(combined stderr of the two means).
     The stderr of a mean is read from the spread of the trials, so one
-    trial is refused; so is a ρ that is not decreasing.  So is N <= n under
-    Lebesgue measure on all of R^n with r = 0: there E|K_N°| is infinite,
-    on the D_n side too (with N = n, |K°| = |C°|/|det X|), and the trial
-    means estimate nothing.
+    trial is refused; so is a ρ that is not decreasing.  So is N <= n + 1
+    under Lebesgue measure on all of R^n with r = 0: N points lie within ε
+    of a common hyperplane with probability ~ε^(N-n+1), and then |K°| ~ 1/ε,
+    on the D_n side too, so P(|K_N°| > t) ~ t^-(N-n+1).  For N <= n the mean
+    is infinite, and for N = n + 1 the variance behind the 3-sigma margin.
     """
     if cfg.trials < 2:
         raise ConfigError("trials: the expectation comparison needs >= 2 trials for a spread")
     if not check_condnu2(cfg.m)["decreasing"]:
         raise ConfigError("measure: the expectation comparison needs a decreasing rho")
-    if isinstance(cfg.m, LebesgueRestricted) and cfg.m.R == math.inf and cfg.rball == 0 and cfg.N <= cfg.n:
-        raise ConfigError("N: under Lebesgue measure with R = inf and r = 0, E nu(K°) is infinite for N <= n")
+    if isinstance(cfg.m, LebesgueRestricted) and cfg.m.R == math.inf and cfg.rball == 0 and cfg.N <= cfg.n + 1:
+        raise ConfigError("N: under Lebesgue measure with R = inf and r = 0, Var nu(K°) is infinite for N <= n + 1")
     vx, vz = _trial_values(cfg, threads)
     ax = np.array([v for v, _ in vx])
     az = np.array([v for v, _ in vz])
@@ -223,7 +223,7 @@ def convergence_experiment(
     schedule = sorted(schedule)
     if not schedule:
         raise ConfigError("schedule: must list at least one N")
-    pts = sample_uniform_ball(n, dn_radius(n), RngStream(seed, 0), schedule[-1])
+    pts = sample_density(UniformBodyDensity("Dn", n), RngStream(seed, 0), schedule[-1])
     values, dists = [], []
     prev_body = None
     for N in schedule:
@@ -291,8 +291,7 @@ def centroid_body_oracle(mu: PnDensity, p: float) -> Body:
     if isinstance(mu, RadialStepDensity):
         return BallBody(_radial_centroid_radius(mu, p), mu.dim)
     if mu.shape == "Dn":
-        step = RadialStepFn(np.array([dn_radius(mu.dim)]), np.array([1.0]), mu.dim)
-        return BallBody(_radial_centroid_radius(step, p), mu.dim)
+        return BallBody(_radial_centroid_radius(rearrange_density(mu), p), mu.dim)
     if mu.shape != "cube":
         raise ConfigError("centroid oracle supports cube, Dn and radial_step laws")
     if mu.dim > CUBE_MAX_DIM or p > CUBE_MAX_P:

@@ -313,27 +313,14 @@ def _dual_hull(A: np.ndarray, b: np.ndarray):
     return interior, hull.simplices, facets[:, :-1] / -facets[:, -1:] + interior
 
 
-def _distinct_vertices(V: np.ndarray) -> np.ndarray:
-    """The rows of a `_dual_hull`'s vertices V, each once, in facet order."""
-    if V.shape[1] > 2 and len(V):
+def hpolytope_vertices(body: HPolytopeBody) -> np.ndarray:
+    """Vertices of an H-polytope, one per distinct facet of its cached `dual_hull`, in
+    facet order; GeometryError when it is empty, flat or unbounded."""
+    V = body.dual_hull[2]
+    if V.shape[1] > 2:
         # plane facets are segments, so only n > 2 repeats a vertex
         V = np.array(list(dict.fromkeys(map(tuple, V.tolist()))))
     return V
-
-
-def halfspace_vertices(A: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Vertices of the polytope {y : Ay <= b}, n >= 2, one per distinct facet of
-    its `_dual_hull`: a (0, n) array when it is empty or flat.  Raises
-    UnboundedBody when it is unbounded, and `qhull_failure` when qhull fails on
-    a nearly degenerate dual set.
-    """
-    return _distinct_vertices(_dual_hull(A, b)[2])
-
-
-def hpolytope_vertices(body: HPolytopeBody) -> np.ndarray:
-    """Vertices of an H-polytope, from its cached `dual_hull`; GeometryError when
-    it is empty, flat or unbounded."""
-    return _distinct_vertices(body.dual_hull[2])
 
 
 def support_values(body: Body, Y: np.ndarray) -> np.ndarray:

@@ -14,11 +14,13 @@ for ``chunk_generator()``.
 `generators` serves a serial loop over many streams with one generator.
 Philox is counter-based (Salmon et al., SC 2011): a stream's state is a
 128-bit key and a zero counter, so `stream_keys` hashes all the keys at
-once (SeedSequence's hash written out in uint32 arithmetic) and the
-generator is re-keyed through the Philox state setter before each
-stream.  Every item is the same object, for one thread that finishes
-each stream's draws before it takes the next; threads and anything that
-keeps a generator take their own from `RngStream`.
+once and the generator is re-keyed through the Philox state setter
+before each stream.  The seed's pool comes from numpy's SeedSequence;
+only the spawn word's mix and the output hash, which numpy has no
+batched form of, are written out in uint32 arithmetic.  Every item is
+the same object, for one thread that finishes each stream's draws
+before it takes the next; threads and anything that keeps a generator
+take their own from `RngStream`.
 """
 
 from __future__ import annotations
@@ -47,7 +49,7 @@ def _powers(init: int, mult: int, count: int) -> list:
 
 
 def _hash(value, xor: int, mul: int):
-    """SeedSequence's word hash, mod 2^32; `value` is an int or a uint64 array of words."""
+    """SeedSequence's word hash, mod 2^32, of a uint64 array of words."""
     value = (value ^ xor) * mul & MASK32
     return value ^ value >> 16
 
@@ -63,36 +65,16 @@ _OUT = _powers(INIT_B, MULT_B, POOL + 1)
 
 @functools.lru_cache(maxsize=64)
 def _seed_pool(seed: int) -> tuple:
-    """The pool once `seed` is mixed in, and the hash constants left for the spawn word.
+    """numpy's pool once `seed` is mixed in, and the hash constants left for the spawn word.
 
-    A spawn key always follows, so SeedSequence pads the seed's words
-    (little-endian, 32 bits each) with zeros to the pool size.
+    SeedSequence mixes in the seed's 32-bit words, padded to the pool size,
+    through POOL·(POOL + extra) hash constants (4 words in, 12 pool mixes, 4
+    steps for each word past the pool); a spawn key leaves that pool as it
+    is and takes the constants from there on.
     """
-    words = []
-    while seed:
-        words.append(seed & MASK32)
-        seed >>= 32
-    words += [0] * (POOL - len(words))
-    extra = len(words) - POOL
-    # 4 words in, 12 pool mixes, then 4 steps for each word left and for the spawn word
-    const = _powers(INIT_A, MULT_A, POOL * (POOL + extra + 1) + 1)
-    pool = [_hash(w, const[t], const[t + 1]) for t, w in enumerate(words[:POOL])]
-    t = POOL
-    for src in range(POOL):
-        for dst in range(POOL):
-            if src != dst:
-                pool[dst] = _mix(pool[dst], _hash(pool[src], const[t], const[t + 1]))
-                t += 1
-    pool = _absorb(pool, words[POOL:], const, t)
-    return tuple(pool), tuple(const[POOL * (POOL + extra):])
-
-
-def _absorb(pool, words, const, t: int) -> list:
-    """Mix each word into every pool word, from hash constant t on."""
-    for w in words:
-        pool = [_mix(p, _hash(w, const[t + d], const[t + d + 1])) for d, p in enumerate(pool)]
-        t += POOL
-    return pool
+    extra = max(0, (seed.bit_length() + 31) // 32 - POOL)
+    start = INIT_A * pow(MULT_A, POOL * (POOL + extra), 1 << 32) & MASK32
+    return tuple(np.random.SeedSequence(seed).pool.tolist()), tuple(_powers(start, MULT_A, POOL + 1))
 
 
 def stream_keys(seed: int, streams: Iterable[int]) -> np.ndarray:
@@ -109,7 +91,9 @@ def stream_keys(seed: int, streams: Iterable[int]) -> np.ndarray:
     if not all(0 <= s <= MASK32 for s in streams):
         raise ValueError("streams: expected integers in [0, 2^32)")
     pool, const = _seed_pool(seed)
-    pool = _absorb(pool, [np.array(streams, dtype=np.uint64)], const, 0)
+    # the spawn word mixed into each pool word, for all rows at once
+    w = np.array(streams, dtype=np.uint64)
+    pool = [_mix(p, _hash(w, const[d], const[d + 1])) for d, p in enumerate(pool)]
     s = [_hash(p, _OUT[d], _OUT[d + 1]) for d, p in enumerate(pool)]
     # generate_state(2, uint64) reads its 4 words as 2 little-endian pairs
     return np.stack([s[0] | s[1] << 32, s[2] | s[3] << 32], axis=1)

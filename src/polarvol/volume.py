@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import cache
@@ -32,9 +33,9 @@ from .geom import (
     MatrixImageBody,
     UnboundedBody,
     _dual_hull,
+    polar_bounding_radius,
     polar_contains,
     polar_parallelepiped,
-    polar_sampling_radius,
     row_norms,
     spans,
     unit_ball_volume,
@@ -75,14 +76,6 @@ class Estimate:
     samples: int
     seed: int
 
-    def to_dict(self) -> dict:
-        return {
-            "value": self.value,
-            "stderr": self.stderr,
-            "samples": self.samples,
-            "seed": self.seed,
-        }
-
 
 def _merge_chunks(chunks):
     """Welford combination of per-chunk (count, mean, M2), in order."""
@@ -106,6 +99,8 @@ def _chunk_stats(values: np.ndarray):
 
 
 def _run_chunks(budget: int, worker, threads: int = 1):
+    """Run `worker(k, size)` on each chunk and merge; a pool of at most one
+    thread per chunk and per core, which changes no result."""
     sizes = []
     left = int(budget)
     while left > 0:
@@ -115,7 +110,7 @@ def _run_chunks(budget: int, worker, threads: int = 1):
     if threads <= 1 or len(sizes) == 1:
         results = [worker(k, sz) for k, sz in enumerate(sizes)]
     else:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
+        with ThreadPoolExecutor(max_workers=min(threads, len(sizes), os.cpu_count() or 1)) as pool:
             results = list(pool.map(worker, range(len(sizes)), sizes))
     count, mean, m2 = _merge_chunks(results)
     var = m2 / (count - 1) if count > 1 else 0.0
@@ -133,7 +128,7 @@ def mc_polar_measure(
     """Monte Carlo estimate of ν(K°) with its standard error.
 
     Two regions can hold K°.  One is the ball R*·B, R* the radius of
-    `polar_sampling_radius`, inf when K° is unbounded or a support oracle
+    `polar_bounding_radius`: inf when K° is unbounded or a support oracle
     carries no inradius; R* is exact for a ball and certified for every
     other body.  The other is the parallelepiped P of
     `polar_parallelepiped`, cut from n of the body's own slabs, for a
@@ -156,10 +151,7 @@ def mc_polar_measure(
     if budget < 1:
         raise EstimationError("budget must be >= 1")
     n = body.dim
-    try:
-        rstar = polar_sampling_radius(body)
-    except UnboundedBody:
-        rstar = math.inf
+    rstar = polar_bounding_radius(body)
     try:
         vol_box = unit_ball_volume(n) * rstar ** n
     except OverflowError:
@@ -395,11 +387,7 @@ def layer_cake_measure(
     if levels.size < 1 or levels[0] <= 0 or levels[-1] > top * (1 + 1e-12):
         raise EstimationError("level grid must lie in (0, rho(0)]")
     radii = np.array([measure.level_radius(m, float(t)) for t in levels])
-    try:
-        r_polar = polar_sampling_radius(body)
-    except UnboundedBody:
-        r_polar = math.inf
-    r_box = min(r_polar, float(radii.max()))
+    r_box = min(polar_bounding_radius(body), float(radii.max()))
     if math.isinf(r_box):
         raise EstimationError("both the polar and the top superlevel ball are unbounded")
     try:

@@ -126,7 +126,7 @@ def test_halfspace_vertices_imports_linprog_where_it_needs_it():
         "from polarvol import geom\n"
         "assert 'scipy.optimize' not in sys.modules\n"
         "A = np.array([[1.0, 0.0], [-1.0, 0.0], [0.0, 1.0], [0.0, -1.0]])\n"
-        "V = geom.halfspace_vertices(A, np.array([2.0, 0.0, 1.0, 1.0]))\n"
+        "V = geom.HPolytopeBody(A, np.array([2.0, 0.0, 1.0, 1.0])).vertices\n"
         "print(sorted(map(tuple, np.round(V, 12).tolist())), 'scipy.optimize' in sys.modules)\n"
     )
     assert fresh_python(code).strip() == "[(0.0, -1.0), (0.0, 1.0), (2.0, -1.0), (2.0, 1.0)] True"
@@ -389,15 +389,24 @@ BAD_VALUES = [
     ("shadow", dict(SHADOW, seed=-1)),
     # the exact branch never read n: a measure on R^3 with theta in R^2 PASSed
     ("shadow", dict(SHADOW, n=3)),
+    # with the N = 2 row above: at N = n + 1 the variance of nu(K°) is infinite, so the
+    # 3-sigma margin reads nothing (tail index N - n + 1 = 2)
+    ("santalo", dict(BASE, N=3, law={"kind": "uniform_Dn"}, measure={"kind": "lebesgue_ball", "R": "inf"},
+                     trials=2000, seed=3)),
+    # a thread count below 1 ran serially and exited 0; click refuses it before the config is read
+    ("polar-volume --threads 0", PV_BALL),
+    ("polar-volume --threads -3", PV_BALL),
 ]
 
 
 @pytest.mark.parametrize("command,cfg", BAD_VALUES)
 def test_bad_values_exit_2_without_traceback(tmp_path, command, cfg):
-    res = invoke([command, "--config", write_cfg(tmp_path, cfg), "--out", str(tmp_path / "o")])
+    command, *options = command.split()
+    res = invoke([command, *options, "--config", write_cfg(tmp_path, cfg), "--out", str(tmp_path / "o")])
     assert res.exit_code == 2, res.output
     assert isinstance(res.exception, SystemExit)
-    assert "Traceback" not in res.output and "error:" in res.output
+    # a bad option is click's usage error, a bad config value the runner's own line
+    assert "Traceback" not in res.output and ("Error: Invalid value" if options else "error:") in res.output
     assert not (tmp_path / "o" / "report.json").exists()
 
 
@@ -434,7 +443,7 @@ def test_qhull_failure_exits_2_with_one_error_line(tmp_path):
     # nearly degenerate n = 5 set as normals, offsets 1.  Exit 2 (config error) with one
     # line, never 1 (the FAIL code) through a QhullError traceback
     pts = RngStream(1500, 2).generator().standard_normal((8, 5))
-    V = geom.halfspace_vertices(np.vstack([pts, -pts]), np.ones(16))
+    V = geom.HPolytopeBody(np.vstack([pts, -pts]), np.ones(16)).vertices
     cfg = {"body": {"kind": "hpolytope", "normals": V.tolist(), "offsets": [1.0] * len(V)},
            "measure": {"kind": "gaussian", "sigma": 1.0}, "budget": 1000, "seed": 1}
     res = invoke(["newsan", "--config", write_cfg(tmp_path, cfg), "--out", str(tmp_path / "o")])

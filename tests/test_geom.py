@@ -248,7 +248,7 @@ def test_halfspace_vertices_match_loop_reference(n, rows):
     cases += [(_shifted_hpolytope(n, rows, seed), 1e-12) for seed in (6, 7, 8)]
     for (A, b), rel in cases:
         want = _sorted_rows(loop_vertices(A, b))
-        got = _sorted_rows(geom.halfspace_vertices(A, b))
+        got = _sorted_rows(geom.HPolytopeBody(A, b).vertices)
         assert got.shape == want.shape and want.shape[0] >= n + 1
         assert np.abs(got - want).max() <= rel * np.abs(want).max()
 
@@ -266,9 +266,9 @@ def test_halfspace_vertices_equal_scipy_halfspace_intersection(n):
         hs = HalfspaceIntersection(np.column_stack([A, -b]), np.zeros(n))
         if not (hs.dual_equations[:, -1] < 0).all():
             with pytest.raises(geom.UnboundedBody):
-                geom.halfspace_vertices(A, b)
+                geom.HPolytopeBody(A, b).vertices
             continue
-        assert geom.halfspace_vertices(A, b).tobytes() == hs.intersections.tobytes()
+        assert geom.HPolytopeBody(A, b).vertices.tobytes() == hs.intersections.tobytes()
 
 
 @pytest.mark.parametrize("shape", [(65536, 3), (4000, 4), (720, 512), (1, 4)])

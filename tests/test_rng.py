@@ -35,8 +35,9 @@ def test_chunk_generators_independent_of_order():
     assert np.array_equal(first[2], second[0])
 
 
-# 2^200 has 7 words, more than SeedSequence's pool of 4
-EDGE_SEEDS = [0, 1, 2**32 - 1, 2**32, 2**64 + 1, 2**200]
+# 2^200 has 7 words, more than SeedSequence's pool of 4; from 2^96 to 2^160 the words
+# past the pool go from 0 to 1 (at 2^128) and to 2 (at 2^160)
+EDGE_SEEDS = [0, 1, 2**32 - 1, 2**32, 2**64 + 1, 2**200, 2**96, 2**128 - 1, 2**128, 2**160]
 TOP = 2**32 - 1
 
 

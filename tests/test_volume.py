@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import math
 import tracemalloc
@@ -19,8 +20,8 @@ LEB2 = measure.LebesgueRestricted(math.inf, 2)
 
 def test_estimate_serialization_roundtrip():
     est = volume.Estimate(1.5, 0.01, 1000, 7)
-    d = est.to_dict()
-    assert d["value"] == 1.5 and d["samples"] == 1000
+    d = dataclasses.asdict(est)
+    assert d == {"value": 1.5, "stderr": 0.01, "samples": 1000, "seed": 7}
 
 
 def test_mc_ball_polar_lebesgue():
@@ -91,6 +92,34 @@ def test_one_chunk_runs_without_a_pool(monkeypatch):
     monkeypatch.setattr(volume, "ThreadPoolExecutor", no_pool)
     est = volume.mc_polar_measure(geom.BallBody(1.0, 2), LEB2, 4000, RngStream(1, 0), threads=4)
     assert est.samples == 4000
+
+
+def test_chunk_pool_is_capped_by_chunks_and_cores(monkeypatch):
+    # a fake pool records its size and runs the chunks inline, so no thread starts
+    sizes = []
+
+    class InlinePool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, *args):
+            return map(fn, *args)
+
+    monkeypatch.setattr(volume, "ThreadPoolExecutor", InlinePool)
+    worker = lambda k, size: volume._chunk_stats(np.full(size, float(k)))
+    budget = 2 * volume.CHUNK + 5  # 3 chunks
+    want = volume._run_chunks(budget, worker)
+    for cores in (8, 2, None):
+        monkeypatch.setattr(volume.os, "cpu_count", lambda: cores)
+        for threads in (2, 10**9):
+            assert volume._run_chunks(budget, worker, threads) == want
+    assert sizes == [2, 3, 2, 2, 1, 1]
 
 
 def test_layer_cake_agrees_with_direct_mc():
@@ -209,7 +238,7 @@ def test_qhull_failure_raises_geometry_error():
                                   measure.LebesgueRestricted(math.inf, 5), 200_000, RngStream(1500, 3))
     assert abs(est.value - exact) <= 4 * est.stderr, (exact, est)
     # the one hull left fails on those vertices taken as normals, and says so
-    V = geom.halfspace_vertices(np.vstack([pts, -pts]), np.ones(16))
+    V = geom.HPolytopeBody(np.vstack([pts, -pts]), np.ones(16)).vertices
     with pytest.raises(geom.GeometryError, match="^QH6"):
         volume.halfspace_volume(V, np.ones(len(V)))
 
@@ -269,9 +298,9 @@ def test_qhull_failure_in_the_dual_hull_is_not_unbounded():
     # the vertices of that K° as the normals of {y : <v, y> <= 1}: the dual hull now meets
     # the failure, and the normals span, so it is no UnboundedBody (which shadow reads as g = 0)
     pts = RngStream(1500, 2).generator().standard_normal((8, 5))
-    V = geom.halfspace_vertices(np.vstack([pts, -pts]), np.ones(16))
+    V = geom.HPolytopeBody(np.vstack([pts, -pts]), np.ones(16)).vertices
     with pytest.raises(geom.GeometryError, match="^QH6") as info:
-        geom.halfspace_vertices(V, np.ones(len(V)))
+        geom.HPolytopeBody(V, np.ones(len(V))).vertices
     assert not isinstance(info.value, geom.UnboundedBody)
 
 
@@ -513,7 +542,7 @@ def test_polar_measure_agrees_with_monte_carlo():
     for seed in (31, 32, 33):
         P = RngStream(seed, 0).generator().uniform(-1.0, 1.0, (4, 2))
         body = cross_image(P)
-        edges = polar_polygon_edges(geom.halfspace_vertices(np.vstack([P, -P]), np.ones(8)))
+        edges = polar_polygon_edges(geom.HPolytopeBody(np.vstack([P, -P]), np.ones(8)).vertices)
         for k, m in enumerate(PLANAR_MEASURES):
             if isinstance(m, measure.LebesgueRestricted) and math.isfinite(m.R):
                 far = [max(d * d + s0 * s0, d * d + s1 * s1) for d, s0, s1 in edges]
@@ -821,7 +850,7 @@ def test_parallelepiped_holds_a_matrix_image_polar(seed, n, q, r):
     assert np.all(box.lo == -1.0) and np.all(box.width == 2.0)
     assert_parallelepiped_is_consistent(box)
     Xs = X * (1 + r / np.linalg.norm(X, axis=0))
-    assert_in_parallelepiped(box, geom.halfspace_vertices(np.vstack([Xs.T, -Xs.T]), np.ones(2 * N)))
+    assert_in_parallelepiped(box, geom.HPolytopeBody(np.vstack([Xs.T, -Xs.T]), np.ones(2 * N)).vertices)
     assert_in_parallelepiped(box, boundary_points(body, gen))
 
 
