@@ -39,6 +39,7 @@ __all__ = [
     "polar_contains",
     "polar_bounding_radius",
     "polar_sampling_radius",
+    "column_basis",
     "Parallelepiped",
     "polar_parallelepiped",
     "polar_rows",
@@ -478,21 +479,23 @@ class Parallelepiped:
     volume: float
 
 
-def _pivoted_rows(U: np.ndarray):
-    """n rows of U by greedy pivoted Gram–Schmidt, as (picks, L, Q) with U[picks] = L·Q.
+def _pivoted_rows(U: np.ndarray, steps: int | None = None):
+    """`steps` rows of U (n by default) by greedy pivoted Gram–Schmidt, as
+    (picks, L, Q) with U[picks] = L·Q.
 
     Each step takes the row farthest from the span of those taken before
     (the first on a tie) and adds its unit residual to Q's orthonormal
-    rows; L is lower triangular, and its diagonal, the distances taken, has
-    the product |det U[picks]|.  None when a step finds no row farther
-    than 1e-10 of U's longest: the rows do not span R^n, by a test that does
-    not depend on their scale.
+    rows; L is lower triangular, and at steps = n its diagonal, the
+    distances taken, has the product |det U[picks]|.  None when a step
+    finds no row farther than 1e-10 of U's longest: at steps = n the rows
+    do not span R^n, by a test that does not depend on their scale.
     """
     R = U.copy()
     n = U.shape[1]
+    steps = n if steps is None else steps
     floor = 1e-10 * float(row_norms(U).max())
-    picks, C, Q = [], np.empty((len(U), n)), np.empty((n, n))
-    for k in range(n):
+    picks, C, Q = [], np.empty((len(U), steps)), np.empty((steps, n))
+    for k in range(steps):
         d = row_norms(R)
         j = int(d.argmax())
         if not d[j] > floor:
@@ -502,6 +505,28 @@ def _pivoted_rows(U: np.ndarray):
         C[:, k] = (R * Q[k]).sum(axis=1)
         R -= np.outer(C[:, k], Q[k])
     return picks, np.tril(C[picks]), Q
+
+
+def column_basis(A: np.ndarray):
+    """An orthonormal basis of the span V of an (n, N) matrix's columns, as the
+    rows of an (r, n) array; None where the columns span R^n.
+
+    r counts the singular values above 1e-10·σ_1, the relative test of
+    `spans`.  The rows are r steps of `_pivoted_rows` over the columns,
+    scaled by a power of two to unit size, which is exact: no LAPACK call
+    writes them, so their bits do not depend on the BLAS threads.  Also
+    None where a step finds no column farther than 1e-10 of the longest,
+    though σ_r passes the test (a greedy pick can fall short of σ_r only
+    by a factor that grows with N): V is then not built.
+    """
+    s = np.linalg.svd(A, compute_uv=False)
+    r = int(np.count_nonzero(s > 1e-10 * s[0]))
+    if r == A.shape[0]:
+        return None
+    U = A.T
+    e = math.frexp(float(np.abs(U).max()))[1]  # 2^-e·U is of unit scale: no square overflows
+    pivoted = _pivoted_rows(np.ldexp(U, -e), r)
+    return None if pivoted is None else pivoted[2]
 
 
 def polar_parallelepiped(body: Body):

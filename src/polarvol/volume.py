@@ -3,9 +3,11 @@ reduction to balls, exact polytope volumes in any dimension n >= 2 (a flag
 sum over qhull's one dual hull), and exact radial measures of ball polars
 and of planar polygon polars, which
 `polar_measures` picks whenever they apply; planar polars take their
-vertices from one hull scan batched across bodies.  `shadow` sends its grid
-through `polar_measures`, except under Lebesgue R = inf, where it and
-`converge` take those polytope volumes in every n >= 2.
+vertices from one hull scan batched across bodies.  Under a Gaussian, a
+matrix image whose columns span only a subspace V is measured in V, the
+factor over V⊥ in closed form.  `shadow` sends its grid through
+`polar_measures`, except under Lebesgue R = inf, where it and `converge`
+take those polytope volumes in every n >= 2.
 
 Monte Carlo runs are chunked into fixed 2^16-sample blocks, chunk k
 drawing from stream sub-key k, and merged in chunk order; the result is
@@ -35,6 +37,7 @@ from .geom import (
     MatrixImageBody,
     UnboundedBody,
     _dual_hull,
+    column_basis,
     polar_bounding_radius,
     polar_contains,
     polar_parallelepiped,
@@ -233,14 +236,23 @@ def polar_measures(
 
     Two branches are exact: report stderr 0 and 0 samples, and draw
     nothing from their stream.
-    - A ball R·B with R > 0 has the polar (1/R)·B, whose measure is
-      `radial_mass_in_ball(m, 1/R)` under every measure kind.
+    - A ball R·B has the polar (1/R)·B, whose measure is
+      `radial_mass_in_ball(m, 1/R)` under every measure kind; at R = 0,
+      K = {0} has ν(R^n) for it wherever that is finite.
     - K = conv{±x_i} in the plane (a matrix image with q = 1 and r = 0)
       whose columns span R², under Lebesgue measure on a disk (any R,
       including inf) or a Gaussian, has a polygon for K°.  The bodies
       with the same N get their K° vertices from one batched hull scan,
       `_planar_polar_vertices`, and the edges of every polygon in the
       batch go through one array pass, `_polygon_measures`.
+    A matrix image with no ball summand whose columns span only an
+    r-dimensional V, with an orthonormal basis Q from `geom.column_basis`,
+    has K° = K_V° ⊕ V⊥.  The Gaussian is a product over V and V⊥, so under
+    one ν(K°) = (2πσ²)^{(n-r)/2}·ν_r(K_V°), where K_V is the image Qᵀ·A in
+    V's coordinates, with the same gauge: this call measures it under the
+    r-dimensional Gaussian, on the body's own stream, and scales the value
+    and the stderr; a zero matrix, r = 0, reads (2πσ²)^{n/2} exactly.
+    Lebesgue and PowerKernel measures do not split so.
     Every other body goes to `mc_polar_measure` in order, on its own
     stream, with the bits it would have alone.
     """
@@ -248,24 +260,44 @@ def polar_measures(
         raise EstimationError("budget must be >= 1")
     if any(body.dim != m.dim for body in bodies):
         raise EstimationError("body and measure dimensions differ")
-    planar = m.dim == 2 and isinstance(m, (LebesgueRestricted, GaussianLike))
+    gaussian = isinstance(m, GaussianLike)
+    planar = m.dim == 2 and (gaussian or isinstance(m, LebesgueRestricted))
     out = [None] * len(bodies)
     groups = {}  # N -> batch indices of the planar conv{±x_1, ..., ±x_N}
+    flat = []  # batch indices of Gaussian images with no ball summand whose columns may not span
     for i, (body, rng) in enumerate(zip(bodies, rngs, strict=True)):
-        if isinstance(body, BallBody) and body.R > 0:
-            out[i] = Estimate(float(measure.radial_mass_in_ball(m, 1.0 / body.R)), 0.0, 0, rng.seed)
+        if isinstance(body, BallBody) and math.isfinite(
+                value := float(measure.radial_mass_in_ball(m, 1.0 / body.R if body.R > 0 else math.inf))):
+            out[i] = Estimate(value, 0.0, 0, rng.seed)
         elif planar and isinstance(body, MatrixImageBody) and body.gauge.q == 1 and body.rball == 0:
             groups.setdefault(body.matrix.shape[1], []).append(i)
+        elif gaussian and isinstance(body, MatrixImageBody) and body.rball == 0:
+            flat.append(i)
     exact, polygons, counts = [], [], []
     for batch in groups.values():
         spanning, V, c = _planar_polar_vertices(np.stack([bodies[i].matrix.T for i in batch]))
         exact += [i for i, s in zip(batch, spanning.tolist()) if s]
+        flat += [i for i, s in zip(batch, spanning.tolist()) if gaussian and not s]
         polygons.append(V)
         counts.append(c)
     if exact:
         values = _polygon_measures(m, np.concatenate(polygons), np.concatenate(counts))
         for i, value in zip(exact, values):
             out[i] = Estimate(value, 0.0, 0, rngs[i].seed)
+    ranks = {}  # r -> (batch index, K_V) of the images whose columns span an r-dimensional V
+    for i in flat:
+        Q = column_basis(bodies[i].matrix)
+        if Q is not None:
+            ranks.setdefault(len(Q), []).append((i, MatrixImageBody(Q @ bodies[i].matrix, bodies[i].gauge)))
+    for r, images in ranks.items():
+        factor = total_mass(GaussianLike(m.sigma, m.dim - r))  # ν(V⊥)
+        if r == 0:  # K = {0}
+            inner = [Estimate(1.0, 0.0, 0, rngs[i].seed) for i, _ in images]
+        else:
+            inner = polar_measures([K for _, K in images], GaussianLike(m.sigma, r), budget,
+                                   [rngs[i] for i, _ in images], threads)
+        for (i, _), e in zip(images, inner):
+            out[i] = Estimate(factor * e.value, factor * e.stderr, e.samples, e.seed)
     for i, body in enumerate(bodies):
         if out[i] is None:
             out[i] = mc_polar_measure(body, m, budget, rngs[i], threads)

@@ -109,12 +109,18 @@ def test_planar_shadow_profile_is_exact_through_the_dispatcher(m):
 
 
 def test_flat_shadow_point_samples_on_its_own_stream():
-    # at t = 0 the points lie on theta-perp: K° is a slab, which only Monte Carlo measures
+    # at t = 0 the points lie on theta-perp: K° is a slab, which the Gaussian measures in the
+    # points' span, the line theta-perp, as √(2π)σ times a Monte Carlo estimate in R¹
     m = measure.GaussianLike(1.0, 2)
     cfg = _shadow_line(m)
     t_grid = np.linspace(-1.0, 1.0, 5)
     rep = analysis.shadow_profile(cfg, SHADOW_DIRECTION, t_grid, 5000, RngStream(6, 3))
-    est = volume.mc_polar_measure(cfg.body_at(0.0 * SHADOW_DIRECTION), m, 5000, RngStream(6, 3 + 2))
+    body = cfg.body_at(0.0 * SHADOW_DIRECTION)
+    Q = geom.column_basis(body.matrix)
+    line = volume.mc_polar_measure(geom.MatrixImageBody(Q @ body.matrix, body.gauge), measure.GaussianLike(1.0, 1),
+                                   5000, RngStream(6, 3 + 2))
+    factor = math.sqrt(2 * math.pi)
+    est = volume.Estimate(factor * line.value, factor * line.stderr, 5000, 6)
     assert rep.values[2] == 1.0 / est.value
     assert rep.stderrs[2] == est.stderr / est.value ** 2
     assert np.count_nonzero(rep.stderrs) == 1

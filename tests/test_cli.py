@@ -363,6 +363,12 @@ BAD_VALUES = [
                  id="santalo-cfg49"),
     # infinite radii used to PASS with every value 0
     pytest.param("polar-volume", dict(PV_BALL, body={"kind": "ball", "R": INF, "n": 2}), id="polar-volume-cfg50"),
+    # K = {0} has K° = R^n: nu(R^n) exactly under a finite mass, refused under Lebesgue R = inf
+    pytest.param("polar-volume", dict(PV_BALL, body={"kind": "ball", "R": 0.0, "n": 2},
+                                      measure={"kind": "lebesgue_ball", "R": "inf"}), id="polar-volume-cfg77"),
+    pytest.param("polar-volume", dict(PV_BALL, body={"kind": "matrix_image", "columns": [[0.0, 0.0], [0.0, 0.0]],
+                                                     "gauge": {"type": "lq", "q": 1.0}},
+                                      measure={"kind": "lebesgue_ball", "R": "inf"}), id="polar-volume-cfg78"),
     pytest.param("santalo", dict(BASE, r=INF), id="santalo-cfg51"),
     pytest.param("dominance", dict(BASE, mode="dominance", measure={"kind": "gaussian", "sigma": 1.0}, r=INF),
                  id="dominance-cfg52"),

@@ -342,3 +342,27 @@ def test_hpolytope_support_4d_cube():
     body = geom.HPolytopeBody(np.vstack([np.eye(4), -np.eye(4)]), np.array([1.0, 2.0, 3.0, 4.0] * 2))
     Y = np.random.default_rng(9).standard_normal((50, 4))
     assert geom.support_values(body, Y) == pytest.approx(np.abs(Y) @ [1.0, 2.0, 3.0, 4.0], rel=1e-14)
+
+
+@pytest.mark.parametrize("A,rank", [
+    (np.array([[1.0, 2.0], [0.0, 0.0]]), 1),
+    # 1e-11 and 1e-7 against columns of length 1 and 1e8: rank 1 by the relative test of `spans`
+    (np.array([[1.0, 1.0], [0.0, 1e-11]]), 1),
+    (np.array([[1e8, 1e8], [0.0, 1e-7]]), 1),
+    # 1e-9 of the largest singular value spans
+    (np.array([[1.0, 1.0], [0.0, 1e-9]]), 2),
+    (np.array([[1.0, 0.3, -0.5, 0.2], [0.1, 0.8, 0.4, -0.6], [2.1, 1.4, -0.6, -0.2]]), 2),  # row 0 twice, plus row 1
+    (np.zeros((3, 2)), 0),
+    (np.outer([2.0, -1.0, 2.0, 0.5], [1e-200, 3e-200, -2e-200]), 1),
+])
+def test_column_basis_is_orthonormal_with_the_rank_of_spans(A, rank):
+    Q = geom.column_basis(A)
+    assert bool(geom.spans(A.T)) == (rank == A.shape[0]) == (Q is None)
+    if Q is None:
+        return
+    assert Q.shape == (rank, A.shape[0])
+    np.testing.assert_allclose(Q @ Q.T, np.eye(rank), rtol=0, atol=1e-14)
+    # the columns lie in the span of Q's rows: projecting there and back changes them by rounding
+    np.testing.assert_allclose(Q.T @ (Q @ A), A, rtol=0, atol=1e-9 * np.abs(A).max())
+    # the basis does not depend on the scale
+    assert np.array_equal(geom.column_basis(2.0 ** 40 * A), Q)

@@ -1,10 +1,12 @@
 """Every configs/*.json run at --threads 2 reproduces its committed report.json byte for byte.
 
-Six configs also run at --threads 1 against the same bytes: the five
+Seven configs also run at --threads 1 against the same bytes: the six
 whose estimates span more than one chunk, and the exact ball polar.
 """
 
+import csv
 import json
+import math
 from pathlib import Path
 
 import numpy as np
@@ -18,7 +20,7 @@ GOLDEN = Path(__file__).parent / "golden"
 CONFIGS = Path(__file__).parent.parent / "configs"
 NAMES = sorted(p.stem for p in CONFIGS.glob("*.json"))
 ONE_THREAD = ["centroid_cube", "centroid_cube_n4", "newsan_box", "polar_volume_ball", "polar_volume_crosspoly_n3",
-              "shadow_gaussian"]
+              "polar_volume_flat_gaussian", "shadow_gaussian"]
 
 
 def check_golden(tmp_path, name, threads):
@@ -51,3 +53,23 @@ def test_newsan_box_golden_is_within_4_stderr_of_the_exact_measure():
     diamond = np.array([[1.0, 0.0], [0.0, 2.0], [-1.0, 0.0], [0.0, -2.0]])
     want = volume._polygon_measures(measure.GaussianLike(1.0, 2), diamond, np.array([4]))[0]
     assert abs(summary["lhs"] - want) <= 4 * summary["lhs_stderr"]
+
+
+def test_polar_volume_flat_gaussian_golden_is_within_4_stderr_of_the_slab_measure():
+    # columns s_j·u with u = (2, -1, 2)/3 and max |s_j| = 1.2: K° is the slab |<u, y>| <= 1/1.2,
+    # of Gaussian measure (2πσ²)^{3/2}·erf(w/(σ√2))
+    summary = json.loads((GOLDEN / "polar_volume_flat_gaussian.report.json").read_bytes())["summary"]
+    sigma, w = 0.8, 1 / 1.2
+    want = (2 * math.pi * sigma ** 2) ** 1.5 * math.erf(w / (sigma * math.sqrt(2)))
+    assert summary["stderr"] > 0 and abs(summary["value"] - want) <= 4 * summary["stderr"]
+
+
+def test_shadow_gaussian_flat_point_is_within_4_stderr_of_its_slab(tmp_path):
+    # at t = 0 the points lie on theta-perp, the longest of length 1: K° is the slab |y_1| <= 1,
+    # so g = 1/ν(K°) = 1/(2π·erf(1/√2)); the golden's tol is 3 times this point's stderr
+    res = CliRunner().invoke(main, ["shadow", "--config", str(CONFIGS / "shadow_gaussian.json"), "--out", str(tmp_path)])
+    assert res.exit_code == 0, res.output
+    row = next(r for r in csv.DictReader((tmp_path / "trials.csv").open()) if float(r["t"]) == 0.0)
+    value, stderr = float(row["value"]), float(row["stderr"])
+    assert json.loads((GOLDEN / "shadow_gaussian.report.json").read_bytes())["summary"]["tol"] == 3 * stderr
+    assert abs(value - 1 / (2 * math.pi * math.erf(1 / math.sqrt(2)))) <= 4 * stderr

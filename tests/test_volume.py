@@ -565,19 +565,24 @@ def test_polar_measure_draws_no_random_numbers():
         assert volume.polar_measure(SQUARE_DUAL, m, 10, SeedOnly()).seed == 17
 
 
-NON_EXACT = [
-    # columns that do not span R²: the polar is a slab
-    (geom.MatrixImageBody(np.array([[1.0, 2.0], [0.0, 0.0]]), geom.LqBall(1.0, 2), 0.0), measure.GaussianLike(1.0, 2)),
+# planar images whose columns do not span R², under a Gaussian (`test_flat_gaussian_image_is_measured_in_its_span`)
+# and under the measures that keep Monte Carlo (NON_EXACT)
+FLAT_PLANAR = [
+    # the polar is a slab
+    geom.MatrixImageBody(np.array([[1.0, 2.0], [0.0, 0.0]]), geom.LqBall(1.0, 2), 0.0),
     # rank 1 at 1e-10 of the largest singular value, though qhull would build a hull
-    (geom.MatrixImageBody(np.array([[1.0, 1.0], [0.0, 1e-11]]), geom.LqBall(1.0, 2), 0.0), measure.GaussianLike(1.0, 2)),
+    geom.MatrixImageBody(np.array([[1.0, 1.0], [0.0, 1e-11]]), geom.LqBall(1.0, 2), 0.0),
     # flat to qhull's precision as well
-    (geom.MatrixImageBody(np.array([[1e8, 1e8], [0.0, 1e-7]]), geom.LqBall(1.0, 2), 0.0), measure.GaussianLike(1.0, 2)),
+    geom.MatrixImageBody(np.array([[1e8, 1e8], [0.0, 1e-7]]), geom.LqBall(1.0, 2), 0.0),
+]
+NON_EXACT = [
+    # flat images: only a Gaussian splits into a product over the span and its complement
+    *((body, measure.LebesgueRestricted(1.5, 2)) for body in FLAT_PLANAR),
     (geom.MatrixImageBody(np.eye(2), geom.LqBall(2.0, 2), 0.0), LEB2),
     (geom.MatrixImageBody(np.eye(2), geom.LqBall(1.0, 2), 0.25), measure.GaussianLike(1.0, 2)),
     (SQUARE_DUAL, measure.PowerKernel(np.array([[0.0, 1.0], [1.0, 2.0]]), 2)),
     (geom.MatrixImageBody(np.eye(3), geom.LqBall(1.0, 3), 0.0), measure.LebesgueRestricted(2.0, 3)),
-    # a ball of radius 0 has the whole plane for its polar: no closed form is taken
-    (geom.BallBody(0.0, 2), measure.GaussianLike(1.0, 2)),
+    (FLAT_PLANAR[0], measure.PowerKernel(K_LINEAR, 2)),
     (geom.HPolytopeBody(np.vstack([np.eye(2), -np.eye(2)]), np.ones(4)), measure.GaussianLike(1.0, 2)),
 ]
 
@@ -603,6 +608,91 @@ def test_polar_measure_of_a_ball_is_exact(m):
     assert est == volume.Estimate(measure.radial_mass_in_ball(m, 0.4), 0.0, 0, 19)
     mc = volume.mc_polar_measure(geom.BallBody(2.5, m.dim), m, 100_000, RngStream(19, 0))
     assert abs(est.value - mc.value) <= 4 * mc.stderr + 1e-12 * est.value
+
+
+def in_span(body, m):
+    """(2πσ²)^{(n-r)/2} and K_V = Qᵀ·A, the image in the span V of a flat body's columns."""
+    Q = geom.column_basis(body.matrix)
+    return measure.total_mass(measure.GaussianLike(m.sigma, m.dim - len(Q))), geom.MatrixImageBody(Q @ body.matrix, body.gauge)
+
+
+def span_estimate(body, m, budget, rng, threads=1):
+    """The flat route's estimate: the factor times K_V's own estimate on the same stream."""
+    factor, image = in_span(body, m)
+    inner = volume.polar_measure(image, measure.GaussianLike(m.sigma, image.dim), budget, rng, threads)
+    return volume.Estimate(factor * inner.value, factor * inner.stderr, inner.samples, inner.seed)
+
+
+@pytest.mark.parametrize("body", FLAT_PLANAR)
+def test_flat_gaussian_image_is_measured_in_its_span(body):
+    # rank 1 by the relative test of `spans`, near-flat rows included: K° = K_V° ⊕ V⊥, and
+    # K_V°, an interval, runs Monte Carlo in R¹ on the body's own stream
+    m = measure.GaussianLike(0.8, 2)
+    assert not geom.spans(body.matrix.T)
+    factor, image = in_span(body, m)
+    assert image.dim == 1 and factor == math.sqrt(2 * math.pi) * 0.8
+    est = volume.polar_measure(body, m, 70_000, RngStream(5, 1), threads=2)
+    assert est == span_estimate(body, m, 70_000, RngStream(5, 1), threads=2)
+    assert est.samples == 70_000 and est.stderr > 0
+    # K_V = [-w, w] for w the longest column
+    assert abs(est.value - slab_measure(m, 1 / np.linalg.norm(body.matrix, axis=0).max())) <= 4 * est.stderr
+
+
+@pytest.mark.parametrize("n,q,sigma,seed", [
+    (2, 1.0, 0.7, 1), (3, 1.0, 1.6, 2), (4, 1.0, 0.7, 3), (2, 2.0, 1.6, 4), (3, 2.0, 0.7, 5), (4, 2.0, 1.6, 6),
+    (2, math.inf, 0.7, 7), (3, math.inf, 1.6, 8), (4, math.inf, 0.7, 9),
+])
+def test_rank_one_gaussian_image_matches_the_slab_closed_form(n, q, sigma, seed):
+    # columns s_j·u: h_K(y) = |<u, y>|·|s|_{q'}, so K° is the slab |<u, y>| <= w = 1/|s|_{q'},
+    # of Gaussian measure (2πσ²)^{n/2}·erf(w/(σ√2))
+    gen = RngStream(seed, 2).generator()
+    u = gen.standard_normal(n)
+    u /= np.linalg.norm(u)
+    s = gen.uniform(-1.5, 1.5, 4)
+    body = geom.MatrixImageBody(np.outer(u, s), geom.LqBall(q, 4), 0.0)
+    m = measure.GaussianLike(sigma, n)
+    est = volume.polar_measure(body, m, 20_000, RngStream(seed, 3))
+    assert est.samples == 20_000 and est.stderr > 0
+    w = 1 / np.linalg.norm(s, ord=geom.dual_exponent(q))
+    want = (2 * math.pi * sigma ** 2) ** (n / 2) * math.erf(w / (sigma * math.sqrt(2)))
+    assert abs(est.value - want) <= 4 * est.stderr
+
+
+def test_rank_two_cross_image_in_space_is_its_planar_polygon():
+    # a q = 1 image in a rotated plane of R³: K_V° is a polygon, which the exact branch measures
+    planar = np.array([[1.0, 0.3, -0.5, 0.2], [0.1, 0.8, 0.4, -0.6]])
+    rotation = np.linalg.qr(RngStream(9, 4).generator().standard_normal((3, 3)))[0]
+    body = geom.MatrixImageBody(rotation[:, :2] @ planar, geom.LqBall(1.0, 4), 0.0)
+    m = measure.GaussianLike(0.8, 3)
+    est = volume.polar_measure(body, m, 10 ** 6, RngStream(9, 5))
+    assert (est.stderr, est.samples) == (0.0, 0)
+    want = math.sqrt(2 * math.pi) * 0.8 * exact(planar.T, measure.GaussianLike(0.8, 2))
+    assert est.value == pytest.approx(want, rel=1e-12, abs=0)
+    mc = volume.mc_polar_measure(body, m, 10 ** 6, RngStream(9, 5), threads=2)
+    assert abs(est.value - mc.value) <= 4 * mc.stderr
+
+
+@pytest.mark.parametrize("m", [
+    measure.GaussianLike(0.7, 3), measure.LebesgueRestricted(0.3, 3), measure.PowerKernel(K_LINEAR, 3),
+    measure.GaussianLike(1.3, 2), measure.LebesgueRestricted(2.0, 2),
+])
+def test_k_zero_reads_the_total_mass(m):
+    # K = {0} has K° = Rⁿ: ν(Rⁿ) exactly, nothing drawn, for a ball of radius 0 under every
+    # finite mass and for a zero matrix, of rank 0, under a Gaussian
+    n = m.dim
+    bodies = [geom.BallBody(0.0, n)]
+    if isinstance(m, measure.GaussianLike):
+        bodies += [geom.MatrixImageBody(np.zeros((n, 2)), geom.LqBall(1.0, 2), 0.0),
+                   geom.MatrixImageBody(np.zeros((n, 5)), geom.LqBall(2.0, 5), 0.0)]
+    for body in bodies:
+        est = volume.polar_measure(body, m, 10 ** 6, RngStream(4, 0))
+        assert est == volume.Estimate(measure.total_mass(m), 0.0, 0, 4)
+
+
+def test_k_zero_refuses_an_infinite_mass():
+    for body in (geom.BallBody(0.0, 2), geom.MatrixImageBody(np.zeros((2, 2)), geom.LqBall(1.0, 2), 0.0)):
+        with pytest.raises(volume.EstimationError):
+            volume.polar_measure(body, LEB2, 100, RngStream(1, 0))
 
 
 def test_polar_measure_keeps_the_input_checks():
@@ -739,13 +829,22 @@ def test_polygon_batch_sends_point_sets_that_do_not_span_to_monte_carlo():
             [[-2.0, 0.0]]]
     spans = {N: volume._planar_polar_vertices(np.array([p for p in sets if len(p) == N]))[0].tolist() for N in (1, 2, 3)}
     assert spans == {1: [False, False], 2: [True, False, True, False, False], 3: [False]}
-    g = measure.GaussianLike(1.0, 2)
     rngs = [RngStream(8, k) for k in range(len(sets))]
-    batch = volume.polar_measures([cross_image(p) for p in sets], g, 70_000, rngs, threads=2)
+    # sets that do not span run Monte Carlo on their own stream: in R² under Lebesgue R < inf,
+    # and in their span under a Gaussian, where the zero set, of rank 0, is exact
+    leb = measure.LebesgueRestricted(1.5, 2)
+    batch = volume.polar_measures([cross_image(p) for p in sets], leb, 70_000, rngs, threads=2)
     assert [e.samples for e in batch] == [70_000, 0, 70_000, 0, 70_000, 70_000, 70_000, 70_000]
     for p, rng, est in zip(sets, rngs, batch):
         if est.samples:
-            assert est == volume.mc_polar_measure(cross_image(p), g, 70_000, rng, threads=2)
+            assert est == volume.mc_polar_measure(cross_image(p), leb, 70_000, rng, threads=2)
+    g = measure.GaussianLike(1.0, 2)
+    batch = volume.polar_measures([cross_image(p) for p in sets], g, 70_000, rngs, threads=2)
+    assert [e.samples for e in batch] == [70_000, 0, 70_000, 0, 70_000, 0, 70_000, 70_000]
+    assert batch[5] == volume.Estimate(measure.total_mass(g), 0.0, 0, 8)
+    for p, rng, est in zip(sets, rngs, batch):
+        if est.samples:
+            assert est == span_estimate(cross_image(p), g, 70_000, rng, threads=2)
 
 
 def test_polygon_batch_runs_every_other_body_on_its_own_stream():
@@ -763,7 +862,9 @@ def test_polygon_batch_runs_every_other_body_on_its_own_stream():
     assert [e.samples for e in batch] == [0, 70_000, 70_000, 0, 70_000, 0]
     for body, rng, est in zip(bodies, rngs, batch):
         assert est == volume.polar_measure(body, g, 70_000, rng, threads=2)
-        if est.samples:
+        if body is bodies[1]:
+            assert est == span_estimate(body, g, 70_000, rng, threads=2)
+        elif est.samples:
             assert est == volume.mc_polar_measure(body, g, 70_000, rng, threads=2)
     # no polygon has a closed form under a PowerKernel: every matrix image runs Monte Carlo
     pk = measure.PowerKernel(K_LINEAR, 2)
@@ -1002,3 +1103,14 @@ def test_parallelotope_polar_is_exact_up_to_the_stderr_floor(n):
     want = float(Fraction(2 ** n) / abs(exact_determinant(X)))
     assert abs(est.value - want) <= 4 * math.ulp(want)
     assert est.stderr == volume.ROUNDING_FLOOR * est.value
+
+
+def test_a_span_the_greedy_pick_misses_keeps_the_mass_branch():
+    # one unit column and four of length 0.9e-10 across it: σ_2 = 1.8e-10 passes the rank test, but
+    # no column lies farther than 1e-10 of the longest from its line, so no basis is built
+    A = np.column_stack([[1.0, 0.0, 0.0]] + [[0.0, 0.9e-10, 0.0]] * 4)
+    body = geom.MatrixImageBody(A, geom.LqBall(1.0, 5), 0.0)
+    assert not geom.spans(A.T) and geom.column_basis(A) is None
+    m = measure.GaussianLike(1.0, 3)
+    est = volume.polar_measure(body, m, 5000, RngStream(3, 0))
+    assert est == volume.mc_polar_measure(body, m, 5000, RngStream(3, 0))
