@@ -4,6 +4,8 @@ Every experiment is driven by a single seed; X-side and Z-side trials
 use disjoint streams.  The statements are inequalities in expectation or
 in distribution, certified up to noise: a one-sided 3-sigma margin on the
 means, and an exact one-sided two-sample Smirnov test at level `ALPHA`.
+A comparison whose moments are infinite is refused by ν's total mass, not
+by its kind, and every exact |K| comes from `geom`'s one qhull hull.
 """
 
 from __future__ import annotations
@@ -14,7 +16,6 @@ from typing import Sequence
 
 import numpy as np
 from scipy import special
-from scipy.spatial import ConvexHull, QhullError
 
 from .geom import (
     Body,
@@ -24,13 +25,12 @@ from .geom import (
     LqBall,
     MatrixImageBody,
     SupportOracleBody,
+    _dual_hull,
     hausdorff_estimate,
-    qhull_failure,
     spans,
     unit_ball_volume,
 )
 from .measure import (
-    LebesgueRestricted,
     PnDensity,
     RadialMeasure,
     RadialStepDensity,
@@ -41,6 +41,7 @@ from .measure import (
     radial_mass_in_ball,
     rearrange_density,
     sample_density,
+    total_mass,
 )
 from .rng import RngStream, generators
 from .volume import ROUNDING_FLOOR, exact_polar_volume_crosspoly, flag_volume, polar_measure, polar_measures
@@ -138,17 +139,19 @@ def santalo_expectation_experiment(cfg: ExperimentConfig, threads: int = 1) -> E
     PASS iff mean_Z - mean_X >= -3·(combined stderr of the two means).
     The stderr of a mean is read from the spread of the trials, so one
     trial is refused; so is a ρ that is not decreasing.  So is N <= n + 1
-    under Lebesgue measure on all of R^n with r = 0: N points lie within ε
-    of a common hyperplane with probability ~ε^(N-n+1), and then |K°| ~ 1/ε,
-    on the D_n side too, so P(|K_N°| > t) ~ t^-(N-n+1).  For N <= n the mean
-    is infinite, and for N = n + 1 the variance behind the 3-sigma margin.
+    with r = 0 under a measure of infinite mass (Lebesgue on R^n, or a
+    PowerKernel with k flat past its last knot), where ρ tends to c > 0:
+    N points lie within ε of a common hyperplane with probability
+    ~ε^(N-n+1), and then ν(K°) ~ c/ε, on the D_n side too, so P(ν(K_N°) > t)
+    ~ t^-(N-n+1).  For N <= n the mean is infinite, and for N = n + 1 the
+    variance behind the 3-sigma margin.  Finite mass keeps every N.
     """
     if cfg.trials < 2:
         raise ConfigError("trials: the expectation comparison needs >= 2 trials for a spread")
     if not check_condnu2(cfg.m)["decreasing"]:
         raise ConfigError("measure: the expectation comparison needs a decreasing rho")
-    if isinstance(cfg.m, LebesgueRestricted) and cfg.m.R == math.inf and cfg.rball == 0 and cfg.N <= cfg.n + 1:
-        raise ConfigError("N: under Lebesgue measure with R = inf and r = 0, Var nu(K°) is infinite for N <= n + 1")
+    if cfg.rball == 0 and cfg.N <= cfg.n + 1 and math.isinf(total_mass(cfg.m)):
+        raise ConfigError("N: under a measure of infinite total mass with r = 0, Var nu(K°) is infinite for N <= n + 1")
     vx, vz = _trial_values(cfg, threads)
     ax = np.array([v for v, _ in vx])
     az = np.array([v for v, _ in vz])
@@ -420,10 +423,9 @@ def body_volume_exact(body: Body) -> float:
         pts = body.matrix.T
         if not spans(pts):  # flat: the test that calls K° unbounded everywhere else
             return 0.0
-        try:
-            return float(ConvexHull(np.vstack([pts, -pts])).volume)
-        except QhullError as e:
-            raise qhull_failure(e) from e
+        D = np.vstack([pts, -pts])  # `_dual_hull` of the rows D, b = 1, triangulates conv{±x_i}
+        simplices = _dual_hull(D, np.ones(len(D)))[1]  # a cone |det D_F|/n! from 0 a facet
+        return float(np.abs(np.linalg.det(D[simplices])).sum()) / math.factorial(body.dim)
     raise GeometryError(f"no exact volume for {type(body)!r}")
 
 

@@ -7,8 +7,9 @@ of the core inequality checks.
 
 Every random point of a law or a measure is drawn in this module,
 including the Monte Carlo samples of `volume`, except the uniforms of a
-polytope polar's parallelepiped chunk: `volume.mc_polar_measure` draws
-those itself, tests them, and maps them with `parallelepiped_map`.
+parallelepiped chunk: `volume.mc_polar_measure` draws those itself, as
+n uniforms a point, and maps them with `parallelepiped_map`, after
+testing a polytope polar's slabs on them.
 """
 
 from __future__ import annotations
@@ -41,7 +42,6 @@ __all__ = [
     "level_radius",
     "rearrange_density",
     "ball_points",
-    "parallelepiped_points",
     "parallelepiped_map",
     "radial_sampler",
     "sample_uniform_ball",
@@ -382,12 +382,6 @@ def _radial_points(gens: Iterable[np.random.Generator], size: int, n: int, radiu
 def ball_points(gens: Iterable[np.random.Generator], size: int, n: int, R: float) -> np.ndarray:
     """`size` points uniform in R·B_2^n from each generator, shape (T, size, n): radii R·U^{1/n}."""
     return _radial_points(gens, size, n, lambda u: np.multiply(np.power(u, 1.0 / n, out=u), R, out=u))
-
-
-def parallelepiped_points(gen: np.random.Generator, size: int, origin: np.ndarray, edges: np.ndarray) -> np.ndarray:
-    """`size` points uniform in origin + edges·[0, 1)^n, shape (size, n): `size`
-    rows of n uniforms, drawn at once and sent through `parallelepiped_map`."""
-    return parallelepiped_map(gen.random((size, len(origin))), origin, edges)
 
 
 def parallelepiped_map(U: np.ndarray, origin: np.ndarray, edges: np.ndarray) -> np.ndarray:

@@ -174,20 +174,20 @@ def mc_polar_measure(
         vol_box = unit_ball_volume(n) * rstar ** n
     except OverflowError:
         vol_box = math.inf
-    region = polar_parallelepiped(body)
+    region = polar_parallelepiped(body)  # None where the worker does not draw in P
     slabs = None  # (W, bound) of `residual_slabs` where the worker draws in P and K° is a polytope
     if region is not None and region.volume < vol_box:
         vol_box = region.volume
-        draw = lambda gen, size: measure.parallelepiped_points(gen, size, region.origin, region.edges)
         rows = polar_rows(body)
         if rows is not None:
             slabs = residual_slabs(region, rows)
     else:
+        region = None
         draw = lambda gen, size: measure.ball_points([gen], size, n, rstar)[0]
     mass = total_mass(m)
     constant = None  # the weight, where it does not depend on Y
     if math.isfinite(mass) and float(rho_eval(m, 0.0)) * vol_box >= mass:
-        draw, constant, slabs = measure.radial_sampler(m), mass, None
+        draw, constant, region, slabs = measure.radial_sampler(m), mass, None, None
     elif math.isfinite(vol_box):
         if isinstance(m, LebesgueRestricted) and m.R > rstar * (1.0 + 1e-12):
             # every Y in K° has |Y| <= R* up to a few ulps, so ρ(|Y|) = 1 where the indicator is not 0
@@ -201,12 +201,15 @@ def mc_polar_measure(
 
     def worker(k: int, size: int):
         gen = rng.chunk_generator(k)
-        if slabs is None:
+        if region is None:
             Y = draw(gen, size)
             return _chunk_stats(weight(Y) * polar_contains(body, Y))
-        # the same uniforms `parallelepiped_points` draws, tested against the slabs P
-        # does not satisfy before the in-place map; no slabs left: P = K°, all inside
+        # a P chunk: n uniforms a point, mapped to origin + edges·u; a polytope polar tests its
+        # residual slabs on them first, and maps them only where the weight needs |y|
         U = gen.random((size, n))
+        if slabs is None:
+            Y = measure.parallelepiped_map(U, region.origin, region.edges)
+            return _chunk_stats(weight(Y) * polar_contains(body, Y))
         inside = slabs_contain(slabs, U)
         Y = None if constant is not None else measure.parallelepiped_map(U, region.origin, region.edges)
         return _chunk_stats(weight(Y) * inside)

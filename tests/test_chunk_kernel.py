@@ -76,9 +76,10 @@ def test_draws_and_supports_match_the_reference_kernels(name):
 
 @pytest.mark.parametrize("name", ["q1_six_columns", "q2_ball_summand", "hpolytope"])
 def test_parallelepiped_draws_match_the_reference_kernel(name):
-    box = geom.polar_parallelepiped(CASES[name][0])
-    Y, Y_ref = (draw(RngStream(33, 1).chunk_generator(2), volume.CHUNK - 3, box.origin, box.edges)
-                for draw in (measure.parallelepiped_points, ref.parallelepiped_points))
+    # the P chunk's own expression in `mc_polar_measure`: n uniforms a point, mapped in place
+    box, size = geom.polar_parallelepiped(CASES[name][0]), volume.CHUNK - 3
+    Y = measure.parallelepiped_map(RngStream(33, 1).chunk_generator(2).random((size, 3)), box.origin, box.edges)
+    Y_ref = ref.parallelepiped_points(RngStream(33, 1).chunk_generator(2), size, box.origin, box.edges)
     assert Y.tobytes() == Y_ref.tobytes()
 
 

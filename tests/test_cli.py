@@ -434,6 +434,28 @@ BAD_VALUES = [
 ]
 
 
+# k flat past its last knot: ρ tends to 1.5^-3, so ν(R²) is infinite, as under Lebesgue R = inf
+FLAT_TAIL = {"kind": "power_kernel", "k_table": [[0, 1], [1, 1.5], [2, 1.5]]}
+RISING_TAIL = {"kind": "power_kernel", "k_table": [[0, 1], [1, 1.5], [2, 3]]}
+
+
+@pytest.mark.parametrize("N,m", [(3, FLAT_TAIL), (2, FLAT_TAIL), (3, {"kind": "lebesgue_ball", "R": "inf"})])
+def test_santalo_refuses_infinite_moments_under_infinite_mass(tmp_path, N, m):
+    # N <= n + 1 and r = 0: P(nu(K°) > t) ~ t^-(N-n+1), so the mean (N = n) or the variance
+    # (N = n + 1) behind the margin is infinite; the flat-tailed kernel used to PASS
+    res = invoke(["santalo", "--config", write_cfg(tmp_path, dict(BASE, N=N, measure=m)), "--out", str(tmp_path / "o")])
+    assert res.exit_code == 2, res.output
+    assert "infinite total mass with r = 0, Var nu(K°) is infinite for N <= n + 1" in res.output
+
+
+@pytest.mark.parametrize("changes", [dict(N=3, r=0.25, measure=FLAT_TAIL), dict(N=4, measure=FLAT_TAIL),
+                                     dict(N=3, measure=RISING_TAIL)], ids=["ball-summand", "N=n+2", "finite-mass"])
+def test_santalo_runs_where_the_moments_are_finite(tmp_path, changes):
+    res = invoke(["santalo", "--config", write_cfg(tmp_path, dict(BASE, **changes)), "--out", str(tmp_path / "o")])
+    assert res.exit_code == 0, res.output
+    assert json.loads((tmp_path / "o" / "report.json").read_text())["verdict"] == "PASS"
+
+
 @pytest.mark.parametrize("command,cfg", BAD_VALUES)
 def test_bad_values_exit_2_without_traceback(tmp_path, command, cfg):
     command, *options = command.split()

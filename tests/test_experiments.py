@@ -10,6 +10,7 @@ from click.testing import CliRunner
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import integrate
+from scipy.spatial import ConvexHull
 
 from polarvol import experiments, geom, measure
 from polarvol.cli import main
@@ -273,10 +274,11 @@ def test_newsan_enumerates_hpolytope_vertices_once(qhull_hulls):
 
 
 def test_body_volume_exact_builds_one_hull(qhull_hulls):
-    # the matrix image's |conv{±x_i}| is one ConvexHull volume
+    # the matrix image's |conv{±x_i}| is a det sum over the facets of one `_dual_hull`
     X = RngStream(31, 0).generator().standard_normal((3, 6))
-    experiments.body_volume_exact(geom.MatrixImageBody(X, geom.LqBall(1.0, 6), 0.0))
+    vol = experiments.body_volume_exact(geom.MatrixImageBody(X, geom.LqBall(1.0, 6), 0.0))
     assert len(qhull_hulls) == 1
+    assert vol == pytest.approx(ConvexHull(np.vstack([X.T, -X.T])).volume, rel=1e-13)
 
 
 def _step_law(n=2):

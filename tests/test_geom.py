@@ -1,6 +1,8 @@
+import ast
 import itertools
 import math
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -366,3 +368,20 @@ def test_column_basis_is_orthonormal_with_the_rank_of_spans(A, rank):
     np.testing.assert_allclose(Q.T @ (Q @ A), A, rtol=0, atol=1e-9 * np.abs(A).max())
     # the basis does not depend on the scale
     assert np.array_equal(geom.column_basis(2.0 ** 40 * A), Q)
+
+
+def test_only_geom_imports_scipy_spatial():
+    # one module builds qhull hulls, so one module imports scipy.spatial: the `qhull_hulls`
+    # fixture counts hulls built, not the modules that build them
+    importers = set()
+    for path in Path(geom.__file__).parent.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                names = [a.name for a in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [f"{node.module}.{a.name}" for a in node.names] + [node.module or ""]
+            else:
+                continue
+            if any(name == "scipy.spatial" or name.startswith("scipy.spatial.") for name in names):
+                importers.add(path.stem)
+    assert importers == {"geom"}

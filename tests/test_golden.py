@@ -1,6 +1,6 @@
 """Every configs/*.json run at --threads 2 reproduces its committed report.json byte for byte.
 
-Seven configs also run at --threads 1 against the same bytes: the six
+Eight configs also run at --threads 1 against the same bytes: the seven
 whose estimates span more than one chunk, and the exact ball polar.
 """
 
@@ -13,14 +13,14 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
-from polarvol import measure, volume
+from polarvol import cli, geom, measure, volume
 from polarvol.cli import main
 
 GOLDEN = Path(__file__).parent / "golden"
 CONFIGS = Path(__file__).parent.parent / "configs"
 NAMES = sorted(p.stem for p in CONFIGS.glob("*.json"))
 ONE_THREAD = ["centroid_cube", "centroid_cube_n4", "newsan_box", "polar_volume_ball", "polar_volume_crosspoly_n3",
-              "polar_volume_flat_gaussian", "shadow_gaussian"]
+              "polar_volume_flat_gaussian", "polar_volume_power_kernel", "shadow_gaussian"]
 
 
 def check_golden(tmp_path, name, threads):
@@ -73,3 +73,20 @@ def test_shadow_gaussian_flat_point_is_within_4_stderr_of_its_slab(tmp_path):
     value, stderr = float(row["value"]), float(row["stderr"])
     assert json.loads((GOLDEN / "shadow_gaussian.report.json").read_bytes())["summary"]["tol"] == 3 * stderr
     assert abs(value - 1 / (2 * math.pi * math.erf(1 / math.sqrt(2)))) <= 4 * stderr
+
+
+def test_polar_volume_power_kernel_golden_is_within_4_stderr_of_the_sphere_quadrature():
+    # K° = {y : |y|·h_K(y/|y|) <= 1} is star-shaped, so in n = 3, with Φ = radial_mass_in_ball/(4π),
+    # ν(K°) = ∫_{S²} Φ(1/h_K(θ)) dθ: Gauss–Legendre in z times the midpoint rule in φ, whose
+    # value holds to 12 digits from 64 × 128 to 256 × 512 nodes
+    cfg = json.loads((CONFIGS / "polar_volume_power_kernel.json").read_bytes())
+    body, m = cli.parse_body(cfg["body"]), cli.parse_measure(cfg["measure"], 3)
+    z, w = np.polynomial.legendre.leggauss(64)
+    phi = (np.arange(128) + 0.5) * math.pi / 64
+    s = np.sqrt(1 - z ** 2)[:, None]
+    theta = np.stack(np.broadcast_arrays(s * np.cos(phi), s * np.sin(phi), z[:, None]), axis=-1).reshape(-1, 3)
+    mass = measure.radial_mass_in_ball(m, 1 / geom.support_values(body, theta)).reshape(64, 128)
+    want = w @ mass.sum(axis=1) * (math.pi / 64) / (4 * math.pi)
+    assert want == pytest.approx(0.679231958351, abs=1e-12)
+    summary = json.loads((GOLDEN / "polar_volume_power_kernel.report.json").read_bytes())["summary"]
+    assert summary["stderr"] > 0 and abs(summary["value"] - want) <= 4 * summary["stderr"]
