@@ -40,6 +40,17 @@ def _require(obj: dict, key: str, path: str):
     return obj[key]
 
 
+def _integer(value, path: str) -> int:
+    """A config integer: a JSON integer or an integral float such as 1e5.
+
+    int() alone would run `true` as 1 and cut 1000.5 to 1000, so booleans
+    and fractions (NaN and the infinities too) are refused.
+    """
+    if isinstance(value, bool) or (isinstance(value, float) and not value.is_integer()):
+        raise ConfigError(f"{path}: must be an integer, got {json.dumps(value)}")
+    return int(value)
+
+
 def parse_gauge(obj: dict, N: int, path: str = "gauge"):
     kind = _require(obj, "type", path)
     if kind == "lq":
@@ -86,7 +97,7 @@ def parse_body(obj: dict, path: str = "body"):
         gauge = parse_gauge(_require(obj, "gauge", path), A.shape[1], f"{path}.gauge")
         return geom.MatrixImageBody(A, gauge, float(obj.get("r", 0.0)))
     if kind == "ball":
-        return geom.BallBody(float(_require(obj, "R", path)), int(_require(obj, "n", path)))
+        return geom.BallBody(float(_require(obj, "R", path)), _integer(_require(obj, "n", path), f"{path}.n"))
     if kind == "hpolytope":
         return geom.HPolytopeBody(
             np.asarray(_require(obj, "normals", path), dtype=float),
@@ -97,8 +108,8 @@ def parse_body(obj: dict, path: str = "body"):
 
 def parse_experiment_config(obj: dict) -> ExperimentConfig:
     """Parse and fully validate a loaded expectation/dominance config."""
-    n = int(_require(obj, "n", "config"))
-    N = int(_require(obj, "N", "config"))
+    n = _integer(_require(obj, "n", "config"), "config.n")
+    N = _integer(_require(obj, "N", "config"), "config.N")
     gauge = parse_gauge(_require(obj, "gauge", "config"), N)
     law = parse_density(_require(obj, "law", "config"), n)
     m = parse_measure(_require(obj, "measure", "config"), n)
@@ -109,9 +120,9 @@ def parse_experiment_config(obj: dict) -> ExperimentConfig:
         rball=float(obj.get("r", 0.0)),
         law_x=law,
         m=m,
-        trials=int(_require(obj, "trials", "config")),
-        budget_per_trial=int(_require(obj, "budget", "config")),
-        seed=int(_require(obj, "seed", "config")),
+        trials=_integer(_require(obj, "trials", "config"), "config.trials"),
+        budget_per_trial=_integer(_require(obj, "budget", "config"), "config.budget"),
+        seed=_integer(_require(obj, "seed", "config"), "config.seed"),
     )
 
 
@@ -180,18 +191,19 @@ def run_polar_volume(obj: dict, threads: int):
     """Estimate of nu(K°), exact where polar_measure allows; FAIL when value or stderr is not finite."""
     body = parse_body(_require(obj, "body", "config"))
     m = parse_measure(_require(obj, "measure", "config"), body.dim)
-    rng = RngStream(int(obj.get("seed", 0)), 0)
-    est = polar_measure(body, m, int(obj.get("budget", 10 ** 6)), rng, threads)
+    rng = RngStream(_integer(obj.get("seed", 0), "config.seed"), 0)
+    est = polar_measure(body, m, _integer(obj.get("budget", 10 ** 6), "config.budget"), rng, threads)
     verdict = math.isfinite(est.value) and math.isfinite(est.stderr)
     return obj, verdict, dataclasses.asdict(est), "", f"value={est.value:.6g} stderr={est.stderr:.3g}"
 
 
 def run_converge(obj: dict, threads: int):
     """Exact polar volumes along a growing random path."""
+    schedule = obj.get("schedule", (4, 8, 16, 32, 64, 128, 256, 512))
     report = experiments.convergence_experiment(
-        n=int(_require(obj, "n", "config")),
-        seed=int(obj.get("seed", 0)),
-        schedule=obj.get("schedule", (4, 8, 16, 32, 64, 128, 256, 512)),
+        n=_integer(_require(obj, "n", "config"), "config.n"),
+        seed=_integer(obj.get("seed", 0), "config.seed"),
+        schedule=[_integer(N, f"config.schedule[{i}]") for i, N in enumerate(schedule)],
         band=float(obj.get("band", 0.05)),
     )
     line = f"rel_err={report.summary['relative_error']:.4f}"
@@ -200,7 +212,7 @@ def run_converge(obj: dict, threads: int):
 
 def run_shadow(obj: dict, threads: int):
     """Shadow-system profile with evenness/convexity verdicts."""
-    n = int(_require(obj, "n", "config"))
+    n = _integer(_require(obj, "n", "config"), "config.n")
     base = np.asarray(_require(obj, "base_positions", "config"), dtype=float)
     if base.ndim != 2:
         raise ConfigError("config.base_positions: must be a list of equal-length vectors")
@@ -214,8 +226,9 @@ def run_shadow(obj: dict, threads: int):
     t_grid = np.asarray(_require(obj, "t_grid", "config"), dtype=float)
     if not np.isfinite(t_grid).all():
         raise ConfigError("config.t_grid: must be finite")
-    rng = RngStream(int(obj.get("seed", 0)), 0)
-    report = analysis.shadow_profile(cfg, direction, t_grid, int(obj.get("budget", 10 ** 5)), rng, threads)
+    rng = RngStream(_integer(obj.get("seed", 0), "config.seed"), 0)
+    budget = _integer(obj.get("budget", 10 ** 5), "config.budget")
+    report = analysis.shadow_profile(cfg, direction, t_grid, budget, rng, threads)
     verdict = bool(report.even) and bool(report.midpoint_convex)
     return obj, verdict, report.verdict(), report.to_csv(), f"worst_violation={report.worst_violation:.3g}"
 
@@ -223,10 +236,10 @@ def run_shadow(obj: dict, threads: int):
 def run_busemann(obj: dict, threads: int):
     """Triangle-inequality battery for the hyperplane-mass gauge."""
     psi, radius, scale = named_density(_require(obj, "density", "config"), float(obj.get("sigma", 1.0)))
-    pairs = int(obj.get("pairs", 200))
+    pairs = _integer(obj.get("pairs", 200), "config.pairs")
     if pairs < 1:
         raise ConfigError("pairs: must be >= 1")
-    seed = int(obj.get("seed", 0))
+    seed = _integer(obj.get("seed", 0), "config.seed")
     gen = RngStream(seed, 0).generator()
     hypothesis_ok = analysis.spot_check_neg_recip_concavity(psi, 2, RngStream(seed, 1), radius=scale)
     z1, z2 = gen.uniform(-1.0, 1.0, size=(pairs, 2, 2)).transpose(1, 0, 2)
@@ -260,10 +273,10 @@ def run_gauge(obj: dict, threads: int):
     """Homogeneity battery for the radial-integral gauges: max |F(λx) − λF(x)| / λF(x)."""
     p = float(obj.get("p", 1.0))
     gauge = radial_gauge(_require(obj, "density", "config"), float(obj.get("sigma", 1.0)), p)
-    checks = int(obj.get("checks", 100))
+    checks = _integer(obj.get("checks", 100), "config.checks")
     if checks < 1:
         raise ConfigError("checks: must be >= 1")
-    gen = RngStream(int(obj.get("seed", 0)), 0).generator()
+    gen = RngStream(_integer(obj.get("seed", 0), "config.seed"), 0).generator()
     xs, lams = [], []
     for _ in range(checks):
         x = gen.uniform(-1.0, 1.0, size=2)
@@ -282,7 +295,7 @@ def run_brunn(obj: dict, threads: int):
     report = analysis.brunn_profile(
         named_brunn_phi(_require(obj, "phi", "config")),
         alpha=float(obj.get("alpha", 1.0)),
-        n=int(obj.get("n", 1)),
+        n=_integer(obj.get("n", 1), "config.n"),
         t_grid=np.asarray(obj.get("t_grid", np.linspace(-2, 2, 9)), dtype=float),
         domain_radius=float(obj.get("domain_radius", 30.0)),
     )
@@ -318,15 +331,15 @@ def _comparison(obj: dict, report):
 
 def run_centroid(obj: dict, threads: int):
     """Moment-body polar comparison against the uniform-ball law."""
-    n = int(_require(obj, "n", "config"))
+    n = _integer(_require(obj, "n", "config"), "config.n")
     if n < 1:
         raise ConfigError("config.n: must be >= 1")
     report = experiments.centroid_polar_experiment(
         parse_density(_require(obj, "law", "config"), n),
         p=float(_require(obj, "p", "config")),
         m=parse_measure(_require(obj, "measure", "config"), n),
-        budget=int(obj.get("budget", BUDGET)),
-        seed=int(obj.get("seed", 0)),
+        budget=_integer(obj.get("budget", BUDGET), "config.budget"),
+        seed=_integer(obj.get("seed", 0), "config.seed"),
         threads=threads,
     )
     return _comparison(obj, report)
@@ -338,8 +351,8 @@ def run_newsan(obj: dict, threads: int):
     report = experiments.newsan_experiment(
         body,
         parse_measure(_require(obj, "measure", "config"), body.dim),
-        budget=int(obj.get("budget", BUDGET)),
-        seed=int(obj.get("seed", 0)),
+        budget=_integer(obj.get("budget", BUDGET), "config.budget"),
+        seed=_integer(obj.get("seed", 0), "config.seed"),
         threads=threads,
     )
     return _comparison(obj, report)

@@ -45,6 +45,8 @@ __all__ = [
     "polar_rows",
     "residual_slabs",
     "slabs_contain",
+    "pivot_slabs",
+    "slab_sections",
     "hausdorff_estimate",
     "unit_ball_volume",
 ]
@@ -600,16 +602,20 @@ def residual_slabs(box: Parallelepiped, rows: np.ndarray):
     At y = origin + edges·u, <a_k, y> = c_k + <w_k, u> with c_k = <a_k, origin>
     and w_k = edgesᵀa_k, whose maximum over P's corners u ∈ {0, 1}^n is
     c_k + Σ_j max(0, w_kj).  A row where that is at most 1 plus a rounding
-    slack of 16·eps·(|c_k| + Σ_j |w_kj|) holds on all of P and is dropped:
-    the slabs P is cut from land a few ulps from 1.  Returns (W, bound),
-    the kept w_k as rows and their 1 - c_k, so that a point u of [0, 1)^n
-    maps into K° when W·u <= bound row by row; no rows left certify P = K°.
+    slack of 16·eps·(|c_k| + Σ_j |w_kj|) holds on all of P and is dropped.
+    A row equal to ± a normal of P is one of the slabs P is cut from, or a
+    looser one, and is dropped as such: its corner maximum lands a few ulps
+    from 1 where P is well conditioned, but 1e-13 off where it is not.
+    Returns (W, bound), the kept w_k as rows and their 1 - c_k, so that a
+    point u of [0, 1)^n maps into K° when W·u <= bound row by row; no rows
+    left certify P = K°.
     """
     W = rows @ box.edges
     c = rows @ box.origin
     corner = c + np.maximum(W, 0.0).sum(axis=1)
     slack = 16 * np.finfo(float).eps * (np.abs(c) + np.abs(W).sum(axis=1))
-    keep = corner > 1.0 + slack
+    own = (rows[:, None, :] == np.concatenate([box.normals, -box.normals])).all(axis=2).any(axis=1)
+    keep = (corner > 1.0 + slack) & ~own
     return W[keep], 1.0 - c[keep]
 
 
@@ -618,6 +624,49 @@ def slabs_contain(slabs, U: np.ndarray) -> np.ndarray:
     `residual_slabs`' (W, bound): one (m, size) product, one threshold a row."""
     W, bound = slabs
     return (W @ U.T <= bound[:, None]).all(axis=0)
+
+
+def pivot_slabs(slabs):
+    """`residual_slabs`' (W, bound) solved for one coordinate u_j, for `slab_sections`.
+
+    j is the column with the largest Σ_k |W_kj| (the first on a tie).  A row
+    with W_kj > 0 bounds u_j above, at (b_k - Σ_{i≠j} W_ki·u_i)/W_kj, and one
+    with W_kj < 0 bounds it below; each such row is divided by W_kj here,
+    once.  A row whose quotients are not all finite (W_kj = 0, or so small
+    that one overflows) is kept as it is and tests the other coordinates
+    alone.  Returns (C, b, upper, lower): the rows of C (without column j)
+    and b are the upper bounds, then from `upper` on the lower bounds, then
+    from `lower` on the undivided rows.
+    """
+    W, bound = slabs
+    j = int(np.abs(W).sum(axis=0).argmax())
+    a = W[:, j : j + 1]
+    rows = np.column_stack([np.delete(W, j, axis=1), bound])
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        scaled = rows / a
+    flat = ~np.isfinite(scaled).all(axis=1)
+    up, down = (a[:, 0] > 0) & ~flat, (a[:, 0] < 0) & ~flat
+    C = np.concatenate([scaled[up], scaled[down], rows[flat]])
+    return C[:, :-1], C[:, -1], int(up.sum()), int(up.sum() + down.sum())
+
+
+def slab_sections(pivoted, U: np.ndarray) -> np.ndarray:
+    """The length of {u_j ∈ [0, 1) : W·u <= bound} at each row of a (size, n - 1)
+    array of the other coordinates, for `pivot_slabs`' (C, b, upper, lower).
+
+    With T = b - C·u one (m, size) product, the length is
+    max(0, min(1, hi) - max(0, lo)), hi the least T of the upper rows and lo
+    the greatest of the lower rows, and 0 where an undivided row has T < 0.
+    """
+    C, b, upper, lower = pivoted
+    T = C @ U.T
+    np.subtract(b[:, None], T, out=T)
+    length = T[:upper].min(axis=0, initial=1.0)
+    length -= T[upper:lower].max(axis=0, initial=0.0)
+    np.maximum(length, 0.0, out=length)
+    if lower < len(T):
+        length[(T[lower:] < 0).any(axis=0)] = 0.0
+    return length
 
 
 def hausdorff_estimate(a: Body, b: Body) -> float:

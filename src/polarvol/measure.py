@@ -9,7 +9,8 @@ Every random point of a law or a measure is drawn in this module,
 including the Monte Carlo samples of `volume`, except the uniforms of a
 parallelepiped chunk: `volume.mc_polar_measure` draws those itself, as
 n uniforms a point, and maps them with `parallelepiped_map`, after
-testing a polytope polar's slabs on them.
+testing a polytope polar's slabs on them (n - 1 a point, never mapped,
+where it integrates one coordinate exactly).
 """
 
 from __future__ import annotations

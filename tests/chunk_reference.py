@@ -3,11 +3,14 @@
 Row norms are numpy's `np.linalg.norm(Y, axis=1)`, points are scaled
 out of place, a parallelepiped's points are one broadcast product summed
 over its edges, and the matrix-image support goes through
-`gauge_support` on a fresh `|Y @ A|`.  The library's chunk kernels must
+`gauge_support` on a fresh `|Y @ A|`.  A polytope polar in its
+parallelepiped P under a constant weight, with slabs left on P, weighs
+each point by the exact length of its section along one coordinate of P,
+written out in `section_lengths`.  The library's chunk kernels must
 reproduce these estimates bit for bit; chunking, merging, radii,
-parallelepipeds and masses (which give the radial inverse-CDF table its
-node values) are the library's own, since they are not what the kernels
-change.
+parallelepipeds, the slabs left on P and masses (which give the radial
+inverse-CDF table its node values) are the library's own, since they are
+not what the kernels change.
 """
 
 import math
@@ -71,6 +74,18 @@ def support_values(body, Y):
     return np.asarray(body.evaluator(Y), dtype=float)
 
 
+def section_lengths(W, bound, U):
+    """The length of {u_j in [0, 1) : W·u <= bound} at each row of U, the other
+    coordinates, for the column j of W with the largest sum of |W_kj|."""
+    j = int(np.abs(W).sum(axis=0).argmax())
+    a, rest = W[:, j], np.delete(W, j, axis=1)
+    up, down, flat = a > 0, a < 0, a == 0
+    hi = np.min((bound[up] / a[up])[:, None] - (rest[up] / a[up][:, None]) @ U.T, axis=0, initial=1.0)
+    lo = np.max((bound[down] / a[down])[:, None] - (rest[down] / a[down][:, None]) @ U.T, axis=0, initial=0.0)
+    inside = (rest[flat] @ U.T <= bound[flat][:, None]).all(axis=0)
+    return np.maximum(hi - lo, 0.0) * inside
+
+
 def mc_polar_measure(body, m, budget, rng):
     """`volume.mc_polar_measure` at one thread, with the kernels above."""
     n = body.dim
@@ -83,19 +98,27 @@ def mc_polar_measure(body, m, budget, rng):
     except OverflowError:
         vol_box = math.inf
     region = geom.polar_parallelepiped(body)
+    slabs = None  # the slabs left on P, where the weight is constant
     if region is not None and region.volume < vol_box:
         vol_box = region.volume
         draw = lambda gen, size: parallelepiped_points(gen, size, region.origin, region.edges)
+        rows = geom.polar_rows(body)
+        if rows is not None and isinstance(m, measure.LebesgueRestricted) and m.R > rstar * (1.0 + 1e-12):
+            slabs = geom.residual_slabs(region, rows)
     else:
         draw = lambda gen, size: ball_points(gen, size, n, rstar)
     mass = measure.total_mass(m)
     if math.isfinite(mass) and float(measure.rho_eval(m, 0.0)) * vol_box >= mass:
         draw = radial_sampler(m)
         weight = lambda Y: mass
+        slabs = None
     else:
         weight = lambda Y: vol_box * measure.rho_eval(m, np.linalg.norm(Y, axis=1))
 
     def worker(k, size):
+        if slabs is not None and len(slabs[0]):
+            U = rng.chunk_generator(k).random((size, n - 1))
+            return volume._chunk_stats(vol_box * section_lengths(*slabs, U))
         Y = draw(rng.chunk_generator(k), size)
         return volume._chunk_stats(weight(Y) * (support_values(body, Y) <= 1.0))
 

@@ -6,7 +6,10 @@ the draws and the support values of one chunk byte for byte, since a
 constant weight hides most changes in the points from the estimate.  A
 polytope polar drawn in its parallelepiped P tests only the slabs left on
 P, on the uniforms: that indicator is compared with `polar_contains` on
-the mapped points.
+the mapped points.  Under a constant weight, with slabs left, a point
+weighs the exact length of its section along one coordinate of P: those
+lengths are compared with a fine grid of the slab indicator, and the
+estimates with the exact polytope volumes over a battery of bodies.
 """
 
 import importlib.util
@@ -18,6 +21,8 @@ import numpy as np
 import pytest
 
 import chunk_reference as ref
+from scipy.special import gammaincinv
+
 from polarvol import cli, experiments, geom, measure, volume
 from polarvol.rng import RngStream
 
@@ -26,9 +31,14 @@ U3 = np.linalg.qr(GEN.standard_normal((3, 3)))[0][:, 0]
 RANK1_3D = geom.MatrixImageBody(np.outer(U3, [0.5, -1.0, 2.0]), geom.LqBall(1.0, 3), 0.0)
 RANK1_2D = geom.MatrixImageBody(np.array([[1.0], [0.5]]), geom.LqBall(1.0, 1), 0.0)
 HPOLY = geom.HPolytopeBody(GEN.standard_normal((12, 3)), np.ones(12))
+# K° = [-1, 1]^3 cut by ±x, ±z and ±w: in P's coordinates the second column has the largest
+# sum of |W_kj| (5.6 against 5.2 and 5.2), and the rows ±w have 0 there
+FLAT_ROW = geom.MatrixImageBody(np.column_stack([np.eye(3), [0.7, 0.7, 0.0], [0.0, 0.7, 0.7], [0.6, 0.0, 0.6]]),
+                                geom.LqBall(1.0, 6), 0.0)
 CASES = {
     "q1_six_columns": (geom.MatrixImageBody(GEN.standard_normal((3, 6)), geom.LqBall(1.0, 6), 0.0),
                        measure.LebesgueRestricted(math.inf, 3)),
+    "q1_flat_row": (FLAT_ROW, measure.LebesgueRestricted(math.inf, 3)),
     "q2_ball_summand": (geom.MatrixImageBody(GEN.standard_normal((3, 5)), geom.LqBall(2.0, 5), 0.3),
                         measure.GaussianLike(1.0, 3)),
     "ball": (geom.BallBody(0.8, 3), measure.LebesgueRestricted(1.5, 3)),
@@ -140,6 +150,7 @@ P_REGION = {
     "deep_estimate_octahedron": OCTAHEDRON,
     "q1_n4": geom.MatrixImageBody(GEN.standard_normal((4, 9)), geom.LqBall(1.0, 9), 0.0),
     "sliver": SLIVER,
+    "flat_row": FLAT_ROW,
 }
 
 
@@ -182,3 +193,81 @@ def test_polytope_polars_in_p_never_call_polar_contains(monkeypatch, body, m):
 
     monkeypatch.setattr(volume, "polar_contains", refuse)
     assert volume.mc_polar_measure(body, m, volume.CHUNK + 5, RngStream(38, 0), 2).samples == volume.CHUNK + 5
+
+
+def test_a_row_with_0_in_the_pivot_column_tests_the_other_coordinates():
+    W, bound = geom.residual_slabs(geom.polar_parallelepiped(FLAT_ROW), geom.polar_rows(FLAT_ROW))
+    assert len(W) == 6 and int(np.abs(W).sum(axis=0).argmax()) == 1
+    C, b, upper, lower = geom.pivot_slabs((W, bound))
+    # ±x and ±z bound u_1 above once each and below once each; ±w, undivided, come last
+    assert (upper, lower, len(C)) == (2, 4, 6)
+    zero = W[:, 1] == 0
+    np.testing.assert_array_equal(C[4:], np.delete(W[zero], 1, axis=1))
+    np.testing.assert_array_equal(b[4:], bound[zero])
+
+
+# no slab is left on the octahedron's P, and the sliver's sections are shorter than 1 only
+# for about 1e-3 of the points
+@pytest.mark.parametrize("name", [name for name in P_REGION if name not in ("deep_estimate_octahedron", "sliver")])
+def test_sections_are_the_length_of_the_slab_indicator(name):
+    # along the pivot coordinate the points of [0, 1) inside every slab form one interval:
+    # the midpoints of 4096 cells count it to within a cell at each end
+    body = P_REGION[name]
+    slabs = geom.residual_slabs(geom.polar_parallelepiped(body), geom.polar_rows(body))
+    j = int(np.abs(slabs[0]).sum(axis=0).argmax())
+    rest = RngStream(39, 0).generator().random((64, body.dim - 1))
+    length = geom.slab_sections(geom.pivot_slabs(slabs), rest)
+    grid = (np.arange(4096) + 0.5) / 4096
+    for u, want in zip(rest, length):
+        U = np.insert(np.repeat(u[None], len(grid), axis=0), j, grid, axis=1)
+        assert abs(geom.slabs_contain(slabs, U).mean() - want) <= 2 / 4096
+    assert ((0 < length) & (length < 1)).any()
+
+
+def test_a_certified_parallelepiped_keeps_its_constant_chunks():
+    # the octahedron's polar is its P, so no coordinate is integrated: every point weighs |P|
+    box, budget = geom.polar_parallelepiped(OCTAHEDRON), 2 * volume.CHUNK + 777
+    want = volume._run_chunks(budget, lambda k, size: volume._chunk_stats(np.full(size, box.volume)))
+    m = measure.LebesgueRestricted(math.inf, 3)
+    for threads in (1, 2):
+        assert volume.mc_polar_measure(OCTAHEDRON, m, budget, RngStream(40, 0), threads) == volume.Estimate(*want, 40)
+
+
+def _battery():
+    """(body, |K°|) of the calibration battery, at pinned seeds: 12 D_n images at each
+    (n, N), 12 H-polytopes with 0 inside (a simplex's n + 1 normals positively span,
+    so each is bounded), the sliver and the body whose rows miss the pivot column."""
+    out = []
+    for row, (n, N) in enumerate([(3, 6), (3, 12), (4, 8), (5, 10)]):
+        for k in range(12):
+            pts = measure.sample_density(measure.UniformBodyDensity("Dn", n), RngStream(41, 100 * row + k), N)
+            body = geom.MatrixImageBody(pts.T, geom.LqBall(1.0, N), 0.0)
+            out.append((body, volume.exact_polar_volume_crosspoly(pts)))
+    for k in range(12):
+        n = 3 + k % 2
+        gen = RngStream(41, 500 + k).generator()
+        simplex = np.vstack([np.eye(n), -np.ones(n) / math.sqrt(n)]) @ np.linalg.qr(gen.standard_normal((n, n)))[0]
+        normals = np.vstack([simplex, gen.standard_normal((2 * n, n))])
+        body = geom.HPolytopeBody(normals, gen.uniform(0.5, 1.5, len(normals)))
+        out.append((body, volume.halfspace_volume(body.vertices, np.ones(len(body.vertices)))))
+    return out + [(body, volume.exact_polar_volume_crosspoly(body.matrix.T)) for body in (SLIVER, FLAT_ROW)]
+
+
+def test_section_estimates_are_calibrated_against_exact_volumes():
+    # z = (estimate - |K°|)/stderr over K bodies, every one sampled in P with slabs left and a
+    # constant weight: Lebesgue R = inf on even bodies, R = 2R* on odd ones.  The mean z lies
+    # within 4/sqrt(K), the sample variance of z in the central 0.999 of chi²_(K-1)/(K-1),
+    # and no |z| exceeds 6
+    zs = []
+    for i, (body, exact) in enumerate(_battery()):
+        box, rstar = geom.polar_parallelepiped(body), geom.polar_sampling_radius(body)
+        assert box.volume < geom.unit_ball_volume(body.dim) * rstar ** body.dim
+        assert len(geom.residual_slabs(box, geom.polar_rows(body))[0]) > 0
+        m = measure.LebesgueRestricted(math.inf if i % 2 == 0 else 2 * rstar, body.dim)
+        est = volume.mc_polar_measure(body, m, 1 << 15, RngStream(42, i))
+        zs.append((est.value - exact) / est.stderr)
+    z, K = np.array(zs), len(zs)
+    low, high = (2 * gammaincinv((K - 1) / 2, p) / (K - 1) for p in (0.0005, 0.9995))
+    assert abs(z.mean()) <= 4 / math.sqrt(K), z.mean()
+    assert low <= z.var(ddof=1) <= high, (z.var(ddof=1), low, high)
+    assert np.abs(z).max() <= 6, np.abs(z).max()

@@ -224,6 +224,15 @@ def test_santalo_reports_identical_across_runs_and_threads(tmp_path):
     assert outs[0] == outs[1] == outs[2]
 
 
+# K° of four columns in R³ is a polytope that Monte Carlo samples
+PV_IMAGE3 = {
+    "body": {"kind": "matrix_image", "columns": [[1.0, 0.2, 0.0], [0.0, 0.9, -0.3], [0.1, 0.0, 1.1], [0.5, 0.5, 0.5]],
+             "gauge": {"type": "lq", "q": 1.0}, "r": 0.0},
+    "measure": {"kind": "lebesgue_ball", "R": "inf"},
+    "budget": 5000,
+    "seed": 3,
+}
+
 PV_BALL = {
     "body": {"kind": "ball", "R": 1.0, "n": 2},
     "measure": {"kind": "gaussian", "sigma": 1.0},
@@ -431,7 +440,47 @@ BAD_VALUES = [
     # a thread count below 1 ran serially and exited 0; click refuses it before the config is read
     pytest.param("polar-volume --threads 0", PV_BALL, id="polar-volume --threads 0-cfg75"),
     pytest.param("polar-volume --threads -3", PV_BALL, id="polar-volume --threads -3-cfg76"),
+    # one sample has no spread: its stderr read the 64-ulp floor (PASS value=8.85936 stderr=1.26e-13)
+    pytest.param("polar-volume", dict(PV_IMAGE3, budget=1), id="polar-volume-mc-budget-1"),
+    pytest.param("newsan", dict(PV_BALL, body=SQUARE, budget=1), id="newsan-mc-budget-1"),
+    # int() ran true as 1 and cut fractions: budget true PASSed on one sample, seed true ran seed 1
+    pytest.param("polar-volume", dict(PV_IMAGE3, budget=True), id="polar-volume-budget-true"),
+    pytest.param("newsan", dict(PV_BALL, body=SQUARE, budget=True), id="newsan-budget-true"),
+    pytest.param("santalo", dict(BASE, seed=True), id="santalo-seed-true"),
+    pytest.param("polar-volume", dict(PV_IMAGE3, budget=1000.5), id="polar-volume-budget-fraction"),
+    pytest.param("polar-volume", dict(PV_IMAGE3, seed=1.5), id="polar-volume-seed-fraction"),
+    pytest.param("santalo", dict(BASE, trials=12.5), id="santalo-trials-fraction"),
+    pytest.param("santalo", dict(BASE, N=True), id="santalo-N-true"),
+    pytest.param("dominance", dict(BASE, mode="dominance", budget=NAN), id="dominance-budget-nan"),
+    pytest.param("polar-volume", dict(PV_BALL, body={"kind": "ball", "R": 1.0, "n": 2.5}),
+                 id="polar-volume-ball-n-fraction"),
+    pytest.param("converge", {"n": 2, "seed": 2, "schedule": [8, True]}, id="converge-schedule-true"),
+    pytest.param("busemann", {"density": "gaussian", "pairs": 3.5}, id="busemann-pairs-fraction"),
+    pytest.param("gauge", {"density": "gaussian", "checks": True}, id="gauge-checks-true"),
+    pytest.param("brunn", {"phi": "sqrt_quadratic", "n": 1.5}, id="brunn-n-fraction"),
+    pytest.param("centroid", {"n": 2, "p": 2.0, "law": {"kind": "uniform_cube"},
+                              "measure": {"kind": "lebesgue_ball", "R": "inf"}, "budget": 100, "seed": INF},
+                 id="centroid-seed-inf"),
+    pytest.param("shadow", dict(SHADOW, budget=False), id="shadow-budget-false"),
 ]
+
+
+@pytest.mark.parametrize("command,cfg", [
+    ("polar-volume", dict(PV_IMAGE3, budget=1e5, seed=3.0)),
+    ("santalo", dict(BASE, trials=12.0, budget=1e3)),
+    ("converge", {"n": 2.0, "seed": 2, "schedule": [8.0, 16], "band": 1.0}),
+])
+def test_integral_floats_are_integers(tmp_path, command, cfg):
+    res = invoke([command, "--config", write_cfg(tmp_path, cfg), "--out", str(tmp_path / "o")])
+    assert res.exit_code == 0, res.output
+
+
+def test_exact_polar_volume_keeps_budget_1(tmp_path):
+    # one sample is refused only where samples are drawn: the exact planar polar draws none
+    path = write_cfg(tmp_path, dict(PV_PLANE, budget=1))
+    res = invoke(["polar-volume", "--config", path, "--out", str(tmp_path / "o")])
+    assert res.exit_code == 0, res.output
+    assert json.loads((tmp_path / "o" / "report.json").read_text())["summary"]["samples"] == 0
 
 
 # k flat past its last knot: ρ tends to 1.5^-3, so ν(R²) is infinite, as under Lebesgue R = inf

@@ -90,3 +90,11 @@ def test_polar_volume_power_kernel_golden_is_within_4_stderr_of_the_sphere_quadr
     assert want == pytest.approx(0.679231958351, abs=1e-12)
     summary = json.loads((GOLDEN / "polar_volume_power_kernel.report.json").read_bytes())["summary"]
     assert summary["stderr"] > 0 and abs(summary["value"] - want) <= 4 * summary["stderr"]
+
+
+def test_polar_volume_crosspoly_n3_golden_is_within_4_stderr_of_the_exact_volume():
+    # K° = {y : |<x_i, y>| <= 1} is a polytope, whose volume the flag sum gives exactly
+    cfg = json.loads((CONFIGS / "polar_volume_crosspoly_n3.json").read_bytes())
+    want = volume.exact_polar_volume_crosspoly(np.array(cfg["body"]["columns"]))
+    summary = json.loads((GOLDEN / "polar_volume_crosspoly_n3.report.json").read_bytes())["summary"]
+    assert summary["stderr"] > 0 and abs(summary["value"] - want) <= 4 * summary["stderr"]

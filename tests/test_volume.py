@@ -386,6 +386,19 @@ def test_mc_rejects_empty_budget():
         volume.mc_polar_measure(geom.BallBody(1.0, 2), LEB2, 0, RngStream(1, 0))
 
 
+def test_one_sample_is_refused_where_samples_are_drawn():
+    # one sample has no spread: its stderr read the 64-ulp floor (layer cake: 9.24 ± 1.3e-13
+    # against 3.13); the exact planar polar draws none and keeps a budget of 1
+    body = geom.MatrixImageBody(np.array([[1.0, 0.2, 0.5], [0.0, 0.9, -0.4]]), geom.LqBall(1.0, 3), 0.0)
+    g = measure.GaussianLike(1.0, 2)
+    with pytest.raises(volume.EstimationError, match="budget must be >= 2"):
+        volume.mc_polar_measure(body, g, 1, RngStream(1, 0))
+    with pytest.raises(volume.EstimationError, match="budget must be >= 2"):
+        volume.layer_cake_measure(body, g, np.linspace(0.1, 1.0, 10), 1, RngStream(1, 0))
+    assert volume.polar_measure(body, g, 1, RngStream(1, 0)).samples == 0
+    assert volume.mc_polar_measure(body, g, 2, RngStream(1, 0)).samples == 2
+
+
 # Exact values of the unbounded-polar branch, whose draws come from
 # measure.radial_sampler.  No configs/*.json reaches that branch, so these
 # pins are what holds those draws fixed.
