@@ -51,10 +51,22 @@ def _integer(value, path: str) -> int:
     return int(value)
 
 
+def _number(value, path: str) -> float:
+    """A config float: float() alone would run `true` as 1.0, so booleans are refused."""
+    if isinstance(value, bool):
+        raise ConfigError(f"{path}: must be a number, got {json.dumps(value)}")
+    return float(value)
+
+
+def _array(value, path: str) -> np.ndarray:
+    """A config array of floats, each entry read by `_number`: a boolean anywhere in it is refused."""
+    return np.asarray([_array(v, path) for v in value] if isinstance(value, list) else _number(value, path))
+
+
 def parse_gauge(obj: dict, N: int, path: str = "gauge"):
     kind = _require(obj, "type", path)
     if kind == "lq":
-        q = float(_require(obj, "q", path))
+        q = _number(_require(obj, "q", path), f"{path}.q")
         if not q >= 1:
             raise ConfigError(f"{path}.q: gauge.q must be >= 1")
         return geom.LqBall(q, N)
@@ -65,11 +77,11 @@ def parse_measure(obj: dict, n: int, path: str = "measure"):
     kind = _require(obj, "kind", path)
     if kind == "lebesgue_ball":
         R = _require(obj, "R", path)
-        return measure.LebesgueRestricted(math.inf if R in ("inf", None) else float(R), n)
+        return measure.LebesgueRestricted(math.inf if R in ("inf", None) else _number(R, f"{path}.R"), n)
     if kind == "gaussian":
-        return measure.GaussianLike(float(_require(obj, "sigma", path)), n)
+        return measure.GaussianLike(_number(_require(obj, "sigma", path), f"{path}.sigma"), n)
     if kind == "power_kernel":
-        return measure.PowerKernel(np.asarray(_require(obj, "k_table", path), dtype=float), n)
+        return measure.PowerKernel(_array(_require(obj, "k_table", path), f"{path}.k_table"), n)
     raise ConfigError(f"{path}.kind: unknown measure kind {kind!r}")
 
 
@@ -80,8 +92,8 @@ def parse_density(obj: dict, n: int, path: str = "law"):
         return measure.UniformBodyDensity(shapes[kind], n)
     if kind == "radial_step":
         return measure.RadialStepDensity(
-            np.asarray(_require(obj, "breaks", path), dtype=float),
-            np.asarray(_require(obj, "values", path), dtype=float),
+            _array(_require(obj, "breaks", path), f"{path}.breaks"),
+            _array(_require(obj, "values", path), f"{path}.values"),
             n,
         )
     raise ConfigError(f"{path}.kind: unknown density kind {kind!r}")
@@ -90,18 +102,19 @@ def parse_density(obj: dict, n: int, path: str = "law"):
 def parse_body(obj: dict, path: str = "body"):
     kind = _require(obj, "kind", path)
     if kind == "matrix_image":
-        cols = np.asarray(_require(obj, "columns", path), dtype=float)
+        cols = _array(_require(obj, "columns", path), f"{path}.columns")
         if cols.ndim != 2:
             raise ConfigError(f"{path}.columns: must be a list of equal-length vectors")
         A = cols.T  # config stores columns as rows of vectors
         gauge = parse_gauge(_require(obj, "gauge", path), A.shape[1], f"{path}.gauge")
-        return geom.MatrixImageBody(A, gauge, float(obj.get("r", 0.0)))
+        return geom.MatrixImageBody(A, gauge, _number(obj.get("r", 0.0), f"{path}.r"))
     if kind == "ball":
-        return geom.BallBody(float(_require(obj, "R", path)), _integer(_require(obj, "n", path), f"{path}.n"))
+        R, n = _require(obj, "R", path), _require(obj, "n", path)
+        return geom.BallBody(_number(R, f"{path}.R"), _integer(n, f"{path}.n"))
     if kind == "hpolytope":
         return geom.HPolytopeBody(
-            np.asarray(_require(obj, "normals", path), dtype=float),
-            np.asarray(_require(obj, "offsets", path), dtype=float),
+            _array(_require(obj, "normals", path), f"{path}.normals"),
+            _array(_require(obj, "offsets", path), f"{path}.offsets"),
         )
     raise ConfigError(f"{path}.kind: unknown body kind {kind!r}")
 
@@ -117,7 +130,7 @@ def parse_experiment_config(obj: dict) -> ExperimentConfig:
         n=n,
         N=N,
         gauge=gauge,
-        rball=float(obj.get("r", 0.0)),
+        rball=_number(obj.get("r", 0.0), "config.r"),
         law_x=law,
         m=m,
         trials=_integer(_require(obj, "trials", "config"), "config.trials"),
@@ -165,16 +178,16 @@ def named_brunn_phi(name: str):
 
 # ---------------------------------------------------------------------------
 # commands: each runs on the loaded config (overrides applied) and
-# returns (config echo, verdict, summary, trials.csv text, summary line)
+# returns (verdict, summary, trials.csv text, summary line)
 
 
 def _experiment(obj: dict, threads: int, mode: str, experiment):
-    """The command fixes the mode: a config may leave it out, never name another."""
+    """The command fixes the mode: a config may leave it out (the echo then names it), never name another."""
     if obj.setdefault("mode", mode) != mode:
         raise ConfigError(f"config.mode: this command runs mode {mode!r}")
     report = experiment(parse_experiment_config(obj), threads)
     line = json.dumps(report.summary, sort_keys=True, default=str)[:200]
-    return obj, report.verdict, report.summary, report.to_csv(), line
+    return report.verdict, report.summary, report.to_csv(), line
 
 
 def run_santalo(obj: dict, threads: int):
@@ -194,7 +207,7 @@ def run_polar_volume(obj: dict, threads: int):
     rng = RngStream(_integer(obj.get("seed", 0), "config.seed"), 0)
     est = polar_measure(body, m, _integer(obj.get("budget", 10 ** 6), "config.budget"), rng, threads)
     verdict = math.isfinite(est.value) and math.isfinite(est.stderr)
-    return obj, verdict, dataclasses.asdict(est), "", f"value={est.value:.6g} stderr={est.stderr:.3g}"
+    return verdict, dataclasses.asdict(est), "", f"value={est.value:.6g} stderr={est.stderr:.3g}"
 
 
 def run_converge(obj: dict, threads: int):
@@ -204,38 +217,39 @@ def run_converge(obj: dict, threads: int):
         n=_integer(_require(obj, "n", "config"), "config.n"),
         seed=_integer(obj.get("seed", 0), "config.seed"),
         schedule=[_integer(N, f"config.schedule[{i}]") for i, N in enumerate(schedule)],
-        band=float(obj.get("band", 0.05)),
+        band=_number(obj.get("band", 0.05), "config.band"),
     )
     line = f"rel_err={report.summary['relative_error']:.4f}"
-    return obj, report.verdict, report.summary, report.to_csv(), line
+    return report.verdict, report.summary, report.to_csv(), line
 
 
 def run_shadow(obj: dict, threads: int):
     """Shadow-system profile with evenness/convexity verdicts."""
     n = _integer(_require(obj, "n", "config"), "config.n")
-    base = np.asarray(_require(obj, "base_positions", "config"), dtype=float)
+    base = _array(_require(obj, "base_positions", "config"), "config.base_positions")
     if base.ndim != 2:
         raise ConfigError("config.base_positions: must be a list of equal-length vectors")
-    theta = np.asarray(_require(obj, "theta", "config"), dtype=float)
+    theta = _array(_require(obj, "theta", "config"), "config.theta")
     gauge = parse_gauge(_require(obj, "gauge", "config"), base.shape[0])
     m = parse_measure(_require(obj, "measure", "config"), n)
-    cfg = analysis.ShadowConfig(theta, base, gauge, float(obj.get("r", 0.0)), m)
-    direction = np.asarray(_require(obj, "direction", "config"), dtype=float)
+    cfg = analysis.ShadowConfig(theta, base, gauge, _number(obj.get("r", 0.0), "config.r"), m)
+    direction = _array(_require(obj, "direction", "config"), "config.direction")
     if direction.shape != (base.shape[0],) or not np.isfinite(direction).all():
         raise ConfigError("config.direction: needs one finite number per base position")
-    t_grid = np.asarray(_require(obj, "t_grid", "config"), dtype=float)
+    t_grid = _array(_require(obj, "t_grid", "config"), "config.t_grid")
     if not np.isfinite(t_grid).all():
         raise ConfigError("config.t_grid: must be finite")
     rng = RngStream(_integer(obj.get("seed", 0), "config.seed"), 0)
     budget = _integer(obj.get("budget", 10 ** 5), "config.budget")
     report = analysis.shadow_profile(cfg, direction, t_grid, budget, rng, threads)
     verdict = bool(report.even) and bool(report.midpoint_convex)
-    return obj, verdict, report.verdict(), report.to_csv(), f"worst_violation={report.worst_violation:.3g}"
+    return verdict, report.verdict(), report.to_csv(), f"worst_violation={report.worst_violation:.3g}"
 
 
 def run_busemann(obj: dict, threads: int):
     """Triangle-inequality battery for the hyperplane-mass gauge."""
-    psi, radius, scale = named_density(_require(obj, "density", "config"), float(obj.get("sigma", 1.0)))
+    sigma = _number(obj.get("sigma", 1.0), "config.sigma")
+    psi, radius, scale = named_density(_require(obj, "density", "config"), sigma)
     pairs = _integer(obj.get("pairs", 200), "config.pairs")
     if pairs < 1:
         raise ConfigError("pairs: must be >= 1")
@@ -249,7 +263,7 @@ def run_busemann(obj: dict, threads: int):
     f1, f2, f12 = analysis.busemann_gauge(psi, zs[:, kept].reshape(-1, 2), radius).reshape(3, -1)
     worst = float(np.max(f12 - f1 - f2, initial=-math.inf))
     summary = {"worst_violation": worst, "pairs": pairs, "hypothesis_verified": hypothesis_ok}
-    return obj, worst <= 1e-6, summary, "", f"worst={worst:.3g}"
+    return worst <= 1e-6, summary, "", f"worst={worst:.3g}"
 
 
 def radial_gauge(density: str, sigma: float, p: float):
@@ -271,8 +285,8 @@ def radial_gauge(density: str, sigma: float, p: float):
 
 def run_gauge(obj: dict, threads: int):
     """Homogeneity battery for the radial-integral gauges: max |F(λx) − λF(x)| / λF(x)."""
-    p = float(obj.get("p", 1.0))
-    gauge = radial_gauge(_require(obj, "density", "config"), float(obj.get("sigma", 1.0)), p)
+    p = _number(obj.get("p", 1.0), "config.p")
+    gauge = radial_gauge(_require(obj, "density", "config"), _number(obj.get("sigma", 1.0), "config.sigma"), p)
     checks = _integer(obj.get("checks", 100), "config.checks")
     if checks < 1:
         raise ConfigError("checks: must be >= 1")
@@ -287,46 +301,46 @@ def run_gauge(obj: dict, threads: int):
     x, lam = np.array(xs).reshape(-1, 2), np.array(lams)
     fx, flx = gauge(np.concatenate([x, lam[:, None] * x])).reshape(2, -1)
     worst = float(np.max(np.abs(flx - lam * fx) / (lam * fx), initial=0.0))
-    return obj, worst <= 1e-9, {"worst_relative_error": worst, "p": p}, "", f"worst={worst:.3g}"
+    return worst <= 1e-9, {"worst_relative_error": worst, "p": p}, "", f"worst={worst:.3g}"
 
 
 def run_brunn(obj: dict, threads: int):
     """Convexity of the integral profile of a positive convex function."""
     report = analysis.brunn_profile(
         named_brunn_phi(_require(obj, "phi", "config")),
-        alpha=float(obj.get("alpha", 1.0)),
+        alpha=_number(obj.get("alpha", 1.0), "config.alpha"),
         n=_integer(obj.get("n", 1), "config.n"),
-        t_grid=np.asarray(obj.get("t_grid", np.linspace(-2, 2, 9)), dtype=float),
-        domain_radius=float(obj.get("domain_radius", 30.0)),
+        t_grid=_array(obj.get("t_grid", np.linspace(-2, 2, 9).tolist()), "config.t_grid"),
+        domain_radius=_number(obj.get("domain_radius", 30.0), "config.domain_radius"),
     )
     line = f"worst_violation={report.worst_violation:.3g}"
-    return obj, bool(report.midpoint_convex), report.verdict(), report.to_csv(), line
+    return bool(report.midpoint_convex), report.verdict(), report.to_csv(), line
 
 
 def run_rbll(obj: dict, threads: int):
     """Exhaustive small-family check of the 1-D rearrangement inequality."""
-    shifts = obj.get("shifts", [-2, -1, 0, 1, 2])
+    shifts = [_number(a, f"config.shifts[{i}]") for i, a in enumerate(obj.get("shifts", [-2, -1, 0, 1, 2]))]
     if len(shifts) < 1:
         raise ConfigError("shifts: must list at least one shift")
-    if not all(math.isfinite(float(a)) for a in shifts):
+    if not all(math.isfinite(a) for a in shifts):
         raise ConfigError("shifts: every shift must be finite")
-    box = float(obj.get("box", 6.0))
+    box = _number(obj.get("box", 6.0), "config.box")
     worst = -math.inf
     cases = 0
     for k in (1, 2, 3):
         coeffs = np.array(list(product([-1.0, 0.0, 1.0], repeat=k * 2))).reshape(-1, k, 2)
         for placement in product(shifts, repeat=k):
-            gs = [analysis.Step1D(np.array([float(a), float(a) + 1.0]), np.array([1.0])) for a in placement]
+            gs = [analysis.Step1D(np.array([a, a + 1.0]), np.array([1.0])) for a in placement]
             res = analysis.rbll_check_1d(gs, coeffs, box_halfwidth=box)
             gaps = [lhs - rhs for lhs, rhs in zip(res["lhs"], res["rhs"])]
             worst = max(worst, *gaps)
             cases += len(coeffs)
-    return obj, worst <= 1e-9, {"cases": cases, "worst_gap": worst}, "", f"cases={cases} worst={worst:.3g}"
+    return worst <= 1e-9, {"cases": cases, "worst_gap": worst}, "", f"cases={cases} worst={worst:.3g}"
 
 
-def _comparison(obj: dict, report):
+def _comparison(report):
     line = f"lhs={report.summary['lhs']:.6g} rhs={report.summary['rhs']:.6g}"
-    return obj, report.verdict, report.summary, report.to_csv(), line
+    return report.verdict, report.summary, report.to_csv(), line
 
 
 def run_centroid(obj: dict, threads: int):
@@ -336,13 +350,13 @@ def run_centroid(obj: dict, threads: int):
         raise ConfigError("config.n: must be >= 1")
     report = experiments.centroid_polar_experiment(
         parse_density(_require(obj, "law", "config"), n),
-        p=float(_require(obj, "p", "config")),
+        p=_number(_require(obj, "p", "config"), "config.p"),
         m=parse_measure(_require(obj, "measure", "config"), n),
         budget=_integer(obj.get("budget", BUDGET), "config.budget"),
         seed=_integer(obj.get("seed", 0), "config.seed"),
         threads=threads,
     )
-    return _comparison(obj, report)
+    return _comparison(report)
 
 
 def run_newsan(obj: dict, threads: int):
@@ -355,7 +369,7 @@ def run_newsan(obj: dict, threads: int):
         seed=_integer(obj.get("seed", 0), "config.seed"),
         threads=threads,
     )
-    return _comparison(obj, report)
+    return _comparison(report)
 
 
 COMMANDS = {
@@ -394,7 +408,7 @@ def run_command(command: str, config_path, out_dir, seed, budget, threads) -> No
             obj["seed"] = seed
         if budget is not None:
             obj["budget"] = budget
-        config, verdict, summary, csv_text, line = COMMANDS[command](obj, threads)
+        verdict, summary, csv_text, line = COMMANDS[command](obj, threads)
     except OSError as e:
         click.echo(f"error: {e}", err=True)
         sys.exit(EXIT_IO)
@@ -403,7 +417,7 @@ def run_command(command: str, config_path, out_dir, seed, budget, threads) -> No
         sys.exit(EXIT_CONFIG)
     payload = {
         "command": command,
-        "config": config,
+        "config": obj,
         "verdict": "PASS" if verdict else "FAIL",
         "summary": summary,
         "timing": None,  # wall clock printed, not stored: reports must be byte-identical

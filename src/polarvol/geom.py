@@ -11,7 +11,7 @@ vertices, read off the one qhull dual hull that each body caches.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cache, cached_property
 from typing import Callable, Union
 
@@ -42,7 +42,6 @@ __all__ = [
     "column_basis",
     "Parallelepiped",
     "polar_parallelepiped",
-    "polar_rows",
     "residual_slabs",
     "slabs_contain",
     "pivot_slabs",
@@ -471,6 +470,8 @@ class Parallelepiped:
     """P = {y : lo_j <= <v_j, y> <= lo_j + width_j, j = 1..n}, the v_j the rows of `normals`.
 
     P = origin + edges·[0, 1)^n, and `volume` is |P| = Π width_j / |det V|.
+    Where K° is a polytope, `slabs` holds the (W, bound) of `residual_slabs`
+    for its rows, and None where it is not.
     """
 
     normals: np.ndarray  # (n, n)
@@ -479,6 +480,7 @@ class Parallelepiped:
     origin: np.ndarray
     edges: np.ndarray  # (n, n), the edge vectors in its columns
     volume: float
+    slabs: tuple | None = None
 
 
 def _pivoted_rows(U: np.ndarray, steps: int | None = None):
@@ -547,16 +549,20 @@ def polar_parallelepiped(body: Body):
     the edges Qᵀ·L⁻¹ by back substitution, with no LAPACK call (the first
     `np.linalg.inv` maps 0.4 MB of code and buffers).  None for the other
     bodies, for a matrix image whose columns do not span R^n and for an
-    H-polytope without 0 in its interior: their K° has no such P.
+    H-polytope without 0 in its interior: their K° has no such P.  Where
+    K° = {y : <a_k, y> <= 1} is a polytope, P carries the `residual_slabs`
+    of its rows: ±x_i for q = 1 and r = 0, whose h_K(y) is max_i |<x_i, y>|,
+    and an H-polytope's vertices v, whose h_K(y) is max_v <v, y>.
     """
     if isinstance(body, MatrixImageBody):
         V = body.matrix.T
+        rows = np.concatenate([V, -V]) if body.gauge.q == 1 and body.rball == 0 else None  # K°'s a_k
         if body.rball > 0:
             norms = np.hypot.reduce(V, axis=1)[:, None]  # hypot: no square overflows
             V = V + body.rball * (V / np.where(norms > 0, norms, 1.0))
         g = np.ones(len(V))
     elif isinstance(body, HPolytopeBody) and (body.offsets > 0).all():
-        V = body.vertices
+        V = rows = body.vertices
         g = _row_max(-V @ (body.normals / body.offsets[:, None]).T)
     else:
         return None
@@ -578,22 +584,8 @@ def polar_parallelepiped(body: Body):
     except OverflowError:
         volume = math.inf
     lo, width = -g[picks], width[picks]
-    return Parallelepiped(V[picks], lo, width, edges @ (lo / width), edges, volume)
-
-
-def polar_rows(body: Body):
-    """The rows a_k with K° = {y : <a_k, y> <= 1} when K° is a polytope, or None.
-
-    ±x_i for a matrix image with q = 1 and r = 0, whose h_K(y) is
-    max_i |<x_i, y>|, and the vertices v of an H-polytope with 0 inside,
-    whose h_K(y) is max_v <v, y>.  None for every other body, whose
-    membership goes through `polar_contains`.
-    """
-    if isinstance(body, MatrixImageBody) and body.gauge.q == 1 and body.rball == 0:
-        return np.concatenate([body.matrix.T, -body.matrix.T])
-    if isinstance(body, HPolytopeBody) and (body.offsets > 0).all():
-        return body.vertices
-    return None
+    box = Parallelepiped(V[picks], lo, width, edges @ (lo / width), edges, volume)
+    return box if rows is None else replace(box, slabs=residual_slabs(box, rows))
 
 
 def residual_slabs(box: Parallelepiped, rows: np.ndarray):
@@ -608,7 +600,7 @@ def residual_slabs(box: Parallelepiped, rows: np.ndarray):
     from 1 where P is well conditioned, but 1e-13 off where it is not.
     Returns (W, bound), the kept w_k as rows and their 1 - c_k, so that a
     point u of [0, 1)^n maps into K° when W·u <= bound row by row; no rows
-    left certify P = K°.
+    left certify P = K°.  `polar_parallelepiped` keeps them as P's `slabs`.
     """
     W = rows @ box.edges
     c = rows @ box.origin

@@ -12,10 +12,12 @@ take those polytope volumes in every n >= 2.
 Monte Carlo runs are chunked into fixed 2^16-sample blocks, chunk k
 drawing from stream sub-key k, and merged in chunk order; the result is
 bit-identical for a given (seed, stream, budget) no matter how many
-workers execute the chunks.  A polytope polar sampled in its slab
-parallelepiped P is tested in P's own coordinates, on only the slabs that
-P does not already satisfy; under a constant weight one coordinate of P
-is integrated exactly, so a point weighs the length of its section of K°.
+workers execute the chunks.  `mc_polar_measure` picks one of three chunk
+kernels per call: draw a point and test it with `polar_contains`; for a
+polytope polar in its slab parallelepiped P under a constant weight, the
+exact length of a point's section of K° along one coordinate of P; and
+under a weight of |y|, a test of the slabs that P does not already
+satisfy, in P's own coordinates.
 """
 
 from __future__ import annotations
@@ -42,9 +44,7 @@ from .geom import (
     polar_bounding_radius,
     polar_contains,
     polar_parallelepiped,
-    polar_rows,
     pivot_slabs,
-    residual_slabs,
     row_norms,
     slab_sections,
     slabs_contain,
@@ -140,41 +140,38 @@ def mc_polar_measure(
 ) -> "Estimate":
     """Monte Carlo estimate of ν(K°) with its standard error.
 
-    Two regions can hold K°.  One is the ball R*·B, R* the radius of
-    `polar_bounding_radius`: inf when K° is unbounded or a support oracle
-    carries no inradius; R* is exact for a ball and certified for every
-    other body.  The other is the parallelepiped P of
-    `polar_parallelepiped`, cut from n of the body's own slabs, for a
-    matrix image whose columns span R^n and for an H-polytope with 0
-    inside; the region of the two with the smaller volume V is the one
-    sampled (the ball on a tie).  When ν(R^n) is finite and ρ(0)·V >=
-    ν(R^n), sample Y ~ ν/ν(R^n) and average the membership indicator times
-    the total mass; otherwise sample Y uniformly in the region and average
-    ρ(|Y|)·1{Y ∈ K°} times V (ρ(|Y|) = 1, not evaluated, under Lebesgue
-    measure with R above R*, since K° ⊂ R*·B).  Both are unbiased, and the
-    rule picks the smaller second-moment bound: ν(R^n)·ν(K°) against
-    ρ(0)·V·ν(K°).  A ball volume that overflows counts as >= ν(R^n); with
-    infinite mass as well no estimator applies, and the call refuses.
+    Two regions can hold K°: the ball R*·B, R* of `polar_bounding_radius`
+    (inf when K° is unbounded or a support oracle carries no inradius), and
+    the parallelepiped P of `polar_parallelepiped`, cut from n of the
+    body's own slabs (a matrix image whose columns span R^n, an H-polytope
+    with 0 inside).  The one with the smaller volume V is sampled (the
+    ball on a tie).  When ν(R^n) is finite and ρ(0)·V >= ν(R^n), Y ~
+    ν/ν(R^n) weighs the total mass; otherwise Y is uniform in the region
+    and weighs ρ(|Y|)·V, the constant V under Lebesgue measure with R
+    above R*, since K° ⊂ R*·B.  Both are unbiased, and the rule picks the
+    smaller second-moment bound: ν(R^n)·ν(K°) against ρ(0)·V·ν(K°).  A
+    ball volume that overflows counts as >= ν(R^n); with infinite mass as
+    well no estimator applies, and the call refuses.
 
-    A polytope polar (`polar_rows`) drawn uniformly in P skips the general
-    membership test.  Each point is n uniforms u, and y = origin + edges·u
-    lies in K° when W·u <= bound for the slabs of `residual_slabs`, the
-    rows of K° that P does not already satisfy; the uniforms are mapped to
-    y, in place, only where the weight needs |y|.  No slabs left certify
-    P = K°: every point is inside.  The test rounds differently from
-    `polar_contains` on the mapped points only within a few ulps of a
-    face of K° or of a dropped slab, which a draw meets with probability
-    near 1e-15.
-    Where slabs are left and the weight is a constant V (Lebesgue measure
-    with R above R*), one coordinate u_j is integrated exactly, the last
-    step of Genz's separation of variables (Genz 1992): `pivot_slabs`
-    picks j, the column with the largest Σ_k |W_kj|, and divides the rows
-    by W_kj once a call; a point is n - 1 uniforms, the other coordinates,
-    and weighs V times the length of {u_j ∈ [0, 1) : W·u <= bound}
-    (`slab_sections`).  That is E[V·1{u ∈ K°} | the others], so the
-    estimate stays unbiased, and its per-sample variance is lower: 3.9
-    times on the six-column image of the benchmark, and a median 4 to 7
-    times over random D_n images in n = 3 to 5.
+    One of three chunk kernels is picked per call:
+    1. Draw and test: Y from the mass sampler, in the ball, or in a P
+       without `slabs` (n uniforms u mapped to origin + edges·u) weighs
+       its weight times `polar_contains`.
+    2. Sections: a polytope polar in P under a constant weight V
+       integrates one coordinate u_j exactly, the last step of Genz's
+       separation of variables (Genz 1992).  `pivot_slabs` picks j, the
+       column of P's `slabs` with the largest Σ_k |W_kj|, once a call; a
+       point is the n - 1 other uniforms and weighs V times the length of
+       {u_j ∈ [0, 1) : W·u <= bound} (`slab_sections`), which is
+       E[V·1{u ∈ K°} | the others]: unbiased, with a per-sample variance
+       3.9 times lower on the benchmark's six-column image and a median 4
+       to 7 times lower over random D_n images in n = 3 to 5.  A certified
+       P (no slabs left) has every section 1: each point weighs V.
+    3. Slab test: a polytope polar in P under a weight of |y| tests P's
+       `slabs` on the n uniforms, then maps them in place for the weight.
+       It rounds differently from `polar_contains` on the mapped points
+       only within a few ulps of a face of K° or of a dropped slab, which
+       a draw meets with probability near 1e-15.
     The stderr is at least 64 ulps of the value (`ROUNDING_FLOOR`): where
     the region is K° and the weight is constant, the estimate is exact up
     to rounding.  A budget below 2 is refused (`_run_chunks`).
@@ -187,50 +184,44 @@ def mc_polar_measure(
         vol_box = unit_ball_volume(n) * rstar ** n
     except OverflowError:
         vol_box = math.inf
-    region = polar_parallelepiped(body)  # None where the worker does not draw in P
-    slabs = None  # (W, bound) of `residual_slabs` where the worker draws in P and K° is a polytope
-    if region is not None and region.volume < vol_box:
-        vol_box = region.volume
-        rows = polar_rows(body)
-        if rows is not None:
-            slabs = residual_slabs(region, rows)
+    box = polar_parallelepiped(body)  # sampled where it is smaller than the ball
+    if box is not None and box.volume < vol_box:
+        vol_box = box.volume
     else:
-        region = None
-        draw = lambda gen, size: measure.ball_points([gen], size, n, rstar)[0]
+        box = None
+
+    def draw_and_test(gen, size):
+        Y = draw(gen, size)
+        return weight(Y) * polar_contains(body, Y)
+
+    def slab_test(gen, size):
+        U = gen.random((size, n))
+        inside = slabs_contain(box.slabs, U)  # before the map, which overwrites U
+        return weight(measure.parallelepiped_map(U, box.origin, box.edges)) * inside
+
+    kernel = draw_and_test
     mass = total_mass(m)
-    constant = None  # the weight, where it does not depend on Y
     if math.isfinite(mass) and float(rho_eval(m, 0.0)) * vol_box >= mass:
-        draw, constant, region, slabs = measure.radial_sampler(m), mass, None, None
-    elif math.isfinite(vol_box):
-        if isinstance(m, LebesgueRestricted) and m.R > rstar * (1.0 + 1e-12):
-            # every Y in K° has |Y| <= R* up to a few ulps, so ρ(|Y|) = 1 where the indicator is not 0
-            constant = vol_box
-    else:
+        draw, weight = measure.radial_sampler(m), lambda Y: mass
+    elif not math.isfinite(vol_box):
         raise EstimationError(
             "polar has no finite sampling ball and the measure has infinite mass: "
             "no rigorous estimator applies to this configuration"
         )
-    weight = lambda Y: constant if constant is not None else vol_box * rho_eval(m, row_norms(Y))
-    # where slabs are left and the weight is constant, one coordinate of u is integrated exactly
-    sections = pivot_slabs(slabs) if slabs is not None and len(slabs[0]) and constant is not None else None
-
-    def worker(k: int, size: int):
-        gen = rng.chunk_generator(k)
-        if region is None:
-            Y = draw(gen, size)
-            return _chunk_stats(weight(Y) * polar_contains(body, Y))
-        if sections is not None:
-            return _chunk_stats(constant * slab_sections(sections, gen.random((size, n - 1))))
-        # a P chunk: n uniforms a point, mapped to origin + edges·u; a polytope polar tests its
-        # residual slabs on them first, and maps them only where the weight needs |y|
-        U = gen.random((size, n))
-        if slabs is None:
-            Y = measure.parallelepiped_map(U, region.origin, region.edges)
-            return _chunk_stats(weight(Y) * polar_contains(body, Y))
-        inside = slabs_contain(slabs, U)
-        Y = None if constant is not None else measure.parallelepiped_map(U, region.origin, region.edges)
-        return _chunk_stats(weight(Y) * inside)
-
+    else:
+        # every Y in K° has |Y| <= R* up to a few ulps, so ρ(|Y|) = 1 where the indicator is not 0
+        constant = isinstance(m, LebesgueRestricted) and m.R > rstar * (1.0 + 1e-12)
+        weight = (lambda Y: vol_box) if constant else (lambda Y: vol_box * rho_eval(m, row_norms(Y)))
+        if box is None:
+            draw = lambda gen, size: measure.ball_points([gen], size, n, rstar)[0]
+        elif box.slabs is None:
+            draw = lambda gen, size: measure.parallelepiped_map(gen.random((size, n)), box.origin, box.edges)
+        elif constant:
+            pivoted = pivot_slabs(box.slabs)
+            kernel = lambda gen, size: vol_box * slab_sections(pivoted, gen.random((size, n - 1)))
+        else:
+            kernel = slab_test
+    worker = lambda k, size: _chunk_stats(kernel(rng.chunk_generator(k), size))
     return Estimate(*_run_chunks(budget, worker, threads), rng.seed)
 
 

@@ -102,9 +102,8 @@ def mc_polar_measure(body, m, budget, rng):
     if region is not None and region.volume < vol_box:
         vol_box = region.volume
         draw = lambda gen, size: parallelepiped_points(gen, size, region.origin, region.edges)
-        rows = geom.polar_rows(body)
-        if rows is not None and isinstance(m, measure.LebesgueRestricted) and m.R > rstar * (1.0 + 1e-12):
-            slabs = geom.residual_slabs(region, rows)
+        if region.slabs is not None and isinstance(m, measure.LebesgueRestricted) and m.R > rstar * (1.0 + 1e-12):
+            slabs = region.slabs
     else:
         draw = lambda gen, size: ball_points(gen, size, n, rstar)
     mass = measure.total_mass(m)

@@ -156,22 +156,25 @@ P_REGION = {
 
 @pytest.mark.parametrize("name", P_REGION)
 def test_residual_slabs_give_the_polar_indicator(name):
-    # the worker's indicator on the uniforms, before the map, equals `polar_contains` on
-    # the mapped points byte for byte, over several chunks
+    # P carries the slabs of K°'s rows (an H-polytope's vertices, ±x_i of a q = 1, r = 0
+    # image), and the worker's indicator on the uniforms, before the map, equals
+    # `polar_contains` on the mapped points byte for byte, over several chunks
     body = P_REGION[name]
     box = geom.polar_parallelepiped(body)
     assert box.volume < geom.unit_ball_volume(body.dim) * geom.polar_sampling_radius(body) ** body.dim
-    slabs = geom.residual_slabs(box, geom.polar_rows(body))
+    rows = body.vertices if isinstance(body, geom.HPolytopeBody) else np.concatenate([body.matrix.T, -body.matrix.T])
+    for got, want in zip(box.slabs, geom.residual_slabs(box, rows)):
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
     for k in range(4):
         U = RngStream(37, 1).chunk_generator(k).random((volume.CHUNK, body.dim))
-        inside = geom.slabs_contain(slabs, U)
+        inside = geom.slabs_contain(box.slabs, U)
         Y = measure.parallelepiped_map(U, box.origin, box.edges)
         assert inside.tobytes() == geom.polar_contains(body, Y).tobytes(), k
 
 
 def test_octahedron_polar_is_its_parallelepiped():
     # the octahedron's polar is the cube P itself: no slab is left to test
-    W, bound = geom.residual_slabs(geom.polar_parallelepiped(OCTAHEDRON), geom.polar_rows(OCTAHEDRON))
+    W, bound = geom.polar_parallelepiped(OCTAHEDRON).slabs
     assert W.shape == (0, 3) and bound.shape == (0,)
 
 
@@ -179,7 +182,7 @@ def test_a_slab_that_trims_a_sliver_is_kept():
     box = geom.polar_parallelepiped(SLIVER)
     sliver = 1.0 - volume.exact_polar_volume_crosspoly(SLIVER.matrix.T) / box.volume
     assert sliver == pytest.approx(1e-6, rel=0.01)
-    W, bound = geom.residual_slabs(box, geom.polar_rows(SLIVER))
+    W, bound = box.slabs
     # ±x, and none of the six rows P is cut from
     x = SLIVER.matrix[:, 3]
     np.testing.assert_allclose(W @ np.linalg.inv(box.edges), [x, -x], rtol=1e-15, atol=1e-15)
@@ -196,7 +199,7 @@ def test_polytope_polars_in_p_never_call_polar_contains(monkeypatch, body, m):
 
 
 def test_a_row_with_0_in_the_pivot_column_tests_the_other_coordinates():
-    W, bound = geom.residual_slabs(geom.polar_parallelepiped(FLAT_ROW), geom.polar_rows(FLAT_ROW))
+    W, bound = geom.polar_parallelepiped(FLAT_ROW).slabs
     assert len(W) == 6 and int(np.abs(W).sum(axis=0).argmax()) == 1
     C, b, upper, lower = geom.pivot_slabs((W, bound))
     # ±x and ±z bound u_1 above once each and below once each; ±w, undivided, come last
@@ -213,7 +216,7 @@ def test_sections_are_the_length_of_the_slab_indicator(name):
     # along the pivot coordinate the points of [0, 1) inside every slab form one interval:
     # the midpoints of 4096 cells count it to within a cell at each end
     body = P_REGION[name]
-    slabs = geom.residual_slabs(geom.polar_parallelepiped(body), geom.polar_rows(body))
+    slabs = geom.polar_parallelepiped(body).slabs
     j = int(np.abs(slabs[0]).sum(axis=0).argmax())
     rest = RngStream(39, 0).generator().random((64, body.dim - 1))
     length = geom.slab_sections(geom.pivot_slabs(slabs), rest)
@@ -224,13 +227,40 @@ def test_sections_are_the_length_of_the_slab_indicator(name):
     assert ((0 < length) & (length < 1)).any()
 
 
+@pytest.mark.parametrize("body", [CASES["q2_ball_summand"][0],
+                                  geom.MatrixImageBody(CASES["q1_six_columns"][0].matrix, geom.LqBall(1.0, 6), 0.25),
+                                  geom.MatrixImageBody(CASES["q1_six_columns"][0].matrix, geom.LqBall(2.0, 6), 0.0)],
+                         ids=["q2_ball_summand", "q1_ball_summand", "q2"])
+def test_a_polar_that_is_no_polytope_has_no_slabs(body):
+    box = geom.polar_parallelepiped(body)
+    assert box is not None and box.slabs is None
+
+
+# a rectangle's polar is the rhombus cut by its two vertex slabs
+RECTANGLE = geom.HPolytopeBody(np.array([[1.0, 0.0], [-1.0, 0.0], [0.0, 1.0], [0.0, -1.0]]),
+                               np.array([1.0, 1.0, 2.0, 2.0]))
+# (value, stderr) of each body at every measure and thread count below, as recorded before the
+# certified P went through the section kernel: the chunk means of 65536 copies of the
+# octahedron's |P| round 2 ulps below it
+CERTIFIED = {"octahedron": (OCTAHEDRON, "0x1.8a2345cc04425p+0", "0x1.8a2345cc04425p-46"),
+             "rectangle": (RECTANGLE, "0x1.0000000000000p+0", "0x1.0000000000000p-46")}
+
+
 def test_a_certified_parallelepiped_keeps_its_constant_chunks():
-    # the octahedron's polar is its P, so no coordinate is integrated: every point weighs |P|
-    box, budget = geom.polar_parallelepiped(OCTAHEDRON), 2 * volume.CHUNK + 777
-    want = volume._run_chunks(budget, lambda k, size: volume._chunk_stats(np.full(size, box.volume)))
-    m = measure.LebesgueRestricted(math.inf, 3)
-    for threads in (1, 2):
-        assert volume.mc_polar_measure(OCTAHEDRON, m, budget, RngStream(40, 0), threads) == volume.Estimate(*want, 40)
+    # the polar is its P, so every section has length 1: every point weighs |P|, under
+    # Lebesgue R = inf and R = 2R* alike
+    budget = 2 * volume.CHUNK + 777
+    for body, value, stderr in CERTIFIED.values():
+        box = geom.polar_parallelepiped(body)
+        assert box.slabs[0].shape == (0, body.dim)
+        want = volume._run_chunks(budget, lambda k, size: volume._chunk_stats(np.full(size, box.volume)))
+        assert want == (float.fromhex(value), float.fromhex(stderr), budget)
+        assert want[1] == volume.ROUNDING_FLOOR * want[0] and abs(want[0] - box.volume) <= 2 * math.ulp(box.volume)
+        for R in (math.inf, 2 * geom.polar_sampling_radius(body)):
+            m = measure.LebesgueRestricted(R, body.dim)
+            for threads in (1, 2):
+                got = volume.mc_polar_measure(body, m, budget, RngStream(40, 0), threads)
+                assert got == volume.Estimate(*want, 40), (body, R, threads)
 
 
 def _battery():
@@ -262,7 +292,7 @@ def test_section_estimates_are_calibrated_against_exact_volumes():
     for i, (body, exact) in enumerate(_battery()):
         box, rstar = geom.polar_parallelepiped(body), geom.polar_sampling_radius(body)
         assert box.volume < geom.unit_ball_volume(body.dim) * rstar ** body.dim
-        assert len(geom.residual_slabs(box, geom.polar_rows(body))[0]) > 0
+        assert len(box.slabs[0]) > 0
         m = measure.LebesgueRestricted(math.inf if i % 2 == 0 else 2 * rstar, body.dim)
         est = volume.mc_polar_measure(body, m, 1 << 15, RngStream(42, i))
         zs.append((est.value - exact) / est.stderr)

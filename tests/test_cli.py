@@ -233,6 +233,15 @@ PV_IMAGE3 = {
     "seed": 3,
 }
 
+# configs/polar_volume_flat_gaussian.json
+PV_FLAT = {
+    "body": {"kind": "matrix_image", "columns": [[0.6, -0.3, 0.6], [-0.8, 0.4, -0.8], [0.2, -0.1, 0.2]],
+             "gauge": {"type": "lq", "q": 1.0}, "r": 0.0},
+    "measure": {"kind": "gaussian", "sigma": 0.8},
+    "budget": 131849,
+    "seed": 5,
+}
+
 PV_BALL = {
     "body": {"kind": "ball", "R": 1.0, "n": 2},
     "measure": {"kind": "gaussian", "sigma": 1.0},
@@ -462,7 +471,42 @@ BAD_VALUES = [
                               "measure": {"kind": "lebesgue_ball", "R": "inf"}, "budget": 100, "seed": INF},
                  id="centroid-seed-inf"),
     pytest.param("shadow", dict(SHADOW, budget=False), id="shadow-budget-false"),
+    # float() ran true as 1.0: each of the first five PASSed on the flat Gaussian config
+    pytest.param("polar-volume", dict(PV_FLAT, measure={"kind": "gaussian", "sigma": True}),
+                 id="polar-volume-sigma-true"),
+    pytest.param("polar-volume", dict(PV_FLAT, body=dict(PV_FLAT["body"], r=True)), id="polar-volume-r-true"),
+    pytest.param("polar-volume", dict(PV_FLAT, body=dict(PV_FLAT["body"], gauge={"type": "lq", "q": True})),
+                 id="polar-volume-q-true"),
+    pytest.param("polar-volume", dict(PV_FLAT, measure={"kind": "lebesgue_ball", "R": True}),
+                 id="polar-volume-R-true"),
+    pytest.param("polar-volume", dict(PV_FLAT, body=dict(PV_FLAT["body"], columns=[[True, 0, 0]])),
+                 id="polar-volume-columns-true"),
+    pytest.param("polar-volume", dict(PV_BALL, body={"kind": "ball", "R": True, "n": 2}),
+                 id="polar-volume-ball-R-true"),
+    pytest.param("polar-volume", dict(PV_BALL, body=dict(SQUARE, offsets=[1.0, True, 1.0, 1.0])),
+                 id="polar-volume-offsets-true"),
+    pytest.param("polar-volume", dict(PV_BALL, measure={"kind": "power_kernel", "k_table": [[0, 1], [True, 2]]}),
+                 id="polar-volume-k-table-true"),
+    pytest.param("santalo", dict(BASE, r=False), id="santalo-r-false"),
+    pytest.param("santalo", dict(BASE, law={"kind": "radial_step", "breaks": [0.5641895835477563, 2.0],
+                                            "values": [1.0, False]}), id="santalo-values-false"),
+    pytest.param("shadow", dict(SHADOW, theta=[False, True]), id="shadow-theta-bool"),
+    pytest.param("converge", {"n": 2, "seed": 2, "band": True}, id="converge-band-true"),
+    pytest.param("busemann", {"density": "gaussian", "sigma": True, "pairs": 3}, id="busemann-sigma-true"),
+    pytest.param("gauge", {"density": "gaussian", "p": True, "checks": 3}, id="gauge-p-true"),
+    pytest.param("brunn", {"phi": "sqrt_quadratic", "t_grid": [-1.0, 0.0, True]}, id="brunn-t-grid-true"),
+    pytest.param("rbll", {"shifts": [0, True]}, id="rbll-shifts-true"),
+    pytest.param("centroid", {"n": 2, "p": True, "law": {"kind": "uniform_cube"},
+                              "measure": {"kind": "gaussian", "sigma": 1.0}, "budget": 100, "seed": 1},
+                 id="centroid-p-true"),
 ]
+
+
+@pytest.mark.parametrize("R", ["inf", None, 3, 3.5])
+def test_lebesgue_radius_takes_inf_null_and_json_numbers(tmp_path, R):
+    cfg = dict(PV_IMAGE3, measure={"kind": "lebesgue_ball", "R": R})
+    res = invoke(["polar-volume", "--config", write_cfg(tmp_path, cfg), "--out", str(tmp_path / "o")])
+    assert res.exit_code == 0, res.output
 
 
 @pytest.mark.parametrize("command,cfg", [
@@ -649,7 +693,7 @@ def test_named_densities_match_one_point_evaluation_bit_for_bit():
 # golden covers uniform_ball, and busemann on uniform_square is a benchmark
 # op.
 def test_busemann_uniform_square_is_pinned():
-    _, verdict, summary, _, _ = cli.run_busemann({"density": "uniform_square", "pairs": 10, "seed": 5}, 1)
+    verdict, summary, _, _ = cli.run_busemann({"density": "uniform_square", "pairs": 10, "seed": 5}, 1)
     assert verdict and summary == {"worst_violation": 2.7755575615628914e-16, "pairs": 10, "hypothesis_verified": True}
     zs = [np.array([0.37, -0.81]), np.array([0.92, 0.13]), np.array([-0.2, 0.45])]
     for name, want in (("uniform_square", [0.405, 0.45999999999999996, 0.22499999999999995]),
@@ -707,7 +751,7 @@ def test_exact_shadow_in_four_dimensions(tmp_path):
 def test_gauge_on_the_square_indicator_passes():
     # quad cannot find the indicator's jump at r = 1/|x|_inf, so the integral must end there
     for seed in (0, 1, 2):
-        _, verdict, summary, _, _ = cli.run_gauge({"density": "uniform_square", "p": 2.0, "checks": 20, "seed": seed}, 1)
+        verdict, summary, _, _ = cli.run_gauge({"density": "uniform_square", "p": 2.0, "checks": 20, "seed": seed}, 1)
         assert verdict, (seed, summary)
 
 
@@ -723,7 +767,7 @@ def test_gauge_reports_the_plain_relative_error():
     # at p = 0.01, F is about 1e-200: an absolute floor of 1e-12 under the
     # error divided it away (the report read 2.5e-197)
     cfg = {"density": "gaussian", "sigma": 1.0, "p": 0.01, "checks": 20, "seed": 4}
-    _, _, summary, _, _ = cli.run_gauge(dict(cfg), 1)
+    _, summary, _, _ = cli.run_gauge(dict(cfg), 1)
     gen = polarvol.RngStream(4, 0).generator()
     xs, lams = [], []
     for _ in range(20):
