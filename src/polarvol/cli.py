@@ -43,23 +43,25 @@ def _require(obj: dict, key: str, path: str):
 def _integer(value, path: str) -> int:
     """A config integer: a JSON integer or an integral float such as 1e5.
 
-    int() alone would run `true` as 1 and cut 1000.5 to 1000, so booleans
-    and fractions (NaN and the infinities too) are refused.
+    int() alone would run `true` as 1, "5000" as 5000 and cut 1000.5 to
+    1000, so booleans, strings and fractions (NaN and the infinities too)
+    are refused.
     """
-    if isinstance(value, bool) or (isinstance(value, float) and not value.is_integer()):
+    if isinstance(value, (bool, str)) or (isinstance(value, float) and not value.is_integer()):
         raise ConfigError(f"{path}: must be an integer, got {json.dumps(value)}")
     return int(value)
 
 
 def _number(value, path: str) -> float:
-    """A config float: float() alone would run `true` as 1.0, so booleans are refused."""
-    if isinstance(value, bool):
+    """A config float: float() alone would run `true` as 1.0 and "0.8" as 0.8, so
+    booleans and strings are refused (a measure's `R` reads "inf" before this)."""
+    if isinstance(value, (bool, str)):
         raise ConfigError(f"{path}: must be a number, got {json.dumps(value)}")
     return float(value)
 
 
 def _array(value, path: str) -> np.ndarray:
-    """A config array of floats, each entry read by `_number`: a boolean anywhere in it is refused."""
+    """A config array of floats, each entry read by `_number`: a boolean or a string anywhere in it is refused."""
     return np.asarray([_array(v, path) for v in value] if isinstance(value, list) else _number(value, path))
 
 

@@ -618,11 +618,12 @@ def slabs_contain(slabs, U: np.ndarray) -> np.ndarray:
     return (W @ U.T <= bound[:, None]).all(axis=0)
 
 
-def pivot_slabs(slabs):
+def pivot_slabs(slabs, j: int | None = None):
     """`residual_slabs`' (W, bound) solved for one coordinate u_j, for `slab_sections`.
 
-    j is the column with the largest Σ_k |W_kj| (the first on a tie).  A row
-    with W_kj > 0 bounds u_j above, at (b_k - Σ_{i≠j} W_ki·u_i)/W_kj, and one
+    j is the given column, or the one with the largest Σ_k |W_kj| (the first
+    on a tie).  A row with W_kj > 0 bounds u_j above, at
+    (b_k - Σ_{i≠j} W_ki·u_i)/W_kj, and one
     with W_kj < 0 bounds it below; each such row is divided by W_kj here,
     once.  A row whose quotients are not all finite (W_kj = 0, or so small
     that one overflows) is kept as it is and tests the other coordinates
@@ -631,7 +632,8 @@ def pivot_slabs(slabs):
     from `lower` on the undivided rows.
     """
     W, bound = slabs
-    j = int(np.abs(W).sum(axis=0).argmax())
+    if j is None:
+        j = int(np.abs(W).sum(axis=0).argmax())
     a = W[:, j : j + 1]
     rows = np.column_stack([np.delete(W, j, axis=1), bound])
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):

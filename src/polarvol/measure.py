@@ -10,7 +10,8 @@ including the Monte Carlo samples of `volume`, except the uniforms of a
 parallelepiped chunk: `volume.mc_polar_measure` draws those itself, as
 n uniforms a point, and maps them with `parallelepiped_map`, after
 testing a polytope polar's slabs on them (n - 1 a point, never mapped,
-where it integrates one coordinate exactly).
+where it integrates one coordinate exactly); under a Gaussian it maps
+n - 1 a point to truncated normals with `truncated_normal`.
 """
 
 from __future__ import annotations
@@ -409,6 +410,59 @@ def parallelepiped_map(U: np.ndarray, origin: np.ndarray, edges: np.ndarray) -> 
             for j in range(1, n):
                 col += np.multiply(u[:, j], edges[i, j], out=t)
             col += origin[i]
+    return U
+
+
+SQRT_HALF = math.sqrt(0.5)
+# the open interval that `truncated_normal` hands to ndtri, whose ends are ∓inf
+NDTRI_LO, NDTRI_HI = np.finfo(float).tiny, 1.0 - np.finfo(float).epsneg
+
+
+def normal_interval(center, half):
+    """(mass, start) of each interval [c − h, c + h], h >= 0, of two arrays:
+    its mass Φ(c + h) − Φ(c − h), and start = Φ(a) at the low end of the
+    interval mirrored to [a, b] = [−|c| − h, −|c| + h], on the side of 0
+    where Φ is small, for `truncated_normal`.
+
+    Where the interval straddles 0 (b > 0) the mass is
+    (erf(−a/√2) + erf(b/√2))/2, two terms of one sign, and start is
+    (1 − erf(−a/√2))/2; in the tail the mass is (erfc(−b/√2) − erfc(−a/√2))/2,
+    two values that keep their relative precision there, and start is
+    erfc(−a/√2)/2.  A naive Φ(b) − Φ(a) of a 1e-8-wide interval at 0 loses
+    half its digits.  The tail ends are recomputed as a subset, not through
+    the ufuncs' `where=`, which scipy 1.17.1's erf does not honour (it
+    writes the wrong places).
+    """
+    c = np.abs(center)
+    d = half - c
+    straddle = d > 0
+    xa = c + half
+    xa *= SQRT_HALF
+    xb = np.abs(d, out=d)
+    xb *= SQRT_HALF
+    tail = None if straddle.all() else ~straddle
+    if tail is not None:
+        ta, tb = xa[tail], xb[tail]
+    fa, fb = special.erf(xa, out=xa), special.erf(xb, out=xb)
+    if tail is not None:  # negated, so that (fb + fa)/2 is the mass on both sides
+        fa[tail], fb[tail] = -special.erfc(ta), special.erfc(tb)
+    mass = np.add(fb, fa, out=fb)
+    mass *= 0.5
+    start = np.subtract(straddle, fa, out=fa)
+    start *= 0.5
+    return mass, start
+
+
+def truncated_normal(U: np.ndarray, center, mass, start) -> np.ndarray:
+    """Map uniforms U to the standard normal truncated to [c − h, c + h], in
+    place, from `normal_interval`'s (mass, start): ndtri(start + U·mass) in
+    the mirrored interval, negated back where c > 0.  The argument is
+    clipped into (0, 1), so no draw is infinite."""
+    np.multiply(U, mass, out=U)
+    U += start
+    np.clip(U, NDTRI_LO, NDTRI_HI, out=U)
+    special.ndtri(U, out=U)
+    U *= np.where(np.asarray(center) > 0, -1.0, 1.0)  # exact, and 6 times faster than negative(where=)
     return U
 
 

@@ -6,16 +6,19 @@ over its edges, and the matrix-image support goes through
 `gauge_support` on a fresh `|Y @ A|`.  A polytope polar in its
 parallelepiped P under a constant weight, with slabs left on P, weighs
 each point by the exact length of its section along one coordinate of P,
-written out in `section_lengths`.  The library's chunk kernels must
-reproduce these estimates bit for bit; chunking, merging, radii,
-parallelepipeds, the slabs left on P and masses (which give the radial
-inverse-CDF table its node values) are the library's own, since they are
-not what the kernels change.
+written out in `section_lengths`.  Under a Gaussian, a polytope polar
+weighs each point by Genz's product of normal interval masses, written
+out in `gaussian_weights` on a whole chunk at once.  The library's chunk
+kernels must reproduce these estimates bit for bit; chunking, merging,
+radii, parallelepipeds, the slabs left on P and masses (which give the
+radial inverse-CDF table its node values) are the library's own, since
+they are not what the kernels change.
 """
 
 import math
 
 import numpy as np
+from scipy import special
 
 from polarvol import geom, measure, volume
 
@@ -86,9 +89,67 @@ def section_lengths(W, bound, U):
     return np.maximum(hi - lo, 0.0) * inside
 
 
+def interval_mass(center, half):
+    """(Φ(b) - Φ(a), Φ(a)) for [a, b] = [-|c| - h, -|c| + h], each interval mirrored to
+    the side of 0 where Φ is small: from erf where it straddles 0, from erfc in the tail."""
+    c = np.abs(center)
+    xa, xb = (c + half) * math.sqrt(0.5), np.abs(half - c) * math.sqrt(0.5)
+    straddle = half - c > 0
+    fa = np.where(straddle, special.erf(xa), -special.erfc(xa))
+    fb = np.where(straddle, special.erf(xb), special.erfc(xb))
+    return (fb + fa) * 0.5, (straddle - fa) * 0.5
+
+
+def gaussian_weights(box, sigma, X):
+    """Genz's weight of each column of X, the n - 1 uniforms of a point, for a polytope
+    polar under a Gaussian: ν(R^n) times the normal mass of each coordinate's interval
+    in P's pivoted frame, t_j drawn from the normal truncated to its interval; the last
+    interval is P's last row cut by the slabs left on P."""
+    n = len(box.normals)
+    V = box.normals / box.width[:, None]
+    e = math.frexp(float(np.abs(V).max()))[1]
+    picks, L, _ = geom._pivoted_rows(np.ldexp(V, -e))
+    width, diag = box.width[picks], np.diag(L)
+    scale = np.ldexp(sigma * width * diag, e)
+    center, half = (box.lo[picks] + 0.5 * width) / scale, 0.5 * width / scale
+    M = L / diag[:, None]
+    G = np.ldexp(sigma * (box.slabs[0][:, picks] @ L), e)  # the slabs left on P: G·t <= 1
+    t = []
+    w = measure.total_mass(measure.GaussianLike(sigma, n))
+    for j in range(n):
+        c = np.full(X.shape[1], center[j])
+        for k in range(j):
+            c = c - M[j, k] * t[k]
+        if j < n - 1:
+            mass, start = interval_mass(c, half[j])
+            x = special.ndtri(np.clip(X[j] * mass + start, np.finfo(float).tiny, 1.0 - np.finfo(float).epsneg))
+            t.append(np.where(c > 0, -x, x))
+        elif len(G):
+            own = np.append(M[j, :j], 1.0)
+            a = np.concatenate([G[:, j], [1.0, -1.0]])
+            rest = np.vstack([G[:, :j], own[:j], -own[:j]])
+            bound = np.concatenate([np.ones(len(G)), [center[j] + half[j], half[j] - center[j]]])
+            up, down, flat = a > 0, a < 0, a == 0
+            T = np.array(t).reshape(j, X.shape[1])
+            hi = np.min((bound[up] / a[up])[:, None] - (rest[up] / a[up][:, None]) @ T, axis=0)
+            lo = np.max((bound[down] / a[down])[:, None] - (rest[down] / a[down][:, None]) @ T, axis=0)
+            inside = (rest[flat] @ T <= bound[flat][:, None]).all(axis=0)
+            mass = interval_mass((hi + lo) * 0.5, np.maximum(hi - lo, 0.0) * 0.5)[0] * inside
+        else:
+            mass = interval_mass(c, half[j])[0]
+        w = w * mass
+    return w
+
+
 def mc_polar_measure(body, m, budget, rng):
     """`volume.mc_polar_measure` at one thread, with the kernels above."""
     n = body.dim
+    region = geom.polar_parallelepiped(body)
+    if isinstance(m, measure.GaussianLike) and region is not None and region.slabs is not None:
+        def genz(k, size):
+            return volume._chunk_stats(gaussian_weights(region, m.sigma, rng.chunk_generator(k).random((n - 1, size))))
+
+        return volume.Estimate(*volume._run_chunks(budget, genz, 1), rng.seed)
     try:
         rstar = geom.polar_sampling_radius(body)
     except geom.UnboundedBody:
@@ -97,7 +158,6 @@ def mc_polar_measure(body, m, budget, rng):
         vol_box = geom.unit_ball_volume(n) * rstar ** n
     except OverflowError:
         vol_box = math.inf
-    region = geom.polar_parallelepiped(body)
     slabs = None  # the slabs left on P, where the weight is constant
     if region is not None and region.volume < vol_box:
         vol_box = region.volume

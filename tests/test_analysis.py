@@ -124,7 +124,8 @@ def test_flat_shadow_point_samples_on_its_own_stream():
     assert rep.values[2] == 1.0 / est.value
     assert rep.stderrs[2] == est.stderr / est.value ** 2
     assert np.count_nonzero(rep.stderrs) == 1
-    assert rep.tol == 3.0 * rep.stderrs[2]
+    # shadow's tolerance rule; the R¹ estimate is exact to its 64-ulp floor, below 1e-9·max g
+    assert rep.tol == max(1e-9 * rep.values.max(), 3.0 * rep.stderrs[2])
     assert rep.even and rep.midpoint_convex
 
 

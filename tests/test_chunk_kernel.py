@@ -10,6 +10,9 @@ the mapped points.  Under a constant weight, with slabs left, a point
 weighs the exact length of its section along one coordinate of P: those
 lengths are compared with a fine grid of the slab indicator, and the
 estimates with the exact polytope volumes over a battery of bodies.
+Under a Gaussian, a polytope polar weighs Genz's product of normal
+interval masses: its estimates are calibrated against exact planar
+measures, erf products and the slab test.
 """
 
 import importlib.util
@@ -21,6 +24,7 @@ import numpy as np
 import pytest
 
 import chunk_reference as ref
+from scipy.spatial import ConvexHull
 from scipy.special import gammaincinv
 
 from polarvol import cli, experiments, geom, measure, volume
@@ -35,9 +39,9 @@ HPOLY = geom.HPolytopeBody(GEN.standard_normal((12, 3)), np.ones(12))
 # sum of |W_kj| (5.6 against 5.2 and 5.2), and the rows ±w have 0 there
 FLAT_ROW = geom.MatrixImageBody(np.column_stack([np.eye(3), [0.7, 0.7, 0.0], [0.0, 0.7, 0.7], [0.6, 0.0, 0.6]]),
                                 geom.LqBall(1.0, 6), 0.0)
+SIX_COLUMNS = geom.MatrixImageBody(GEN.standard_normal((3, 6)), geom.LqBall(1.0, 6), 0.0)
 CASES = {
-    "q1_six_columns": (geom.MatrixImageBody(GEN.standard_normal((3, 6)), geom.LqBall(1.0, 6), 0.0),
-                       measure.LebesgueRestricted(math.inf, 3)),
+    "q1_six_columns": (SIX_COLUMNS, measure.LebesgueRestricted(math.inf, 3)),
     "q1_flat_row": (FLAT_ROW, measure.LebesgueRestricted(math.inf, 3)),
     "q2_ball_summand": (geom.MatrixImageBody(GEN.standard_normal((3, 5)), geom.LqBall(2.0, 5), 0.3),
                         measure.GaussianLike(1.0, 3)),
@@ -49,6 +53,11 @@ CASES = {
                          measure.LebesgueRestricted(math.inf, 2)),
     "rank1_gaussian": (RANK1_3D, measure.GaussianLike(1.0, 3)),
     "rank1_power_kernel": (RANK1_2D, measure.PowerKernel(np.array([[0.0, 1.0], [1.0, 2.0]]), 2)),
+    # polytope polars under a Gaussian weigh Genz's product of interval masses
+    "q1_six_columns_gaussian": (SIX_COLUMNS, measure.GaussianLike(0.8, 3)),
+    "q1_flat_row_gaussian": (FLAT_ROW, measure.GaussianLike(1.3, 3)),
+    "line_gaussian": (geom.MatrixImageBody(np.array([[0.5, -1.0, 2.0]]), geom.LqBall(1.0, 3), 0.0),
+                      measure.GaussianLike(0.8, 1)),
 }
 
 
@@ -239,10 +248,10 @@ def test_a_polar_that_is_no_polytope_has_no_slabs(body):
 # a rectangle's polar is the rhombus cut by its two vertex slabs
 RECTANGLE = geom.HPolytopeBody(np.array([[1.0, 0.0], [-1.0, 0.0], [0.0, 1.0], [0.0, -1.0]]),
                                np.array([1.0, 1.0, 2.0, 2.0]))
-# (value, stderr) of each body at every measure and thread count below, as recorded before the
-# certified P went through the section kernel: the chunk means of 65536 copies of the
-# octahedron's |P| round 2 ulps below it
-CERTIFIED = {"octahedron": (OCTAHEDRON, "0x1.8a2345cc04425p+0", "0x1.8a2345cc04425p-46"),
+# (value, stderr) of each body at every measure and thread count below: |P| itself, since a chunk
+# of equal values reads its value (the mean of 65536 copies of the octahedron's |P| rounds 2 ulps
+# below it), and the 64-ulp floor of it
+CERTIFIED = {"octahedron": (OCTAHEDRON, "0x1.8a2345cc04427p+0", "0x1.8a2345cc04427p-46"),
              "rectangle": (RECTANGLE, "0x1.0000000000000p+0", "0x1.0000000000000p-46")}
 
 
@@ -255,7 +264,7 @@ def test_a_certified_parallelepiped_keeps_its_constant_chunks():
         assert box.slabs[0].shape == (0, body.dim)
         want = volume._run_chunks(budget, lambda k, size: volume._chunk_stats(np.full(size, box.volume)))
         assert want == (float.fromhex(value), float.fromhex(stderr), budget)
-        assert want[1] == volume.ROUNDING_FLOOR * want[0] and abs(want[0] - box.volume) <= 2 * math.ulp(box.volume)
+        assert want[1] == volume.ROUNDING_FLOOR * want[0] and want[0] == box.volume
         for R in (math.inf, 2 * geom.polar_sampling_radius(body)):
             m = measure.LebesgueRestricted(R, body.dim)
             for threads in (1, 2):
@@ -301,3 +310,124 @@ def test_section_estimates_are_calibrated_against_exact_volumes():
     assert abs(z.mean()) <= 4 / math.sqrt(K), z.mean()
     assert low <= z.var(ddof=1) <= high, (z.var(ddof=1), low, high)
     assert np.abs(z).max() <= 6, np.abs(z).max()
+
+
+
+def _gaussian_battery():
+    """(body, measure, ν(K°)) of the Gaussian calibration battery, at pinned seeds: four
+    planar D_2 sets at each N = 3..8 and twelve H-polygons with 0 inside (three normals
+    at 120° positively span, so each is bounded), whose polygon polars `_polygon_measures`
+    measures exactly.  σ runs over 0.5, 1 and 2, so intervals narrow and wide against σ
+    are drawn."""
+    out = []
+    sigmas = (0.5, 1.0, 2.0)
+    for N in range(3, 9):
+        for k in range(4):
+            pts = measure.sample_density(measure.UniformBodyDensity("Dn", 2), RngStream(43, 10 * N + k), N)
+            m = measure.GaussianLike(sigmas[(N + k) % 3], 2)
+            _, V, counts = volume._planar_polar_vertices(pts[None])
+            out.append((geom.MatrixImageBody(pts.T, geom.LqBall(1.0, N), 0.0), m,
+                        volume._polygon_measures(m, V, counts)[0]))
+    for k in range(12):
+        gen = RngStream(43, 500 + k).generator()
+        angles = np.concatenate([gen.uniform(0, 2 * math.pi) + np.array([0, 2, 4]) * math.pi / 3,
+                                 gen.uniform(0, 2 * math.pi, 2 + k % 4)])
+        normals = np.column_stack([np.cos(angles), np.sin(angles)])
+        body = geom.HPolytopeBody(normals, gen.uniform(0.5, 1.5, len(normals)))
+        dual = normals / body.offsets[:, None]  # K° = conv{a_i/b_i}: its hull, counterclockwise
+        V = dual[ConvexHull(dual).vertices]
+        m = measure.GaussianLike(sigmas[k % 3], 2)
+        out.append((body, m, volume._polygon_measures(m, V, np.array([len(V)]))[0]))
+    return out
+
+
+def _misses_a_tail(m, exact):
+    """Whether K° holds all of ν(R^n) but a part below 1e-9 of it."""
+    return exact > (1 - 1e-9) * measure.total_mass(m)
+
+
+def test_gaussian_sections_are_calibrated_against_exact_measures():
+    # z = (estimate - ν(K°))/stderr over the K bodies of the battery, polytope polars whose
+    # P has rows that are not orthogonal (four are P itself), so their chunks vary: the mean
+    # z lies within 4/sqrt(K), the sample variance of z in the central 0.999 of
+    # chi²_(K-1)/(K-1), and no |z| exceeds 6.  The one body whose K° misses less than 1e-9
+    # of ν(R²) is left to the test below
+    zs = []
+    for i, (body, m, exact) in enumerate(_gaussian_battery()):
+        if not _misses_a_tail(m, exact):
+            est = volume.mc_polar_measure(body, m, 1 << 15, RngStream(44, i))
+            zs.append((est.value - exact) / est.stderr)
+    z, K = np.array(zs), len(zs)
+    low, high = (2 * gammaincinv((K - 1) / 2, p) / (K - 1) for p in (0.0005, 0.9995))
+    assert K == 35
+    assert abs(z.mean()) <= 4 / math.sqrt(K), z.mean()
+    assert low <= z.var(ddof=1) <= high, (z.var(ddof=1), low, high)
+    assert np.abs(z).max() <= 6, np.abs(z).max()
+
+
+@pytest.mark.xfail(strict=True, reason="the sample stderr misses draws rarer than 1 in the budget")
+def test_gaussian_sections_stderr_holds_where_the_polar_misses_only_a_tail():
+    # K° misses 1.6e-11 of ν(R²) (σ = 0.5): the weights vary by the last interval's tails, and
+    # their variance comes from first coordinates near 4 in units of σ, about 1 draw in 30 000.
+    # At 2^15 draws the sample stderr read 8.6e-14 where quadrature over the first coordinate
+    # gives 1.2e-12, and the estimate, off by 4.5e-13, read z = 5.2
+    body, m, exact = next((b, m, e) for b, m, e in _gaussian_battery() if _misses_a_tail(m, e))
+    est = volume.mc_polar_measure(body, m, 1 << 15, RngStream(44, 3))
+    assert abs(est.value - exact) <= 4 * est.stderr
+
+
+def _rotation(n, seed):
+    return np.linalg.qr(RngStream(45, seed).generator().standard_normal((n, n)))[0]
+
+
+# K = conv{±x_i} for n orthogonal x_i: K° is the box |<x_i, y>| <= 1, of Gaussian measure
+# Π_i σ√(2π)·erf(1/(|x_i|σ√2)); and three columns on a line in R¹, K° = [-w, w], w = 1/max |x_i|
+PRODUCT_BODIES = {
+    f"box_n{n}_{k}": (geom.MatrixImageBody(_rotation(n, 10 * n + k) * scales, geom.LqBall(1.0, n), 0.0),
+                      measure.GaussianLike(sigma, n))
+    for n, k, scales, sigma in [(3, 0, [0.3, 1.0, 2.5], 1.0), (3, 1, [0.1, 0.2, 4.0], 0.7),
+                                (4, 0, [0.5, 0.5, 1.5, 3.0], 1.3), (4, 1, [0.05, 1.0, 1.0, 9.0], 0.4)]
+} | {
+    f"line_{k}": (geom.MatrixImageBody(np.array([cols]), geom.LqBall(1.0, 3), 0.0), measure.GaussianLike(sigma, 1))
+    for k, (cols, sigma) in enumerate([([0.5, -1.0, 2.0], 0.8), ([1e-3, 0.02, -0.01], 3.0), ([9.0, 1.0, 0.0], 0.2)])
+}
+
+
+@pytest.mark.parametrize("name", PRODUCT_BODIES)
+def test_gaussian_sections_of_a_product_polar_are_exact(name):
+    # every interval is fixed, whatever the draws: the estimate is the product of the
+    # interval masses to within its 64-ulp floor, at 1 and 2 threads over a partial last chunk
+    body, m = PRODUCT_BODIES[name]
+    w = 1 / np.linalg.norm(body.matrix, axis=0) if body.dim > 1 else [1 / np.abs(body.matrix).max()]
+    exact = math.prod(m.sigma * math.sqrt(2 * math.pi) * math.erf(x / (m.sigma * math.sqrt(2))) for x in w)
+    for threads in (1, 2):
+        est = volume.mc_polar_measure(body, m, volume.CHUNK + 999, RngStream(46, 0), threads)
+        assert est.stderr == volume.ROUNDING_FLOOR * est.value
+        assert abs(est.value - exact) <= est.stderr, (est.value, exact)
+
+
+def _slab_test(body, m, budget, rng):
+    """The slab test under a Gaussian, written out: n uniforms a point in P, weighing
+    |P|·exp(-|y|²/2σ²) where they satisfy P's slabs."""
+    box = geom.polar_parallelepiped(body)
+
+    def worker(k, size):
+        U = rng.chunk_generator(k).random((size, body.dim))
+        inside = geom.slabs_contain(box.slabs, U)
+        Y = measure.parallelepiped_map(U, box.origin, box.edges)
+        return volume._chunk_stats(box.volume * np.exp(-(Y * Y).sum(axis=1) / (2 * m.sigma ** 2)) * inside)
+
+    return volume.Estimate(*volume._run_chunks(budget, worker), rng.seed)
+
+
+@pytest.mark.parametrize("n", [3, 4, 5])
+def test_gaussian_sections_agree_with_the_slab_test(n):
+    # D_n images, N = 2n, radii scaled by 3 so that P is small against σ = 1: the two
+    # unbiased estimators of ν(K°) agree within 4 combined stderr at 2^20 samples each
+    for k in range(2):
+        pts = 3 * measure.sample_density(measure.UniformBodyDensity("Dn", n), RngStream(47, 10 * n + k), 2 * n)
+        body, m = geom.MatrixImageBody(pts.T, geom.LqBall(1.0, 2 * n), 0.0), measure.GaussianLike(1.0, n)
+        genz = volume.mc_polar_measure(body, m, 1 << 20, RngStream(48, k), 2)
+        slab = _slab_test(body, m, 1 << 20, RngStream(49, k))
+        assert abs(genz.value - slab.value) <= 4 * math.hypot(genz.stderr, slab.stderr), (genz, slab)
+        assert genz.stderr < slab.stderr

@@ -499,6 +499,19 @@ BAD_VALUES = [
     pytest.param("centroid", {"n": 2, "p": True, "law": {"kind": "uniform_cube"},
                               "measure": {"kind": "gaussian", "sigma": 1.0}, "budget": 100, "seed": 1},
                  id="centroid-p-true"),
+    # float() and int() ran a numeric string as its number: sigma "0.8" with budget "5000" PASSed
+    pytest.param("polar-volume", dict(PV_BALL, measure={"kind": "gaussian", "sigma": "0.8"}, budget="5000"),
+                 id="polar-volume-sigma-budget-strings"),
+    pytest.param("polar-volume", dict(PV_BALL, measure={"kind": "gaussian", "sigma": "0.8"}),
+                 id="polar-volume-sigma-string"),
+    pytest.param("polar-volume", dict(PV_BALL, budget="5000"), id="polar-volume-budget-string"),
+    pytest.param("polar-volume", dict(PV_IMAGE3, seed="3"), id="polar-volume-seed-string"),
+    pytest.param("polar-volume", dict(PV_IMAGE3, measure={"kind": "lebesgue_ball", "R": "1.5"}),
+                 id="polar-volume-R-string"),
+    pytest.param("polar-volume", dict(PV_FLAT, body=dict(PV_FLAT["body"], columns=[["1.0", 0, 0]])),
+                 id="polar-volume-columns-string"),
+    pytest.param("santalo", dict(BASE, N="4"), id="santalo-N-string"),
+    pytest.param("converge", {"n": 2, "seed": 2, "schedule": [8, "16"]}, id="converge-schedule-string"),
 ]
 
 

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy import integrate, stats
+from scipy.special import ndtr
 
 from polarvol import measure
 from polarvol.geom import unit_ball_volume
@@ -453,3 +454,32 @@ def test_check_condnu2_matches_the_loop(m):
     step = max(knots[-1], 1.0)
     t = np.sort(np.concatenate([knots, 0.5 * (knots[1:] + knots[:-1]), knots[-1] + step * np.array([1.0, 2.0])]))
     assert measure.check_condnu2(m)["condnu2"] == condnu2_by_loop(t.tolist(), m.k_eval(t).tolist())
+
+
+# (center, half-width, closed form of Φ(c + h) - Φ(c - h)): [-h, h] has mass erf(h/√2), and the
+# tail [6, 7], or its mirror [-7, -6], (erfc(6/√2) - erfc(7/√2))/2
+NORMAL_INTERVALS = [(0.0, h, math.erf(h / math.sqrt(2))) for h in (1e-9, 1e-3, 1.0, 8.0)] + [
+    (c, 0.5, (math.erfc(6 / math.sqrt(2)) - math.erfc(7 / math.sqrt(2))) / 2) for c in (6.5, -6.5)]
+
+
+@pytest.mark.parametrize("center,half,want", NORMAL_INTERVALS)
+def test_normal_interval_masses_keep_their_relative_precision(center, half, want):
+    # a naive ndtr(b) - ndtr(a) is 3.9e-8 off on the 1e-9 interval and 2.9e-9 on the tail
+    got = measure.normal_interval(np.array([center]), half)[0]
+    assert got.shape == (1,) and abs(got[0] - want) <= 1e-14 * want
+
+
+@pytest.mark.parametrize("center,half,want", NORMAL_INTERVALS)
+def test_truncated_normal_draws_land_at_their_mass_fraction(center, half, want):
+    # the draw at uniform u has Φ(t) = Φ(a) + u·mass in the interval mirrored to [a, b] =
+    # [-|c| - h, -|c| + h], where Φ is small, and is negated back where c > 0; u = 0 and u = 1
+    # (the argument clipped into (0, 1)) give finite draws
+    c = np.full(6, center)
+    mass, start = measure.normal_interval(c, half)
+    U = np.array([0.0, 0.25, 0.5, 0.75, 1.0 - 2 ** -53, 1.0])
+    t = measure.truncated_normal(U.copy(), c, mass, start)
+    assert np.isfinite(t).all()
+    assert (np.diff(t) >= 0).all() if center <= 0 else (np.diff(t) <= 0).all()
+    mirrored = -t if center > 0 else t
+    target = ndtr(-abs(center) - half) + U * want
+    assert (np.abs(ndtr(mirrored) - target) <= 1e-12 * target + 4e-16).all()

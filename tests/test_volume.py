@@ -671,6 +671,23 @@ def test_rank_one_gaussian_image_matches_the_slab_closed_form(n, q, sigma, seed)
     assert abs(est.value - want) <= 4 * est.stderr
 
 
+def test_rank_one_image_whose_draws_all_hit_reads_its_closed_form():
+    # columns s·u with max |s| = 0.368 under σ = 0.7 in R⁴: the slab |<u, y>| <= 2.72 holds all
+    # but 1e-4 of the mass, and the mass branch once read 9.478768 ± 1.35e-13 (z = 7e9) on
+    # one stream in 8, no draw having missed K°.  In R¹ every factor of the Gaussian
+    # sections is a constant: each stream reads the closed form to its 64-ulp floor
+    gen = RngStream(16, 7).generator()
+    u = gen.standard_normal(4)
+    u /= np.linalg.norm(u)
+    s = gen.uniform(-1.5, 1.5, 4)
+    body, m = geom.MatrixImageBody(np.outer(u, s), geom.LqBall(1.0, 4), 0.0), measure.GaussianLike(0.7, 4)
+    want = (2 * math.pi * 0.49) ** 2 * math.erf(1 / (np.abs(s).max() * 0.7 * math.sqrt(2)))
+    assert want == pytest.approx(9.477775, abs=1e-6)
+    for k in range(8):
+        est = volume.polar_measure(body, m, 20_000, RngStream(16, k))
+        assert abs(est.value - want) <= 4 * est.stderr, k
+
+
 def test_rank_two_cross_image_in_space_is_its_planar_polygon():
     # a q = 1 image in a rotated plane of R³: K_V° is a polygon, which the exact branch measures
     planar = np.array([[1.0, 0.3, -0.5, 0.2], [0.1, 0.8, 0.4, -0.6]])
