@@ -43,9 +43,7 @@ __all__ = [
     "Parallelepiped",
     "polar_parallelepiped",
     "residual_slabs",
-    "slabs_contain",
     "pivot_slabs",
-    "slab_sections",
     "hausdorff_estimate",
     "unit_ball_volume",
 ]
@@ -611,15 +609,8 @@ def residual_slabs(box: Parallelepiped, rows: np.ndarray):
     return W[keep], 1.0 - c[keep]
 
 
-def slabs_contain(slabs, U: np.ndarray) -> np.ndarray:
-    """Whether each row u of a (size, n) array satisfies W·u <= bound, for
-    `residual_slabs`' (W, bound): one (m, size) product, one threshold a row."""
-    W, bound = slabs
-    return (W @ U.T <= bound[:, None]).all(axis=0)
-
-
 def pivot_slabs(slabs, j: int | None = None):
-    """`residual_slabs`' (W, bound) solved for one coordinate u_j, for `slab_sections`.
+    """`residual_slabs`' (W, bound) solved for one coordinate u_j, for `volume._sections`.
 
     j is the given column, or the one with the largest Σ_k |W_kj| (the first
     on a tie).  A row with W_kj > 0 bounds u_j above, at
@@ -642,25 +633,6 @@ def pivot_slabs(slabs, j: int | None = None):
     up, down = (a[:, 0] > 0) & ~flat, (a[:, 0] < 0) & ~flat
     C = np.concatenate([scaled[up], scaled[down], rows[flat]])
     return C[:, :-1], C[:, -1], int(up.sum()), int(up.sum() + down.sum())
-
-
-def slab_sections(pivoted, U: np.ndarray) -> np.ndarray:
-    """The length of {u_j ∈ [0, 1) : W·u <= bound} at each row of a (size, n - 1)
-    array of the other coordinates, for `pivot_slabs`' (C, b, upper, lower).
-
-    With T = b - C·u one (m, size) product, the length is
-    max(0, min(1, hi) - max(0, lo)), hi the least T of the upper rows and lo
-    the greatest of the lower rows, and 0 where an undivided row has T < 0.
-    """
-    C, b, upper, lower = pivoted
-    T = C @ U.T
-    np.subtract(b[:, None], T, out=T)
-    length = T[:upper].min(axis=0, initial=1.0)
-    length -= T[upper:lower].max(axis=0, initial=0.0)
-    np.maximum(length, 0.0, out=length)
-    if lower < len(T):
-        length[(T[lower:] < 0).any(axis=0)] = 0.0
-    return length
 
 
 def hausdorff_estimate(a: Body, b: Body) -> float:

@@ -393,9 +393,8 @@ def parallelepiped_map(U: np.ndarray, origin: np.ndarray, edges: np.ndarray) -> 
     out, and column i is Σ_j edges[i, j]·u_j + origin_i, summed in j order
     through one scratch column.  So a chunk needs no second (size, n)
     buffer, and no BLAS call touches the points, which do not depend on the
-    BLAS build or its threads.  `volume.mc_polar_measure` tests a polytope
-    polar's slabs on the uniforms first and maps them only when its weight
-    needs |y|.
+    BLAS build or its threads.  `volume.mc_polar_measure` maps a chunk of
+    P's uniforms here before it tests them with `polar_contains`.
     """
     n = len(origin)
     block = np.empty((min(len(U), SCRATCH_ROWS), n))

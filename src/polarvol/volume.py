@@ -12,13 +12,11 @@ take those polytope volumes in every n >= 2.
 Monte Carlo runs are chunked into fixed 2^16-sample blocks, chunk k
 drawing from stream sub-key k, and merged in chunk order; the result is
 bit-identical for a given (seed, stream, budget) no matter how many
-workers execute the chunks.  `mc_polar_measure` picks one of four chunk
-kernels per call: draw a point and test it with `polar_contains`; for a
-polytope polar in its slab parallelepiped P under a constant weight, the
-exact length of a point's section of K° along one coordinate of P; under
-a weight of |y|, a test of the slabs that P does not already satisfy, in
-P's own coordinates; and under a Gaussian, Genz's separation of
-variables, a product of normal interval masses.
+workers execute the chunks.  `mc_polar_measure` picks one of two chunk
+kernels per call: draw a point and test it with `polar_contains`; or, for
+a polytope polar in its slab parallelepiped P under a constant weight or a
+Gaussian, Genz's separation of variables, a product of interval masses
+whose last factor integrates one coordinate exactly.
 """
 
 from __future__ import annotations
@@ -50,8 +48,6 @@ from .geom import (
     polar_parallelepiped,
     pivot_slabs,
     row_norms,
-    slab_sections,
-    slabs_contain,
     spans,
     unit_ball_volume,
 )
@@ -149,63 +145,46 @@ def mc_polar_measure(
     """Monte Carlo estimate of ν(K°) with its standard error.
 
     Under a Gaussian, a polytope polar (a body whose parallelepiped P of
-    `polar_parallelepiped` carries `slabs`) takes kernel 4 below, whatever
-    the rest of this rule would pick.  Otherwise two regions can hold K°:
-    the ball R*·B, R* of `polar_bounding_radius` (inf when K° is unbounded
-    or a support oracle carries no inradius), and P, cut from n of the
-    body's own slabs (a matrix image whose columns span R^n, an H-polytope
-    with 0 inside).  The one with the smaller volume V is sampled (the
-    ball on a tie).  When ν(R^n) is finite and ρ(0)·V >= ν(R^n), Y ~
-    ν/ν(R^n) weighs the total mass; otherwise Y is uniform in the region
-    and weighs ρ(|Y|)·V, the constant V under Lebesgue measure with R
-    above R*, since K° ⊂ R*·B.  Both are unbiased, and the rule picks the
-    smaller second-moment bound: ν(R^n)·ν(K°) against ρ(0)·V·ν(K°).  A
-    ball volume that overflows counts as >= ν(R^n); with infinite mass as
-    well no estimator applies, and the call refuses.
+    `polar_parallelepiped` carries `slabs`) takes the sections kernel
+    below, whatever the rest of this rule would pick.  Otherwise two
+    regions can hold K°: the ball R*·B, R* of `polar_bounding_radius`
+    (inf when K° is unbounded or a support oracle carries no inradius),
+    and P, cut from n of the body's own slabs (a matrix image whose
+    columns span R^n, an H-polytope with 0 inside).  The one with the
+    smaller volume V is sampled (the ball on a tie).  When ν(R^n) is
+    finite and ρ(0)·V >= ν(R^n), Y ~ ν/ν(R^n) weighs the total mass;
+    otherwise Y is uniform in the region and weighs ρ(|Y|)·V, the
+    constant V under Lebesgue measure with R above R*, since K° ⊂ R*·B.
+    Both are unbiased, and the rule picks the smaller second-moment bound:
+    ν(R^n)·ν(K°) against ρ(0)·V·ν(K°).  A ball volume that overflows
+    counts as >= ν(R^n); with infinite mass as well no estimator applies,
+    and the call refuses.
 
-    One of four chunk kernels is picked per call:
-    1. Draw and test: Y from the mass sampler, in the ball, or in a P
-       without `slabs` (n uniforms u mapped to origin + edges·u) weighs
-       its weight times `polar_contains`.
-    2. Sections: a polytope polar in P under a constant weight V
-       integrates one coordinate u_j exactly, the last step of Genz's
-       separation of variables (Genz 1992).  `pivot_slabs` picks j, the
-       column of P's `slabs` with the largest Σ_k |W_kj|, once a call; a
-       point is the n - 1 other uniforms and weighs V times the length of
-       {u_j ∈ [0, 1) : W·u <= bound} (`slab_sections`), which is
-       E[V·1{u ∈ K°} | the others]: unbiased, with a per-sample variance
-       3.9 times lower on the benchmark's six-column image and a median 4
-       to 7 times lower over random D_n images in n = 3 to 5.  A certified
-       P (no slabs left) has every section 1: each point weighs V.
-    3. Slab test: a polytope polar in P under a weight of |y| (Lebesgue
-       measure with R <= R*, or a PowerKernel) tests P's `slabs` on the n
-       uniforms, then maps them in place for the weight.  It rounds
-       differently from `polar_contains` on the mapped points only within
-       a few ulps of a face of K° or of a dropped slab, which a draw meets
-       with probability near 1e-15.
-    4. Gaussian sections: a polytope polar under a Gaussian, by Genz's
-       separation of variables in full (`_gaussian_sections`): n - 1
-       uniforms a point, mapped to truncated normals, weigh a product of
-       normal interval masses.  Where P's rows are orthogonal and no slab
-       is left, and in R¹, every factor is a constant, and the estimate is
-       exact up to rounding.
+    One of two chunk kernels is picked per call:
+    1. Draw and test: Y from the mass sampler, in the ball, or in P (n
+       uniforms u mapped in place to origin + edges·u) weighs its weight
+       times `polar_contains`.
+    2. Sections (`_sections`): a polytope polar in P under a constant
+       weight V, or under a Gaussian, by Genz's separation of variables
+       (Genz 1992): n - 1 uniforms a point, and the last coordinate
+       integrated exactly.
     The stderr is at least 64 ulps of the value (`ROUNDING_FLOOR`): where
     the region is K° and the weight is constant, the estimate is exact up
     to rounding.  A budget below 2 is refused (`_run_chunks`).
     """
     if body.dim != m.dim:
         raise EstimationError("body and measure dimensions differ")
-    box = polar_parallelepiped(body)
-    if isinstance(m, GaussianLike) and box is not None and box.slabs is not None:
-        kernel = _gaussian_sections(box, m)
-    else:
-        kernel = _region_kernel(body, m, box)
+    kernel = _kernel(body, m)
     worker = lambda k, size: _chunk_stats(kernel(rng.chunk_generator(k), size))
     return Estimate(*_run_chunks(budget, worker, threads), rng.seed)
 
 
-def _region_kernel(body: Body, m: RadialMeasure, box):
-    """Kernels 1 to 3 of `mc_polar_measure`, `kernel(gen, size)`, by its region and mass rule."""
+def _kernel(body: Body, m: RadialMeasure):
+    """`mc_polar_measure`'s chunk kernel, `kernel(gen, size)`, by its rule: draw and
+    test, or `_sections`."""
+    box = polar_parallelepiped(body)
+    if isinstance(m, GaussianLike) and box is not None and box.slabs is not None:
+        return _sections(box, m)
     n = body.dim
     rstar = polar_bounding_radius(body)
     try:
@@ -221,11 +200,6 @@ def _region_kernel(body: Body, m: RadialMeasure, box):
         Y = draw(gen, size)
         return weight(Y) * polar_contains(body, Y)
 
-    def slab_test(gen, size):
-        U = gen.random((size, n))
-        inside = slabs_contain(box.slabs, U)  # before the map, which overwrites U
-        return weight(measure.parallelepiped_map(U, box.origin, box.edges)) * inside
-
     mass = total_mass(m)
     if math.isfinite(mass) and float(rho_eval(m, 0.0)) * vol_box >= mass:
         draw, weight = measure.radial_sampler(m), lambda Y: mass
@@ -237,58 +211,77 @@ def _region_kernel(body: Body, m: RadialMeasure, box):
         )
     # every Y in K° has |Y| <= R* up to a few ulps, so ρ(|Y|) = 1 where the indicator is not 0
     constant = isinstance(m, LebesgueRestricted) and m.R > rstar * (1.0 + 1e-12)
+    if constant and box is not None and box.slabs is not None:
+        return _sections(box, m)
     weight = (lambda Y: vol_box) if constant else (lambda Y: vol_box * rho_eval(m, row_norms(Y)))
     if box is None:
         draw = lambda gen, size: measure.ball_points([gen], size, n, rstar)[0]
-    elif box.slabs is None:
-        draw = lambda gen, size: measure.parallelepiped_map(gen.random((size, n)), box.origin, box.edges)
-    elif constant:
-        pivoted = pivot_slabs(box.slabs)
-        return lambda gen, size: vol_box * slab_sections(pivoted, gen.random((size, n - 1)))
     else:
-        return slab_test
+        draw = lambda gen, size: measure.parallelepiped_map(gen.random((size, n)), box.origin, box.edges)
     return draw_and_test
 
 
-def _gaussian_sections(box: Parallelepiped, m: GaussianLike):
-    """Kernel 4 of `mc_polar_measure`, `kernel(gen, size)`: the Gaussian measure
-    of a polytope K° inside its P, by separation of variables (Genz 1992;
-    Genz and Bretz 2009).
+def _sections(box: Parallelepiped, m: RadialMeasure):
+    """`mc_polar_measure`'s sections kernel, `kernel(gen, size)`: ν(K°) of a
+    polytope K° inside its P by separation of variables (Genz 1992; Genz
+    and Bretz 2009), under a Gaussian m, or under any other m the uniform
+    law in P, each point weighing |P| (a constant weight).
 
-    P's rows divided by their widths are 2^e·L·Q (`_pivoted_rows`, no
-    LAPACK call), L lower triangular and Q orthogonal.  With y = σ·Qᵀt, t
+    The law's n coordinates each have an interval that the earlier ones
+    move.  Uniform: u, P's own coordinates, every interval [0, 1) of mass
+    1; the coordinate u_j integrated last is the column of the slabs left
+    on P with the largest Σ_k |W_kj| (`pivot_slabs`).  Gaussian: P's rows
+    divided by their widths are 2^e·L·Q (`_pivoted_rows`, no LAPACK
+    call), L lower triangular and Q orthogonal.  With y = σ·Qᵀt, t
     standard normal in R^n, row j of P bounds t_j to [c_j − h_j, c_j + h_j]
-    less Σ_{k<j} (L_jk/L_jj)·t_k, and the rows of K° that P does not
-    satisfy, W·u <= bound in P's coordinates, read G·t <= 1 with
-    G = 2^e·σ·W·L.  ν(K°) = (2πσ²)^{n/2}·E[1{t ∈ K°}], and a point's
-    n − 1 uniforms draw t_1 … t_{n−1} in turn from the normal truncated
-    to its interval (`measure.truncated_normal`), each interval's mass
-    (`measure.normal_interval`) a factor of the weight.  The last
-    coordinate is not drawn: given the others, P's last row and every row
-    of G bound it, so its factor is the mass of the interval they leave,
-    after `pivot_slabs` splits them once a call into upper, lower and
-    undivided rows and one (rows, size) product evaluates them, as in
-    `slab_sections`.  The weight is E[ν(R^n)·1{t ∈ K°} | the draws]:
-    unbiased.  The first interval is a constant, computed once a call,
-    and at n = 1 so is the weight: no uniform is drawn.  A chunk works in
-    blocks of SCRATCH_ROWS points, which stay in cache.
+    less Σ_{k<j} (L_jk/L_jj)·t_k, the slabs left on P read G·t <= 1 with
+    G = 2^e·σ·W·L, and ν(K°) = (2πσ²)^{n/2}·E[1{t ∈ K°}].
+
+    A point's n − 1 uniforms draw the earlier coordinates in turn: the
+    uniform itself, or the normal truncated to its interval
+    (`measure.truncated_normal`), whose mass (`measure.normal_interval`)
+    is a factor of the weight.  The last coordinate is not drawn.  Given
+    the others, the slabs left (and under a Gaussian P's last row) bound
+    it, and its factor is the mass of the interval they leave.
+    `pivot_slabs` splits those rows once a call into upper, lower and
+    undivided ones; one (rows, size) product T = b − C·t gives hi, the
+    least upper bound, and lo, the greatest lower one.  The mass is
+    max(0, min(1, hi) − max(0, lo)), P's own [0, 1) standing in for rows,
+    or Φ(hi) − Φ(lo); it is 0 where an undivided row has T < 0.  Under a
+    Gaussian with no slab left, P's last row alone bounds t_n.  The weight
+    is E[ν(R^n)·1{t ∈ K°} | the draws], |P| in place of ν(R^n) under the
+    uniform law: unbiased.
+
+    The first interval's factor is folded into the base weight once a
+    call.  Where no factor varies (R¹, or a certified P under the uniform
+    law, whose every section is [0, 1)) the weight is computed once and
+    no uniform is drawn.  A chunk works in blocks of SCRATCH_ROWS points,
+    which stay in cache.
     """
     n = len(box.normals)
     last = n - 1
-    V = box.normals / box.width[:, None]
-    e = math.frexp(float(np.abs(V).max()))[1]  # 2^-e·V is of unit scale, exactly: no square overflows
-    picks, L, _ = _pivoted_rows(np.ldexp(V, -e))
-    width, diag = box.width[picks], np.diag(L)
-    scale = np.ldexp(m.sigma * width * diag, e)
-    center, half = (box.lo[picks] + 0.5 * width) / scale, 0.5 * width / scale
-    M = L / diag[:, None]
-    G = np.ldexp(m.sigma * (box.slabs[0][:, picks] @ L), e)
-    own = np.append(M[last, :last], 1.0)  # P's last row in t: |own·t − c| <= h
-    rows = np.vstack([G, own, -own])
-    bound = np.concatenate([np.ones(len(G)), [center[last] + half[last], half[last] - center[last]]])
-    C, b, upper, lower = pivot_slabs((rows, bound), last)
-    mass0, start0 = measure.normal_interval(center[:1], half[:1])
-    base = total_mass(m)
+    gaussian = isinstance(m, GaussianLike)
+    if gaussian:
+        V = box.normals / box.width[:, None]
+        e = math.frexp(float(np.abs(V).max()))[1]  # 2^-e·V is of unit scale, exactly: no square overflows
+        picks, L, _ = _pivoted_rows(np.ldexp(V, -e))
+        width, diag = box.width[picks], np.diag(L)
+        scale = np.ldexp(m.sigma * width * diag, e)
+        center, half = (box.lo[picks] + 0.5 * width) / scale, 0.5 * width / scale
+        M = L / diag[:, None]
+        G = np.ldexp(m.sigma * (box.slabs[0][:, picks] @ L), e)
+        own = np.append(M[last, :last], 1.0)  # P's last row in t: |own·t − c| <= h
+        rows = np.vstack([G, own, -own])
+        bound = np.concatenate([np.ones(len(G)), [center[last] + half[last], half[last] - center[last]]])
+        C, b, upper, lower = pivot_slabs((rows, bound), last)
+        top, bottom = math.inf, -math.inf  # P's last row is among the rows
+        base = total_mass(m)
+        mass0, start0 = measure.normal_interval(center[:1], half[:1])
+        first = base * mass0
+    else:
+        C, b, upper, lower = pivot_slabs(box.slabs)
+        top, bottom = 1.0, 0.0  # u_j ∈ [0, 1)
+        base = first = box.volume
 
     def shifted(j, t):
         """P's center for coordinate j given the earlier ones, c_j − Σ_{k<j} (L_jk/L_jj)·t_k."""
@@ -301,20 +294,21 @@ def _gaussian_sections(box: Parallelepiped, m: GaussianLike):
 
     def last_mass(t):
         """The last coordinate's factor, given the others t (a row each)."""
-        if not len(G):  # P's last row alone
+        if gaussian and not len(G):  # P's last row alone
             return measure.normal_interval(shifted(last, t), half[last])[0]
         T = C @ t
         np.subtract(b[:, None], T, out=T)
-        hi, lo = T[:upper].min(axis=0), T[upper:lower].max(axis=0)
-        mass = measure.normal_interval((hi + lo) * 0.5, np.maximum(hi - lo, 0.0) * 0.5)[0]
+        hi, lo = T[:upper].min(axis=0, initial=top), T[upper:lower].max(axis=0, initial=bottom)
+        mass = np.maximum(hi - lo, 0.0)
+        if gaussian:
+            mass = measure.normal_interval((hi + lo) * 0.5, mass * 0.5)[0]
         if lower < len(T):
             mass[(T[lower:] < 0).any(axis=0)] = 0.0
         return mass
 
-    if n == 1:  # every factor is a constant: no uniform is drawn
-        weight = float(base * last_mass(np.empty((0, 1)))[0])
+    if not last or not (gaussian or len(C)):  # no factor varies: no uniform is drawn
+        weight = float(base * last_mass(np.empty((last, 1)))[0])
         return lambda gen, size: np.full(size, weight)
-    first = base * mass0
 
     def kernel(gen, size):
         X = gen.random((last, size))  # a row per coordinate
@@ -322,13 +316,14 @@ def _gaussian_sections(box: Parallelepiped, m: GaussianLike):
         for s in range(0, size, SCRATCH_ROWS):
             t = X[:, s : s + SCRATCH_ROWS]
             w = out[s : s + t.shape[1]]
-            measure.truncated_normal(t[0], center[0], mass0, start0)
             w[:] = first
-            for j in range(1, last):
-                c = shifted(j, t)
-                mass, start = measure.normal_interval(c, half[j])
-                w *= mass
-                measure.truncated_normal(t[j], c, mass, start)
+            if gaussian:
+                measure.truncated_normal(t[0], center[0], mass0, start0)
+                for j in range(1, last):
+                    c = shifted(j, t)
+                    mass, start = measure.normal_interval(c, half[j])
+                    w *= mass
+                    measure.truncated_normal(t[j], c, mass, start)
             w *= last_mass(t)
         return out
 

@@ -6,9 +6,11 @@ over its edges, and the matrix-image support goes through
 `gauge_support` on a fresh `|Y @ A|`.  A polytope polar in its
 parallelepiped P under a constant weight, with slabs left on P, weighs
 each point by the exact length of its section along one coordinate of P,
-written out in `section_lengths`.  Under a Gaussian, a polytope polar
-weighs each point by Genz's product of normal interval masses, written
-out in `gaussian_weights` on a whole chunk at once.  The library's chunk
+written out in `section_lengths`; `slabs_contain` is the indicator of
+K° on P's uniforms, which `polar_contains` must equal on the mapped
+points.  Under a Gaussian, a polytope polar weighs each point by Genz's
+product of normal interval masses, written out in `gaussian_weights` on
+a whole chunk at once.  The library's chunk
 kernels must reproduce these estimates bit for bit; chunking, merging,
 radii, parallelepipeds, the slabs left on P and masses (which give the
 radial inverse-CDF table its node values) are the library's own, since
@@ -75,6 +77,13 @@ def support_values(body, Y):
     if isinstance(body, geom.HPolytopeBody):
         return (Y @ body.vertices.T).max(axis=1)
     return np.asarray(body.evaluator(Y), dtype=float)
+
+
+def slabs_contain(slabs, U):
+    """Whether each row u of U satisfies W·u <= bound, for `geom.residual_slabs`' (W, bound):
+    the indicator of K° on the uniforms of P, one (m, size) product."""
+    W, bound = slabs
+    return (W @ U.T <= bound[:, None]).all(axis=0)
 
 
 def section_lengths(W, bound, U):
@@ -176,7 +185,7 @@ def mc_polar_measure(body, m, budget, rng):
 
     def worker(k, size):
         if slabs is not None and len(slabs[0]):
-            U = rng.chunk_generator(k).random((size, n - 1))
+            U = rng.chunk_generator(k).random((n - 1, size)).T
             return volume._chunk_stats(vol_box * section_lengths(*slabs, U))
         Y = draw(rng.chunk_generator(k), size)
         return volume._chunk_stats(weight(Y) * (support_values(body, Y) <= 1.0))

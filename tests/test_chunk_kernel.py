@@ -4,15 +4,17 @@ Each case runs `mc_polar_measure` over a partial last chunk at one and
 two threads and compares it with the reference estimate, and compares
 the draws and the support values of one chunk byte for byte, since a
 constant weight hides most changes in the points from the estimate.  A
-polytope polar drawn in its parallelepiped P tests only the slabs left on
-P, on the uniforms: that indicator is compared with `polar_contains` on
-the mapped points.  Under a constant weight, with slabs left, a point
-weighs the exact length of its section along one coordinate of P: those
-lengths are compared with a fine grid of the slab indicator, and the
-estimates with the exact polytope volumes over a battery of bodies.
-Under a Gaussian, a polytope polar weighs Genz's product of normal
-interval masses: its estimates are calibrated against exact planar
-measures, erf products and the slab test.
+polytope polar's parallelepiped P carries the slabs of K° that P does not
+satisfy: the reference indicator of those slabs on the uniforms is
+compared with `polar_contains` on the mapped points.  The sections
+kernel takes a polytope polar in P under a constant weight or a
+Gaussian.  Under a constant weight, with slabs left, a point weighs the
+exact length of its section along one coordinate of P: those lengths are
+compared with a fine grid of the slab indicator, and the estimates with
+the exact polytope volumes over a battery of bodies; where no weight
+varies, no uniform is drawn.  Under a Gaussian, a polytope polar weighs
+Genz's product of normal interval masses: its estimates are calibrated
+against exact planar measures, erf products and the slab indicator in P.
 """
 
 import importlib.util
@@ -58,6 +60,10 @@ CASES = {
     "q1_flat_row_gaussian": (FLAT_ROW, measure.GaussianLike(1.3, 3)),
     "line_gaussian": (geom.MatrixImageBody(np.array([[0.5, -1.0, 2.0]]), geom.LqBall(1.0, 3), 0.0),
                       measure.GaussianLike(0.8, 1)),
+    # polytope polars in P under a weight of |y|: P's uniforms mapped in place, then `polar_contains`
+    "q1_six_columns_half_rstar": (SIX_COLUMNS,
+                                  measure.LebesgueRestricted(0.5 * geom.polar_sampling_radius(SIX_COLUMNS), 3)),
+    "q1_six_columns_power_kernel": (SIX_COLUMNS, measure.PowerKernel(np.array([[0.0, 1.0], [1.0, 2.0]]), 3)),
 }
 
 
@@ -176,7 +182,7 @@ def test_residual_slabs_give_the_polar_indicator(name):
         assert got.shape == want.shape and got.tobytes() == want.tobytes()
     for k in range(4):
         U = RngStream(37, 1).chunk_generator(k).random((volume.CHUNK, body.dim))
-        inside = geom.slabs_contain(box.slabs, U)
+        inside = ref.slabs_contain(box.slabs, U)
         Y = measure.parallelepiped_map(U, box.origin, box.edges)
         assert inside.tobytes() == geom.polar_contains(body, Y).tobytes(), k
 
@@ -218,6 +224,29 @@ def test_a_row_with_0_in_the_pivot_column_tests_the_other_coordinates():
     np.testing.assert_array_equal(b[4:], bound[zero])
 
 
+class FixedDraws:
+    """A chunk generator whose one draw is the given array, for a kernel's fixed points."""
+
+    def __init__(self, X):
+        self.X = X
+
+    def random(self, shape):
+        assert shape == self.X.shape
+        return np.array(self.X)
+
+
+class NoDraws:
+    """An `RngStream` whose chunk generators refuse every draw."""
+
+    seed = 40
+
+    def chunk_generator(self, k):
+        return self
+
+    def __getattr__(self, name):
+        raise AssertionError(f"drew from the generator: {name}")
+
+
 # no slab is left on the octahedron's P, and the sliver's sections are shorter than 1 only
 # for about 1e-3 of the points
 @pytest.mark.parametrize("name", [name for name in P_REGION if name not in ("deep_estimate_octahedron", "sliver")])
@@ -225,14 +254,16 @@ def test_sections_are_the_length_of_the_slab_indicator(name):
     # along the pivot coordinate the points of [0, 1) inside every slab form one interval:
     # the midpoints of 4096 cells count it to within a cell at each end
     body = P_REGION[name]
-    slabs = geom.polar_parallelepiped(body).slabs
+    box = geom.polar_parallelepiped(body)
+    slabs = box.slabs
     j = int(np.abs(slabs[0]).sum(axis=0).argmax())
     rest = RngStream(39, 0).generator().random((64, body.dim - 1))
-    length = geom.slab_sections(geom.pivot_slabs(slabs), rest)
+    kernel = volume._sections(box, measure.LebesgueRestricted(math.inf, body.dim))
+    length = kernel(FixedDraws(rest.T), len(rest)) / box.volume
     grid = (np.arange(4096) + 0.5) / 4096
     for u, want in zip(rest, length):
         U = np.insert(np.repeat(u[None], len(grid), axis=0), j, grid, axis=1)
-        assert abs(geom.slabs_contain(slabs, U).mean() - want) <= 2 / 4096
+        assert abs(ref.slabs_contain(slabs, U).mean() - want) <= 2 / 4096
     assert ((0 < length) & (length < 1)).any()
 
 
@@ -270,6 +301,24 @@ def test_a_certified_parallelepiped_keeps_its_constant_chunks():
             for threads in (1, 2):
                 got = volume.mc_polar_measure(body, m, budget, RngStream(40, 0), threads)
                 assert got == volume.Estimate(*want, 40), (body, R, threads)
+
+
+def test_constant_sections_draw_no_uniforms():
+    # where no weight varies, a certified P under the uniform law and an interval in R¹, the
+    # weight is computed once: a generator that refuses every draw reads the octahedron's pinned
+    # hex, and the interval's bits from a real stream
+    budget = 2 * volume.CHUNK + 777
+    body, value, stderr = CERTIFIED["octahedron"]
+    want = volume.Estimate(float.fromhex(value), float.fromhex(stderr), budget, NoDraws.seed)
+    for R in (math.inf, 2 * geom.polar_sampling_radius(body)):
+        for threads in (1, 2):
+            assert volume.mc_polar_measure(body, measure.LebesgueRestricted(R, 3), budget, NoDraws(), threads) == want
+    line = CASES["line_gaussian"][0]
+    for m in (measure.GaussianLike(0.8, 1), measure.LebesgueRestricted(math.inf, 1),
+              measure.LebesgueRestricted(2 * geom.polar_sampling_radius(line), 1)):
+        for threads in (1, 2):
+            got = volume.mc_polar_measure(line, m, budget, NoDraws(), threads)
+            assert got == volume.mc_polar_measure(line, m, budget, RngStream(NoDraws.seed, 0), threads), (m, threads)
 
 
 def _battery():
@@ -413,7 +462,7 @@ def _slab_test(body, m, budget, rng):
 
     def worker(k, size):
         U = rng.chunk_generator(k).random((size, body.dim))
-        inside = geom.slabs_contain(box.slabs, U)
+        inside = ref.slabs_contain(box.slabs, U)
         Y = measure.parallelepiped_map(U, box.origin, box.edges)
         return volume._chunk_stats(box.volume * np.exp(-(Y * Y).sum(axis=1) / (2 * m.sigma ** 2)) * inside)
 
