@@ -16,7 +16,10 @@ workers execute the chunks.  `mc_polar_measure` picks one of two chunk
 kernels per call: draw a point and test it with `polar_contains`; or, for
 a polytope polar in its slab parallelepiped P under a constant weight or a
 Gaussian, Genz's separation of variables, a product of interval masses
-whose last factor integrates one coordinate exactly.
+whose last factor integrates one coordinate exactly.  Where no factor can
+move the product by more than the 64-ulp floor (`_spread`: in R¹, and for
+a P equal to K° under a constant weight, or under a Gaussian where P's
+rows are orthogonal) the product is computed once and nothing is drawn.
 """
 
 from __future__ import annotations
@@ -167,7 +170,9 @@ def mc_polar_measure(
     2. Sections (`_sections`): a polytope polar in P under a constant
        weight V, or under a Gaussian, by Genz's separation of variables
        (Genz 1992): n - 1 uniforms a point, and the last coordinate
-       integrated exactly.
+       integrated exactly.  Where P is K° and its frame provably moves no
+       factor by more than the floor, the weight is computed once and no
+       uniform is drawn.
     The stderr is at least 64 ulps of the value (`ROUNDING_FLOOR`): where
     the region is K° and the weight is constant, the estimate is exact up
     to rounding.  A budget below 2 is refused (`_run_chunks`).
@@ -253,10 +258,16 @@ def _sections(box: Parallelepiped, m: RadialMeasure):
     uniform law: unbiased.
 
     The first interval's factor is folded into the base weight once a
-    call.  Where no factor varies (R¹, or a certified P under the uniform
-    law, whose every section is [0, 1)) the weight is computed once and
-    no uniform is drawn.  A chunk works in blocks of SCRATCH_ROWS points,
-    which stay in cache.
+    call.  Where no factor can vary, the weight is computed once, at every
+    interval's center, and no uniform is drawn: in R¹, and for a
+    certified P (no slab left) whose frame M = L/diag(L) moves no later
+    interval enough to change the product by more than `ROUNDING_FLOOR`
+    (`_spread`).  The uniform law's frame is P's own coordinates, M the
+    identity, so its certified P always qualifies; under a Gaussian, P's
+    rows must be orthogonal to within that bound.  The constant is then
+    within the floor of every weight a draw could give, so the floor
+    stderr that `_run_chunks` reports still holds.  A chunk works in
+    blocks of SCRATCH_ROWS points, which stay in cache.
     """
     n = len(box.normals)
     last = n - 1
@@ -282,6 +293,8 @@ def _sections(box: Parallelepiped, m: RadialMeasure):
         C, b, upper, lower = pivot_slabs(box.slabs)
         top, bottom = 1.0, 0.0  # u_j ∈ [0, 1)
         base = first = box.volume
+        # P's own coordinates, each in [1/2 − 1/2, 1/2 + 1/2]: no interval moves with another
+        M, center, half = np.eye(n), np.full(n, 0.5), np.full(n, 0.5)
 
     def shifted(j, t):
         """P's center for coordinate j given the earlier ones, c_j − Σ_{k<j} (L_jk/L_jj)·t_k."""
@@ -306,8 +319,13 @@ def _sections(box: Parallelepiped, m: RadialMeasure):
             mass[(T[lower:] < 0).any(axis=0)] = 0.0
         return mass
 
-    if not last or not (gaussian or len(C)):  # no factor varies: no uniform is drawn
-        weight = float(base * last_mass(np.empty((last, 1)))[0])
+    if not (last and len(box.slabs[0])) and _spread(M, center, half) <= ROUNDING_FLOOR:
+        # no factor varies beyond rounding: the weight at the centers, and no uniform is drawn
+        weight = base
+        if gaussian:
+            for mass in measure.normal_interval(center[:last], half[:last])[0]:
+                weight *= mass
+        weight = float(weight * last_mass(np.zeros((last, 1)))[0])
         return lambda gen, size: np.full(size, weight)
 
     def kernel(gen, size):
@@ -328,6 +346,31 @@ def _sections(box: Parallelepiped, m: RadialMeasure):
         return out
 
     return kernel
+
+
+def _spread(M, center, half) -> float:
+    """A bound on the relative spread of Π_j mass(c_j − Σ_{k<j} M_jk·t_k, h_j)
+    about Π_j mass(c_j, h_j), mass the standard normal's, over every t whose
+    coordinates each lie in their own interval: `_sections`' certificate
+    that its weight is a constant.
+
+    Factor j's center moves by at most δ_j = Σ_{k<j} |M_jk|·(|c_k| + δ_k +
+    h_k), the largest |t_k| of its interval.  The mass's derivative along
+    the center, φ(c + h) − φ(c − h), is at most φ at the end nearest 0,
+    which the move brings at most δ_j closer; so the factor moves by a
+    share r_j of its mass, and the product by at most e^(Σ r_j) − 1.  A
+    frame whose M is diagonal (R¹, P's own coordinates) reads 0 under any
+    law: no interval moves.
+    """
+    reach, shift = np.abs(center) + half, np.zeros(len(center))  # |t_k| <= |c_k| + δ_k + h_k
+    for j in range(1, len(center)):
+        shift[j] = np.abs(M[j, :j]) @ reach[:j]
+        reach[j] += shift[j]
+    near = np.maximum(np.minimum(np.abs(center - half), np.abs(center + half)) - shift, 0.0)
+    slope = np.exp(-0.5 * near * near) / math.sqrt(2 * math.pi)
+    with np.errstate(divide="ignore", invalid="ignore"):  # a factor of mass 0 certifies nothing
+        total = float((shift * slope / measure.normal_interval(center, half)[0]).sum())
+    return math.expm1(total) if total < 1 else math.inf  # NaN, or past e − 1: no bound
 
 
 def polar_measure(

@@ -15,6 +15,9 @@ the exact polytope volumes over a battery of bodies; where no weight
 varies, no uniform is drawn.  Under a Gaussian, a polytope polar weighs
 Genz's product of normal interval masses: its estimates are calibrated
 against exact planar measures, erf products and the slab indicator in P.
+Where P is K° and its rows are orthogonal, the product is computed once
+and no uniform is drawn either: Genz's weights on real draws lie within
+the floor of that constant, and a frame tilted by 1e-9 still draws.
 """
 
 import importlib.util
@@ -304,9 +307,10 @@ def test_a_certified_parallelepiped_keeps_its_constant_chunks():
 
 
 def test_constant_sections_draw_no_uniforms():
-    # where no weight varies, a certified P under the uniform law and an interval in R¹, the
-    # weight is computed once: a generator that refuses every draw reads the octahedron's pinned
-    # hex, and the interval's bits from a real stream
+    # where no weight varies, a certified P under the uniform law, an interval in R¹ and a
+    # certified P with orthogonal rows under a Gaussian, the weight is computed once: a generator
+    # that refuses every draw reads the octahedron's pinned hex, and the other bodies' bits from
+    # a real stream, the product polars within their floor of the erf product
     budget = 2 * volume.CHUNK + 777
     body, value, stderr = CERTIFIED["octahedron"]
     want = volume.Estimate(float.fromhex(value), float.fromhex(stderr), budget, NoDraws.seed)
@@ -319,6 +323,11 @@ def test_constant_sections_draw_no_uniforms():
         for threads in (1, 2):
             got = volume.mc_polar_measure(line, m, budget, NoDraws(), threads)
             assert got == volume.mc_polar_measure(line, m, budget, RngStream(NoDraws.seed, 0), threads), (m, threads)
+    for name, (body, m) in CONSTANT_BODIES.items():
+        for threads in (1, 2):
+            got = volume.mc_polar_measure(body, m, budget, NoDraws(), threads)
+            assert got == volume.mc_polar_measure(body, m, budget, RngStream(NoDraws.seed, 0), threads), (name, threads)
+            assert abs(got.value - _product_measure(body, m)) <= got.stderr, (name, threads)
 
 
 def _battery():
@@ -442,17 +451,50 @@ PRODUCT_BODIES = {
 }
 
 
+# a box whose third column is tilted by 1e-9 of its length toward the first: its frame couples
+# the intervals by 1e-9, which under σ = 1 moves the weight by more than the floor
+TILTED = geom.MatrixImageBody(PRODUCT_BODIES["box_n3_0"][0].matrix @ np.array([[1.0, 0.0, 1e-9 * 2.5 / 0.3],
+                                                                                [0.0, 1.0, 0.0],
+                                                                                [0.0, 0.0, 1.0]]),
+                              geom.LqBall(1.0, 3), 0.0)
+# the bodies whose Gaussian sections take the constant: the product polars; the octahedron
+# |z|_1 <= √3 of deep_estimate, whose polar is its P, the cube of half-side 1/√3; and the
+# tilted box under σ = 0.03, whose interval ends lie 13σ and more from 0, where φ is below
+# 1e-37: a bound by φ(0) would make it draw
+CONSTANT_BODIES = PRODUCT_BODIES | {"deep_estimate_octahedron": (OCTAHEDRON, measure.GaussianLike(1.0, 3)),
+                                    "tilted_wide": (TILTED, measure.GaussianLike(0.03, 3))}
+
+
+def _product_measure(body, m):
+    """Π_i σ√(2π)·erf(w_i/(σ√2)) over the half-widths w_i of a box polar."""
+    if isinstance(body, geom.HPolytopeBody):  # the octahedron's cube
+        w = [1 / math.sqrt(3)] * 3
+    else:
+        w = 1 / np.linalg.norm(body.matrix, axis=0) if body.dim > 1 else [1 / np.abs(body.matrix).max()]
+    return math.prod(m.sigma * math.sqrt(2 * math.pi) * math.erf(x / (m.sigma * math.sqrt(2))) for x in w)
+
+
 @pytest.mark.parametrize("name", PRODUCT_BODIES)
 def test_gaussian_sections_of_a_product_polar_are_exact(name):
     # every interval is fixed, whatever the draws: the estimate is the product of the
     # interval masses to within its 64-ulp floor, at 1 and 2 threads over a partial last chunk
     body, m = PRODUCT_BODIES[name]
-    w = 1 / np.linalg.norm(body.matrix, axis=0) if body.dim > 1 else [1 / np.abs(body.matrix).max()]
-    exact = math.prod(m.sigma * math.sqrt(2 * math.pi) * math.erf(x / (m.sigma * math.sqrt(2))) for x in w)
+    exact = _product_measure(body, m)
     for threads in (1, 2):
         est = volume.mc_polar_measure(body, m, volume.CHUNK + 999, RngStream(46, 0), threads)
         assert est.stderr == volume.ROUNDING_FLOOR * est.value
         assert abs(est.value - exact) <= est.stderr, (est.value, exact)
+
+
+@pytest.mark.parametrize("name", CONSTANT_BODIES)
+def test_constant_gaussian_weight_bounds_the_sampled_weights(name):
+    # the certificate is a bound: Genz's weights, written out on a chunk of real draws, all
+    # lie within the floor of the constant that the kernel computes once
+    body, m = CONSTANT_BODIES[name]
+    weight = volume.mc_polar_measure(body, m, 2, NoDraws()).value
+    X = RngStream(50, 0).chunk_generator(0).random((body.dim - 1, volume.CHUNK))
+    sampled = ref.gaussian_weights(geom.polar_parallelepiped(body), m.sigma, X)
+    assert np.abs(sampled - weight).max() <= volume.ROUNDING_FLOOR * weight
 
 
 def _slab_test(body, m, budget, rng):
@@ -480,3 +522,15 @@ def test_gaussian_sections_agree_with_the_slab_test(n):
         slab = _slab_test(body, m, 1 << 20, RngStream(49, k))
         assert abs(genz.value - slab.value) <= 4 * math.hypot(genz.stderr, slab.stderr), (genz, slab)
         assert genz.stderr < slab.stderr
+
+
+def test_a_frame_coupled_beyond_the_floor_still_draws():
+    # the tilt leaves no slab on P, but its coupling moves the weight by more than the floor:
+    # the kernel draws, and its estimate agrees with the slab test within 4 combined stderr
+    m = PRODUCT_BODIES["box_n3_0"][1]
+    assert geom.polar_parallelepiped(TILTED).slabs[0].shape == (0, 3)
+    with pytest.raises(AssertionError, match="drew from the generator"):
+        volume.mc_polar_measure(TILTED, m, volume.CHUNK + 5, NoDraws())
+    genz = volume.mc_polar_measure(TILTED, m, 1 << 18, RngStream(51, 0), 2)
+    slab = _slab_test(TILTED, m, 1 << 18, RngStream(52, 0))
+    assert abs(genz.value - slab.value) <= 4 * math.hypot(genz.stderr, slab.stderr), (genz, slab)

@@ -1,6 +1,6 @@
 """Every configs/*.json run at --threads 2 reproduces its committed report.json byte for byte.
 
-Eight configs also run at --threads 1 against the same bytes: the seven
+Nine configs also run at --threads 1 against the same bytes: the eight
 whose estimates span more than one chunk, and the exact ball polar.
 """
 
@@ -19,8 +19,8 @@ from polarvol.cli import main
 GOLDEN = Path(__file__).parent / "golden"
 CONFIGS = Path(__file__).parent.parent / "configs"
 NAMES = sorted(p.stem for p in CONFIGS.glob("*.json"))
-ONE_THREAD = ["centroid_cube", "centroid_cube_n4", "newsan_box", "polar_volume_ball", "polar_volume_crosspoly_n3",
-              "polar_volume_flat_gaussian", "polar_volume_power_kernel", "shadow_gaussian"]
+ONE_THREAD = ["centroid_cube", "centroid_cube_n4", "newsan_box", "newsan_octahedron_gaussian", "polar_volume_ball",
+              "polar_volume_crosspoly_n3", "polar_volume_flat_gaussian", "polar_volume_power_kernel", "shadow_gaussian"]
 
 
 def check_golden(tmp_path, name, threads):
@@ -53,6 +53,16 @@ def test_newsan_box_golden_is_within_4_stderr_of_the_exact_measure():
     diamond = np.array([[1.0, 0.0], [0.0, 2.0], [-1.0, 0.0], [0.0, -2.0]])
     want = volume._polygon_measures(measure.GaussianLike(1.0, 2), diamond, np.array([4]))[0]
     assert abs(summary["lhs"] - want) <= 4 * summary["lhs_stderr"]
+
+
+def test_newsan_octahedron_gaussian_golden_is_within_its_stderr_of_the_cube_measure():
+    # K = {z : |Qᵀz|_1 <= √3} for a rotation Q has the cube |Qᵀy|_∞ <= 1/√3 for its polar, of
+    # Gaussian measure (σ√(2π)·erf(1/(√3·σ√2)))³: its P has orthogonal rows, so the weight is
+    # computed once and the estimate reads at its 64-ulp floor
+    summary = json.loads((GOLDEN / "newsan_octahedron_gaussian.report.json").read_bytes())["summary"]
+    want = (math.sqrt(2 * math.pi) * math.erf(1 / math.sqrt(6))) ** 3
+    assert summary["lhs_stderr"] == volume.ROUNDING_FLOOR * summary["lhs"]
+    assert abs(summary["lhs"] - want) <= summary["lhs_stderr"]
 
 
 def test_polar_volume_flat_gaussian_golden_is_within_4_stderr_of_the_slab_measure():
